@@ -28,7 +28,7 @@ from .errors import (
     SparseMobiusError,
     ValidationError,
 )
-from .fasmt import BinRecord, fasmt_run, fasmt_run_auto_degree, split_bin
+from .fasmt import fasmt_run, fasmt_run_auto_degree, split_bin
 from .grouptest import (
     GbsaResult,
     GbsaTest,
@@ -59,15 +59,12 @@ from .oracle import (
     CountingOracle,
     Hypergraph,
     QueryOracle,
-    ResidualOracle,
     SparsePolynomial,
     SparsePolyOracle,
     eval_sparse,
     hypergraph_to_polynomial,
-    membership_indicator,
     read_hypergraph,
     read_polynomial,
-    residual_eval,
     write_hypergraph,
     write_polynomial,
 )

@@ -121,8 +121,8 @@ class Label:
     """Immutable outcome string of a test sequence, one bit per test.
 
     Position i (0-based) holds the outcome of test i+1.  Labels grow by
-    append and are capped at MAX_LABEL_LENGTH bits.  The ordering used by
-    the depth-first scheduler is lexicographic with a proper prefix sorting
+    append and are capped at MAX_LABEL_LENGTH bits.  The depth-first search
+    visits buckets in lexicographic label order, a proper prefix sorting
     before every extension; ``a < b`` applies that order.
     """
 

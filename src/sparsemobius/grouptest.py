@@ -3,11 +3,12 @@
 Two independent tools live here.  The adaptive side is generalized binary
 splitting (Hwang's classic scheme): a deterministic decision tree that finds
 every defective coordinate among n with at most d * (ceil(log2(n/d)) + 2) + d
-tests.  It is exposed both as a driver loop and as a pure replay step, so a
-caller can walk the decision tree one outcome at a time.  The non-adaptive
-side builds d-disjunct test matrices (Reed-Solomon concatenation, with an
-identity fallback) plus randomized list-disjunct designs, together with the
-naive cover decoder for both.
+tests.  It is an explicit state machine over a universe mask: each node of
+the tree is an immutable state, and one outcome advances it with a few
+big-integer operations, so a caller can walk many branches of the tree side
+by side.  The non-adaptive side builds d-disjunct test matrices
+(Reed-Solomon concatenation, with an identity fallback) plus randomized
+list-disjunct designs, together with the naive cover decoder for both.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Generator, MutableMapping, NamedTuple
+from typing import Callable, NamedTuple
 
 from .core import BitVector, Label, TestMatrix
 from .errors import (
@@ -31,6 +32,8 @@ __all__ = [
     "GbsaTest",
     "GbsaResult",
     "GbsaAction",
+    "GbsaState",
+    "GbsaTree",
     "gbsa_step",
     "gbsa_run",
     "gbsa_test_budget",
@@ -70,51 +73,111 @@ def gbsa_test_budget(n: int, d: int) -> int:
     return d * (math.ceil(math.log2(n / d)) + 2) + d
 
 
-def _blocks(n: int, d: int) -> list[list[int]]:
-    """Contiguous 0-based index blocks: first n mod d blocks one larger."""
-    if d >= n:
-        return [[i] for i in range(n)]
-    q, r = divmod(n, d)
-    blocks = []
-    start = 0
-    for i in range(d):
-        size = q + 1 if i < r else q
-        blocks.append(list(range(start, start + size)))
-        start += size
-    return blocks
+def _lowest(mask: int, k: int) -> int:
+    """The k lowest set bits of mask, which has at least k set bits."""
+    lo = (mask & -mask).bit_length() - 1 + k
+    hi = mask.bit_length()
+    # smallest cut t with k set bits below it, by bisection on t
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mask & ((1 << mid) - 1)).bit_count() < k:
+            lo = mid + 1
+        else:
+            hi = mid
+    return mask & ((1 << lo) - 1)
 
 
-def _trace(n: int, d: int) -> Generator[int, int, int]:
-    """Decision tree as a coroutine: yields test masks, receives outcomes.
+class GbsaState(NamedTuple):
+    """One node of the splitting tree, as a handful of masks.
 
-    Returns the defective mask.  Raises InfeasiblePrefixError once the
-    outcomes imply more than d defectives.
+    block indexes the current block and remaining holds its coordinates not
+    yet found.  window is 0 while the whole remaining block is under test;
+    otherwise it holds the candidates for the block's next defective and its
+    lower half is under test.  found and count are the defectives identified
+    so far.  test is the pending test mask, or None once the tree has
+    terminated and found is the defective set.
     """
-    found_mask = 0
-    found = 0
-    for block in _blocks(n, d):
-        remaining = block
-        while remaining:
-            outcome = yield _mask_of(remaining)
-            if not outcome:
-                break
+
+    block: int
+    remaining: int
+    window: int
+    found: int
+    count: int
+    test: int | None
+
+
+class GbsaTree:
+    """Generalized binary splitting over a universe of coordinates.
+
+    The universe is a mask; its set coordinates, in ascending order, are cut
+    into contiguous blocks (the first m mod d one larger, or singletons when
+    d >= m).  Each block is tested whole; a positive block is binary-searched
+    for its lowest defective, which is removed before the block is tested
+    again.  States are immutable, so one tree serves any number of branches.
+    """
+
+    __slots__ = ("blocks", "d")
+
+    def __init__(self, universe: int, d: int):
+        if d < 1:
+            raise ParameterError(f"need d >= 1, got {d}")
+        m = universe.bit_count()
+        if d >= m:
+            sizes = [1] * m
+        else:
+            q, r = divmod(m, d)
+            sizes = [q + 1] * r + [q] * (d - r)
+        blocks = []
+        for size in sizes:
+            block = _lowest(universe, size)
+            blocks.append(block)
+            universe ^= block
+        self.blocks = tuple(blocks)
+        self.d = d
+
+    def start(self) -> GbsaState:
+        """The root of the tree: the first block's test, or the empty result."""
+        return self._settle(-1, 0, 0, 0, 0)
+
+    def advance(self, state: GbsaState, outcome: int) -> GbsaState:
+        """The child of a pending state along one test outcome.
+
+        Raises InfeasiblePrefixError once the outcomes imply more than d
+        defectives.
+        """
+        block, remaining, window, found, count, test = state
+        if window:
+            window = test if outcome else window ^ test
+        elif outcome:
             window = remaining
-            while len(window) > 1:
-                half = (len(window) + 1) // 2
-                lower = window[:half]
-                if (yield _mask_of(lower)):
-                    window = lower
-                else:
-                    window = window[half:]
-            hit = window[0]
-            found_mask |= 1 << hit
-            found += 1
-            if found > d:
-                raise InfeasiblePrefixError(
-                    f"outcomes imply more than d={d} defectives"
-                )
-            remaining = [i for i in remaining if i != hit]
-    return found_mask
+        else:
+            remaining = 0
+        return self._settle(block, remaining, window, found, count)
+
+    def _settle(
+        self, block: int, remaining: int, window: int, found: int, count: int
+    ) -> GbsaState:
+        """Take the forced steps (a one-candidate window is a defective, an
+        exhausted block hands over to the next) until a test is pending."""
+        while True:
+            if window & (window - 1):
+                half = _lowest(window, (window.bit_count() + 1) // 2)
+                return GbsaState(block, remaining, window, found, count, half)
+            if window:
+                found |= window
+                count += 1
+                if count > self.d:
+                    raise InfeasiblePrefixError(
+                        f"outcomes imply more than d={self.d} defectives"
+                    )
+                remaining ^= window
+                window = 0
+            if remaining:
+                return GbsaState(block, remaining, 0, found, count, remaining)
+            block += 1
+            if block == len(self.blocks):
+                return GbsaState(block, 0, 0, found, count, None)
+            remaining = self.blocks[block]
 
 
 def _mask_of(indices: list[int]) -> int:
@@ -124,45 +187,28 @@ def _mask_of(indices: list[int]) -> int:
     return mask
 
 
-def gbsa_step(
-    label: Label,
-    n: int,
-    d: int,
-    cache: MutableMapping[tuple[int, int, Label], GbsaAction] | None = None,
-) -> GbsaAction:
-    """Replay the splitting tree along an outcome prefix.
+def gbsa_step(label: Label, n: int, d: int) -> GbsaAction:
+    """Walk the splitting tree along an outcome prefix.
 
     Feeds the bits of the label to the decision tree in order.  If the tree
     wants another outcome, the pending test vector comes back as GbsaTest;
     if it terminates after consuming the whole label, the determined
     defective set comes back as GbsaResult.  A label the tree cannot
-    realize raises InfeasiblePrefixError.  The same label always produces
-    the same action; an optional cache memoizes replays.
+    realize raises InfeasiblePrefixError.
     """
     if n < 0 or d < 1:
         raise ParameterError(f"need n >= 0 and d >= 1, got n={n}, d={d}")
-    key = (n, d, label)
-    if cache is not None and key in cache:
-        return cache[key]
-    walker = _trace(n, d)
-    fed = 0
-    action: GbsaAction
-    try:
-        mask = next(walker)
-        while fed < label.length:
-            bit = label.bit(fed)
-            fed += 1
-            mask = walker.send(bit)
-        action = GbsaTest(BitVector(n, mask))
-    except StopIteration as stop:
-        if fed < label.length:
+    tree = GbsaTree((1 << n) - 1, d)
+    state = tree.start()
+    for bit in label.bits():
+        if state.test is None:
             raise InfeasiblePrefixError(
                 f"label {label.to01()!r} extends past the decision tree"
-            ) from None
-        action = GbsaResult(BitVector(n, stop.value))
-    if cache is not None:
-        cache[key] = action
-    return action
+            )
+        state = tree.advance(state, bit)
+    if state.test is None:
+        return GbsaResult(BitVector(n, state.found))
+    return GbsaTest(BitVector(n, state.test))
 
 
 def gbsa_run(
@@ -175,16 +221,14 @@ def gbsa_run(
     """
     if n < 0 or d < 1:
         raise ParameterError(f"need n >= 0 and d >= 1, got n={n}, d={d}")
-    walker = _trace(n, d)
+    tree = GbsaTree((1 << n) - 1, d)
+    state = tree.start()
     used = 0
-    try:
-        mask = next(walker)
-        while True:
-            outcome = 1 if tester(BitVector(n, mask)) else 0
-            used += 1
-            mask = walker.send(outcome)
-    except StopIteration as stop:
-        return BitVector(n, stop.value), used
+    while state.test is not None:
+        outcome = 1 if tester(BitVector(n, state.test)) else 0
+        used += 1
+        state = tree.advance(state, outcome)
+    return BitVector(n, state.found), used
 
 
 def identity_matrix(n: int) -> TestMatrix:

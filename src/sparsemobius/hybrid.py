@@ -4,42 +4,30 @@ Phase 1 runs the breadth-first level loop against a randomized
 list-disjunct design.  Its surviving leaf buckets are not exactly
 decodable, but each one comes with a small audited candidate coordinate
 set that is guaranteed to contain the support of every coefficient in the
-bucket.  Phase 2 finishes each bucket with the depth-first splitting
-search restricted to its candidate set: coordinates outside the set are
-deleted, the splitting tree runs in the reduced dimension, and recovered
-supports are re-embedded.
+bucket.  Phase 2 finishes each bucket with the depth-first runner's
+search engine, its splitting tree ranging over the candidate set only.
 
 Buckets whose labels are incomparable in the componentwise order cannot
 contribute to each other's queries, so phase 2 processes the buckets in
 antichain layers and batches one query per active bucket into a shared
-adaptive round.  If a candidate set overflows the audited bound, or a
-bucket's search hits a degree overflow, the run falls back to the plain
-depth-first algorithm on the full domain (logged); queries already spent
-stay counted.
+adaptive round.  If a candidate set overflows the audited bound, the run
+falls back to the plain depth-first runner on the full domain (logged);
+queries already spent stay counted.  A degree overflow in a bucket's search
+raises ReconstructionError with the bucket's label: the full-domain runner
+would overflow as well.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from random import Random
-from typing import Generator, TextIO
+from typing import TextIO
 
 from .core import BitVector, Label
-from .errors import (
-    DimensionError,
-    InfeasiblePrefixError,
-    ParameterError,
-    ReconstructionError,
-)
-from .fasmt import fasmt_run
-from .grouptest import (
-    GbsaResult,
-    ListDesign,
-    construct_list_disjunct,
-    gbsa_step,
-    list_decode,
-)
+from .errors import DimensionError, ParameterError
+from .fasmt import depth_first_search, fasmt_run
+from .grouptest import ListDesign, construct_list_disjunct, list_decode
+from .grouptest import gbsa_step  # unused here; the benchmark's traced run looks it up
 from .oracle import DEFAULT_TAU, CountingOracle, SparsePolynomial
 from .pasmt import refine_levels
 
@@ -76,50 +64,6 @@ def _antichain_layers(bins: list[LocalizedBin]) -> list[list[LocalizedBin]]:
     return layers
 
 
-def _bin_search(
-    bin_: LocalizedBin,
-    n: int,
-    d: int,
-    tau: float,
-    discovered: dict[BitVector, float],
-    cache: dict,
-) -> Generator[tuple[Label, BitVector], float, None]:
-    """Depth-first search of one bucket, yielding (global label, query).
-
-    The sent-back value must already be the residual at the query point.
-    Discovered coefficients are written into the shared map as they are
-    identified.
-    """
-    coords = bin_.candidates
-    m = len(coords)
-    d_local = min(d, m) if m else 1
-    full = (1 << n) - 1
-    stack = [(Label.empty(), bin_.value, bin_.zero_union)]
-    while stack:
-        local, value, union = stack.pop()
-        if abs(value) <= tau:
-            continue
-        action = gbsa_step(local, m, d_local, cache)
-        if isinstance(action, GbsaResult):
-            support = BitVector.from_coords(
-                n, (coords[i - 1] for i in action.vector.coords())
-            )
-            if support in discovered:
-                raise ReconstructionError(
-                    f"support {support.to01()!r} decoded twice",
-                    label=bin_.label.concat(local),
-                )
-            discovered[support] = value
-            continue
-        h_global = 0
-        for i in action.vector.coords():
-            h_global |= 1 << (coords[i - 1] - 1)
-        x = BitVector(n, full & ~(union | h_global))
-        v0 = yield bin_.label.concat(local), x
-        stack.append((local.append(1), value - v0, union))
-        stack.append((local.append(0), v0, union | h_global))
-
-
 def hybrid_run(
     f: CountingOracle,
     n: int,
@@ -129,16 +73,14 @@ def hybrid_run(
     transcript: TextIO | None = None,
     columns_factor: float = 4.0,
     audit_trials: int = 256,
-    layer_rng: Random | None = None,
     design: ListDesign | None = None,
 ) -> SparsePolynomial:
     """Recover the coefficient map with batched localization.
 
     The seed fixes the randomized design, so reruns are reproducible.  A
     prebuilt design may be passed in to amortize its audit across runs, in
-    which case the seed is ignored.  layer_rng optionally shuffles bucket
-    order inside each antichain layer; the recovered map does not depend
-    on it.
+    which case the seed is ignored.  A true degree above d surfaces as
+    ReconstructionError (degree overflow) carrying the offending label.
     """
     if f.n != n:
         raise DimensionError(f"oracle is over n={f.n}, expected {n}")
@@ -146,70 +88,30 @@ def hybrid_run(
         raise ParameterError(f"need d >= 1, got {d}")
     if design is not None and design.n != n:
         raise DimensionError(f"design is over n={design.n}, expected {n}")
+    if n < 2:
+        return fasmt_run(f, n, d, tau, transcript)
+    if design is None:
+        design = construct_list_disjunct(
+            n, min(d, n - 1), seed, columns_factor=columns_factor,
+            audit_trials=audit_trials,
+        )
+    leaves = refine_levels(f, design.matrix, tau, transcript)
     bins: list[LocalizedBin] = []
-    if n >= 2:
-        if design is None:
-            design = construct_list_disjunct(
-                n, min(d, n - 1), seed, columns_factor=columns_factor,
-                audit_trials=audit_trials,
-            )
-        leaves = refine_levels(f, design.matrix, tau, transcript)
-        oversized = False
-        for label, value, union in leaves:
-            candidates = list_decode(design, label)
-            if len(candidates) > design.list_bound:
-                oversized = True
-                break
-            bins.append(LocalizedBin(label, value, candidates, union))
-        if oversized:
+    for label, value, union in leaves:
+        candidates = list_decode(design, label)
+        if len(candidates) > design.list_bound:
             logger.warning(
                 "hybrid: candidate set exceeded the audited bound %d; "
                 "falling back to the depth-first runner",
                 design.list_bound,
             )
             return fasmt_run(f, n, d, tau, transcript=transcript)
-    else:
-        ones = BitVector.ones(n)
-        root = f.batch_eval([ones])[0]
-        if transcript is not None:
-            transcript.write(f"\t{ones.to01()}\t{root!r}\n")
-        if abs(root) > tau:
-            bins.append(LocalizedBin(Label.empty(), root, tuple(range(1, n + 1)), 0))
+        bins.append(LocalizedBin(label, value, candidates, union))
     discovered: dict[BitVector, float] = {}
-    cache: dict = {}
-    try:
-        for layer in _antichain_layers(bins):
-            if layer_rng is not None:
-                layer_rng.shuffle(layer)
-            active: list[tuple[Generator, Label, BitVector]] = []
-            for b in layer:
-                search = _bin_search(b, n, d, tau, discovered, cache)
-                try:
-                    label, x = next(search)
-                except StopIteration:
-                    continue
-                active.append((search, label, x))
-            while active:
-                raw = f.batch_eval([x for _, _, x in active])
-                next_active = []
-                for (search, label, x), value in zip(active, raw):
-                    nx = ~x.mask
-                    for k, c in discovered.items():
-                        if k.mask & nx == 0:
-                            value -= c
-                    if transcript is not None:
-                        transcript.write(f"{label.to01()}\t{x.to01()}\t{value!r}\n")
-                    try:
-                        nxt_label, nxt_x = search.send(value)
-                    except StopIteration:
-                        continue
-                    next_active.append((search, nxt_label, nxt_x))
-                active = next_active
-    except InfeasiblePrefixError as err:
-        logger.warning(
-            "hybrid: degree overflow in a localized search (%s); "
-            "falling back to the depth-first runner",
-            err,
-        )
-        return fasmt_run(f, n, d, tau, transcript=transcript)
+    for layer in _antichain_layers(bins):
+        buckets = [
+            (b.label, b.value, b.zero_union, BitVector.from_coords(n, b.candidates).mask)
+            for b in layer
+        ]
+        depth_first_search(f, buckets, d, tau, discovered, transcript)
     return SparsePolynomial(n, discovered, degree_bound=d)

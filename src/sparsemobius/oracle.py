@@ -27,12 +27,9 @@ __all__ = [
     "Hypergraph",
     "QueryOracle",
     "SparsePolyOracle",
-    "ResidualOracle",
     "CountingOracle",
     "eval_sparse",
     "hypergraph_to_polynomial",
-    "residual_eval",
-    "membership_indicator",
     "read_polynomial",
     "write_polynomial",
     "read_hypergraph",
@@ -184,45 +181,6 @@ class SparsePolyOracle:
         return total
 
 
-class ResidualOracle:
-    """Evaluates f minus the part explained by already-discovered coefficients."""
-
-    __slots__ = ("n", "inner", "discovered")
-
-    def __init__(self, inner: QueryOracle, discovered: SparsePolynomial):
-        if discovered.n != inner.n:
-            raise DimensionError(
-                f"discovered map is over n={discovered.n}, oracle over n={inner.n}"
-            )
-        self.n = inner.n
-        self.inner = inner
-        self.discovered = discovered
-
-    def eval(self, x: BitVector) -> float:
-        return residual_eval(self.inner, self.discovered, x)
-
-
-def residual_eval(
-    f: QueryOracle, discovered: SparsePolynomial | Mapping[BitVector, float], x: BitVector
-) -> float:
-    """f(x) minus the sum of discovered coefficients below x.
-
-    The underlying evaluation goes through f, so a counting wrapper sees it.
-    """
-    entries = discovered.entries if isinstance(discovered, SparsePolynomial) else discovered
-    value = f.eval(x)
-    nx = ~x.mask
-    for k, v in entries.items():
-        if k.mask & nx == 0:
-            value -= v
-    return value
-
-
-def membership_indicator(f: QueryOracle, x: BitVector, tau: float = DEFAULT_TAU) -> bool:
-    """Indicator 1{f(x) != 0} up to the tolerance."""
-    return abs(f.eval(x)) > tau
-
-
 class CountingOracle:
     """Counting wrapper; the only mutable object on the query path.
 
@@ -255,10 +213,6 @@ class CountingOracle:
         self.round_count += 1
         inner_eval = self.inner.eval
         return [inner_eval(x) for x in xs]
-
-
-def batch_eval(oracle: CountingOracle, xs: Sequence[BitVector]) -> list[float]:
-    return oracle.batch_eval(xs)
 
 
 def _parse_value(token: str, lineno: int) -> float:

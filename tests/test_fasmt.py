@@ -6,7 +6,12 @@ import pytest
 
 from sparsemobius.core import BitVector, Label
 from sparsemobius.errors import DimensionError, ParameterError, ReconstructionError
-from sparsemobius.fasmt import BinRecord, fasmt_run, fasmt_run_auto_degree, split_bin
+from sparsemobius.fasmt import (
+    depth_first_search,
+    fasmt_run,
+    fasmt_run_auto_degree,
+    split_bin,
+)
 from sparsemobius.grouptest import gbsa_test_budget
 from sparsemobius.harness import generate_synthetic
 from sparsemobius.oracle import CountingOracle, SparsePolynomial, SparsePolyOracle
@@ -25,21 +30,32 @@ P = SparsePolynomial(4, {bv("1000"): 2.0, bv("0001"): 3.0})
 
 def test_split_bin_examples():
     f = SparsePolyOracle(P)
-    root = BinRecord(Label.empty(), 5.0, 0)
-    # excluding coordinates 1, 3, 4 leaves nothing of the support
-    assert split_bin(root, bv("1011"), f, {}) == (0.0, 5.0)
-    # excluding only coordinate 3 keeps both coefficients
-    assert split_bin(root, bv("0010"), f, {}) == (5.0, 0.0)
-    # discovered values are subtracted from the raw evaluation
-    assert split_bin(root, bv("0010"), f, {bv("0001"): 3.0}) == (2.0, 3.0)
+    # a query point without coordinates 1, 3, 4 leaves nothing of the support
+    x = bv("0100")
+    assert split_bin(5.0, x, f.eval(x), {}) == (0.0, 5.0)
+    # one without coordinate 3 keeps both coefficients
+    x = bv("1101")
+    assert split_bin(5.0, x, f.eval(x), {}) == (5.0, 0.0)
+    # discovered values below the point are subtracted from the raw value
+    assert split_bin(5.0, x, f.eval(x), {bv("0001"): 3.0}) == (2.0, 3.0)
+    # and those not below it are not
+    assert split_bin(5.0, x, f.eval(x), {bv("0010"): 3.0}) == (5.0, 0.0)
 
 
 def test_split_bin_respects_zero_union():
-    f = SparsePolyOracle(P)
-    rec = BinRecord(Label.from01("0"), 3.0, bv("1000").mask)
-    v0, v1 = split_bin(rec, bv("0010"), f, {})
-    # query point is 0101: only coefficient 0001 remains
-    assert (v0, v1) == (3.0, 0.0)
+    # the bucket labelled "0" holds only coefficient 0001: its zero union
+    # excludes coordinate 1, so every query point the search makes does too
+    f = oracle_for(P)
+    sink = io.StringIO()
+    discovered: dict[BitVector, float] = {}
+    bucket = (Label.from01("0"), 3.0, bv("1000").mask, BitVector.ones(4).mask)
+    depth_first_search(f, [bucket], 2, 1e-9, discovered, sink)
+    assert discovered == {bv("0001"): 3.0}
+    lines = [line.split("\t") for line in sink.getvalue().splitlines()]
+    # the first test is the block of coordinates 1 and 2: query point 0011
+    assert lines[0] == ["0", "0011", "3.0"]
+    assert all(x.startswith("0") for _, x, _ in lines)
+    assert len(lines) == f.query_count == f.round_count
 
 
 def test_recovers_and_counts():
@@ -92,14 +108,15 @@ def test_integer_mode_zero_tau():
     assert all(isinstance(v, int) for v in got.entries.values())
 
 
-def test_schedulers_agree_to_the_byte():
+def test_transcript_labels_strictly_increase():
+    # after the root query, each bucket is split once, in lexicographic order
     for seed in (11, 12, 13):
         truth = generate_synthetic(20, 5, 2, seed=seed)
-        sink_stack, sink_heap = io.StringIO(), io.StringIO()
-        a = fasmt_run(oracle_for(truth), 20, 2, scheduler="stack", transcript=sink_stack)
-        b = fasmt_run(oracle_for(truth), 20, 2, scheduler="priority", transcript=sink_heap)
-        assert a == b
-        assert sink_stack.getvalue() == sink_heap.getvalue()
+        sink = io.StringIO()
+        fasmt_run(oracle_for(truth), 20, 2, transcript=sink)
+        labels = [Label.from01(line.split("\t")[0]) for line in sink.getvalue().splitlines()]
+        assert len(labels) > 2
+        assert all(a < b for a, b in zip(labels[1:], labels[2:]))
 
 
 def test_transcript_shape():
@@ -152,5 +169,3 @@ def test_validation():
         fasmt_run(f, 5, 1)
     with pytest.raises(ParameterError):
         fasmt_run(f, 4, 0)
-    with pytest.raises(ParameterError):
-        fasmt_run(f, 4, 1, scheduler="fifo")

@@ -17,6 +17,7 @@ from sparsemobius.errors import (
 from sparsemobius.grouptest import (
     GbsaResult,
     GbsaTest,
+    GbsaTree,
     construct_disjunct,
     construct_list_disjunct,
     decode_disjunct,
@@ -91,12 +92,9 @@ def test_step_full_trace():
 
 
 def test_step_replay_is_deterministic():
-    cache: dict = {}
-    first = gbsa_step(lab("10"), 8, 2, cache)
-    again = gbsa_step(lab("10"), 8, 2, cache)
-    uncached = gbsa_step(lab("10"), 8, 2)
-    assert first == again == uncached
-    assert cache
+    first = gbsa_step(lab("10"), 8, 2)
+    again = gbsa_step(lab("10"), 8, 2)
+    assert first == again
 
 
 def test_step_infeasible_prefixes():
@@ -110,6 +108,8 @@ def test_step_infeasible_prefixes():
         gbsa_step(lab("0"), 0, 1)
     with pytest.raises(ParameterError):
         gbsa_step(Label.empty(), 4, 0)
+    with pytest.raises(ParameterError):
+        GbsaTree(0b101, 0)
 
 
 def test_run_empty_domain():
@@ -157,6 +157,34 @@ def test_run_random_supports(n, d, data):
     found, used = gbsa_run(membership(k), n, d)
     assert found == k
     assert used <= gbsa_test_budget(n, d)
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 80), st.integers(1, 6), st.data())
+def test_tree_over_a_universe_walks_the_tree_over_its_coordinates(n, d, data):
+    # a universe of m scattered coordinates behaves as 1..m relabelled
+    coords = sorted(data.draw(st.lists(st.integers(0, n - 1), unique=True)))
+    m = len(coords)
+    outcomes = data.draw(st.lists(st.integers(0, 1), max_size=gbsa_test_budget(m, d)))
+    tree = GbsaTree(sum(1 << c for c in coords), d)
+    state = tree.start()
+    label = Label.empty()
+    for bit in outcomes:
+        action = gbsa_step(label, m, d)
+        expected = sum(1 << coords[i - 1] for i in action.vector.coords())
+        if state.test is None:
+            assert action == GbsaResult(action.vector)
+            assert state.found == expected
+            return
+        assert action == GbsaTest(action.vector)
+        assert state.test == expected
+        label = label.append(bit)
+        try:
+            state = tree.advance(state, bit)
+        except InfeasiblePrefixError:
+            with pytest.raises(InfeasiblePrefixError):
+                gbsa_step(label, m, d)
+            return
 
 
 def test_identity_matrix():

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import io
 import logging
-from random import Random
 
 import pytest
 
@@ -68,16 +67,6 @@ def test_round_and_query_envelope():
     assert f.round_count <= 1 + design.b + s * per_bin
 
 
-def test_layer_order_does_not_change_result():
-    truth = generate_synthetic(16, 5, 2, seed=6)
-    results = []
-    for i in range(4):
-        f = oracle_for(truth)
-        results.append(hybrid_run(f, 16, 2, seed=6, layer_rng=Random(i)))
-    assert all(r == results[0] for r in results)
-    assert results[0].close_to(truth, 1e-9)
-
-
 def test_reruns_are_transcript_identical():
     truth = generate_synthetic(14, 4, 2, seed=30)
     a, b = io.StringIO(), io.StringIO()
@@ -135,13 +124,18 @@ def test_oversized_candidate_set_falls_back(caplog):
     assert any("falling back" in rec.message for rec in caplog.records)
 
 
-def test_degree_overflow_falls_back_then_raises(caplog):
+def test_degree_overflow_raises_with_label(caplog):
     truth = SparsePolynomial(10, {bv("1110000000"): 1.0})
+    design = construct_list_disjunct(10, 2, seed=8)
     f = oracle_for(truth)
     with caplog.at_level(logging.WARNING, logger="sparsemobius.hybrid"):
-        with pytest.raises(ReconstructionError):
-            hybrid_run(f, 10, 2, seed=8)
-    assert any("falling back" in rec.message for rec in caplog.records)
+        with pytest.raises(ReconstructionError) as info:
+            hybrid_run(f, 10, 2, seed=8, design=design)
+    assert "degree overflow" in str(info.value)
+    # the label extends the bucket's full phase-1 syndrome
+    assert info.value.label.length > design.b
+    assert not any("falling back" in rec.message for rec in caplog.records)
+    assert f.query_count <= 1 + design.b + gbsa_test_budget(10, 2)
 
 
 def test_prebuilt_design_reused():

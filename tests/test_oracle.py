@@ -8,18 +8,16 @@ from hypothesis import strategies as st
 
 from sparsemobius.core import BitVector
 from sparsemobius.errors import DimensionError, FormatError, ValidationError
+from sparsemobius.fasmt import split_bin
 from sparsemobius.oracle import (
     CountingOracle,
     Hypergraph,
-    ResidualOracle,
     SparsePolynomial,
     SparsePolyOracle,
     eval_sparse,
     hypergraph_to_polynomial,
-    membership_indicator,
     read_hypergraph,
     read_polynomial,
-    residual_eval,
     write_hypergraph,
     write_polynomial,
 )
@@ -110,31 +108,12 @@ def test_hypergraph():
         Hypergraph(4, [(bv("110"), 1.0)])
 
 
-def test_residual_eval():
-    f = SparsePolyOracle(P)
-    assert residual_eval(f, {bv("1000"): 2.0}, bv("1111")) == 3.0
-    assert residual_eval(f, {}, bv("1111")) == 5.0
-    assert residual_eval(f, P, bv("1111")) == 0.0
-    r = ResidualOracle(f, SparsePolynomial(4, {bv("0001"): 3.0}))
-    assert r.eval(bv("1111")) == 2.0
-    assert r.eval(bv("0001")) == 0.0
-    with pytest.raises(DimensionError):
-        ResidualOracle(f, SparsePolynomial(3, {}))
-
-
 @given(st.integers(0, 15))
 def test_residual_of_everything_is_zero(mask):
+    # once every coefficient is discovered, each query splits off nothing
     f = SparsePolyOracle(P)
-    assert residual_eval(f, P.entries, BitVector(4, mask)) == 0.0
-
-
-def test_membership_indicator():
-    f = SparsePolyOracle(P)
-    assert membership_indicator(f, bv("1111"))
-    assert not membership_indicator(f, bv("0110"))
-    tiny = SparsePolyOracle(SparsePolynomial(2, {bv("10"): 1e-12}))
-    assert not membership_indicator(tiny, bv("11"), tau=1e-9)
-    assert membership_indicator(tiny, bv("11"), tau=1e-15)
+    x = BitVector(4, mask)
+    assert split_bin(7.0, x, f.eval(x), P.entries) == (0.0, 7.0)
 
 
 def test_counting_oracle_single_evals():
