@@ -85,7 +85,13 @@ class BitVector:
 
     def coords(self) -> tuple[int, ...]:
         """1-based coordinates that are set, ascending."""
-        return tuple(i + 1 for i in range(self.n) if (self.mask >> i) & 1)
+        bits = format(self.mask, "b")[::-1]  # coordinate 1 first
+        out = []
+        i = bits.find("1")
+        while i >= 0:
+            out.append(i + 1)
+            i = bits.find("1", i + 1)
+        return tuple(out)
 
     def weight(self) -> int:
         return self.mask.bit_count()

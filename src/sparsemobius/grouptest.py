@@ -18,11 +18,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, NamedTuple
 
-from .core import BitVector, Label, TestMatrix
+from .core import BitVector, Label, TestMatrix, build_query_vector, semiring_apply
 from .errors import (
     CapacityError,
     DecodeError,
-    DimensionError,
     InfeasiblePrefixError,
     ParameterError,
 )
@@ -357,26 +356,19 @@ def decode_disjunct(H: TestMatrix, label: Label, d: int) -> BitVector:
     """Naive cover decoding of a full syndrome.
 
     Coordinate i is declared present iff every test containing i is
-    positive in the label.  The decoded support is then re-encoded; any
-    mismatch with the label (the signature of degree overflow or a
-    non-disjunct matrix) raises DecodeError.
+    positive in the label, that is, iff i lies outside the union of the
+    tests the label records a 0 at; that union is the label's query
+    vector, so decoding costs O(b) big-integer operations, not a scan of
+    the n rows.  The decoded support is then re-encoded; any mismatch with
+    the label (the signature of degree overflow or a non-disjunct matrix)
+    raises DecodeError.
     """
-    if label.length != H.b:
-        raise DimensionError(f"label length {label.length} != column count {H.b}")
-    lmask = label.mask
-    support = 0
-    for i, row in enumerate(H.row_masks):
-        if row & ~lmask == 0:
-            support |= 1 << i
-    syndrome = 0
-    for t, col in enumerate(H.columns):
-        if col.mask & support:
-            syndrome |= 1 << t
-    if syndrome != lmask:
+    support = build_query_vector(H, label)
+    if semiring_apply(H, support, transpose=True).mask != label.mask:
         raise DecodeError(
             f"decoded support is inconsistent with syndrome {label.to01()!r}"
         )
-    return BitVector(H.n, support)
+    return support
 
 
 @dataclass(frozen=True)
@@ -428,16 +420,12 @@ def construct_list_disjunct(
                 mask |= 1 << i
         cols.append(BitVector(n, mask))
     matrix = TestMatrix(n, cols)
-    rows = matrix.row_masks
     bound = 1
     for _ in range(max(1, audit_trials)):
         weight = 1 + rng.below(d)
         support = BitVector.from_coords(n, random_subset(rng, n, weight))
-        syndrome = 0
-        for t, col in enumerate(cols):
-            if col.mask & support.mask:
-                syndrome |= 1 << t
-        hits = sum(1 for row in rows if row & ~syndrome == 0)
+        syndrome = semiring_apply(matrix, support, transpose=True)
+        hits = build_query_vector(matrix, Label(b, syndrome.mask)).weight()
         bound = max(bound, hits)
     return ListDesign(matrix, d, bound, seed, max(1, audit_trials))
 
@@ -445,15 +433,10 @@ def construct_list_disjunct(
 def list_decode(design: ListDesign, label: Label) -> tuple[int, ...]:
     """Candidate coordinates (1-based, ascending) for a full syndrome.
 
-    Sound by construction: every support consistent with the label is a
-    subset of the returned set.  The size is only probabilistically small.
+    The candidates are the coordinates outside every test the label
+    records a 0 at, read off the label's query vector in O(b) big-integer
+    operations.  Sound by construction: every support consistent with the
+    label is a subset of the returned set.  The size is only
+    probabilistically small.
     """
-    matrix = design.matrix
-    if label.length != matrix.b:
-        raise DimensionError(
-            f"label length {label.length} != column count {matrix.b}"
-        )
-    lmask = label.mask
-    return tuple(
-        i + 1 for i, row in enumerate(matrix.row_masks) if row & ~lmask == 0
-    )
+    return build_query_vector(design.matrix, label).coords()

@@ -9,17 +9,16 @@ search engine, its splitting tree ranging over the candidate set only.
 
 Buckets whose labels are incomparable in the componentwise order cannot
 contribute to each other's queries, so phase 2 processes the buckets in
-antichain layers and batches one query per active bucket into a shared
-adaptive round.  If a candidate set overflows the audited bound, the run
-falls back to the plain depth-first runner on the full domain (logged);
-queries already spent stay counted.  A degree overflow in a bucket's search
+antichain layers, one layer per chain height, and batches one query per
+active bucket into a shared adaptive round.  A candidate set larger than
+the audited bound is still sound, so its bucket is searched over the larger
+set; it only costs more queries.  A degree overflow in a bucket's search
 raises ReconstructionError with the bucket's label: the full-domain runner
 would overflow as well.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -33,8 +32,6 @@ from .pasmt import refine_levels
 
 __all__ = ["LocalizedBin", "hybrid_run"]
 
-logger = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class LocalizedBin:
@@ -47,20 +44,26 @@ class LocalizedBin:
 
 
 def _antichain_layers(bins: list[LocalizedBin]) -> list[list[LocalizedBin]]:
-    """Peel repeated minimal layers of the componentwise label order."""
-    layers: list[list[LocalizedBin]] = []
-    remaining = list(bins)
-    while remaining:
-        layer = [
-            b
-            for b in remaining
-            if not any(
-                o.label != b.label and o.label.leq(b.label) for o in remaining
-            )
-        ]
-        taken = {b.label for b in layer}
-        remaining = [b for b in remaining if b.label not in taken]
-        layers.append(layer)
+    """Group bins by chain height in the componentwise label order.
+
+    A bin's height is the length of the longest chain of strictly smaller
+    labels below it, so each layer is an antichain and every bin comes
+    after all bins below it.  A strictly smaller label has fewer ones, so
+    visiting the bins by label weight settles each height before it is
+    needed.  Bins keep their input order within a layer.
+    """
+    height = [0] * len(bins)
+    visited: list[tuple[int, int]] = []
+    for i in sorted(range(len(bins)), key=lambda i: bins[i].label.mask.bit_count()):
+        mask = bins[i].label.mask
+        height[i] = max(
+            (h + 1 for other, h in visited if other & ~mask == 0 and other != mask),
+            default=0,
+        )
+        visited.append((mask, height[i]))
+    layers: list[list[LocalizedBin]] = [[] for _ in range(max(height, default=-1) + 1)]
+    for b, h in zip(bins, height):
+        layers[h].append(b)
     return layers
 
 
@@ -95,18 +98,10 @@ def hybrid_run(
             n, min(d, n - 1), seed, columns_factor=columns_factor,
             audit_trials=audit_trials,
         )
-    leaves = refine_levels(f, design.matrix, tau, transcript)
-    bins: list[LocalizedBin] = []
-    for label, value, union in leaves:
-        candidates = list_decode(design, label)
-        if len(candidates) > design.list_bound:
-            logger.warning(
-                "hybrid: candidate set exceeded the audited bound %d; "
-                "falling back to the depth-first runner",
-                design.list_bound,
-            )
-            return fasmt_run(f, n, d, tau, transcript=transcript)
-        bins.append(LocalizedBin(label, value, candidates, union))
+    bins = [
+        LocalizedBin(label, value, list_decode(design, label), union)
+        for label, value, union in refine_levels(f, design.matrix, tau, transcript)
+    ]
     discovered: dict[BitVector, float] = {}
     for layer in _antichain_layers(bins):
         buckets = [

@@ -9,6 +9,17 @@ and buckets whose sum vanishes are dropped.  After all b columns each
 surviving bucket holds exactly one coefficient and its full syndrome, which
 the disjunct decoder turns back into a support.
 
+The system is sparse: bucket i's row holds only the earlier buckets whose
+labels lie componentwise below its own.  The level loop carries that list
+for every bucket and passes it on instead of comparing label pairs.  The
+c-child of bucket j lies below the c'-child of bucket i exactly when label
+j <= label i and c <= c', so the 1-child of i inherits the surviving
+children of every bucket on i's list followed by i's own surviving
+0-child, and the 0-child of i inherits the surviving 0-children only.
+Both lists stay ascending, so a level with L buckets and E comparable
+pairs costs O(L + E) besides its queries, and the back-substitution
+subtracts in the same order as a dense solve would.
+
 The query count is at most s*b + 1 and the number of adaptive rounds is
 b + 1, independent of s (the all-ones root query is its own round).
 """
@@ -16,7 +27,7 @@ b + 1, independent of s (the all-ones root query is its own round).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, TextIO
+from typing import Callable, Sequence, TextIO
 
 from .core import BitVector, Label, TestMatrix
 from .errors import DecodeError, DimensionError, ParameterError, ReconstructionError
@@ -35,33 +46,30 @@ class LevelState:
     values: tuple[float, ...]
 
 
-def solve_bin_system(labels: list[Label], measurements: list[float]) -> list[float]:
+def solve_bin_system(
+    below: Sequence[Sequence[int]], measurements: Sequence[float]
+) -> list[float]:
     """Back-substitute bucket sums from downward-closed measurements.
 
-    Measurement i sums the unknowns of every label componentwise below
-    label i, and the labels arrive in strictly increasing lexicographic
-    order, so the system is unit lower triangular.
+    Measurement i sums unknown i and the unknowns listed in below[i], the
+    buckets whose labels lie componentwise below label i.  Each list must
+    be strictly ascending with every index below i, so the system is unit
+    lower triangular; the unknowns are subtracted in list order.
     """
-    if len(labels) != len(measurements):
+    if len(below) != len(measurements):
         raise DimensionError(
-            f"{len(labels)} labels but {len(measurements)} measurements"
+            f"{len(below)} rows but {len(measurements)} measurements"
         )
-    length = labels[0].length if labels else 0
-    for a, b in zip(labels, labels[1:]):
-        if not a < b:
-            raise ParameterError("labels must be strictly increasing")
-    masks = []
-    for lab in labels:
-        if lab.length != length:
-            raise DimensionError("labels must share one length")
-        masks.append(lab.mask)
     solution: list[float] = []
-    for i, m in enumerate(measurements):
-        acc = m
-        target = masks[i]
-        for j in range(i):
-            if masks[j] & ~target == 0:
-                acc -= solution[j]
+    for i, (row, acc) in enumerate(zip(below, measurements)):
+        last = -1
+        for j in row:
+            if not last < j < i:
+                raise ParameterError(
+                    f"row {i} must list strictly increasing indices below {i}"
+                )
+            acc -= solution[j]
+            last = j
         solution.append(acc)
     return solution
 
@@ -69,6 +77,10 @@ def solve_bin_system(labels: list[Label], measurements: list[float]) -> list[flo
 def _log(transcript: TextIO | None, label: Label, x: BitVector, value: float) -> None:
     if transcript is not None:
         transcript.write(f"{label.to01()}\t{x.to01()}\t{value!r}\n")
+
+
+def _state(depth: int, masks: list[int], values: list[float]) -> LevelState:
+    return LevelState(depth, tuple(Label(depth, m) for m in masks), tuple(values))
 
 
 def refine_levels(
@@ -93,38 +105,55 @@ def refine_levels(
     _log(transcript, Label.empty(), ones, root)
     if abs(root) <= tau:
         return []
-    labels = [Label.empty()]
-    values = [root]
-    unions = [0]
+    # bucket i: label bits, sum, zero union, and the earlier buckets below it
+    masks, values, unions, below = [0], [root], [0], [[]]
     if on_level is not None:
-        on_level(LevelState(0, tuple(labels), tuple(values)))
+        on_level(_state(0, masks, values))
     for t in range(H.b):
         col = H.column(t).mask
         queries = [BitVector(n, full & ~(u | col)) for u in unions]
         measurements = f.batch_eval(queries)
-        for lab, x, m in zip(labels, queries, measurements):
-            _log(transcript, lab, x, m)
-        zero_sums = solve_bin_system(labels, measurements)
-        next_labels: list[Label] = []
+        if transcript is not None:
+            for m, x, v in zip(masks, queries, measurements):
+                _log(transcript, Label(t, m), x, v)
+        zero_sums = solve_bin_system(below, measurements)
+        bit = 1 << t
+        # surviving children of each bucket, as next-level indices
+        child0: list[int | None] = []
+        children: list[tuple[int, ...]] = []
+        next_masks: list[int] = []
         next_values: list[float] = []
         next_unions: list[int] = []
-        for i, lab in enumerate(labels):
+        next_below: list[list[int]] = []
+        for i, row in enumerate(below):
             v0 = zero_sums[i]
             v1 = values[i] - v0
+            kids: tuple[int, ...] = ()
+            z = None
             if abs(v0) > tau:
-                next_labels.append(lab.append(0))
+                z = len(next_masks)
+                kids = (z,)
+                next_masks.append(masks[i])
                 next_values.append(v0)
                 next_unions.append(unions[i] | col)
+                next_below.append([child0[j] for j in row if child0[j] is not None])
             if abs(v1) > tau:
-                next_labels.append(lab.append(1))
+                inherited = [k for j in row for k in children[j]]
+                if z is not None:
+                    inherited.append(z)
+                kids += (len(next_masks),)
+                next_masks.append(masks[i] | bit)
                 next_values.append(v1)
                 next_unions.append(unions[i])
-        labels, values, unions = next_labels, next_values, next_unions
+                next_below.append(inherited)
+            child0.append(z)
+            children.append(kids)
+        masks, values, unions, below = next_masks, next_values, next_unions, next_below
         if on_level is not None:
-            on_level(LevelState(t + 1, tuple(labels), tuple(values)))
-        if not labels:
+            on_level(_state(t + 1, masks, values))
+        if not masks:
             break
-    return list(zip(labels, values, unions))
+    return [(Label(H.b, m), v, u) for m, v, u in zip(masks, values, unions)]
 
 
 def pasmt_run(

@@ -160,6 +160,25 @@ def test_bound_prints_value(capsys):
     assert abs(float(capsys.readouterr().out) - 512 / 9) < 1e-12
 
 
+def test_module_entry_point():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    args = ["bound", "--n", "1024", "--s", "16", "--d", "4"]
+    done = subprocess.run(
+        [sys.executable, "-m", "sparsemobius", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert abs(float(done.stdout) - 512 / 9) < 1e-12
+
+
 def test_bound_rejects_undefined(capsys):
     assert main(["bound", "--n", "4", "--s", "16", "--d", "4"]) == 1
     assert "invalid input" in capsys.readouterr().err

@@ -55,6 +55,15 @@ def instances() -> list[tuple[str, SparsePolynomial, int, float]]:
     cases.append(("int-n256-s16-d4-seed902", SparsePolynomial(256, positive), 4, 0.0))
     truth = SparsePolynomial(1, {BitVector(1, 1): 1.5, BitVector(1, 0): -0.25})
     cases.append(("n1-two-terms", truth, 1, 1e-9))
+    for n in (1024, 2048):
+        # the benchmark's wide_n regime: long rows, few live buckets
+        seed += 1
+        truth = generate_synthetic(n, 8, 4, seed=seed)
+        cases.append((f"n{n}-s8-d4-seed{seed}", truth, 4, 1e-9))
+    # the benchmark's dense_int shape: many live buckets per level
+    drawn = generate_synthetic(256, 64, 2, seed=903)
+    positive = {k: 1 + int(8 * (v - 1.0)) for k, v in drawn.entries.items()}
+    cases.append(("int-n256-s64-d2-seed903", SparsePolynomial(256, positive), 2, 0.0))
     return cases
 
 

@@ -18,6 +18,7 @@ from sparsemobius.grouptest import (
     GbsaResult,
     GbsaTest,
     GbsaTree,
+    ListDesign,
     construct_disjunct,
     construct_list_disjunct,
     decode_disjunct,
@@ -28,6 +29,7 @@ from sparsemobius.grouptest import (
     list_decode,
     verify_disjunct,
 )
+from sparsemobius.rng import SplitMix64, random_subset
 
 
 def bv(text: str) -> BitVector:
@@ -256,6 +258,47 @@ def test_decode_disjunct_round_trip():
         for coords in combinations(range(1, 21), w):
             k = BitVector.from_coords(20, coords)
             assert decode_disjunct(H, syndrome(H, k), 2) == k
+
+
+def row_scan_decode(H: TestMatrix, label: Label) -> int:
+    """Coordinates whose every test is positive, by scanning the n rows."""
+    support = 0
+    for i, row in enumerate(H.row_masks):
+        if row & ~label.mask == 0:
+            support |= 1 << i
+    return support
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 40), st.data())
+def test_decoders_match_the_row_scan(n, data):
+    # arbitrary matrices, mostly not disjunct, and arbitrary labels
+    columns = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+    H = TestMatrix(n, [BitVector(n, c) for c in columns])
+    label = Label(H.b, data.draw(st.integers(0, (1 << H.b) - 1)))
+    want = row_scan_decode(H, label)
+    design = ListDesign(matrix=H, d=1, list_bound=1, seed=0, audit_trials=1)
+    assert list_decode(design, label) == BitVector(n, want).coords()
+    if semiring_apply(H, BitVector(n, want), transpose=True).mask == label.mask:
+        assert decode_disjunct(H, label, 1) == BitVector(n, want)
+    else:
+        with pytest.raises(DecodeError):
+            decode_disjunct(H, label, 1)
+
+
+def test_list_bound_matches_the_row_scan_audit():
+    for n, d, seed in ((16, 1, 0), (40, 3, 7), (97, 2, 11)):
+        design = construct_list_disjunct(n, d, seed, audit_trials=64)
+        rng = SplitMix64(seed)
+        for _ in range(design.b * n):
+            rng.below(d + 1)  # the draws that built the columns
+        bound = 1
+        for _ in range(64):
+            weight = 1 + rng.below(d)
+            k = BitVector.from_coords(n, random_subset(rng, n, weight))
+            hits = row_scan_decode(design.matrix, syndrome(design.matrix, k))
+            bound = max(bound, hits.bit_count())
+        assert design.list_bound == bound
 
 
 def test_list_design_determinism():

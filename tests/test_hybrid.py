@@ -4,13 +4,21 @@ import io
 import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsemobius.core import BitVector, Label
 from sparsemobius.errors import DimensionError, ParameterError, ReconstructionError
-from sparsemobius.grouptest import ListDesign, construct_list_disjunct, gbsa_test_budget
+from sparsemobius.grouptest import (
+    ListDesign,
+    construct_list_disjunct,
+    gbsa_test_budget,
+    list_decode,
+)
 from sparsemobius.harness import generate_synthetic
 from sparsemobius.hybrid import LocalizedBin, _antichain_layers, hybrid_run
 from sparsemobius.oracle import CountingOracle, SparsePolynomial, SparsePolyOracle
+from sparsemobius.pasmt import refine_levels
 
 
 def bv(text: str) -> BitVector:
@@ -38,6 +46,28 @@ def test_antichain_layers():
                 if a is not b:
                     assert not a.label.leq(b.label)
     assert _antichain_layers([]) == []
+
+
+def peeled_layers(bins):
+    """Repeated removal of the minimal bins, the definition of the layers."""
+    layers, remaining = [], list(bins)
+    while remaining:
+        layer = [
+            b for b in remaining
+            if not any(o.label != b.label and o.label.leq(b.label) for o in remaining)
+        ]
+        taken = {b.label for b in layer}
+        remaining = [b for b in remaining if b.label not in taken]
+        layers.append(layer)
+    return layers
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 7), st.data())
+def test_antichain_layers_match_repeated_peeling(length, data):
+    masks = data.draw(st.lists(st.integers(0, (1 << length) - 1), max_size=20))
+    bins = [LocalizedBin(Label(length, m), float(i), (), 0) for i, m in enumerate(masks)]
+    assert _antichain_layers(bins) == peeled_layers(bins)
 
 
 @pytest.mark.parametrize(
@@ -107,7 +137,7 @@ def test_integer_mode_zero_tau():
     assert all(isinstance(v, int) for v in got.entries.values())
 
 
-def test_oversized_candidate_set_falls_back(caplog):
+def test_oversized_candidate_set_is_searched(caplog):
     truth = generate_synthetic(12, 4, 3, seed=77)
     design = construct_list_disjunct(12, 3, seed=5)
     doctored = ListDesign(
@@ -117,11 +147,18 @@ def test_oversized_candidate_set_falls_back(caplog):
         seed=design.seed,
         audit_trials=design.audit_trials,
     )
+    # phase 1 alone, to price the search of every leaf's candidate set
+    phase1 = oracle_for(truth)
+    leaves = refine_levels(phase1, design.matrix, 1e-9)
+    budget = sum(
+        gbsa_test_budget(len(list_decode(design, label)), 3) for label, _, _ in leaves
+    )
     f = oracle_for(truth)
-    with caplog.at_level(logging.WARNING, logger="sparsemobius.hybrid"):
+    with caplog.at_level(logging.DEBUG, logger="sparsemobius"):
         got = hybrid_run(f, 12, 3, seed=999, design=doctored)
     assert got.close_to(truth, 1e-9)
-    assert any("falling back" in rec.message for rec in caplog.records)
+    assert not caplog.records
+    assert f.query_count <= phase1.query_count + budget
 
 
 def test_degree_overflow_raises_with_label(caplog):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsemobius.core import BitVector, Label, TestMatrix, semiring_apply
 from sparsemobius.errors import DimensionError, ParameterError, ReconstructionError
@@ -30,26 +32,105 @@ def syndrome(H: TestMatrix, k: BitVector) -> Label:
 
 
 def test_solve_bin_system_example():
-    labels = [lab("00"), lab("01"), lab("10"), lab("11")]
-    # measurement i sums every unknown whose label sits below label i
-    assert solve_bin_system(labels, [1, 3, 4, 10]) == [1, 2, 3, 4]
+    # labels 00 < 01 < 10 < 11: 00 lies below every other label, and 11
+    # lies above every other label; row i lists the labels below label i
+    below = [[], [0], [0], [0, 1, 2]]
+    assert solve_bin_system(below, [1, 3, 4, 10]) == [1, 2, 3, 4]
 
 
 def test_solve_bin_system_partial_chain():
-    labels = [lab("00"), lab("11")]
-    assert solve_bin_system(labels, [2.0, 5.0]) == [2.0, 3.0]
+    assert solve_bin_system([[], [0]], [2.0, 5.0]) == [2.0, 3.0]
+    assert solve_bin_system([[], []], [2.0, 5.0]) == [2.0, 5.0]
     assert solve_bin_system([], []) == []
 
 
 def test_solve_bin_system_validation():
     with pytest.raises(DimensionError):
-        solve_bin_system([lab("0")], [1.0, 2.0])
+        solve_bin_system([[]], [1.0, 2.0])
+    # a list out of order, or naming an index twice
     with pytest.raises(ParameterError):
-        solve_bin_system([lab("10"), lab("01")], [1.0, 2.0])
+        solve_bin_system([[], [], [1, 0]], [1.0, 2.0, 3.0])
     with pytest.raises(ParameterError):
-        solve_bin_system([lab("01"), lab("01")], [1.0, 2.0])
-    with pytest.raises(DimensionError):
-        solve_bin_system([lab("0"), lab("10")], [1.0, 2.0])
+        solve_bin_system([[], [], [0, 0]], [1.0, 2.0, 3.0])
+    # an index at or after its own row, or before the first
+    with pytest.raises(ParameterError):
+        solve_bin_system([[0]], [1.0])
+    with pytest.raises(ParameterError):
+        solve_bin_system([[], [2], []], [1.0, 2.0, 3.0])
+    with pytest.raises(ParameterError):
+        solve_bin_system([[], [-1]], [1.0, 2.0])
+
+
+def reference_refine_levels(f, H, tau, transcript):
+    """The dense level loop: every label pair tested, every row solved in full."""
+    n = f.n
+    full = (1 << n) - 1
+    ones = BitVector.ones(n)
+    root = f.batch_eval([ones])[0]
+    transcript.write(f"\t{ones.to01()}\t{root!r}\n")
+    if abs(root) <= tau:
+        return [], []
+    labels, values, unions = [Label.empty()], [root], [0]
+    states = [(labels, values)]
+    for t in range(H.b):
+        col = H.column(t).mask
+        queries = [BitVector(n, full & ~(u | col)) for u in unions]
+        measurements = f.batch_eval(queries)
+        for ell, x, m in zip(labels, queries, measurements):
+            transcript.write(f"{ell.to01()}\t{x.to01()}\t{m!r}\n")
+        zero_sums = []
+        for i, m in enumerate(measurements):
+            acc = m
+            for j in range(i):
+                if labels[j].mask & ~labels[i].mask == 0:
+                    acc -= zero_sums[j]
+            zero_sums.append(acc)
+        next_labels, next_values, next_unions = [], [], []
+        for i, ell in enumerate(labels):
+            v0 = zero_sums[i]
+            v1 = values[i] - v0
+            if abs(v0) > tau:
+                next_labels.append(ell.append(0))
+                next_values.append(v0)
+                next_unions.append(unions[i] | col)
+            if abs(v1) > tau:
+                next_labels.append(ell.append(1))
+                next_values.append(v1)
+                next_unions.append(unions[i])
+        labels, values, unions = next_labels, next_values, next_unions
+        states.append((labels, values))
+        if not labels:
+            break
+    return list(zip(labels, values, unions)), states
+
+
+def leaf_key(leaves):
+    return [(ell.to01(), repr(v), u) for ell, v, u in leaves]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 24), st.booleans(), st.data())
+def test_refine_levels_matches_dense_level_loop(n, integer, data):
+    columns = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=10))
+    H = TestMatrix(n, [BitVector(n, c) for c in columns])
+    supports = data.draw(st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=12))
+    if integer:
+        weights = st.integers(-9, 9).filter(bool)
+        tau = 0.0
+    else:
+        weights = st.floats(-4.0, 4.0, allow_nan=False).filter(lambda w: abs(w) > 1e-3)
+        tau = 1e-9
+    entries = {BitVector(n, k): data.draw(weights) for k in supports}
+    truth = SparsePolynomial(n, entries)
+    want_out, got_out = io.StringIO(), io.StringIO()
+    want, want_states = reference_refine_levels(oracle_for(truth), H, tau, want_out)
+    states = []
+    got = refine_levels(oracle_for(truth), H, tau, got_out, on_level=states.append)
+    assert leaf_key(got) == leaf_key(want)
+    assert got_out.getvalue() == want_out.getvalue()
+    assert [(list(s.labels), [repr(v) for v in s.values]) for s in states] == [
+        (labels, [repr(v) for v in values]) for labels, values in want_states
+    ]
 
 
 def test_recovers_small_instance_identity_matrix():
