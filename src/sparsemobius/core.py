@@ -268,12 +268,6 @@ class TestMatrix:
             raise DimensionError(f"column {j} out of range 0..{len(self.columns) - 1}")
         return self.columns[j]
 
-    def prefix(self, t: int) -> "TestMatrix":
-        """The matrix restricted to its first t columns."""
-        if not 0 <= t <= len(self.columns):
-            raise DimensionError(f"prefix width {t} out of range 0..{len(self.columns)}")
-        return TestMatrix(self.n, self.columns[:t])
-
     @property
     def row_masks(self) -> tuple[int, ...]:
         if self._rows is None:
@@ -332,9 +326,9 @@ def semiring_apply(H: TestMatrix, v: BitVector, transpose: bool = False) -> BitV
 def build_query_vector(H: TestMatrix, label: Label) -> BitVector:
     """Evaluation point whose downward closure is cut out by an outcome label.
 
-    Given a width-t matrix prefix and a length-t label, returns
+    Given a width-t matrix and a length-t label, returns
     x = NOT(H applied to NOT label), so that k <= x holds exactly when the
-    syndrome of k is componentwise below the label.  A width-0 prefix gives
+    syndrome of k is componentwise below the label.  A width-0 matrix gives
     the all-ones point.
     """
     if label.length != H.b:

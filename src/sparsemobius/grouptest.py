@@ -25,7 +25,7 @@ from .errors import (
     InfeasiblePrefixError,
     ParameterError,
 )
-from .rng import SplitMix64, random_subset
+from .rng import SplitMix64, bernoulli_mask, random_subset
 
 __all__ = [
     "GbsaTest",
@@ -41,6 +41,7 @@ __all__ = [
     "verify_disjunct",
     "decode_disjunct",
     "ListDesign",
+    "list_design_width",
     "construct_list_disjunct",
     "list_decode",
 ]
@@ -375,9 +376,11 @@ def decode_disjunct(H: TestMatrix, label: Label, d: int) -> BitVector:
 class ListDesign:
     """Randomized list-disjunct design.
 
-    list_bound is the largest candidate-set size observed while decoding
-    random weight <= d syndromes at construction time; it is an audited
-    estimate, not a certificate.
+    Each cell is Bernoulli(1/(d+1)) and the width is list_design_width(n, d),
+    the fewest tests that keep the expected number of false candidates of a
+    weight-d support at or below d.  list_bound is the largest
+    candidate-set size observed while decoding random weight <= d syndromes
+    at construction time; it is an audited estimate, not a certificate.
     """
 
     matrix: TestMatrix
@@ -395,31 +398,45 @@ class ListDesign:
         return self.matrix.b
 
 
+def list_design_width(n: int, d: int) -> int:
+    """The smallest b >= 1 with (n - d) * (N - D)^b <= d * N^b, where
+    N = (d+1)^(d+1) and D = d^d.
+
+    With cells Bernoulli(p), p = 1/(d+1), a test drops a coordinate outside
+    a weight-<= d support with probability at least p(1-p)^d = D/N, so b
+    tests leave at most (n - d)(1 - D/N)^b false candidates in expectation,
+    and this width caps that at d: O(d log(n/d)) tests.  The arithmetic is
+    exact, so every platform builds the same design.
+    """
+    big, small = (d + 1) ** (d + 1), d**d
+    b = 1
+    miss, total = big - small, big
+    while (n - d) * miss > d * total:
+        b += 1
+        miss *= big - small
+        total *= big
+    return b
+
+
 def construct_list_disjunct(
     n: int,
     d: int,
     seed: int,
-    columns_factor: float = 4.0,
     audit_trials: int = 256,
 ) -> ListDesign:
-    """Random Bernoulli(1/(d+1)) design with ceil(columns_factor*d*log2 n)
-    tests, audited by decoding random low-weight syndromes."""
+    """Random Bernoulli(1/(d+1)) design with list_design_width(n, d) tests,
+    the fewest that keep a weight-d support's expected list of false
+    candidates at most d long, audited by decoding random low-weight
+    syndromes.  Each column is one bernoulli_mask draw."""
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")
     if not 1 <= d < n:
         raise ParameterError(f"need 1 <= d < n, got d={d}")
-    if columns_factor <= 0:
-        raise ParameterError(f"columns_factor must be positive, got {columns_factor}")
-    b = max(1, math.ceil(columns_factor * d * math.log2(n)))
+    b = list_design_width(n, d)
     rng = SplitMix64(seed)
-    cols = []
-    for _ in range(b):
-        mask = 0
-        for i in range(n):
-            if rng.below(d + 1) == 0:
-                mask |= 1 << i
-        cols.append(BitVector(n, mask))
-    matrix = TestMatrix(n, cols)
+    matrix = TestMatrix(
+        n, [BitVector(n, bernoulli_mask(rng, n, d + 1)) for _ in range(b)]
+    )
     bound = 1
     for _ in range(max(1, audit_trials)):
         weight = 1 + rng.below(d)

@@ -1,11 +1,14 @@
 """Two-phase reconstruction: batched localization, then parallel searches.
 
 Phase 1 runs the breadth-first level loop against a randomized
-list-disjunct design.  Its surviving leaf buckets are not exactly
-decodable, but each one comes with a small audited candidate coordinate
-set that is guaranteed to contain the support of every coefficient in the
-bucket.  Phase 2 finishes each bucket with the depth-first runner's
-search engine, its splitting tree ranging over the candidate set only.
+list-disjunct design: Bernoulli(1/(d+1)) cells, and the fewest tests,
+O(d log(n/d)), that keep a weight-d support's expected list of false
+candidates at most d long (grouptest.list_design_width).  Its surviving
+leaf buckets are not exactly decodable, but each one comes with a small
+candidate coordinate set that is guaranteed to contain the support of
+every coefficient in the bucket.  Phase 2 finishes each bucket with the
+depth-first runner's search engine, its splitting tree ranging over the
+candidate set only.
 
 Buckets whose labels are incomparable in the componentwise order cannot
 contribute to each other's queries, so phase 2 processes the buckets in
@@ -74,7 +77,6 @@ def hybrid_run(
     seed: int,
     tau: float = DEFAULT_TAU,
     transcript: TextIO | None = None,
-    columns_factor: float = 4.0,
     audit_trials: int = 256,
     design: ListDesign | None = None,
 ) -> SparsePolynomial:
@@ -94,10 +96,7 @@ def hybrid_run(
     if n < 2:
         return fasmt_run(f, n, d, tau, transcript)
     if design is None:
-        design = construct_list_disjunct(
-            n, min(d, n - 1), seed, columns_factor=columns_factor,
-            audit_trials=audit_trials,
-        )
+        design = construct_list_disjunct(n, min(d, n - 1), seed, audit_trials=audit_trials)
     bins = [
         LocalizedBin(label, value, list_decode(design, label), union)
         for label, value, union in refine_levels(f, design.matrix, tau, transcript)

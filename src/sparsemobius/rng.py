@@ -6,6 +6,9 @@ identifier, and makes every sampled artifact reproducible from a single
 64-bit seed.  Bounded draws use rejection from whole 64-bit words, so they
 are exactly uniform.  Subset draws go through combinatorial unranking of
 lexicographically ordered c-subsets rather than draw-until-distinct loops.
+Bernoulli(1/base) masks read one coordinate from each base-`base` digit of
+a bounded draw, so one 64-bit word serves as many coordinates as it has
+whole digits.
 """
 
 from __future__ import annotations
@@ -54,21 +57,31 @@ class SplitMix64:
 
 
 def unrank_subset(n: int, c: int, rank: int) -> tuple[int, ...]:
-    """The rank-th c-subset of {1..n} in lexicographic order, 0-based rank."""
+    """The rank-th c-subset of {1..n} in lexicographic order, 0-based rank.
+
+    Each coordinate is found by bisection, so the cost is O(c log n)
+    binomials rather than a walk over all n coordinates.
+    """
     total = comb(n, c)
     if not 0 <= rank < total:
         raise ParameterError(f"rank {rank} out of range for C({n},{c})={total}")
     coords = []
     a = 1
-    remaining = c
-    while remaining:
-        block = comb(n - a, remaining - 1)
-        if rank < block:
-            coords.append(a)
-            remaining -= 1
-        else:
-            rank -= block
-        a += 1
+    for remaining in range(c, 0, -1):
+        # C(n-a+1, remaining) - C(n-x+1, remaining) subsets of {a..n}
+        # start below x; the next coordinate is the largest x with at most
+        # rank of them
+        top = comb(n - a + 1, remaining)
+        lo, hi = a, n - remaining + 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if top - comb(n - mid + 1, remaining) <= rank:
+                lo = mid
+            else:
+                hi = mid - 1
+        rank -= top - comb(n - lo + 1, remaining)
+        coords.append(lo)
+        a = lo + 1
     return tuple(coords)
 
 
@@ -88,3 +101,30 @@ def random_subset(rng: SplitMix64, n: int, c: int) -> tuple[int, ...]:
     if c == 0:
         return ()
     return unrank_subset(n, c, rng.below(total))
+
+
+def bernoulli_mask(rng: SplitMix64, n: int, base: int) -> int:
+    """n-bit mask whose bits are independent Bernoulli(1/base).
+
+    Coordinates are drawn k at a time from one rng.below(base**r) call,
+    where k is the largest exponent with base**k <= 2^64 and r is k or the
+    number of coordinates left, whichever is smaller.  The j-th least
+    significant base-`base` digit of the draw decides bit j of the batch:
+    the bit is set exactly when its digit is 0.
+    """
+    if n < 0 or base < 2:
+        raise ParameterError(f"need n >= 0 and base >= 2, got n={n}, base={base}")
+    k = 1
+    while base ** (k + 1) <= MAX_RANK:
+        k += 1
+    mask = 0
+    for start in range(0, n, k):
+        r = min(k, n - start)
+        u = rng.below(base**r)
+        batch = 0
+        for j in range(r):
+            if not u % base:
+                batch |= 1 << j
+            u //= base
+        mask |= batch << start
+    return mask

@@ -266,6 +266,18 @@ def test_criterion_04_breadth_first_envelope_and_rounds(scaled_grid):
     assert rounds_seen == {H.b + 1}
 
 
+def test_hybrid_trades_between_the_other_runners(scaled_grid):
+    """On the criterion-2 grid totals, hybrid makes fewer queries and needs
+    fewer rounds than pasmt, and needs fewer rounds than fasmt."""
+    totals = {}
+    for r in scaled_grid["records"]:
+        queries, rounds = totals.get(r["algorithm"], (0, 0))
+        totals[r["algorithm"]] = (queries + r["queries"], rounds + r["rounds"])
+    assert totals["hybrid"][0] < totals["pasmt"][0], totals
+    assert totals["hybrid"][1] < totals["pasmt"][1], totals
+    assert totals["hybrid"][1] < totals["fasmt"][1], totals
+
+
 def test_criterion_05_binary_splitting_recovery():
     """Splitting search finds every |k| <= 3 support over n = 10 within the
     15-test budget, and 200 randomized weight <= 16 supports over n = 4096

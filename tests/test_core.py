@@ -173,15 +173,11 @@ def test_matrix_basics():
     assert H2.b == 2
     assert H2.column(0) == bv("1010")
     assert H2.column(1) == bv("0110")
-    assert H2.prefix(1).columns == (bv("1010"),)
-    assert H2.prefix(0).b == 0
     assert H2.row_masks == (0b01, 0b10, 0b11, 0b00)
     with pytest.raises(DimensionError):
         TestMatrix(4, (bv("101"),))
     with pytest.raises(DimensionError):
         H2.column(2)
-    with pytest.raises(DimensionError):
-        H2.prefix(3)
 
 
 def test_semiring_apply_forward():
@@ -207,7 +203,7 @@ def test_build_query_vector_examples():
     assert build_query_vector(H2, lab("10")) == bv("1001")
     assert build_query_vector(H2, lab("01")) == bv("0101")
     assert build_query_vector(H2, lab("11")) == bv("1111")
-    assert build_query_vector(H2.prefix(0), Label.empty()) == bv("1111")
+    assert build_query_vector(TestMatrix(4, []), Label.empty()) == bv("1111")
     with pytest.raises(DimensionError):
         build_query_vector(H2, lab("0"))
 

@@ -108,6 +108,19 @@ def test_runner_reproduces_golden_runs(runner, golden):
         assert run_one(runner, truth, d, tau) == golden[name][runner], name
 
 
+def test_runners_agree_on_every_golden_map(golden):
+    # integer instances run at tau = 0 and must agree exactly
+    for name, _, _, tau in instances():
+        maps = [dict(golden[name][runner]["map"]) for runner in RUNNERS]
+        assert all(m.keys() == maps[0].keys() for m in maps), name
+        for mask, value in maps[0].items():
+            for other in maps[1:]:
+                if tau == 0.0:
+                    assert other[mask] == value, name
+                else:
+                    assert abs(float(other[mask]) - float(value)) <= 1e-9, name
+
+
 if __name__ == "__main__":
     # one line per instance and runner, so a behaviour change diffs readably
     blocks = []

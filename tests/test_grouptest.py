@@ -27,9 +27,10 @@ from sparsemobius.grouptest import (
     gbsa_test_budget,
     identity_matrix,
     list_decode,
+    list_design_width,
     verify_disjunct,
 )
-from sparsemobius.rng import SplitMix64, random_subset
+from sparsemobius.rng import SplitMix64, bernoulli_mask, random_subset
 
 
 def bv(text: str) -> BitVector:
@@ -290,8 +291,8 @@ def test_list_bound_matches_the_row_scan_audit():
     for n, d, seed in ((16, 1, 0), (40, 3, 7), (97, 2, 11)):
         design = construct_list_disjunct(n, d, seed, audit_trials=64)
         rng = SplitMix64(seed)
-        for _ in range(design.b * n):
-            rng.below(d + 1)  # the draws that built the columns
+        for _ in range(design.b):
+            bernoulli_mask(rng, n, d + 1)  # the draws that built the columns
         bound = 1
         for _ in range(64):
             weight = 1 + rng.below(d)
@@ -313,14 +314,26 @@ def test_list_design_determinism():
 def test_list_design_shape():
     design = construct_list_disjunct(32, 3, seed=11)
     assert design.n == 32
-    assert design.b == 60  # ceil(4 * 3 * log2(32))
+    # smallest b with (32 - 3) * (4^4 - 3^3)^b <= 3 * (4^4)^b
+    assert design.b == 21
     assert design.list_bound >= 1
     with pytest.raises(ParameterError):
         construct_list_disjunct(1, 1, seed=0)
     with pytest.raises(ParameterError):
         construct_list_disjunct(8, 8, seed=0)
-    with pytest.raises(ParameterError):
-        construct_list_disjunct(8, 2, seed=0, columns_factor=0.0)
+
+
+def test_list_design_width_is_the_smallest_that_caps_the_expected_list():
+    for n in range(2, 601):
+        for d in range(1, min(8, n - 1) + 1):
+            big, small = (d + 1) ** (d + 1), d**d
+            b = list_design_width(n, d)
+            assert b >= 1
+            assert (n - d) * (big - small) ** b <= d * big**b, (n, d)
+            if b > 1:
+                assert (n - d) * (big - small) ** (b - 1) > d * big ** (b - 1), (n, d)
+    assert list_design_width(256, 2) == 31
+    assert list_design_width(16384, 4) == 98
 
 
 @settings(max_examples=60)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -23,6 +24,7 @@ from sparsemobius.rng import (
     MAX_RANK,
     PRNG_ID,
     SplitMix64,
+    bernoulli_mask,
     random_subset,
     unrank_subset,
 )
@@ -67,6 +69,28 @@ def test_unrank_subset_is_lexicographic():
         unrank_subset(6, 3, 20)
 
 
+def linear_walk_unrank(n: int, c: int, rank: int) -> tuple[int, ...]:
+    """Reference for unrank_subset: visit 1..n, skipping each coordinate's
+    block of subsets that start with it until the rank falls inside one."""
+    coords = []
+    a = 1
+    while len(coords) < c:
+        block = comb(n - a, c - len(coords) - 1)
+        if rank < block:
+            coords.append(a)
+        else:
+            rank -= block
+        a += 1
+    return tuple(coords)
+
+
+@given(st.integers(0, 3000), st.data())
+def test_unrank_subset_matches_the_linear_walk(n, data):
+    c = data.draw(st.integers(0, min(n, 6)))
+    rank = data.draw(st.integers(0, comb(n, c) - 1))
+    assert unrank_subset(n, c, rank) == linear_walk_unrank(n, c, rank)
+
+
 @given(st.integers(1, 40), st.data())
 def test_random_subset_shape(n, data):
     c = data.draw(st.integers(0, min(n, 6)))
@@ -84,6 +108,44 @@ def test_random_subset_rank_space_guard():
         random_subset(rng, 2000, 500)
     with pytest.raises(ParameterError):
         random_subset(rng, 4, 5)
+
+
+def digitwise_bernoulli_mask(rng: SplitMix64, n: int, base: int) -> int:
+    """Reference for bernoulli_mask: one digit, one coordinate."""
+    k = max(j for j in range(1, 65) if base**j <= MAX_RANK)
+    mask = 0
+    for start in range(0, n, k):
+        r = min(k, n - start)
+        u = rng.below(base**r)
+        for j in range(r):
+            if (u // base**j) % base == 0:
+                mask |= 1 << (start + j)
+    return mask
+
+
+@given(st.integers(0, 300), st.integers(2, 9), st.integers(0, 2**64 - 1))
+def test_bernoulli_mask_matches_the_digitwise_reference(n, base, seed):
+    a, b = SplitMix64(seed), SplitMix64(seed)
+    assert bernoulli_mask(a, n, base) == digitwise_bernoulli_mask(b, n, base)
+    assert a.state == b.state
+    assert bernoulli_mask(a, n, base) < 1 << n
+
+
+def test_bernoulli_mask_determinism_and_guards():
+    masks = [bernoulli_mask(SplitMix64(5), 1000, 3) for _ in range(2)]
+    assert masks[0] == masks[1]
+    assert bernoulli_mask(SplitMix64(6), 1000, 3) != masks[0]
+    assert bernoulli_mask(SplitMix64(5), 0, 3) == 0
+    with pytest.raises(ParameterError):
+        bernoulli_mask(SplitMix64(5), 8, 1)
+    with pytest.raises(ParameterError):
+        bernoulli_mask(SplitMix64(5), -1, 2)
+
+
+@pytest.mark.parametrize("base", [2, 3, 4, 5])
+def test_bernoulli_mask_share_of_set_bits(base):
+    share = bernoulli_mask(SplitMix64(1), 200_000, base).bit_count() / 200_000
+    assert abs(share - 1 / base) <= 0.01 / base
 
 
 def test_generate_synthetic_determinism():
