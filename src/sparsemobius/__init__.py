@@ -28,7 +28,7 @@ from .errors import (
     SparseMobiusError,
     ValidationError,
 )
-from .fasmt import fasmt_run, fasmt_run_auto_degree, split_bin
+from .fasmt import fasmt_run, split_bin
 from .grouptest import (
     GbsaResult,
     GbsaTest,
@@ -53,7 +53,7 @@ from .harness import (
     run_benchmark,
     write_csv,
 )
-from .hybrid import LocalizedBin, hybrid_run
+from .hybrid import hybrid_run
 from .oracle import (
     DEFAULT_TAU,
     CountingOracle,

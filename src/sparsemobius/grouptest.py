@@ -75,7 +75,11 @@ def gbsa_test_budget(n: int, d: int) -> int:
 
 def _lowest(mask: int, k: int) -> int:
     """The k lowest set bits of mask, which has at least k set bits."""
-    lo = (mask & -mask).bit_length() - 1 + k
+    low = mask & -mask
+    run = (low << k) - low
+    if mask & run == run:
+        return run  # the k bits from the lowest set bit up are all set
+    lo = low.bit_length() - 1 + k
     hi = mask.bit_length()
     # smallest cut t with k set bits below it, by bisection on t
     while lo < hi:

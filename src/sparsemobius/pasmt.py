@@ -89,12 +89,14 @@ def refine_levels(
     tau: float,
     transcript: TextIO | None = None,
     on_level: Callable[[LevelState], None] | None = None,
-) -> list[tuple[Label, float, int]]:
+) -> list[tuple[Label, float, int, list[int]]]:
     """Run the level loop and return surviving leaf buckets.
 
-    Each returned triple is (full-length label, bucket sum, union of the
-    columns at which the label records a 0).  The root evaluation and each
-    level are separate batches.  An all-zero root returns no buckets.
+    Each returned leaf is (full-length label, bucket sum, union of the
+    columns at which the label records a 0, the ascending indices of the
+    leaves whose labels lie componentwise below its own).  The root
+    evaluation and each level are separate batches.  An all-zero root
+    returns no buckets.
     """
     n = f.n
     if H.n != n:
@@ -153,7 +155,9 @@ def refine_levels(
             on_level(_state(t + 1, masks, values))
         if not masks:
             break
-    return [(Label(H.b, m), v, u) for m, v, u in zip(masks, values, unions)]
+    return [
+        (Label(H.b, m), v, u, row) for m, v, u, row in zip(masks, values, unions, below)
+    ]
 
 
 def pasmt_run(
@@ -175,7 +179,7 @@ def pasmt_run(
         raise ParameterError(f"need d >= 1, got {d}")
     leaves = refine_levels(f, H, tau, transcript, on_level)
     entries: dict[BitVector, float] = {}
-    for label, value, _ in leaves:
+    for label, value, *_ in leaves:
         try:
             support = decode_disjunct(H, label, d)
         except DecodeError as err:

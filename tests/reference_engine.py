@@ -1,0 +1,145 @@
+"""The depth-first engine as it was before residual lists and ready-driven
+starts, kept as the reference the current engine is tested against.
+
+split_bin scans every discovered coefficient at every query, stack entries
+carry Label objects, and hybrid's phase 2 runs the leaf buckets in
+antichain layers: a layer starts only once every bucket of the layer
+before it has finished.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TextIO
+
+from sparsemobius.core import BitVector, Label
+from sparsemobius.errors import InfeasiblePrefixError, ReconstructionError
+from sparsemobius.grouptest import GbsaTree, construct_list_disjunct, list_decode
+from sparsemobius.oracle import CountingOracle, SparsePolynomial
+from sparsemobius.pasmt import refine_levels
+
+
+@dataclass(frozen=True)
+class LocalizedBin:
+    """A phase-1 leaf bucket with its candidate coordinate set."""
+
+    label: Label
+    value: float
+    candidates: tuple[int, ...]
+    zero_union: int
+
+
+def split_bin(value, x, raw, discovered):
+    nx = ~x.mask
+    for k, c in discovered.items():
+        if k.mask & nx == 0:
+            raw -= c
+    return raw, value - raw
+
+
+def _log(transcript: TextIO | None, label: Label, x: BitVector, value: float) -> None:
+    if transcript is not None:
+        transcript.write(f"{label.to01()}\t{x.to01()}\t{value!r}\n")
+
+
+def _next_query(n, tree, stack, tau, discovered):
+    while stack:
+        label, value, union, state, outcome = stack.pop()
+        if abs(value) <= tau:
+            continue
+        if outcome is not None:
+            try:
+                state = tree.advance(state, outcome)
+            except InfeasiblePrefixError as err:
+                raise ReconstructionError(
+                    f"degree overflow at bucket {label.to01()!r}: {err}", label=label
+                ) from err
+        if state.test is not None:
+            return label, value, union, state
+        support = BitVector(n, state.found)
+        if support in discovered:
+            raise ReconstructionError(
+                f"support {support.to01()!r} decoded twice", label=label
+            )
+        discovered[support] = value
+    return None
+
+
+def depth_first_search(f, buckets, d, tau, discovered, transcript=None):
+    """Run pairwise-incomparable (label, sum, zero union, universe) buckets
+    side by side, one query per bucket per round."""
+    n = f.n
+    full = (1 << n) - 1
+    active = []
+    for label, value, union, universe in buckets:
+        tree = GbsaTree(universe, d)
+        stack = [(label, value, union, tree.start(), None)]
+        pending = _next_query(n, tree, stack, tau, discovered)
+        if pending is not None:
+            active.append((tree, stack, pending))
+    while active:
+        xs = [
+            BitVector(n, full & ~(union | state.test))
+            for _, _, (_, _, union, state) in active
+        ]
+        raws = f.batch_eval(xs)
+        still = []
+        for (tree, stack, pending), x, raw in zip(active, xs, raws):
+            label, value, union, state = pending
+            v0, v1 = split_bin(value, x, raw, discovered)
+            _log(transcript, label, x, v0)
+            stack.append((label.append(1), v1, union, state, 1))
+            stack.append((label.append(0), v0, union | state.test, state, 0))
+            pending = _next_query(n, tree, stack, tau, discovered)
+            if pending is not None:
+                still.append((tree, stack, pending))
+        active = still
+
+
+def fasmt_run(f: CountingOracle, n: int, d: int, tau: float, transcript=None):
+    ones = BitVector.ones(n)
+    root = f.eval(ones)
+    _log(transcript, Label.empty(), ones, root)
+    discovered: dict[BitVector, float] = {}
+    depth_first_search(f, [(Label.empty(), root, 0, ones.mask)], d, tau, discovered, transcript)
+    return SparsePolynomial(n, discovered, degree_bound=d)
+
+
+def antichain_layers(bins: list[LocalizedBin]) -> list[list[LocalizedBin]]:
+    """Group bins by chain height in the componentwise label order.
+
+    A bin's height is the length of the longest chain of strictly smaller
+    labels below it, so each layer is an antichain and every bin comes
+    after all bins below it.  Bins keep their input order within a layer.
+    """
+    height = [0] * len(bins)
+    visited: list[tuple[int, int]] = []
+    for i in sorted(range(len(bins)), key=lambda i: bins[i].label.mask.bit_count()):
+        mask = bins[i].label.mask
+        height[i] = max(
+            (h + 1 for other, h in visited if other & ~mask == 0 and other != mask),
+            default=0,
+        )
+        visited.append((mask, height[i]))
+    layers: list[list[LocalizedBin]] = [[] for _ in range(max(height, default=-1) + 1)]
+    for b, h in zip(bins, height):
+        layers[h].append(b)
+    return layers
+
+
+def hybrid_run(f: CountingOracle, n: int, d: int, seed: int, tau: float, transcript=None):
+    if n < 2:
+        return fasmt_run(f, n, d, tau, transcript)
+    design = construct_list_disjunct(n, min(d, n - 1), seed)
+    bins = [
+        LocalizedBin(label, value, list_decode(design, label), union)
+        for label, value, union, _ in refine_levels(f, design.matrix, tau, transcript)
+    ]
+    discovered: dict[BitVector, float] = {}
+    for layer in antichain_layers(bins):
+        buckets = [
+            (b.label, b.value, b.zero_union, BitVector.from_coords(n, b.candidates).mask)
+            for b in layer
+        ]
+        depth_first_search(f, buckets, d, tau, discovered, transcript)
+    return SparsePolynomial(n, discovered, degree_bound=d)

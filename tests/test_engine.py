@@ -1,0 +1,131 @@
+"""The depth-first engine against its previous version, and its schedule.
+
+reference_engine keeps the engine as it was before residual lists and
+ready-driven starts.  On the same instance fasmt must make the same
+queries, write the same transcript and recover the same map to the last
+digit.  Within the runners' preconditions hybrid must make the same
+queries and recover the same map (to the last digit in integer mode), and
+its phase 2 may only take fewer rounds, since a bucket no longer waits for
+a whole antichain layer.
+"""
+
+from __future__ import annotations
+
+import io
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sparsemobius.core import BitVector
+from sparsemobius.errors import ReconstructionError
+from sparsemobius.fasmt import fasmt_run
+from sparsemobius.grouptest import construct_list_disjunct
+from sparsemobius.harness import generate_synthetic
+from sparsemobius.hybrid import hybrid_run
+from sparsemobius.oracle import CountingOracle, SparsePolynomial, SparsePolyOracle
+from sparsemobius.pasmt import refine_levels
+from sparsemobius.reference import check_subset_sum_independence
+
+import reference_engine
+
+
+def oracle_for(poly: SparsePolynomial) -> CountingOracle:
+    return CountingOracle(SparsePolyOracle(poly))
+
+
+@st.composite
+def instances(draw):
+    """(truth, d, tau): supports of weight at most d, float weights at a
+    small tau or signed integer weights at tau = 0."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, min(4, n)))
+    support = st.lists(st.integers(0, n - 1), max_size=d).map(
+        lambda coords: sum(1 << i for i in set(coords))
+    )
+    masks = draw(st.lists(support, unique=True, max_size=12))
+    if draw(st.booleans()):
+        weights, tau = st.integers(-9, 9).filter(bool), 0.0
+    else:
+        weights = st.floats(-4.0, 4.0, allow_nan=False).filter(lambda w: abs(w) > 1e-3)
+        tau = 1e-9
+    truth = SparsePolynomial(n, {BitVector(n, m): draw(weights) for m in masks})
+    return truth, d, tau
+
+
+def run(runner, truth, d, tau, *args):
+    f = oracle_for(truth)
+    sink = io.StringIO()
+    try:
+        got = runner(f, truth.n, d, *args, tau, sink)
+    except ReconstructionError as err:
+        got = (str(err), err.label)
+    else:
+        got = sorted((k.mask, repr(v)) for k, v in got.entries.items())
+    return got, f.query_count, f.round_count, sink.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances())
+def test_fasmt_matches_the_reference_engine(case):
+    truth, d, tau = case
+    assert run(fasmt_run, truth, d, tau) == run(reference_engine.fasmt_run, truth, d, tau)
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances(), st.integers(0, 2**16))
+def test_hybrid_matches_the_reference_engine(case, seed):
+    truth, d, tau = case
+    got, queries, rounds, _ = run(hybrid_run, truth, d, tau, seed)
+    want, want_queries, want_rounds, _ = run(reference_engine.hybrid_run, truth, d, tau, seed)
+    if not check_subset_sum_independence(truth, tau):
+        # a cancelling subset drops coefficients from their bucket, and which
+        # bucket's search then stumbles on them depends on the schedule
+        return
+    assert queries == want_queries
+    assert rounds <= want_rounds
+    if tau == 0.0:
+        assert got == want
+    else:
+        # a bucket's queries subtract the same coefficients, but the buckets
+        # below it may finish in another order, so a float sum may differ in
+        # its last digit
+        assert [k for k, _ in got] == [k for k, _ in want]
+        assert all(abs(float(a) - float(b)) <= 1e-9 for (_, a), (_, b) in zip(got, want))
+
+
+@pytest.mark.parametrize(
+    "n, s, d, seed", [(32, 12, 3, 61), (64, 16, 2, 62), (128, 16, 4, 63), (256, 40, 2, 64)]
+)
+def test_phase_two_starts_a_bucket_once_the_buckets_below_it_finish(n, s, d, seed):
+    truth = generate_synthetic(n, s, d, seed=seed)
+    design = construct_list_disjunct(n, d, seed)
+    phase1 = oracle_for(truth)
+    leaves = refine_levels(phase1, design.matrix, 1e-9)
+    f = oracle_for(truth)
+    sink = io.StringIO()
+    hybrid_run(f, n, d, seed, transcript=sink, design=design)
+    # phase-2 lines extend a full-length leaf label; phase-1 lines are shorter
+    queries: Counter[str] = Counter()
+    first: dict[str, int] = {}
+    last: dict[str, int] = {}
+    for at, line in enumerate(sink.getvalue().splitlines()):
+        label = line.split("\t")[0]
+        if len(label) >= design.b:
+            leaf = label[: design.b]
+            queries[leaf] += 1
+            first.setdefault(leaf, at)
+            last[leaf] = at
+    assert sum(queries.values()) == f.query_count - phase1.query_count
+    labels = [label.to01() for label, *_ in leaves]
+    finish = []
+    for i, (*_, below) in enumerate(leaves):
+        for j in below:
+            # a leaf whose tree needs no test makes no query
+            if labels[i] in first and labels[j] in last:
+                assert last[labels[j]] < first[labels[i]]
+        finish.append(max((finish[j] for j in below), default=0) + queries[labels[i]])
+    # each bucket finishes the longest chain of query counts below it
+    assert f.round_count - phase1.round_count == max(finish)
+    assert any(below for *_, below in leaves)

@@ -6,12 +6,7 @@ import pytest
 
 from sparsemobius.core import BitVector, Label
 from sparsemobius.errors import DimensionError, ParameterError, ReconstructionError
-from sparsemobius.fasmt import (
-    depth_first_search,
-    fasmt_run,
-    fasmt_run_auto_degree,
-    split_bin,
-)
+from sparsemobius.fasmt import depth_first_search, fasmt_run, split_bin
 from sparsemobius.grouptest import gbsa_test_budget
 from sparsemobius.harness import generate_synthetic
 from sparsemobius.oracle import CountingOracle, SparsePolynomial, SparsePolyOracle
@@ -32,14 +27,15 @@ def test_split_bin_examples():
     f = SparsePolyOracle(P)
     # a query point without coordinates 1, 3, 4 leaves nothing of the support
     x = bv("0100")
-    assert split_bin(5.0, x, f.eval(x), {}) == (0.0, 5.0)
+    assert split_bin(5.0, x, f.eval(x), []) == (0.0, 5.0, [])
     # one without coordinate 3 keeps both coefficients
     x = bv("1101")
-    assert split_bin(5.0, x, f.eval(x), {}) == (5.0, 0.0)
-    # discovered values below the point are subtracted from the raw value
-    assert split_bin(5.0, x, f.eval(x), {bv("0001"): 3.0}) == (2.0, 3.0)
+    assert split_bin(5.0, x, f.eval(x), []) == (5.0, 0.0, [])
+    # listed values below the point are subtracted from the raw value
+    below = (bv("0001").mask, 3.0)
+    assert split_bin(5.0, x, f.eval(x), [below]) == (2.0, 3.0, [below])
     # and those not below it are not
-    assert split_bin(5.0, x, f.eval(x), {bv("0010"): 3.0}) == (5.0, 0.0)
+    assert split_bin(5.0, x, f.eval(x), [(bv("0010").mask, 3.0)]) == (5.0, 0.0, [])
 
 
 def test_split_bin_respects_zero_union():
@@ -47,10 +43,8 @@ def test_split_bin_respects_zero_union():
     # excludes coordinate 1, so every query point the search makes does too
     f = oracle_for(P)
     sink = io.StringIO()
-    discovered: dict[BitVector, float] = {}
-    bucket = (Label.from01("0"), 3.0, bv("1000").mask, BitVector.ones(4).mask)
-    depth_first_search(f, [bucket], 2, 1e-9, discovered, sink)
-    assert discovered == {bv("0001"): 3.0}
+    bucket = (Label.from01("0"), 3.0, bv("1000").mask, BitVector.ones(4).mask, ())
+    assert depth_first_search(f, [bucket], 2, 1e-9, sink) == {bv("0001"): 3.0}
     lines = [line.split("\t") for line in sink.getvalue().splitlines()]
     # the first test is the block of coordinates 1 and 2: query point 0011
     assert lines[0] == ["0", "0011", "3.0"]
@@ -145,27 +139,16 @@ def test_degree_overflow_raises():
     assert info.value.label is not None
 
 
-def test_auto_degree_doubles_until_success():
-    truth = SparsePolynomial(8, {bv("11100000"): 1.0, bv("00000001"): 2.0})
-    f = oracle_for(truth)
-    got, bound = fasmt_run_auto_degree(f, 8, 1)
-    assert got == truth
-    assert bound == 4
-    plain = oracle_for(truth)
-    fasmt_run(plain, 8, 4)
-    assert f.query_count > plain.query_count  # failed attempts stay counted
-
-
-def test_auto_degree_trivial_case():
-    truth = generate_synthetic(9, 3, 2, seed=2)
-    got, bound = fasmt_run_auto_degree(oracle_for(truth), 9, 4)
-    assert got.close_to(truth, 1e-9)
-    assert bound == 4
-
-
 def test_validation():
     f = oracle_for(P)
     with pytest.raises(DimensionError):
         fasmt_run(f, 5, 1)
     with pytest.raises(ParameterError):
         fasmt_run(f, 4, 0)
+    # a bucket waiting on itself or a later bucket would never start
+    ones = BitVector.ones(4).mask
+    for below in ([0], [1]):
+        buckets = [(Label.empty(), 5.0, 0, ones, below), (Label.empty(), 5.0, 0, ones, ())]
+        with pytest.raises(ParameterError):
+            depth_first_search(f, buckets, 2, 1e-9)
+    assert f.query_count == 0

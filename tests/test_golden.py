@@ -6,6 +6,11 @@ transcript.  Any refactor of the runners must leave all of them unchanged.
 Regenerate the file only when a behaviour change is intended:
 
     PYTHONPATH=src python3 tests/test_golden.py > tests/data/golden_runs.json
+
+To see first which recorded fields a change moves, for each instance and
+runner:
+
+    PYTHONPATH=src python3 tests/test_golden.py --diff
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,6 +99,23 @@ def record() -> dict:
     }
 
 
+def diff_lines(golden: dict, current: dict) -> list[str]:
+    """One line per instance and runner whose recorded fields differ."""
+    lines = []
+    for name in list(golden) + [name for name in current if name not in golden]:
+        for runner in RUNNERS:
+            want = golden.get(name, {}).get(runner)
+            got = current.get(name, {}).get(runner)
+            if want is None or got is None:
+                status = "not recorded" if want is None else "no longer run"
+                lines.append(f"{name}\t{runner}\t{status}")
+                continue
+            fields = [k for k in want.keys() | got.keys() if want.get(k) != got.get(k)]
+            if fields:
+                lines.append(f"{name}\t{runner}\t{', '.join(sorted(fields))}")
+    return lines
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN.read_text(encoding="ascii"))
@@ -121,10 +144,28 @@ def test_runners_agree_on_every_golden_map(golden):
                     assert abs(float(other[mask]) - float(value)) <= 1e-9, name
 
 
+def test_diff_names_the_fields_that_moved(golden):
+    name = next(iter(golden))
+    moved = json.loads(json.dumps(golden))
+    moved[name]["hybrid"]["rounds"] += 1
+    del moved[name]["fasmt"]
+    assert diff_lines(golden, golden) == []
+    assert diff_lines(golden, moved) == [
+        f"{name}\tfasmt\tno longer run",
+        f"{name}\thybrid\trounds",
+    ]
+
+
 if __name__ == "__main__":
-    # one line per instance and runner, so a behaviour change diffs readably
-    blocks = []
-    for name, runs in record().items():
-        lines = ",\n".join(f"  {json.dumps(r)}: {json.dumps(runs[r])}" for r in RUNNERS)
-        blocks.append(f" {json.dumps(name)}: {{\n{lines}\n }}")
-    print("{\n" + ",\n".join(blocks) + "\n}")
+    current = record()
+    if sys.argv[1:] == ["--diff"]:
+        lines = diff_lines(json.loads(GOLDEN.read_text(encoding="ascii")), current)
+        lines.append(f"{len(lines)} of {len(current) * len(RUNNERS)} runs differ from {GOLDEN.name}")
+        print("\n".join(lines))
+    else:
+        # one line per instance and runner, so a behaviour change diffs readably
+        blocks = []
+        for name, runs in current.items():
+            lines = ",\n".join(f"  {json.dumps(r)}: {json.dumps(runs[r])}" for r in RUNNERS)
+            blocks.append(f" {json.dumps(name)}: {{\n{lines}\n }}")
+        print("{\n" + ",\n".join(blocks) + "\n}")

@@ -29,6 +29,7 @@ from sparsemobius.grouptest import (
     list_decode,
     list_design_width,
     verify_disjunct,
+    _lowest,
 )
 from sparsemobius.rng import SplitMix64, bernoulli_mask, random_subset
 
@@ -188,6 +189,36 @@ def test_tree_over_a_universe_walks_the_tree_over_its_coordinates(n, d, data):
             with pytest.raises(InfeasiblePrefixError):
                 gbsa_step(label, m, d)
             return
+
+
+def lowest_by_peeling(mask: int, k: int) -> int:
+    """The k lowest set bits of mask, peeled off one at a time."""
+    out = 0
+    for _ in range(k):
+        low = mask & -mask
+        out |= low
+        mask ^= low
+    return out
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 4096), st.sampled_from(["run", "holes", "scattered"]), st.data())
+def test_lowest_matches_bit_peeling(n, shape, data):
+    # contiguous runs take the one-step path, the other shapes the bisection
+    if shape == "scattered":
+        coords = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=64))
+        mask = sum(1 << i for i in set(coords))
+    else:
+        start = data.draw(st.integers(0, n - 1))
+        length = data.draw(st.integers(1, n - start))
+        mask = ((1 << length) - 1) << start
+        if shape == "holes":
+            holes = data.draw(st.lists(st.integers(start, start + length - 1), max_size=4))
+            for i in holes:
+                mask &= ~(1 << i)
+            mask = mask or 1 << start
+    k = data.draw(st.integers(1, mask.bit_count()))
+    assert _lowest(mask, k) == lowest_by_peeling(mask, k)
 
 
 def test_identity_matrix():

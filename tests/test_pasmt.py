@@ -105,7 +105,7 @@ def reference_refine_levels(f, H, tau, transcript):
 
 
 def leaf_key(leaves):
-    return [(ell.to01(), repr(v), u) for ell, v, u in leaves]
+    return [(ell.to01(), repr(v), u) for ell, v, u, *_ in leaves]
 
 
 @settings(max_examples=120, deadline=None)
@@ -127,6 +127,10 @@ def test_refine_levels_matches_dense_level_loop(n, integer, data):
     states = []
     got = refine_levels(oracle_for(truth), H, tau, got_out, on_level=states.append)
     assert leaf_key(got) == leaf_key(want)
+    # each leaf lists every leaf whose label lies below its own, all earlier
+    for i, (ell, _, _, below) in enumerate(got):
+        assert below == [j for j, leaf in enumerate(got) if j != i and leaf[0].leq(ell)]
+        assert all(j < i for j in below)
     assert got_out.getvalue() == want_out.getvalue()
     assert [(list(s.labels), [repr(v) for v in s.values]) for s in states] == [
         (labels, [repr(v) for v in values]) for labels, values in want_states
@@ -213,7 +217,7 @@ def test_leaf_unions_match_zero_positions():
     truth = generate_synthetic(12, 3, 2, seed=5)
     H = construct_disjunct(12, 2)
     leaves = refine_levels(oracle_for(truth), H, 1e-9)
-    for label, _, union in leaves:
+    for label, _, union, _ in leaves:
         expected = 0
         for t in range(H.b):
             if label.bit(t) == 0:
