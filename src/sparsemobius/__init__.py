@@ -8,15 +8,7 @@ adaptive splitting tree (few queries), and a two-phase hybrid (few of
 both).  See the harness module for synthetic instances and benchmarks.
 """
 
-from .core import (
-    BitVector,
-    Label,
-    TestMatrix,
-    boolean_leq,
-    build_query_vector,
-    lex_compare,
-    semiring_apply,
-)
+from .core import BitVector, Label, TestMatrix, build_query_vector, syndrome
 from .errors import (
     CapacityError,
     DecodeError,

@@ -22,16 +22,15 @@ from .errors import (
     SparseMobiusError,
     ValidationError,
 )
-from .fasmt import fasmt_run
-from .grouptest import construct_disjunct, identity_matrix
 from .harness import (
+    GridCell,
     generate_synthetic,
     lower_bound,
     read_grid,
     run_benchmark,
+    run_cell,
     write_csv,
 )
-from .hybrid import hybrid_run
 from .oracle import (
     DEFAULT_TAU,
     CountingOracle,
@@ -41,7 +40,6 @@ from .oracle import (
     read_polynomial,
     write_polynomial,
 )
-from .pasmt import pasmt_run
 from .reference import brute_force_learn
 
 MAX_VERIFY_N = 12
@@ -84,19 +82,9 @@ def _load_instance(path: str, form: str):
 def _run_algorithm(args, truth):
     oracle = CountingOracle(SparsePolyOracle(truth))
     sink = open(args.transcript, "w", encoding="ascii") if args.transcript else None
+    cell = GridCell(args.alg, truth.n, truth.sparsity, args.d, args.seed)
     with sink if sink is not None else nullcontext():
-        if args.alg == "pasmt":
-            if truth.n >= 2 and args.d < truth.n:
-                matrix = construct_disjunct(truth.n, args.d)
-            else:
-                matrix = identity_matrix(truth.n)
-            recovered = pasmt_run(oracle, matrix, args.d, args.tau, transcript=sink)
-        elif args.alg == "fasmt":
-            recovered = fasmt_run(oracle, truth.n, args.d, args.tau, transcript=sink)
-        else:
-            recovered = hybrid_run(
-                oracle, truth.n, args.d, args.seed, args.tau, transcript=sink
-            )
+        recovered = run_cell(cell, oracle, args.tau, {}, sink)
     return recovered, oracle
 
 

@@ -5,11 +5,16 @@ reconstruction algorithm in the package.  A vector of length n is stored as a
 Python integer with coordinate i kept in bit i-1, so the textual form reads
 coordinate 1 first: "0011" with n = 4 has coordinates 3 and 4 set.  Outcome
 labels use the same layout with the first recorded outcome in bit 0.
+
+The runners need two operations on a test matrix, and both live here:
+syndrome encodes a support into its outcome label, and build_query_vector
+decodes a label into the query point whose downward closure it cuts out.
+log_query writes the one transcript line format every runner emits.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 from .errors import CapacityError, DimensionError
 
@@ -18,9 +23,8 @@ __all__ = [
     "BitVector",
     "Label",
     "TestMatrix",
-    "boolean_leq",
-    "lex_compare",
-    "semiring_apply",
+    "log_query",
+    "syndrome",
     "build_query_vector",
 ]
 
@@ -77,12 +81,6 @@ class BitVector:
     def to01(self) -> str:
         return "".join("1" if (self.mask >> i) & 1 else "0" for i in range(self.n))
 
-    def bit(self, coord: int) -> int:
-        """Value at 1-based coordinate."""
-        if not 1 <= coord <= self.n:
-            raise DimensionError(f"coordinate {coord} out of range 1..{self.n}")
-        return (self.mask >> (coord - 1)) & 1
-
     def coords(self) -> tuple[int, ...]:
         """1-based coordinates that are set, ascending."""
         bits = format(self.mask, "b")[::-1]  # coordinate 1 first
@@ -95,9 +93,6 @@ class BitVector:
 
     def weight(self) -> int:
         return self.mask.bit_count()
-
-    def complement(self) -> "BitVector":
-        return BitVector(self.n, self.mask ^ ((1 << self.n) - 1))
 
     def __len__(self) -> int:
         return self.n
@@ -116,20 +111,11 @@ class BitVector:
         return f"BitVector({self.to01()!r})"
 
 
-def boolean_leq(a: BitVector, b: BitVector) -> bool:
-    """Componentwise order: every set coordinate of a is set in b."""
-    if a.n != b.n:
-        raise DimensionError(f"length mismatch: {a.n} vs {b.n}")
-    return a.mask & ~b.mask == 0
-
-
 class Label:
     """Immutable outcome string of a test sequence, one bit per test.
 
     Position i (0-based) holds the outcome of test i+1.  Labels grow by
-    append and are capped at MAX_LABEL_LENGTH bits.  The depth-first search
-    visits buckets in lexicographic label order, a proper prefix sorting
-    before every extension; ``a < b`` applies that order.
+    append and are capped at MAX_LABEL_LENGTH bits.
     """
 
     __slots__ = ("length", "mask")
@@ -149,30 +135,14 @@ class Label:
         return cls(0, 0)
 
     @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "Label":
-        mask = 0
-        length = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise DimensionError(f"label bits must be 0 or 1, got {b!r}")
-            mask |= b << length
-            length += 1
-        return cls(length, mask)
-
-    @classmethod
     def from01(cls, text: str) -> "Label":
-        return cls.from_bits(1 if ch == "1" else 0 if ch == "0" else -1 for ch in text)
+        bits = BitVector.from01(text)
+        return cls(bits.n, bits.mask)
 
     def to01(self) -> str:
         return "".join(
             "1" if (self.mask >> i) & 1 else "0" for i in range(self.length)
         )
-
-    def bit(self, i: int) -> int:
-        """Outcome at 0-based position i."""
-        if not 0 <= i < self.length:
-            raise DimensionError(f"position {i} out of range 0..{self.length - 1}")
-        return (self.mask >> i) & 1
 
     def bits(self) -> Iterator[int]:
         return ((self.mask >> i) & 1 for i in range(self.length))
@@ -181,22 +151,6 @@ class Label:
         if bit not in (0, 1):
             raise DimensionError(f"label bits must be 0 or 1, got {bit!r}")
         return Label(self.length + 1, self.mask | (bit << self.length))
-
-    def concat(self, other: "Label") -> "Label":
-        return Label(self.length + other.length, self.mask | (other.mask << self.length))
-
-    def is_prefix_of(self, other: "Label") -> bool:
-        if self.length > other.length:
-            return False
-        return other.mask & ((1 << self.length) - 1) == self.mask
-
-    def leq(self, other: "Label") -> bool:
-        """Componentwise order on equal-length labels."""
-        if self.length != other.length:
-            raise DimensionError(
-                f"length mismatch: {self.length} vs {other.length}"
-            )
-        return self.mask & ~other.mask == 0
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -208,30 +162,15 @@ class Label:
     def __hash__(self) -> int:
         return hash((self.length, self.mask))
 
-    def __lt__(self, other: "Label") -> bool:
-        return lex_compare(self, other) < 0
-
-    def __le__(self, other: "Label") -> bool:
-        return lex_compare(self, other) <= 0
-
     def __repr__(self) -> str:
         return f"Label({self.to01()!r})"
 
 
-def lex_compare(a: Label, b: Label) -> int:
-    """Return -1, 0, or 1 ordering labels lexicographically.
-
-    A proper prefix sorts before every extension; otherwise the first
-    position where the labels differ decides.
-    """
-    m = min(a.length, b.length)
-    diff = (a.mask ^ b.mask) & ((1 << m) - 1)
-    if diff:
-        low = diff & -diff
-        return -1 if a.mask & low == 0 else 1
-    if a.length == b.length:
-        return 0
-    return -1 if a.length < b.length else 1
+def log_query(transcript: TextIO | None, label: Label, x: BitVector, value: float) -> None:
+    """Write one tab-separated transcript line (bucket label, query point,
+    value); a None transcript writes nothing."""
+    if transcript is not None:
+        transcript.write(f"{label.to01()}\t{x.to01()}\t{value!r}\n")
 
 
 class TestMatrix:
@@ -261,12 +200,6 @@ class TestMatrix:
     @property
     def b(self) -> int:
         return len(self.columns)
-
-    def column(self, j: int) -> BitVector:
-        """Column by 0-based index."""
-        if not 0 <= j < len(self.columns):
-            raise DimensionError(f"column {j} out of range 0..{len(self.columns) - 1}")
-        return self.columns[j]
 
     @property
     def row_masks(self) -> tuple[int, ...]:
@@ -298,38 +231,25 @@ class TestMatrix:
         return f"TestMatrix(n={self.n}, b={self.b})"
 
 
-def semiring_apply(H: TestMatrix, v: BitVector, transpose: bool = False) -> BitVector:
-    """Multiply over the (OR, AND) semiring.
-
-    Forward: v selects columns, the result of length n is their union.
-    Transpose: the result of length b flags each column intersecting v.
-    """
-    if not transpose:
-        if v.n != H.b:
-            raise DimensionError(f"vector length {v.n} != column count {H.b}")
-        out = 0
-        sel = v.mask
-        for col in H.columns:
-            if sel & 1:
-                out |= col.mask
-            sel >>= 1
-        return BitVector(H.n, out)
-    if v.n != H.n:
-        raise DimensionError(f"vector length {v.n} != row count {H.n}")
-    out = 0
+def syndrome(H: TestMatrix, k: BitVector) -> Label:
+    """Outcome label of support k against every test of H: bit t is set
+    exactly when column t intersects k."""
+    if k.n != H.n:
+        raise DimensionError(f"vector length {k.n} != row count {H.n}")
+    mask = 0
     for t, col in enumerate(H.columns):
-        if col.mask & v.mask:
-            out |= 1 << t
-    return BitVector(H.b, out)
+        if col.mask & k.mask:
+            mask |= 1 << t
+    return Label(H.b, mask)
 
 
 def build_query_vector(H: TestMatrix, label: Label) -> BitVector:
     """Evaluation point whose downward closure is cut out by an outcome label.
 
     Given a width-t matrix and a length-t label, returns
-    x = NOT(H applied to NOT label), so that k <= x holds exactly when the
-    syndrome of k is componentwise below the label.  A width-0 matrix gives
-    the all-ones point.
+    x = NOT(union of the columns the label records a 0 at), so that k <= x
+    holds exactly when syndrome(H, k) is componentwise below the label.  A
+    width-0 matrix gives the all-ones point.
     """
     if label.length != H.b:
         raise DimensionError(
@@ -339,4 +259,5 @@ def build_query_vector(H: TestMatrix, label: Label) -> BitVector:
     for t, col in enumerate(H.columns):
         if not (label.mask >> t) & 1:
             union |= col.mask
-    return BitVector(H.n, ((1 << H.n) - 1) & ~union)
+    # the union lies inside the n coordinates, so XOR complements it
+    return BitVector(H.n, ((1 << H.n) - 1) ^ union)

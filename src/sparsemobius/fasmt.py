@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Sequence, TextIO
 
-from .core import MAX_LABEL_LENGTH, BitVector, Label
+from .core import MAX_LABEL_LENGTH, BitVector, Label, log_query
 from .errors import (
     CapacityError,
     DimensionError,
@@ -64,11 +64,6 @@ def split_bin(
     for _, c in below:
         raw -= c
     return raw, value - raw, below
-
-
-def _log(transcript: TextIO | None, label: Label, x: BitVector, value: float) -> None:
-    if transcript is not None:
-        transcript.write(f"{label.to01()}\t{x.to01()}\t{value!r}\n")
 
 
 def _next_query(
@@ -169,7 +164,7 @@ def depth_first_search(
             length, mask, value, union, residual, state = pending
             v0, v1, below = split_bin(value, x, raw, residual)
             if transcript is not None:
-                _log(transcript, Label(length, mask), x, v0)
+                log_query(transcript, Label(length, mask), x, v0)
             if length >= MAX_LABEL_LENGTH:
                 raise CapacityError(
                     f"label length {length + 1} exceeds {MAX_LABEL_LENGTH}"
@@ -207,7 +202,7 @@ def fasmt_run(
         raise ParameterError(f"need d >= 1, got {d}")
     ones = BitVector.ones(n)
     root = f.eval(ones)
-    _log(transcript, Label.empty(), ones, root)
+    log_query(transcript, Label.empty(), ones, root)
     root_bucket = (Label.empty(), root, 0, ones.mask, ())
     discovered = depth_first_search(f, [root_bucket], d, tau, transcript)
     return SparsePolynomial(n, discovered, degree_bound=d)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, NamedTuple
 
-from .core import BitVector, Label, TestMatrix, build_query_vector, semiring_apply
+from .core import BitVector, Label, TestMatrix, build_query_vector, syndrome
 from .errors import (
     CapacityError,
     DecodeError,
@@ -369,7 +369,7 @@ def decode_disjunct(H: TestMatrix, label: Label, d: int) -> BitVector:
     raises DecodeError.
     """
     support = build_query_vector(H, label)
-    if semiring_apply(H, support, transpose=True).mask != label.mask:
+    if syndrome(H, support) != label:
         raise DecodeError(
             f"decoded support is inconsistent with syndrome {label.to01()!r}"
         )
@@ -445,8 +445,7 @@ def construct_list_disjunct(
     for _ in range(max(1, audit_trials)):
         weight = 1 + rng.below(d)
         support = BitVector.from_coords(n, random_subset(rng, n, weight))
-        syndrome = semiring_apply(matrix, support, transpose=True)
-        hits = build_query_vector(matrix, Label(b, syndrome.mask)).weight()
+        hits = build_query_vector(matrix, syndrome(matrix, support)).weight()
         bound = max(bound, hits)
     return ListDesign(matrix, d, bound, seed, max(1, audit_trials))
 

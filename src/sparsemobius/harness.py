@@ -25,7 +25,13 @@ from .errors import FormatError, ParameterError, SparseMobiusError
 from .fasmt import fasmt_run
 from .grouptest import construct_disjunct, identity_matrix
 from .hybrid import hybrid_run
-from .oracle import CountingOracle, SparsePolynomial, SparsePolyOracle
+from .oracle import (
+    CountingOracle,
+    SparsePolynomial,
+    SparsePolyOracle,
+    _read_lines,
+    _write_text,
+)
 from .pasmt import pasmt_run
 from .rng import PRNG_ID, MAX_RANK, SplitMix64, unrank_subset
 
@@ -37,6 +43,7 @@ __all__ = [
     "lower_bound",
     "optimality_ratio",
     "run_benchmark",
+    "run_cell",
     "write_csv",
     "read_csv",
     "read_grid",
@@ -146,24 +153,28 @@ class BenchRecord:
     optimality_ratio: float | None
 
 
-def _dispatch(
+def run_cell(
     cell: GridCell,
     oracle: CountingOracle,
     tau: float,
     matrices: dict[tuple[int, int], TestMatrix],
+    transcript: TextIO | None = None,
 ) -> SparsePolynomial:
+    """Run the cell's algorithm on the oracle.  pasmt's matrix for (n, d)
+    is built once into matrices: the disjunct design when 2 <= n and
+    d < n, else the identity."""
     if cell.algorithm == "pasmt":
         key = (cell.n, cell.d)
         if key not in matrices:
-            if cell.d < cell.n:
+            if cell.n >= 2 and cell.d < cell.n:
                 matrices[key] = construct_disjunct(cell.n, cell.d)
             else:
                 matrices[key] = identity_matrix(cell.n)
-        return pasmt_run(oracle, matrices[key], cell.d, tau)
+        return pasmt_run(oracle, matrices[key], cell.d, tau, transcript)
     if cell.algorithm == "fasmt":
-        return fasmt_run(oracle, cell.n, cell.d, tau)
+        return fasmt_run(oracle, cell.n, cell.d, tau, transcript)
     if cell.algorithm == "hybrid":
-        return hybrid_run(oracle, cell.n, cell.d, cell.seed, tau)
+        return hybrid_run(oracle, cell.n, cell.d, cell.seed, tau, transcript)
     raise ParameterError(f"unknown algorithm {cell.algorithm!r}")
 
 
@@ -183,7 +194,7 @@ def run_benchmark(
         oracle = CountingOracle(SparsePolyOracle(truth))
         start = time.perf_counter()
         try:
-            recovered = _dispatch(cell, oracle, tau, matrices)
+            recovered = run_cell(cell, oracle, tau, matrices)
             exact = recovered.close_to(truth, value_tol)
         except SparseMobiusError:
             exact = False
@@ -228,21 +239,12 @@ def write_csv(records: Sequence[BenchRecord], sink: str | os.PathLike | TextIO) 
             "" if rec.optimality_ratio is None else repr(rec.optimality_ratio)
         )
         writer.writerow(row)
-    text = out.getvalue()
-    if isinstance(sink, (str, os.PathLike)):
-        with open(sink, "w", encoding="ascii") as handle:
-            handle.write(text)
-    else:
-        sink.write(text)
+    _write_text(sink, out.getvalue())
 
 
 def read_csv(source: str | os.PathLike | TextIO) -> tuple[str, list[BenchRecord]]:
     """Read back (generator identifier, records); inverse of write_csv."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="ascii") as handle:
-            lines = handle.read().splitlines()
-    else:
-        lines = source.read().splitlines()
+    lines = _read_lines(source)
     if not lines or not lines[0].startswith("# prng="):
         raise FormatError("missing '# prng=' header", 1)
     prng_id = lines[0].removeprefix("# prng=")
@@ -279,11 +281,7 @@ def read_csv(source: str | os.PathLike | TextIO) -> tuple[str, list[BenchRecord]
 
 def read_grid(source: str | os.PathLike | TextIO) -> list[GridCell]:
     """Read 'algorithm n s d seed' lines; '#' starts a comment."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="ascii") as handle:
-            lines = handle.read().splitlines()
-    else:
-        lines = source.read().splitlines()
+    lines = _read_lines(source)
     cells = []
     for lineno, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()

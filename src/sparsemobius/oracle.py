@@ -112,10 +112,10 @@ def eval_sparse(poly: SparsePolynomial, x: BitVector) -> float:
     """Sum of coefficients whose support is componentwise below x."""
     if x.n != poly.n:
         raise DimensionError(f"point length {x.n}, expected {poly.n}")
-    nx = ~x.mask
+    xm = x.mask
     total = 0
     for k, v in poly.entries.items():
-        if k.mask & nx == 0:
+        if k.mask & xm == k.mask:
             total += v
     return total
 
@@ -173,10 +173,10 @@ class SparsePolyOracle:
     def eval(self, x: BitVector) -> float:
         if x.n != self.n:
             raise DimensionError(f"point length {x.n}, expected {self.n}")
-        nx = ~x.mask
+        xm = x.mask
         total = 0
         for mask, v in self._items:
-            if mask & nx == 0:
+            if mask & xm == mask:
                 total += v
         return total
 
@@ -237,6 +237,14 @@ def _read_lines(source: str | os.PathLike | TextIO) -> list[str]:
     return source.read().splitlines()
 
 
+def _write_text(sink: str | os.PathLike | TextIO, text: str) -> None:
+    if isinstance(sink, (str, os.PathLike)):
+        with open(sink, "w", encoding="ascii") as handle:
+            handle.write(text)
+    else:
+        sink.write(text)
+
+
 def _parse_header(lines: list[str], what: str) -> tuple[int, int]:
     if not lines:
         raise FormatError(f"empty {what} file", 1)
@@ -290,12 +298,7 @@ def write_polynomial(poly: SparsePolynomial, sink: str | os.PathLike | TextIO) -
     out.write(f"{poly.n} {poly.sparsity}\n")
     for k in sorted(poly.entries, key=lambda v: v.mask):
         out.write(f"{poly.entries[k]!r} {k.to01()}\n")
-    text = out.getvalue()
-    if isinstance(sink, (str, os.PathLike)):
-        with open(sink, "w", encoding="ascii") as handle:
-            handle.write(text)
-    else:
-        sink.write(text)
+    _write_text(sink, out.getvalue())
 
 
 def read_hypergraph(source: str | os.PathLike | TextIO) -> Hypergraph:
@@ -336,9 +339,4 @@ def write_hypergraph(graph: Hypergraph, sink: str | os.PathLike | TextIO) -> Non
     for verts, w in graph.edges:
         coords = " ".join(str(c) for c in verts.coords())
         out.write(f"{w!r} {coords}\n")
-    text = out.getvalue()
-    if isinstance(sink, (str, os.PathLike)):
-        with open(sink, "w", encoding="ascii") as handle:
-            handle.write(text)
-    else:
-        sink.write(text)
+    _write_text(sink, out.getvalue())

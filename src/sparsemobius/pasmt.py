@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO
 
-from .core import BitVector, Label, TestMatrix
+from .core import BitVector, Label, TestMatrix, log_query
 from .errors import DecodeError, DimensionError, ParameterError, ReconstructionError
 from .grouptest import decode_disjunct
 from .oracle import DEFAULT_TAU, CountingOracle, SparsePolynomial
@@ -74,11 +74,6 @@ def solve_bin_system(
     return solution
 
 
-def _log(transcript: TextIO | None, label: Label, x: BitVector, value: float) -> None:
-    if transcript is not None:
-        transcript.write(f"{label.to01()}\t{x.to01()}\t{value!r}\n")
-
-
 def _state(depth: int, masks: list[int], values: list[float]) -> LevelState:
     return LevelState(depth, tuple(Label(depth, m) for m in masks), tuple(values))
 
@@ -104,20 +99,21 @@ def refine_levels(
     full = (1 << n) - 1
     ones = BitVector.ones(n)
     root = f.batch_eval([ones])[0]
-    _log(transcript, Label.empty(), ones, root)
+    log_query(transcript, Label.empty(), ones, root)
     if abs(root) <= tau:
         return []
     # bucket i: label bits, sum, zero union, and the earlier buckets below it
     masks, values, unions, below = [0], [root], [0], [[]]
     if on_level is not None:
         on_level(_state(0, masks, values))
-    for t in range(H.b):
-        col = H.column(t).mask
-        queries = [BitVector(n, full & ~(u | col)) for u in unions]
+    for t, column in enumerate(H.columns):
+        col = column.mask
+        # union and column lie inside the n coordinates, so XOR complements
+        queries = [BitVector(n, full ^ (u | col)) for u in unions]
         measurements = f.batch_eval(queries)
         if transcript is not None:
             for m, x, v in zip(masks, queries, measurements):
-                _log(transcript, Label(t, m), x, v)
+                log_query(transcript, Label(t, m), x, v)
         zero_sums = solve_bin_system(below, measurements)
         bit = 1 << t
         # surviving children of each bucket, as next-level indices

@@ -17,7 +17,7 @@ from itertools import combinations
 
 import pytest
 
-from sparsemobius.core import BitVector, Label
+from sparsemobius.core import BitVector, syndrome
 from sparsemobius.errors import ParameterError
 from sparsemobius.fasmt import fasmt_run
 from sparsemobius.grouptest import (
@@ -322,10 +322,7 @@ def test_criterion_06_disjunct_design_decode():
     for w in range(3):
         for coords in combinations(range(1, n + 1), w):
             k = BitVector.from_coords(n, coords)
-            label = Label.from_bits(
-                1 if (col.mask & k.mask) else 0 for col in H.columns
-            )
-            assert decode_disjunct(H, label, 2) == k
+            assert decode_disjunct(H, syndrome(H, k), 2) == k
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"criterion 6 took {elapsed:.1f}s"
 

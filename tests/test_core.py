@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +11,9 @@ from sparsemobius.core import (
     BitVector,
     Label,
     TestMatrix,
-    boolean_leq,
     build_query_vector,
-    lex_compare,
-    semiring_apply,
+    log_query,
+    syndrome,
 )
 from sparsemobius.errors import CapacityError, DimensionError
 
@@ -34,14 +35,10 @@ def test_bitvector_text_convention():
     x = bv("0011")
     assert x.n == 4
     assert x.coords() == (3, 4)
-    assert x.bit(1) == 0
-    assert x.bit(2) == 0
-    assert x.bit(3) == 1
-    assert x.bit(4) == 1
+    assert x.mask == 0b1100
     assert x.weight() == 2
     assert x.to01() == "0011"
     assert BitVector.from_coords(4, [3, 4]) == x
-    assert x.complement().to01() == "1100"
 
 
 def test_bitvector_zeros_ones():
@@ -71,50 +68,29 @@ def test_bitvector_hash_eq():
     assert len({bv("010"), bv("010"), bv("011")}) == 2
 
 
-def test_boolean_leq_examples():
-    assert boolean_leq(bv("0010"), bv("0110"))
-    assert not boolean_leq(bv("0110"), bv("0010"))
-    assert boolean_leq(bv("0000"), bv("0000"))
-    with pytest.raises(DimensionError):
-        boolean_leq(bv("01"), bv("011"))
-
-
-@given(st.integers(1, 10), st.data())
-def test_boolean_leq_is_subset_order(n, data):
-    a = BitVector(n, data.draw(st.integers(0, 2**n - 1)))
-    b = BitVector(n, data.draw(st.integers(0, 2**n - 1)))
-    assert boolean_leq(a, b) == set(a.coords()).issubset(b.coords())
-
-
 def test_label_text_convention():
     ell = lab("011")
     assert ell.length == 3
-    assert ell.bit(0) == 0
-    assert ell.bit(1) == 1
-    assert ell.bit(2) == 1
+    assert ell.mask == 0b110
     assert tuple(ell.bits()) == (0, 1, 1)
     assert ell.to01() == "011"
-    assert Label.from_bits([0, 1, 1]) == ell
+    assert Label(3, 0b110) == ell
+    with pytest.raises(DimensionError):
+        lab("01x")
     assert Label.empty().length == 0
     assert Label.empty().to01() == ""
 
 
 def test_label_append_concat_prefix():
+    # append concatenates one outcome, so the old label is a prefix of the new
     ell = Label.empty().append(1).append(0)
     assert ell.to01() == "10"
-    assert ell.concat(lab("11")).to01() == "1011"
-    assert lab("10").is_prefix_of(lab("1011"))
-    assert not lab("11").is_prefix_of(lab("1011"))
-    assert Label.empty().is_prefix_of(lab("0"))
-    assert lab("10").is_prefix_of(lab("10"))
-
-
-def test_label_componentwise_order():
-    assert lab("01").leq(lab("11"))
-    assert not lab("10").leq(lab("01"))
-    assert lab("00").leq(lab("00"))
+    longer = ell.append(1)
+    assert longer == lab("101")
+    assert longer.to01().startswith(ell.to01())
+    assert longer.mask & ((1 << ell.length) - 1) == ell.mask
     with pytest.raises(DimensionError):
-        lab("0").leq(lab("01"))
+        ell.append(2)
 
 
 def test_label_capacity():
@@ -123,79 +99,33 @@ def test_label_capacity():
         top.append(0)
     with pytest.raises(CapacityError):
         Label(MAX_LABEL_LENGTH + 1, 0)
-    with pytest.raises(CapacityError):
-        top.concat(lab("0"))
-
-
-def test_lex_compare_examples():
-    assert lex_compare(Label.empty(), lab("0")) == -1
-    assert lex_compare(lab("0"), lab("1")) == -1
-    assert lex_compare(lab("01"), lab("1")) == -1
-    assert lex_compare(lab("101"), lab("11")) == -1
-    assert lex_compare(lab("11"), lab("11")) == 0
-    assert lex_compare(lab("1"), lab("011")) == 1
-
-
-def test_lex_sort_order():
-    raw = ["11", "0", "101", "1", "011", ""]
-    got = sorted((lab(t) for t in raw))
-    assert [ell.to01() for ell in got] == ["", "0", "011", "1", "101", "11"]
-
-
-label_st = st.builds(
-    lambda bits: Label.from_bits(bits),
-    st.lists(st.integers(0, 1), max_size=12),
-)
-
-
-@given(label_st, label_st)
-def test_lex_compare_antisymmetric(a, b):
-    assert lex_compare(a, b) == -lex_compare(b, a)
-    assert (lex_compare(a, b) == 0) == (a == b)
-
-
-@given(label_st, st.lists(st.integers(0, 1), min_size=1, max_size=6))
-def test_proper_prefix_sorts_first(a, suffix):
-    assert lex_compare(a, a.concat(Label.from_bits(suffix))) == -1
-
-
-@given(st.integers(1, 10), st.data())
-def test_lex_refines_componentwise_order(n, data):
-    am = data.draw(st.integers(0, 2**n - 1))
-    bm = data.draw(st.integers(0, 2**n - 1))
-    a, b = Label(n, am), Label(n, bm)
-    if a.leq(b) and a != b:
-        assert lex_compare(a, b) == -1
 
 
 def test_matrix_basics():
     assert H2.n == 4
     assert H2.b == 2
-    assert H2.column(0) == bv("1010")
-    assert H2.column(1) == bv("0110")
+    assert H2.columns == (bv("1010"), bv("0110"))
     assert H2.row_masks == (0b01, 0b10, 0b11, 0b00)
     with pytest.raises(DimensionError):
         TestMatrix(4, (bv("101"),))
-    with pytest.raises(DimensionError):
-        H2.column(2)
-
-
-def test_semiring_apply_forward():
-    assert semiring_apply(H2, bv("10")) == bv("1010")
-    assert semiring_apply(H2, bv("01")) == bv("0110")
-    assert semiring_apply(H2, bv("11")) == bv("1110")
-    assert semiring_apply(H2, bv("00")) == bv("0000")
-    with pytest.raises(DimensionError):
-        semiring_apply(H2, bv("1"))
 
 
 def test_semiring_apply_transpose():
-    assert semiring_apply(H2, bv("0010"), transpose=True) == bv("11")
-    assert semiring_apply(H2, bv("1000"), transpose=True) == bv("10")
-    assert semiring_apply(H2, bv("0001"), transpose=True) == bv("00")
-    assert semiring_apply(H2, bv("1100"), transpose=True) == bv("11")
+    # the syndrome is the transposed (OR, AND) product: one flag per column
+    assert syndrome(H2, bv("0010")) == lab("11")
+    assert syndrome(H2, bv("1000")) == lab("10")
+    assert syndrome(H2, bv("0001")) == lab("00")
+    assert syndrome(H2, bv("1100")) == lab("11")
+    assert syndrome(TestMatrix(4, []), bv("1111")) == Label.empty()
     with pytest.raises(DimensionError):
-        semiring_apply(H2, bv("110"), transpose=True)
+        syndrome(H2, bv("110"))
+
+
+def test_log_query_line():
+    out = io.StringIO()
+    log_query(out, lab("01"), bv("0011"), 2.5)
+    log_query(None, lab("01"), bv("0011"), 2.5)
+    assert out.getvalue() == "01\t0011\t2.5\n"
 
 
 def test_build_query_vector_examples():
@@ -208,9 +138,9 @@ def test_build_query_vector_examples():
         build_query_vector(H2, lab("0"))
 
 
-def syndrome(H: TestMatrix, k: BitVector) -> Label:
-    flags = semiring_apply(H, k, transpose=True)
-    return Label.from_bits(flags.bit(t + 1) for t in range(H.b))
+def below(a: int, b: int) -> bool:
+    """Every bit set in mask a is set in mask b."""
+    return a & b == a
 
 
 def test_subsampling_equivalence_exhaustive():
@@ -225,7 +155,7 @@ def test_subsampling_equivalence_exhaustive():
                     ell = Label(b, lm)
                     x = build_query_vector(H, ell)
                     for k in points:
-                        assert boolean_leq(k, x) == syndrome(H, k).leq(ell)
+                        assert below(k.mask, x.mask) == below(syndrome(H, k).mask, ell.mask)
 
 
 def _all_column_tuples(n, b):
@@ -246,7 +176,7 @@ def test_subsampling_equivalence_random(n, b, data):
     ell = Label(b, data.draw(st.integers(0, 2**b - 1)))
     k = BitVector(n, data.draw(st.integers(0, 2**n - 1)))
     x = build_query_vector(H, ell)
-    assert boolean_leq(k, x) == syndrome(H, k).leq(ell)
+    assert below(k.mask, x.mask) == below(syndrome(H, k).mask, ell.mask)
 
 
 def test_repr_is_stable():

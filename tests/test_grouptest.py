@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsemobius.core import BitVector, Label, TestMatrix, semiring_apply
+from sparsemobius.core import BitVector, Label, TestMatrix, syndrome
 from sparsemobius.errors import (
     CapacityError,
     DecodeError,
@@ -49,11 +49,6 @@ def membership(k: BitVector):
         return 1 if x.mask & k.mask else 0
 
     return probe
-
-
-def syndrome(H: TestMatrix, k: BitVector) -> Label:
-    flags = semiring_apply(H, k, transpose=True)
-    return Label.from_bits(flags.bit(t + 1) for t in range(H.b))
 
 
 # Tests h1 = {3,4}, h2 = {1,3}, h3 = {1,2}: not 1-disjunct (the tests
@@ -311,7 +306,7 @@ def test_decoders_match_the_row_scan(n, data):
     want = row_scan_decode(H, label)
     design = ListDesign(matrix=H, d=1, list_bound=1, seed=0, audit_trials=1)
     assert list_decode(design, label) == BitVector(n, want).coords()
-    if semiring_apply(H, BitVector(n, want), transpose=True).mask == label.mask:
+    if syndrome(H, BitVector(n, want)) == label:
         assert decode_disjunct(H, label, 1) == BitVector(n, want)
     else:
         with pytest.raises(DecodeError):

@@ -46,7 +46,7 @@ def test_antichain_layers():
         for a in layer:
             for b in layer:
                 if a is not b:
-                    assert not a.label.leq(b.label)
+                    assert a.label.mask & b.label.mask != a.label.mask
     assert antichain_layers([]) == []
 
 
@@ -56,7 +56,10 @@ def peeled_layers(bins):
     while remaining:
         layer = [
             b for b in remaining
-            if not any(o.label != b.label and o.label.leq(b.label) for o in remaining)
+            if not any(
+                o.label != b.label and o.label.mask & b.label.mask == o.label.mask
+                for o in remaining
+            )
         ]
         taken = {b.label for b in layer}
         remaining = [b for b in remaining if b.label not in taken]

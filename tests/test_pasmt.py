@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsemobius.core import BitVector, Label, TestMatrix, semiring_apply
+from sparsemobius.core import (
+    BitVector,
+    Label,
+    TestMatrix,
+    build_query_vector,
+    syndrome,
+)
 from sparsemobius.errors import DimensionError, ParameterError, ReconstructionError
 from sparsemobius.grouptest import construct_disjunct, identity_matrix
 from sparsemobius.harness import generate_synthetic
@@ -24,11 +30,6 @@ def lab(text: str) -> Label:
 
 def oracle_for(poly: SparsePolynomial) -> CountingOracle:
     return CountingOracle(SparsePolyOracle(poly))
-
-
-def syndrome(H: TestMatrix, k: BitVector) -> Label:
-    flags = semiring_apply(H, k, transpose=True)
-    return Label.from_bits(flags.bit(t + 1) for t in range(H.b))
 
 
 def test_solve_bin_system_example():
@@ -72,8 +73,8 @@ def reference_refine_levels(f, H, tau, transcript):
         return [], []
     labels, values, unions = [Label.empty()], [root], [0]
     states = [(labels, values)]
-    for t in range(H.b):
-        col = H.column(t).mask
+    for column in H.columns:
+        col = column.mask
         queries = [BitVector(n, full & ~(u | col)) for u in unions]
         measurements = f.batch_eval(queries)
         for ell, x, m in zip(labels, queries, measurements):
@@ -129,7 +130,11 @@ def test_refine_levels_matches_dense_level_loop(n, integer, data):
     assert leaf_key(got) == leaf_key(want)
     # each leaf lists every leaf whose label lies below its own, all earlier
     for i, (ell, _, _, below) in enumerate(got):
-        assert below == [j for j, leaf in enumerate(got) if j != i and leaf[0].leq(ell)]
+        assert below == [
+            j
+            for j, (other, *_) in enumerate(got)
+            if j != i and other.mask & ell.mask == other.mask
+        ]
         assert all(j < i for j in below)
     assert got_out.getvalue() == want_out.getvalue()
     assert [(list(s.labels), [repr(v) for v in s.values]) for s in states] == [
@@ -202,7 +207,8 @@ def test_levels_conserve_mass_and_track_true_buckets():
     assert states[-1].depth == H.b
     for state in states:
         assert abs(sum(state.values) - total) < 1e-6
-        assert list(state.labels) == sorted(state.labels)
+        texts = [ell.to01() for ell in state.labels]
+        assert texts == sorted(texts)
         assert all(ell.length == state.depth for ell in state.labels)
         expected = {}
         for k, v in truth.entries.items():
@@ -217,12 +223,9 @@ def test_leaf_unions_match_zero_positions():
     truth = generate_synthetic(12, 3, 2, seed=5)
     H = construct_disjunct(12, 2)
     leaves = refine_levels(oracle_for(truth), H, 1e-9)
+    full = (1 << H.n) - 1
     for label, _, union, _ in leaves:
-        expected = 0
-        for t in range(H.b):
-            if label.bit(t) == 0:
-                expected |= H.column(t).mask
-        assert union == expected
+        assert union == full ^ build_query_vector(H, label).mask
 
 
 def test_transcript_lines_and_determinism():
