@@ -60,7 +60,7 @@ from .oracle import (
     write_hypergraph,
     write_polynomial,
 )
-from .pasmt import LevelState, pasmt_run, solve_bin_system
+from .pasmt import pasmt_run, solve_bin_system
 from .reference import (
     DenseTable,
     DenseTableOracle,

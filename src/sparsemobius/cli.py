@@ -118,7 +118,7 @@ def _cmd_verify(args) -> int:
     baseline = brute_force_learn(
         CountingOracle(SparsePolyOracle(truth)), truth.n, args.tau
     )
-    if recovered.close_to(baseline, value_tol=max(args.tau, 1e-9)):
+    if recovered.close_to(baseline, max(args.tau, 1e-9)):
         print("verified: spectra match")
         return 0
     print("MISMATCH between reconstruction and exhaustive baseline")
@@ -139,7 +139,7 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _add_common(sub, with_seed: bool = True) -> None:
+def _add_common(sub) -> None:
     sub.add_argument("--alg", required=True, choices=("pasmt", "fasmt", "hybrid"))
     sub.add_argument("--input", required=True, help="instance file")
     sub.add_argument(
@@ -150,8 +150,7 @@ def _add_common(sub, with_seed: bool = True) -> None:
     )
     sub.add_argument("--d", required=True, type=int, help="degree bound")
     sub.add_argument("--tau", type=float, default=DEFAULT_TAU, help="zero tolerance")
-    if with_seed:
-        sub.add_argument("--seed", type=int, default=0, help="design seed (hybrid)")
+    sub.add_argument("--seed", type=int, default=0, help="design seed (hybrid)")
     sub.add_argument("--transcript", help="write a query transcript here")
 
 

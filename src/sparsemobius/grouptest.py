@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 VERIFY_WORK_CAP = 10**8
+# random low-weight syndromes decoded to audit a list design's bound
+AUDIT_TRIALS = 256
 
 
 class GbsaTest(NamedTuple):
@@ -366,13 +368,16 @@ def decode_disjunct(H: TestMatrix, label: Label, d: int) -> BitVector:
     vector, so decoding costs O(b) big-integer operations, not a scan of
     the n rows.  The decoded support is then re-encoded; any mismatch with
     the label (the signature of degree overflow or a non-disjunct matrix)
-    raises DecodeError.
+    raises DecodeError, and so does a support of weight above d.
     """
     support = build_query_vector(H, label)
     if syndrome(H, support) != label:
         raise DecodeError(
             f"decoded support is inconsistent with syndrome {label.to01()!r}"
         )
+    weight = support.weight()
+    if weight > d:
+        raise DecodeError(f"decoded support has weight {weight} above d={d}")
     return support
 
 
@@ -391,7 +396,6 @@ class ListDesign:
     d: int
     list_bound: int
     seed: int
-    audit_trials: int
 
     @property
     def n(self) -> int:
@@ -422,16 +426,11 @@ def list_design_width(n: int, d: int) -> int:
     return b
 
 
-def construct_list_disjunct(
-    n: int,
-    d: int,
-    seed: int,
-    audit_trials: int = 256,
-) -> ListDesign:
+def construct_list_disjunct(n: int, d: int, seed: int) -> ListDesign:
     """Random Bernoulli(1/(d+1)) design with list_design_width(n, d) tests,
     the fewest that keep a weight-d support's expected list of false
-    candidates at most d long, audited by decoding random low-weight
-    syndromes.  Each column is one bernoulli_mask draw."""
+    candidates at most d long, audited by decoding AUDIT_TRIALS random
+    low-weight syndromes.  Each column is one bernoulli_mask draw."""
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")
     if not 1 <= d < n:
@@ -442,12 +441,12 @@ def construct_list_disjunct(
         n, [BitVector(n, bernoulli_mask(rng, n, d + 1)) for _ in range(b)]
     )
     bound = 1
-    for _ in range(max(1, audit_trials)):
+    for _ in range(AUDIT_TRIALS):
         weight = 1 + rng.below(d)
         support = BitVector.from_coords(n, random_subset(rng, n, weight))
         hits = build_query_vector(matrix, syndrome(matrix, support)).weight()
         bound = max(bound, hits)
-    return ListDesign(matrix, d, bound, seed, max(1, audit_trials))
+    return ListDesign(matrix, d, bound, seed)
 
 
 def list_decode(design: ListDesign, label: Label) -> tuple[int, ...]:

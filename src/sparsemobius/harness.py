@@ -181,7 +181,6 @@ def run_cell(
 def run_benchmark(
     grid: Sequence[GridCell],
     tau: float = 1e-9,
-    value_tol: float = 1e-9,
 ) -> list[BenchRecord]:
     """Generate, reconstruct, and score every cell of the grid."""
     for cell in grid:
@@ -195,7 +194,7 @@ def run_benchmark(
         start = time.perf_counter()
         try:
             recovered = run_cell(cell, oracle, tau, matrices)
-            exact = recovered.close_to(truth, value_tol)
+            exact = recovered.close_to(truth)
         except SparseMobiusError:
             exact = False
         runtime_ms = (time.perf_counter() - start) * 1e3

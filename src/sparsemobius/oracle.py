@@ -86,12 +86,12 @@ class SparsePolynomial:
     def evaluate(self, x: BitVector) -> float:
         return eval_sparse(self, x)
 
-    def close_to(self, other: "SparsePolynomial", value_tol: float = DEFAULT_TAU) -> bool:
-        """Same dimension, same supports, values within value_tol."""
+    def close_to(self, other: "SparsePolynomial", tol: float = DEFAULT_TAU) -> bool:
+        """Same dimension, same supports, values within tol."""
         if self.n != other.n or self.entries.keys() != other.entries.keys():
             return False
         return all(
-            abs(v - other.entries[k]) <= value_tol for k, v in self.entries.items()
+            abs(v - other.entries[k]) <= tol for k, v in self.entries.items()
         )
 
     def __eq__(self, other: object) -> bool:

@@ -26,24 +26,14 @@ b + 1, independent of s (the all-ones root query is its own round).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 from .core import BitVector, Label, TestMatrix, log_query
 from .errors import DecodeError, DimensionError, ParameterError, ReconstructionError
 from .grouptest import decode_disjunct
 from .oracle import DEFAULT_TAU, CountingOracle, SparsePolynomial
 
-__all__ = ["LevelState", "solve_bin_system", "pasmt_run"]
-
-
-@dataclass(frozen=True)
-class LevelState:
-    """Surviving buckets after some number of refinement rounds."""
-
-    depth: int
-    labels: tuple[Label, ...]
-    values: tuple[float, ...]
+__all__ = ["solve_bin_system", "pasmt_run"]
 
 
 def solve_bin_system(
@@ -74,16 +64,11 @@ def solve_bin_system(
     return solution
 
 
-def _state(depth: int, masks: list[int], values: list[float]) -> LevelState:
-    return LevelState(depth, tuple(Label(depth, m) for m in masks), tuple(values))
-
-
 def refine_levels(
     f: CountingOracle,
     H: TestMatrix,
     tau: float,
     transcript: TextIO | None = None,
-    on_level: Callable[[LevelState], None] | None = None,
 ) -> list[tuple[Label, float, int, list[int]]]:
     """Run the level loop and return surviving leaf buckets.
 
@@ -91,7 +76,8 @@ def refine_levels(
     columns at which the label records a 0, the ascending indices of the
     leaves whose labels lie componentwise below its own).  The root
     evaluation and each level are separate batches.  An all-zero root
-    returns no buckets.
+    returns no buckets.  A run over the first t columns of H returns the
+    buckets of level t.
     """
     n = f.n
     if H.n != n:
@@ -104,8 +90,6 @@ def refine_levels(
         return []
     # bucket i: label bits, sum, zero union, and the earlier buckets below it
     masks, values, unions, below = [0], [root], [0], [[]]
-    if on_level is not None:
-        on_level(_state(0, masks, values))
     for t, column in enumerate(H.columns):
         col = column.mask
         # union and column lie inside the n coordinates, so XOR complements
@@ -147,8 +131,6 @@ def refine_levels(
             child0.append(z)
             children.append(kids)
         masks, values, unions, below = next_masks, next_values, next_unions, next_below
-        if on_level is not None:
-            on_level(_state(t + 1, masks, values))
         if not masks:
             break
     return [
@@ -162,18 +144,18 @@ def pasmt_run(
     d: int,
     tau: float = DEFAULT_TAU,
     transcript: TextIO | None = None,
-    on_level: Callable[[LevelState], None] | None = None,
 ) -> SparsePolynomial:
     """Recover the coefficient map of the oracle through a d-disjunct matrix.
 
-    Exact when H is d-disjunct for the true degree, no nonempty subset of
-    true coefficients sums to within tau of zero, and every coefficient
-    magnitude exceeds tau.  Decoding failures surface as
-    ReconstructionError carrying the offending label.
+    Exact when H is d-disjunct, the true degree is at most d, no nonempty
+    subset of true coefficients sums to within tau of zero, and every
+    coefficient magnitude exceeds tau.  A bucket whose decoded support is
+    inconsistent with its label or has weight above d raises
+    ReconstructionError carrying the bucket's label.
     """
     if d < 1:
         raise ParameterError(f"need d >= 1, got {d}")
-    leaves = refine_levels(f, H, tau, transcript, on_level)
+    leaves = refine_levels(f, H, tau, transcript)
     entries: dict[BitVector, float] = {}
     for label, value, *_ in leaves:
         try:

@@ -107,12 +107,13 @@ def test_reconstruct_explicit_format(tmp_path):
     assert read_polynomial(out).entries == {bv("1100"): 2.0}
 
 
-def test_reconstruct_degree_overflow_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("alg", ["pasmt", "fasmt", "hybrid"])
+def test_reconstruct_degree_overflow_exits_2(alg, tmp_path, capsys):
     inst = tmp_path / "deep.txt"
     write_poly_file(inst, SparsePolynomial(8, {bv("11100000"): 1.0}))
     out = tmp_path / "rec.txt"
     code = main([
-        "reconstruct", "--alg", "fasmt", "--input", str(inst),
+        "reconstruct", "--alg", alg, "--input", str(inst),
         "--d", "2", "--out", str(out),
     ])
     assert code == 2

@@ -8,7 +8,7 @@ Regenerate the file only when a behaviour change is intended:
     PYTHONPATH=src python3 tests/test_golden.py > tests/data/golden_runs.json
 
 To see first which recorded fields a change moves, for each instance and
-runner:
+runner (the command exits 1 when any run differs, 0 otherwise):
 
     PYTHONPATH=src python3 tests/test_golden.py --diff
 """
@@ -116,6 +116,14 @@ def diff_lines(golden: dict, current: dict) -> list[str]:
     return lines
 
 
+def report_diff(golden: dict, current: dict) -> int:
+    """Print the differing runs and their count; 1 if any differ, else 0."""
+    lines = diff_lines(golden, current)
+    total = len(current) * len(RUNNERS)
+    print("\n".join(lines + [f"{len(lines)} of {total} runs differ from {GOLDEN.name}"]))
+    return 1 if lines else 0
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN.read_text(encoding="ascii"))
@@ -156,12 +164,20 @@ def test_diff_names_the_fields_that_moved(golden):
     ]
 
 
+def test_diff_exit_status(golden, capsys):
+    moved = json.loads(json.dumps(golden))
+    moved[next(iter(golden))]["pasmt"]["queries"] += 1
+    total = len(golden) * len(RUNNERS)
+    assert report_diff(golden, golden) == 0
+    assert capsys.readouterr().out == f"0 of {total} runs differ from {GOLDEN.name}\n"
+    assert report_diff(golden, moved) == 1
+    assert capsys.readouterr().out.endswith(f"1 of {total} runs differ from {GOLDEN.name}\n")
+
+
 if __name__ == "__main__":
     current = record()
     if sys.argv[1:] == ["--diff"]:
-        lines = diff_lines(json.loads(GOLDEN.read_text(encoding="ascii")), current)
-        lines.append(f"{len(lines)} of {len(current) * len(RUNNERS)} runs differ from {GOLDEN.name}")
-        print("\n".join(lines))
+        sys.exit(report_diff(json.loads(GOLDEN.read_text(encoding="ascii")), current))
     else:
         # one line per instance and runner, so a behaviour change diffs readably
         blocks = []

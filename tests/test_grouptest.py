@@ -15,6 +15,7 @@ from sparsemobius.errors import (
     ParameterError,
 )
 from sparsemobius.grouptest import (
+    AUDIT_TRIALS,
     GbsaResult,
     GbsaTest,
     GbsaTree,
@@ -272,7 +273,10 @@ def test_construct_disjunct_deterministic():
 
 
 def test_decode_disjunct_examples():
-    assert decode_disjunct(H_FIG, lab("110"), 1) == bv("0011")
+    assert decode_disjunct(H_FIG, lab("110"), 2) == bv("0011")
+    # the same support is above degree 1
+    with pytest.raises(DecodeError, match="weight 2 above d=1"):
+        decode_disjunct(H_FIG, lab("110"), 1)
     with pytest.raises(DecodeError):
         decode_disjunct(H_FIG, lab("010"), 1)
     with pytest.raises(DimensionError):
@@ -304,23 +308,24 @@ def test_decoders_match_the_row_scan(n, data):
     H = TestMatrix(n, [BitVector(n, c) for c in columns])
     label = Label(H.b, data.draw(st.integers(0, (1 << H.b) - 1)))
     want = row_scan_decode(H, label)
-    design = ListDesign(matrix=H, d=1, list_bound=1, seed=0, audit_trials=1)
+    design = ListDesign(matrix=H, d=1, list_bound=1, seed=0)
     assert list_decode(design, label) == BitVector(n, want).coords()
+    # d = n leaves only the consistency check
     if syndrome(H, BitVector(n, want)) == label:
-        assert decode_disjunct(H, label, 1) == BitVector(n, want)
+        assert decode_disjunct(H, label, n) == BitVector(n, want)
     else:
         with pytest.raises(DecodeError):
-            decode_disjunct(H, label, 1)
+            decode_disjunct(H, label, n)
 
 
 def test_list_bound_matches_the_row_scan_audit():
     for n, d, seed in ((16, 1, 0), (40, 3, 7), (97, 2, 11)):
-        design = construct_list_disjunct(n, d, seed, audit_trials=64)
+        design = construct_list_disjunct(n, d, seed)
         rng = SplitMix64(seed)
         for _ in range(design.b):
             bernoulli_mask(rng, n, d + 1)  # the draws that built the columns
         bound = 1
-        for _ in range(64):
+        for _ in range(AUDIT_TRIALS):
             weight = 1 + rng.below(d)
             k = BitVector.from_coords(n, random_subset(rng, n, weight))
             hits = row_scan_decode(design.matrix, syndrome(design.matrix, k))
@@ -366,7 +371,7 @@ def test_list_design_width_is_the_smallest_that_caps_the_expected_list():
 @given(st.integers(2, 64), st.integers(0, 2**32), st.data())
 def test_list_decode_is_sound(n, seed, data):
     d = data.draw(st.integers(1, min(4, n - 1)))
-    design = construct_list_disjunct(n, d, seed, audit_trials=8)
+    design = construct_list_disjunct(n, d, seed)
     coords = data.draw(
         st.lists(st.integers(1, n), unique=True, max_size=d)
     )

@@ -150,7 +150,6 @@ def test_oversized_candidate_set_is_searched(caplog):
         d=design.d,
         list_bound=0,
         seed=design.seed,
-        audit_trials=design.audit_trials,
     )
     # phase 1 alone, to price the search of every leaf's candidate set
     phase1 = oracle_for(truth)

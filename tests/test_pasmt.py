@@ -105,6 +105,12 @@ def reference_refine_levels(f, H, tau, transcript):
     return list(zip(labels, values, unions)), states
 
 
+def level(f, H, t, tau):
+    """Labels and sums of the buckets left after the first t columns of H."""
+    leaves = refine_levels(f, TestMatrix(H.n, H.columns[:t]), tau)
+    return [ell for ell, *_ in leaves], [v for _, v, *_ in leaves]
+
+
 def leaf_key(leaves):
     return [(ell.to01(), repr(v), u) for ell, v, u, *_ in leaves]
 
@@ -125,8 +131,7 @@ def test_refine_levels_matches_dense_level_loop(n, integer, data):
     truth = SparsePolynomial(n, entries)
     want_out, got_out = io.StringIO(), io.StringIO()
     want, want_states = reference_refine_levels(oracle_for(truth), H, tau, want_out)
-    states = []
-    got = refine_levels(oracle_for(truth), H, tau, got_out, on_level=states.append)
+    got = refine_levels(oracle_for(truth), H, tau, got_out)
     assert leaf_key(got) == leaf_key(want)
     # each leaf lists every leaf whose label lies below its own, all earlier
     for i, (ell, _, _, below) in enumerate(got):
@@ -137,7 +142,9 @@ def test_refine_levels_matches_dense_level_loop(n, integer, data):
         ]
         assert all(j < i for j in below)
     assert got_out.getvalue() == want_out.getvalue()
-    assert [(list(s.labels), [repr(v) for v in s.values]) for s in states] == [
+    # level t's buckets are the leaves of a run over the first t columns
+    states = [level(oracle_for(truth), H, t, tau) for t in range(len(want_states))]
+    assert [(labels, [repr(v) for v in values]) for labels, values in states] == [
         (labels, [repr(v) for v in values]) for labels, values in want_states
     ]
 
@@ -200,22 +207,18 @@ def test_levels_conserve_mass_and_track_true_buckets():
     truth = generate_synthetic(16, 4, 2, seed=21)
     H = construct_disjunct(16, 2)
     total = truth.evaluate(BitVector.ones(16))
-    states = []
-    f = oracle_for(truth)
-    refine_levels(f, H, 1e-9, on_level=states.append)
-    assert states[0].depth == 0
-    assert states[-1].depth == H.b
-    for state in states:
-        assert abs(sum(state.values) - total) < 1e-6
-        texts = [ell.to01() for ell in state.labels]
+    for depth in range(H.b + 1):
+        labels, values = level(oracle_for(truth), H, depth, 1e-9)
+        assert abs(sum(values) - total) < 1e-6
+        texts = [ell.to01() for ell in labels]
         assert texts == sorted(texts)
-        assert all(ell.length == state.depth for ell in state.labels)
+        assert all(ell.length == depth for ell in labels)
         expected = {}
         for k, v in truth.entries.items():
-            prefix = Label(state.depth, syndrome(H, k).mask & ((1 << state.depth) - 1))
+            prefix = Label(depth, syndrome(H, k).mask & ((1 << depth) - 1))
             expected[prefix] = expected.get(prefix, 0.0) + v
-        assert set(state.labels) == set(expected)
-        for ell, v in zip(state.labels, state.values):
+        assert set(labels) == set(expected)
+        for ell, v in zip(labels, values):
             assert abs(v - expected[ell]) < 1e-6
 
 
@@ -253,6 +256,17 @@ def test_non_disjunct_matrix_can_mislearn():
     truth = SparsePolynomial(4, {bv("0010"): 1.0, bv("1000"): 2.0, bv("1100"): 4.0})
     got = pasmt_run(oracle_for(truth), H, 2)
     assert got.entries == {bv("0011"): 1.0, bv("1100"): 6.0}
+
+
+def test_degree_overflow_raises_with_label():
+    # the degree-3 coefficient's bucket decodes to a superset of its
+    # support, so to a weight above d = 2, and pasmt names that bucket
+    deep = BitVector.from_coords(32, (4, 17, 30))
+    truth = SparsePolynomial(32, {deep: 1.0, BitVector.from_coords(32, (9,)): 2.0})
+    H = construct_disjunct(32, 2)
+    with pytest.raises(ReconstructionError, match="above d=2") as info:
+        pasmt_run(oracle_for(truth), H, 2)
+    assert info.value.label == syndrome(H, deep)
 
 
 def test_oracle_dimension_mismatch():
