@@ -44,7 +44,7 @@ class BitVector:
     def __init__(self, n: int, mask: int = 0):
         if n < 0:
             raise DimensionError(f"vector length must be nonnegative, got {n}")
-        if not 0 <= mask < (1 << n):
+        if mask < 0 or mask.bit_length() > n:
             raise DimensionError(f"mask {mask:#x} does not fit in {n} bits")
         self.n = n
         self.mask = mask
@@ -125,7 +125,7 @@ class Label:
             raise DimensionError(f"label length must be nonnegative, got {length}")
         if length > MAX_LABEL_LENGTH:
             raise CapacityError(f"label length {length} exceeds {MAX_LABEL_LENGTH}")
-        if not 0 <= mask < (1 << length if length else 1):
+        if mask < 0 or mask.bit_length() > length:
             raise DimensionError(f"mask {mask:#x} does not fit in {length} bits")
         self.length = length
         self.mask = mask

@@ -4,34 +4,39 @@ Instead of refining every bucket per matrix column, this walker descends
 one bucket at a time, asking the splitting tree of the adaptive group
 tester which test vector to apply next.  A single evaluation of the
 residual function (the oracle minus everything already discovered) splits
-the bucket into its 0- and 1-children; vanishing children are dropped when
-popped.  When the tree terminates, the bucket's label pins a unique support
-of weight at most d and its sum is the coefficient.
+the bucket into its 0- and 1-children.  When the tree terminates, the
+bucket's label pins a unique support of weight at most d and its sum is
+the coefficient.
 
 One engine runs these searches for both this runner and the hybrid one.
-Each stack entry carries its label as (length, mask) integers, an
-immutable splitting-tree state over the bucket's universe of candidate
-coordinates, and a residual list: the discovered coefficients whose
-supports avoid the entry's zero union, in discovery order, which are the
-only ones that can lie below its query points.  The 0-child keeps the
-pairs subtracted at its parent's query; the 1-child extends its parent's
-list by whatever its 0-sibling's subtree found.  A child is advanced to its
-own tree state only when it is popped with a nonzero sum.  Pushing the
-1-child before the 0-child processes a bucket's descendants in
-lexicographic label order.
+Each bucket's search is a generator: it yields each query point and is
+sent the oracle's raw value there, keeping its stack, its finds and its
+splitting tree in locals.  A child whose sum vanishes is never pushed.  The
+search carries on with a nonzero 0-child at once and pushes a nonzero
+1-child, which it pops once the 0-child's subtree is done, so a bucket's
+descendants are split in lexicographic label order.  A child carries its
+label as (length, mask) integers, an immutable splitting-tree state over
+the bucket's universe of candidate coordinates, and a residual list: the
+discovered coefficients whose supports avoid the child's zero union, in
+discovery order, which are the only ones that can lie below its query
+points.  The 0-child keeps the pairs subtracted at its parent's query; the
+1-child extends its parent's list by whatever its 0-sibling's subtree
+found.
 
 Searches of several buckets run side by side, one query per bucket per
 adaptive round.  A bucket starts in the round after the last bucket whose
 label lies below its own finishes, so running buckets are pairwise
 incomparable and none of their coefficients lies below another's query
-points.  This runner has a single root bucket, so every query is its own
-round and the query count is at most 1 + s * (the splitting tree's test
-budget).
+points.  A search running alone is driven with single evaluations: no
+other bucket can start before it finishes, and each evaluation is one query
+and one round, as a batch of one is, so the counts do not change.  This
+runner has a single root bucket, so every query is its own round and the
+query count is at most 1 + s * (the splitting tree's test budget).
 """
 
 from __future__ import annotations
 
-from typing import Sequence, TextIO
+from typing import Generator, Sequence, TextIO
 
 from .core import MAX_LABEL_LENGTH, BitVector, Label, log_query
 from .errors import (
@@ -66,38 +71,74 @@ def split_bin(
     return raw, value - raw, below
 
 
-def _next_query(
-    n: int, tree: GbsaTree, stack: list, own: list, tau: float, found: dict[int, float]
-) -> tuple | None:
-    """Pop a search's stack to its next pending entry, recording every
-    coefficient the tree pins down on the way in own and found; None once
-    the stack is empty."""
-    while stack:
-        length, mask, value, union, residual, mark, state, outcome = stack.pop()
-        if abs(value) <= tau:
-            continue
-        if outcome is not None:
-            try:
-                state = tree.advance(state, outcome)
-            except InfeasiblePrefixError as err:
-                label = Label(length, mask)
-                raise ReconstructionError(
-                    f"degree overflow at bucket {label.to01()!r}: {err}", label=label
-                ) from err
-        if state.test is not None:
-            # what the search found since the entry was pushed (a 1-child's
-            # 0-sibling subtree) avoids the entry's zero union as well
+def _search(
+    n: int,
+    d: int,
+    tau: float,
+    bucket: tuple[Label, float, int, int, Sequence[int]],
+    found: dict[int, float],
+    transcript: TextIO | None,
+) -> Generator[BitVector, float, None]:
+    """One bucket's splitting search: yields each query point and is sent
+    the oracle's raw value there.  Records every coefficient it pins down
+    in found, in order, and returns once its stack is empty."""
+    label, value, union, universe, _ = bucket
+    tree = GbsaTree(universe, d)
+    if abs(value) <= tau:
+        return
+    advance = tree.advance
+    full = (1 << n) - 1
+    length, mask = label.length, label.mask
+    state = tree.start()
+    residual = [pair for pair in found.items() if pair[0] & union == 0]
+    own: list[tuple[int, float]] = []
+    # pending 1-children: label length and mask, sum, zero union, residual
+    # list, the search's find count at push, parent tree state
+    stack: list[tuple] = []
+    try:
+        while True:
+            test = state.test
+            if test is not None:
+                # union and test lie inside the n coordinates, so XOR complements
+                x = BitVector(n, full ^ (union | test))
+                v0, v1, below = split_bin(value, x, (yield x), residual)
+                if transcript is not None:
+                    log_query(transcript, Label(length, mask), x, v0)
+                if length >= MAX_LABEL_LENGTH:
+                    raise CapacityError(
+                        f"label length {length + 1} exceeds {MAX_LABEL_LENGTH}"
+                    )
+                if abs(v1) > tau:
+                    stack.append(
+                        (length + 1, mask | 1 << length, v1, union, residual, len(own), state)
+                    )
+                length += 1
+                if abs(v0) > tau:
+                    value, union, residual = v0, union | test, below
+                    state = advance(state, 0)
+                    continue
+            else:
+                if state.found in found:
+                    raise ReconstructionError(
+                        f"support {BitVector(n, state.found).to01()!r} decoded twice",
+                        label=Label(length, mask),
+                    )
+                found[state.found] = value
+                own.append((state.found, value))
+            if not stack:
+                return
+            length, mask, value, union, residual, mark, state = stack.pop()
+            # what the search found since the 1-child was pushed (its
+            # 0-sibling's subtree) avoids the child's zero union as well
             if mark < len(own):
                 residual = residual + own[mark:]
-            return length, mask, value, union, residual, state
-        if state.found in found:
-            raise ReconstructionError(
-                f"support {BitVector(n, state.found).to01()!r} decoded twice",
-                label=Label(length, mask),
-            )
-        found[state.found] = value
-        own.append((state.found, value))
-    return None
+            state = advance(state, 1)
+    except InfeasiblePrefixError as err:
+        # only advance raises it, after length and mask name the child
+        label = Label(length, mask)
+        raise ReconstructionError(
+            f"degree overflow at bucket {label.to01()!r}: {err}", label=label
+        ) from err
 
 
 def depth_first_search(
@@ -114,13 +155,15 @@ def depth_first_search(
     supports may use, and the indices of the earlier buckets whose labels
     lie componentwise below its own.  A bucket starts in the round after
     the last bucket on its list finishes, with the coefficients found so
-    far that avoid its zero union as its residual list.  Returns every
-    recovered coefficient.  A support of weight above d surfaces as
-    ReconstructionError (degree overflow) carrying the label of the bucket
-    where the tree ran out.
+    far that avoid its zero union as its residual list.  Each running
+    search is a generator of query points; a round sends every running
+    search the oracle's value at its point.  While only one search runs,
+    no bucket can start before it finishes, so it is driven with eval
+    alone, which charges one query and one round per point as a batch of
+    one does.  Returns every recovered coefficient.  A support of weight
+    above d surfaces as ReconstructionError (degree overflow) carrying the
+    label of the bucket where the tree ran out.
     """
-    n = f.n
-    full = (1 << n) - 1
     waiting = []
     dependents: list[list[int]] = [[] for _ in buckets]
     for i, bucket in enumerate(buckets):
@@ -138,49 +181,43 @@ def depth_first_search(
             if not waiting[j]:
                 ready.append(j)
 
-    active: list[tuple] = []
+    searches: list[tuple[int, Generator[BitVector, float, None]]] = []
+    xs: list[BitVector] = []
     while True:
         # the loop also starts the buckets that a bucket needing no query
         # releases
         for i in ready:
-            label, value, union, universe, _ = buckets[i]
-            tree = GbsaTree(universe, d)
-            residual = [pair for pair in found.items() if pair[0] & union == 0]
-            stack = [(label.length, label.mask, value, union, residual, 0, tree.start(), None)]
-            own: list[tuple[int, float]] = []
-            pending = _next_query(n, tree, stack, own, tau, found)
-            if pending is None:
+            search = _search(f.n, d, tau, buckets[i], found, transcript)
+            try:
+                xs.append(next(search))
+            except StopIteration:
                 finish(i)
             else:
-                active.append((i, tree, stack, own, pending))
+                searches.append((i, search))
         ready.clear()
-        if not active:
+        if len(searches) == 1:
+            i, search = searches[0]
+            send, evaluate, x = search.send, f.eval, xs[0]
+            try:
+                while True:
+                    x = send(evaluate(x))
+            except StopIteration:
+                finish(i)
+            searches, xs = [], []
+            continue
+        if not searches:
             break
-        # union and test lie inside the n coordinates, so XOR complements
-        xs = [BitVector(n, full ^ (p[3] | p[5].test)) for _, _, _, _, p in active]
         raws = f.batch_eval(xs)
-        still = []
-        for (i, tree, stack, own, pending), x, raw in zip(active, xs, raws):
-            length, mask, value, union, residual, state = pending
-            v0, v1, below = split_bin(value, x, raw, residual)
-            if transcript is not None:
-                log_query(transcript, Label(length, mask), x, v0)
-            if length >= MAX_LABEL_LENGTH:
-                raise CapacityError(
-                    f"label length {length + 1} exceeds {MAX_LABEL_LENGTH}"
-                )
-            # label length and mask, sum, zero union, residual list, the
-            # search's find count at push, parent tree state, outcome
-            mark = len(own)
-            stack.append((length + 1, mask | 1 << length, v1, union, residual, mark, state, 1))
-            stack.append((length + 1, mask, v0, union | state.test, below, mark, state, 0))
-            pending = _next_query(n, tree, stack, own, tau, found)
-            if pending is None:
+        still, xs = [], []
+        for (i, search), raw in zip(searches, raws):
+            try:
+                xs.append(search.send(raw))
+            except StopIteration:
                 finish(i)
             else:
-                still.append((i, tree, stack, own, pending))
-        active = still
-    return {BitVector(n, k): v for k, v in found.items()}
+                still.append((i, search))
+        searches = still
+    return {BitVector(f.n, k): v for k, v in found.items()}
 
 
 def fasmt_run(

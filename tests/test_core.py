@@ -61,6 +61,16 @@ def test_bitvector_validation():
         bv("01x")
 
 
+@pytest.mark.parametrize("cls", [BitVector, Label])
+@pytest.mark.parametrize("width", [0, 1, 7, 64, 4096])
+def test_mask_fits_width_boundary(cls, width):
+    # BitVector checks its mask against n, Label against its length
+    assert cls(width, (1 << width) - 1).mask == (1 << width) - 1
+    for mask in (1 << width, -1):
+        with pytest.raises(DimensionError, match="does not fit"):
+            cls(width, mask)
+
+
 def test_bitvector_hash_eq():
     assert bv("010") == bv("010")
     assert bv("010") != bv("0100")

@@ -4,12 +4,20 @@ import io
 
 import pytest
 
-from sparsemobius.core import BitVector, Label
-from sparsemobius.errors import DimensionError, ParameterError, ReconstructionError
+from sparsemobius import fasmt
+from sparsemobius.core import MAX_LABEL_LENGTH, BitVector, Label
+from sparsemobius.errors import (
+    CapacityError,
+    DimensionError,
+    ParameterError,
+    ReconstructionError,
+)
 from sparsemobius.fasmt import depth_first_search, fasmt_run, split_bin
-from sparsemobius.grouptest import gbsa_test_budget
+from sparsemobius.grouptest import construct_list_disjunct, gbsa_test_budget
 from sparsemobius.harness import generate_synthetic
+from sparsemobius.hybrid import hybrid_run
 from sparsemobius.oracle import CountingOracle, SparsePolynomial, SparsePolyOracle
+from sparsemobius.pasmt import refine_levels
 
 
 def bv(text: str) -> BitVector:
@@ -153,3 +161,70 @@ def test_validation():
         with pytest.raises(ParameterError):
             depth_first_search(f, buckets, 2, 1e-9)
     assert f.query_count == 0
+
+
+@pytest.mark.parametrize("n, s, d, seed", [(16, 4, 2, 71), (64, 12, 3, 72)])
+def test_every_search_query_calls_split_bin_through_the_module(monkeypatch, n, s, d, seed):
+    # the benchmark's traced run times the splitting step by patching this
+    # module name, so every search query must look it up at call time
+    calls = [0]
+    inner = fasmt.split_bin
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(fasmt, "split_bin", counted)
+    truth = generate_synthetic(n, s, d, seed=seed)
+    f = oracle_for(truth)
+    fasmt_run(f, n, d)
+    assert calls[0] == f.query_count - 1
+    design = construct_list_disjunct(n, d, seed)
+    phase1 = oracle_for(truth)
+    refine_levels(phase1, design.matrix, 1e-9)
+    calls[0] = 0
+    f = oracle_for(truth)
+    hybrid_run(f, n, d, seed, design=design)
+    assert calls[0] == f.query_count - phase1.query_count > 0
+
+
+def test_a_support_decoded_by_two_running_buckets():
+    # both buckets' universes hold coordinate 1, the one true support, and
+    # neither label lies below the other, so both test it in one round; the
+    # second to record the support names its own label
+    f = oracle_for(SparsePolynomial(4, {bv("1000"): 2.0}))
+    universe = bv("1000").mask
+    buckets = [
+        (Label.from01("01"), 2.0, 0, universe, ()),
+        (Label.from01("10"), 2.0, 0, universe, ()),
+    ]
+    with pytest.raises(ReconstructionError, match="decoded twice") as info:
+        depth_first_search(f, buckets, 1, 1e-9)
+    assert info.value.label.to01().startswith("10")
+    assert f.round_count == 1
+    assert f.query_count == 2
+
+
+def test_a_full_label_raises_after_one_query():
+    f = oracle_for(P)
+    ones = BitVector.ones(4).mask
+    bucket = (Label(MAX_LABEL_LENGTH, 0), 5.0, 0, ones, ())
+    with pytest.raises(CapacityError):
+        depth_first_search(f, [bucket], 2, 1e-9)
+    assert f.query_count == f.round_count == 1
+
+
+def test_degree_overflow_in_a_shared_round_names_its_bucket():
+    # bucket "10" holds the weight-2 support 1100 and overflows d = 1 in
+    # its third query; bucket "01" holds 0001 and is still running then
+    truth = SparsePolynomial(4, {bv("1100"): 1.0, bv("0001"): 3.0})
+    f = oracle_for(truth)
+    buckets = [
+        (Label.from01("10"), 1.0, bv("0001").mask, bv("1100").mask, ()),
+        (Label.from01("01"), 3.0, bv("1100").mask, bv("0011").mask, ()),
+    ]
+    with pytest.raises(ReconstructionError, match="degree overflow") as info:
+        depth_first_search(f, buckets, 1, 1e-9)
+    assert info.value.label.to01().startswith("10")
+    assert f.round_count == 3
+    assert f.query_count == 6
