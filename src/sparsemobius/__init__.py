@@ -28,7 +28,6 @@ from .grouptest import (
     construct_disjunct,
     construct_list_disjunct,
     decode_disjunct,
-    gbsa_run,
     gbsa_step,
     gbsa_test_budget,
     identity_matrix,
@@ -41,7 +40,6 @@ from .harness import (
     generate_synthetic,
     lower_bound,
     optimality_ratio,
-    read_csv,
     run_benchmark,
     write_csv,
 )
@@ -49,15 +47,11 @@ from .hybrid import hybrid_run
 from .oracle import (
     DEFAULT_TAU,
     CountingOracle,
-    Hypergraph,
     QueryOracle,
     SparsePolynomial,
     SparsePolyOracle,
-    eval_sparse,
-    hypergraph_to_polynomial,
     read_hypergraph,
     read_polynomial,
-    write_hypergraph,
     write_polynomial,
 )
 from .pasmt import pasmt_run, solve_bin_system

@@ -35,7 +35,6 @@ from .oracle import (
     DEFAULT_TAU,
     CountingOracle,
     SparsePolyOracle,
-    hypergraph_to_polynomial,
     read_hypergraph,
     read_polynomial,
     write_polynomial,
@@ -64,7 +63,7 @@ def _load_instance(path: str, form: str):
     if form == "poly":
         return read_polynomial(path)
     if form == "hgr":
-        return hypergraph_to_polynomial(read_hypergraph(path))
+        return read_hypergraph(path)
     with open(path, "r", encoding="ascii") as handle:
         lines = handle.read().splitlines()
     header = lines[0].split() if lines else []
@@ -75,7 +74,7 @@ def _load_instance(path: str, form: str):
             continue
         if len(parts) == 2 and len(parts[1]) == n and set(parts[1]) <= {"0", "1"}:
             return read_polynomial(path)
-        return hypergraph_to_polynomial(read_hypergraph(path))
+        return read_hypergraph(path)
     return read_polynomial(path)
 
 
@@ -118,7 +117,7 @@ def _cmd_verify(args) -> int:
     baseline = brute_force_learn(
         CountingOracle(SparsePolyOracle(truth)), truth.n, args.tau
     )
-    if recovered.close_to(baseline, max(args.tau, 1e-9)):
+    if recovered.close_to(baseline, max(args.tau, DEFAULT_TAU)):
         print("verified: spectra match")
         return 0
     print("MISMATCH between reconstruction and exhaustive baseline")
@@ -180,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben = subs.add_parser("bench", help="run a benchmark grid")
     ben.add_argument("--grid", required=True, help="file of 'algorithm n s d seed' lines")
     ben.add_argument("--out", required=True, help="CSV output path")
-    ben.add_argument("--tau", type=float, default=1e-9)
+    ben.add_argument("--tau", type=float, default=DEFAULT_TAU, help="zero tolerance")
     ben.set_defaults(func=_cmd_bench)
 
     bnd = subs.add_parser("bound", help="print the query lower bound")

@@ -168,7 +168,14 @@ class Label:
 
 def log_query(transcript: TextIO | None, label: Label, x: BitVector, value: float) -> None:
     """Write one tab-separated transcript line (bucket label, query point,
-    value); a None transcript writes nothing."""
+    value); a None transcript writes nothing.
+
+    The value column holds one of two things.  The root query, pasmt's
+    level loop and hybrid's phase 1 log the oracle's raw value f(x).  The
+    depth-first engine (fasmt and hybrid's phase 2) logs the bucket's
+    residual 0-child sum: f(x) minus the coefficients already found below
+    x, as split_bin returns it.
+    """
     if transcript is not None:
         transcript.write(f"{label.to01()}\t{x.to01()}\t{value!r}\n")
 

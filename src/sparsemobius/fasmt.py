@@ -232,6 +232,9 @@ def fasmt_run(
     Exact under the same conditions as the breadth-first runner whenever
     the true degree is at most d.  A true degree above d surfaces as
     ReconstructionError (degree overflow) carrying the offending label.
+    The transcript's root line holds the raw value f(1...1); every later
+    line holds the residual 0-child sum, f(x) minus the coefficients
+    already found below x.
     """
     if f.n != n:
         raise DimensionError(f"oracle is over n={f.n}, expected {n}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .core import BitVector, Label, TestMatrix, build_query_vector, syndrome
 from .errors import (
@@ -34,7 +34,6 @@ __all__ = [
     "GbsaState",
     "GbsaTree",
     "gbsa_step",
-    "gbsa_run",
     "gbsa_test_budget",
     "identity_matrix",
     "construct_disjunct",
@@ -217,26 +216,6 @@ def gbsa_step(label: Label, n: int, d: int) -> GbsaAction:
     return GbsaTest(BitVector(n, state.test))
 
 
-def gbsa_run(
-    tester: Callable[[BitVector], int], n: int, d: int
-) -> tuple[BitVector, int]:
-    """Drive the splitting tree against a live tester.
-
-    Returns the defective set and the number of tests consumed, which never
-    exceeds gbsa_test_budget(n, d).
-    """
-    if n < 0 or d < 1:
-        raise ParameterError(f"need n >= 0 and d >= 1, got n={n}, d={d}")
-    tree = GbsaTree((1 << n) - 1, d)
-    state = tree.start()
-    used = 0
-    while state.test is not None:
-        outcome = 1 if tester(BitVector(n, state.test)) else 0
-        used += 1
-        state = tree.advance(state, outcome)
-    return BitVector(n, state.found), used
-
-
 def identity_matrix(n: int) -> TestMatrix:
     """One private test per coordinate; d-disjunct for every d <= n - 1."""
     return TestMatrix(n, [BitVector(n, 1 << i) for i in range(n)])
@@ -310,22 +289,17 @@ def construct_disjunct(n: int, d: int) -> TestMatrix:
         cand = _bit_tests(n)
         if cand.b < best.b:
             best = cand
-    q = 2
     stop = max(d + 1, math.isqrt(n - 1) + 1)
-    while True:
-        if _is_prime(q):
-            m = 1
-            while q**m < n:
-                m += 1
-            if m >= 2 and q >= d * (m - 1) + 1 and q * q < best.b:
-                cand = _rs_concat(n, q, m)
-                if cand.b < best.b:
-                    best = cand
-            if q >= stop:
-                break
-        elif q >= stop:
-            break
-        q += 1
+    for q in range(2, stop + 1):
+        if not _is_prime(q):
+            continue
+        m = 1
+        while q**m < n:
+            m += 1
+        if m >= 2 and q >= d * (m - 1) + 1 and q * q < best.b:
+            cand = _rs_concat(n, q, m)
+            if cand.b < best.b:
+                best = cand
     return best
 
 

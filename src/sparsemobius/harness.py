@@ -26,6 +26,7 @@ from .fasmt import fasmt_run
 from .grouptest import construct_disjunct, identity_matrix
 from .hybrid import hybrid_run
 from .oracle import (
+    DEFAULT_TAU,
     CountingOracle,
     SparsePolynomial,
     SparsePolyOracle,
@@ -45,7 +46,6 @@ __all__ = [
     "run_benchmark",
     "run_cell",
     "write_csv",
-    "read_csv",
     "read_grid",
 ]
 
@@ -180,7 +180,7 @@ def run_cell(
 
 def run_benchmark(
     grid: Sequence[GridCell],
-    tau: float = 1e-9,
+    tau: float = DEFAULT_TAU,
 ) -> list[BenchRecord]:
     """Generate, reconstruct, and score every cell of the grid."""
     for cell in grid:
@@ -239,43 +239,6 @@ def write_csv(records: Sequence[BenchRecord], sink: str | os.PathLike | TextIO) 
         )
         writer.writerow(row)
     _write_text(sink, out.getvalue())
-
-
-def read_csv(source: str | os.PathLike | TextIO) -> tuple[str, list[BenchRecord]]:
-    """Read back (generator identifier, records); inverse of write_csv."""
-    lines = _read_lines(source)
-    if not lines or not lines[0].startswith("# prng="):
-        raise FormatError("missing '# prng=' header", 1)
-    prng_id = lines[0].removeprefix("# prng=")
-    reader = csv.DictReader(lines[1:])
-    if reader.fieldnames != CSV_FIELDS:
-        raise FormatError(f"unexpected columns {reader.fieldnames}", 2)
-    records = []
-    for lineno, row in enumerate(reader, start=3):
-        try:
-            records.append(
-                BenchRecord(
-                    algorithm=row["algorithm"],
-                    n=int(row["n"]),
-                    s_requested=int(row["s_requested"]),
-                    s_actual=int(row["s_actual"]),
-                    d=int(row["d"]),
-                    seed=int(row["seed"]),
-                    queries=int(row["queries"]),
-                    rounds=int(row["rounds"]),
-                    runtime_ms=float(row["runtime_ms"]),
-                    exact={"true": True, "false": False}[row["exact"]],
-                    lower_bound=float(row["lower_bound"]) if row["lower_bound"] else None,
-                    optimality_ratio=(
-                        float(row["optimality_ratio"])
-                        if row["optimality_ratio"]
-                        else None
-                    ),
-                )
-            )
-        except (KeyError, ValueError) as err:
-            raise FormatError(f"bad record: {err}", lineno) from None
-    return prng_id, records
 
 
 def read_grid(source: str | os.PathLike | TextIO) -> list[GridCell]:

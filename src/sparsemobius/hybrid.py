@@ -52,6 +52,8 @@ def hybrid_run(
     prebuilt design may be passed in to amortize its audit across runs, in
     which case the seed is ignored.  A true degree above d surfaces as
     ReconstructionError (degree overflow) carrying the offending label.
+    The transcript's phase-1 lines hold the raw value f(x), as pasmt's do;
+    its phase-2 lines hold residual 0-child sums, as fasmt's do.
     """
     if f.n != n:
         raise DimensionError(f"oracle is over n={f.n}, expected {n}")

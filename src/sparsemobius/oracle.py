@@ -2,9 +2,11 @@
 
 A polynomial is a finite map from monomial supports (bit vectors) to nonzero
 real coefficients; its value at a point x is the sum of coefficients whose
-support is componentwise below x.  Unweighted hypergraph instances produce
-integer coefficients, and evaluation keeps exact integers in that case, so
-reconstruction can run with a zero tolerance.
+support is componentwise below x.  A hypergraph's edge-count function is
+such a polynomial, one monomial per edge, so an edge list is read straight
+into one.  Unweighted hypergraphs produce integer coefficients, and
+evaluation keeps exact integers in that case, so reconstruction can run
+with a zero tolerance.
 
 Every reconstruction algorithm routes each evaluation through a
 CountingOracle, the only mutable object on the query path.  It tallies
@@ -16,7 +18,7 @@ from __future__ import annotations
 import io
 import math
 import os
-from typing import Iterable, Mapping, Protocol, Sequence, TextIO
+from typing import Mapping, Protocol, Sequence, TextIO
 
 from .core import BitVector
 from .errors import DimensionError, FormatError, ValidationError
@@ -24,16 +26,12 @@ from .errors import DimensionError, FormatError, ValidationError
 __all__ = [
     "DEFAULT_TAU",
     "SparsePolynomial",
-    "Hypergraph",
     "QueryOracle",
     "SparsePolyOracle",
     "CountingOracle",
-    "eval_sparse",
-    "hypergraph_to_polynomial",
     "read_polynomial",
     "write_polynomial",
     "read_hypergraph",
-    "write_hypergraph",
 ]
 
 DEFAULT_TAU = 1e-9
@@ -76,15 +74,16 @@ class SparsePolynomial:
     def sparsity(self) -> int:
         return len(self.entries)
 
-    def degree(self) -> int:
-        """Largest support weight present, 0 for the zero polynomial."""
-        return max((k.weight() for k in self.entries), default=0)
-
-    def support(self) -> set[BitVector]:
-        return set(self.entries)
-
     def evaluate(self, x: BitVector) -> float:
-        return eval_sparse(self, x)
+        """Sum of coefficients whose support is componentwise below x."""
+        if x.n != self.n:
+            raise DimensionError(f"point length {x.n}, expected {self.n}")
+        xm = x.mask
+        total = 0
+        for k, v in self.entries.items():
+            if k.mask & xm == k.mask:
+                total += v
+        return total
 
     def close_to(self, other: "SparsePolynomial", tol: float = DEFAULT_TAU) -> bool:
         """Same dimension, same supports, values within tol."""
@@ -101,56 +100,8 @@ class SparsePolynomial:
             and self.entries == other.entries
         )
 
-    def __hash__(self) -> int:
-        return hash((self.n, frozenset(self.entries.items())))
-
     def __repr__(self) -> str:
         return f"SparsePolynomial(n={self.n}, s={self.sparsity})"
-
-
-def eval_sparse(poly: SparsePolynomial, x: BitVector) -> float:
-    """Sum of coefficients whose support is componentwise below x."""
-    if x.n != poly.n:
-        raise DimensionError(f"point length {x.n}, expected {poly.n}")
-    xm = x.mask
-    total = 0
-    for k, v in poly.entries.items():
-        if k.mask & xm == k.mask:
-            total += v
-    return total
-
-
-class Hypergraph:
-    """Weighted hypergraph on vertices 1..n with distinct edge vertex-sets."""
-
-    __slots__ = ("n", "edges")
-
-    def __init__(self, n: int, edges: Iterable[tuple[BitVector, float]]):
-        if n < 1:
-            raise DimensionError(f"vertex count must be positive, got {n}")
-        seen: set[BitVector] = set()
-        kept: list[tuple[BitVector, float]] = []
-        for verts, w in edges:
-            if verts.n != n:
-                raise DimensionError(
-                    f"edge {verts.to01()!r} has length {verts.n}, expected {n}"
-                )
-            if verts in seen:
-                raise ValidationError(f"duplicate edge vertex-set {verts.to01()!r}")
-            if w == 0 or not math.isfinite(w):
-                raise ValidationError(f"edge {verts.to01()!r} has invalid weight {w!r}")
-            seen.add(verts)
-            kept.append((verts, w))
-        self.n = n
-        self.edges = tuple(kept)
-
-    def __repr__(self) -> str:
-        return f"Hypergraph(n={self.n}, m={len(self.edges)})"
-
-
-def hypergraph_to_polynomial(graph: Hypergraph) -> SparsePolynomial:
-    """Coefficient map with one monomial per edge, weight as coefficient."""
-    return SparsePolynomial(graph.n, dict(graph.edges))
 
 
 class QueryOracle(Protocol):
@@ -301,12 +252,13 @@ def write_polynomial(poly: SparsePolynomial, sink: str | os.PathLike | TextIO) -
     _write_text(sink, out.getvalue())
 
 
-def read_hypergraph(source: str | os.PathLike | TextIO) -> Hypergraph:
-    """Read the "n m" / "w v1 v2 ... vk" edge-list format."""
+def read_hypergraph(source: str | os.PathLike | TextIO) -> SparsePolynomial:
+    """Read the "n m" / "w v1 v2 ... vk" edge-list format as the hypergraph's
+    edge-count polynomial: one monomial per edge, its weight as the
+    coefficient, in file order."""
     lines = _read_lines(source)
     n, m = _parse_header(lines, "hypergraph")
-    edges: list[tuple[BitVector, float]] = []
-    seen: set[BitVector] = set()
+    entries: dict[BitVector, float] = {}
     for lineno, line in _data_lines(lines, m, "edge"):
         parts = line.split()
         if len(parts) < 2:
@@ -326,17 +278,7 @@ def read_hypergraph(source: str | os.PathLike | TextIO) -> Hypergraph:
         if len(set(coords)) != len(coords):
             raise FormatError("duplicate vertex in edge", lineno)
         verts = BitVector.from_coords(n, coords)
-        if verts in seen:
+        if verts in entries:
             raise FormatError(f"duplicate edge vertex-set {verts.to01()!r}", lineno)
-        seen.add(verts)
-        edges.append((verts, weight))
-    return Hypergraph(n, edges)
-
-
-def write_hypergraph(graph: Hypergraph, sink: str | os.PathLike | TextIO) -> None:
-    out = io.StringIO()
-    out.write(f"{graph.n} {len(graph.edges)}\n")
-    for verts, w in graph.edges:
-        coords = " ".join(str(c) for c in verts.coords())
-        out.write(f"{w!r} {coords}\n")
-    _write_text(sink, out.getvalue())
+        entries[verts] = weight
+    return SparsePolynomial(n, entries)

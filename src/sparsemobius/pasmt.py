@@ -151,7 +151,8 @@ def pasmt_run(
     subset of true coefficients sums to within tau of zero, and every
     coefficient magnitude exceeds tau.  A bucket whose decoded support is
     inconsistent with its label or has weight above d raises
-    ReconstructionError carrying the bucket's label.
+    ReconstructionError carrying the bucket's label.  The transcript gets
+    one line per query holding the oracle's raw value f(x).
     """
     if d < 1:
         raise ParameterError(f"need d >= 1, got {d}")

@@ -21,10 +21,10 @@ from sparsemobius.core import BitVector, syndrome
 from sparsemobius.errors import ParameterError
 from sparsemobius.fasmt import fasmt_run
 from sparsemobius.grouptest import (
+    GbsaTree,
     construct_disjunct,
     construct_list_disjunct,
     decode_disjunct,
-    gbsa_run,
     gbsa_test_budget,
     identity_matrix,
     verify_disjunct,
@@ -283,6 +283,16 @@ def test_criterion_05_binary_splitting_recovery():
     15-test budget, and 200 randomized weight <= 16 supports over n = 4096
     within budget, in under 30 seconds."""
     start = time.perf_counter()
+
+    def search(k: BitVector, d: int) -> tuple[BitVector, int]:
+        # walk the tree with the tests' outcomes against the support k
+        tree = GbsaTree(BitVector.ones(k.n).mask, d)
+        state, used = tree.start(), 0
+        while state.test is not None:
+            state = tree.advance(state, 1 if k.mask & state.test else 0)
+            used += 1
+        return BitVector(k.n, state.found), used
+
     n, d = 10, 3
     budget = gbsa_test_budget(n, d)
     assert budget == 3 * (math.ceil(math.log2(10 / 3)) + 2) + 3 == 15
@@ -290,7 +300,7 @@ def test_criterion_05_binary_splitting_recovery():
     for w in range(d + 1):
         for coords in combinations(range(1, n + 1), w):
             k = BitVector.from_coords(n, coords)
-            got, used = gbsa_run(lambda x: 1 if (k.mask & x.mask) else 0, n, d)
+            got, used = search(k, d)
             assert got == k, coords
             assert used <= budget, (coords, used)
             count += 1
@@ -305,7 +315,7 @@ def test_criterion_05_binary_splitting_recovery():
         while len(coords) < w:
             coords.add(1 + rng.below(n))
         k = BitVector.from_coords(n, sorted(coords))
-        got, used = gbsa_run(lambda x: 1 if (k.mask & x.mask) else 0, n, d)
+        got, used = search(k, d)
         assert got == k
         assert used <= budget
     elapsed = time.perf_counter() - start

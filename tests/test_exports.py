@@ -5,9 +5,42 @@ from __future__ import annotations
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import sparsemobius
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# a backticked span that reads as a name, optionally called
+API_SPAN = re.compile(r"^[A-Za-z_][\w.]*(\(.*\))?$")
+
+
+def _resolves(root: object, dotted: str) -> bool:
+    for part in dotted.split("."):
+        if not hasattr(root, part):
+            return False
+        root = getattr(root, part)
+    return True
+
+
+def unresolved_api_names(text: str) -> list[str]:
+    """Backticked spans that name API (they hold a '_', '.' or '(', or start
+    with a capital) but no attribute of the package or of a submodule."""
+    roots = [sparsemobius] + [
+        importlib.import_module(f"sparsemobius.{info.name}")
+        for info in pkgutil.iter_modules(sparsemobius.__path__)
+        if info.name != "__main__"
+    ]
+    missing = []
+    for span in re.findall(r"`([^`\n]+)`", text):
+        if not API_SPAN.match(span):
+            continue
+        if not (set(span) & set("_.(") or span[0].isupper()):
+            continue
+        name = span.split("(", 1)[0]
+        if not any(_resolves(root, name) for root in roots):
+            missing.append(span)
+    return missing
 
 
 def test_all_lists_resolve_and_package_reexports_are_listed():
@@ -31,3 +64,10 @@ def test_all_lists_resolve_and_package_reexports_are_listed():
         unlisted = [name for name in reexported.get(info.name, ()) if name not in listed]
         assert not unlisted, f"package imports {unlisted} not in {info.name}.__all__"
     assert checked >= 8
+
+
+def test_readme_api_names_resolve():
+    assert unresolved_api_names(README.read_text(encoding="utf-8")) == []
+    # plain words are skipped; a deleted or misspelt name is reported
+    text = "`tau`, `fasmt_run`, `core.log_query`, `no_such_helper`, `core.nothing(x)`, `Nope`"
+    assert unresolved_api_names(text) == ["no_such_helper", "core.nothing(x)", "Nope"]

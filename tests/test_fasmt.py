@@ -13,11 +13,15 @@ from sparsemobius.errors import (
     ReconstructionError,
 )
 from sparsemobius.fasmt import depth_first_search, fasmt_run, split_bin
-from sparsemobius.grouptest import construct_list_disjunct, gbsa_test_budget
+from sparsemobius.grouptest import (
+    construct_disjunct,
+    construct_list_disjunct,
+    gbsa_test_budget,
+)
 from sparsemobius.harness import generate_synthetic
 from sparsemobius.hybrid import hybrid_run
 from sparsemobius.oracle import CountingOracle, SparsePolynomial, SparsePolyOracle
-from sparsemobius.pasmt import refine_levels
+from sparsemobius.pasmt import pasmt_run, refine_levels
 
 
 def bv(text: str) -> BitVector:
@@ -138,6 +142,46 @@ def test_transcript_shape():
         assert set(label) <= {"0", "1"}
         assert len(x) == 12
         float(value)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_transcript_values_are_raw_or_residual(monkeypatch, seed):
+    # pasmt and hybrid's phase 1 log f(x); the engine logs the 0-child sum
+    # split_bin returned, f(x) minus the coefficients found below x
+    zero_sums = []
+    inner = fasmt.split_bin
+
+    def recorded(*args):
+        out = inner(*args)
+        zero_sums.append(out[0])
+        return out
+
+    monkeypatch.setattr(fasmt, "split_bin", recorded)
+    n, d = 32, 2
+    truth = generate_synthetic(n, 8, d, seed)
+
+    def logged(run) -> list[tuple[BitVector, float]]:
+        sink = io.StringIO()
+        run(oracle_for(truth), sink)
+        rows = [line.split("\t") for line in sink.getvalue().splitlines()]
+        return [(BitVector.from01(x), float(v)) for _, x, v in rows]
+
+    lines = logged(lambda f, sink: pasmt_run(f, construct_disjunct(n, d), d, transcript=sink))
+    assert all(v == truth.evaluate(x) for x, v in lines)
+    assert zero_sums == []
+
+    lines = logged(lambda f, sink: fasmt_run(f, n, d, transcript=sink))
+    root, *searched = lines
+    assert root[1] == truth.evaluate(root[0])
+    assert [v for _, v in searched] == zero_sums
+    assert any(v != truth.evaluate(x) for x, v in searched)
+
+    zero_sums.clear()
+    lines = logged(lambda f, sink: hybrid_run(f, n, d, seed, transcript=sink))
+    phase1 = len(lines) - len(zero_sums)
+    assert 0 < phase1 < len(lines)
+    assert all(v == truth.evaluate(x) for x, v in lines[:phase1])
+    assert [v for _, v in lines[phase1:]] == zero_sums
 
 
 def test_degree_overflow_raises():

@@ -23,7 +23,6 @@ from sparsemobius.grouptest import (
     construct_disjunct,
     construct_list_disjunct,
     decode_disjunct,
-    gbsa_run,
     gbsa_step,
     gbsa_test_budget,
     identity_matrix,
@@ -50,6 +49,17 @@ def membership(k: BitVector):
         return 1 if x.mask & k.mask else 0
 
     return probe
+
+
+def walk_tree(probe, n: int, d: int) -> tuple[BitVector, int]:
+    """Drive the splitting tree over coordinates 1..n against a tester;
+    returns the defective set and the number of tests used."""
+    tree = GbsaTree((1 << n) - 1, d)
+    state, used = tree.start(), 0
+    while state.test is not None:
+        state = tree.advance(state, probe(BitVector(n, state.test)))
+        used += 1
+    return BitVector(n, state.found), used
 
 
 # Tests h1 = {3,4}, h2 = {1,3}, h3 = {1,2}: not 1-disjunct (the tests
@@ -86,7 +96,7 @@ def test_step_full_trace():
     # positive block, left half clean, coordinate 3 isolated, rest clean
     action = gbsa_step(lab("1010"), 4, 1)
     assert action == GbsaResult(bv("0010"))
-    found, used = gbsa_run(membership(bv("0010")), 4, 1)
+    found, used = walk_tree(membership(bv("0010")), 4, 1)
     assert found == bv("0010")
     assert used == 4
 
@@ -113,7 +123,7 @@ def test_step_infeasible_prefixes():
 
 
 def test_run_empty_domain():
-    found, used = gbsa_run(membership(BitVector.zeros(0)), 0, 1)
+    found, used = walk_tree(membership(BitVector.zeros(0)), 0, 1)
     assert found == BitVector.zeros(0)
     assert used == 0
 
@@ -125,7 +135,7 @@ def test_run_recovers_every_small_support():
             for w in range(0, d + 1):
                 for coords in combinations(range(1, n + 1), w):
                     k = BitVector.from_coords(n, coords)
-                    found, used = gbsa_run(membership(k), n, d)
+                    found, used = walk_tree(membership(k), n, d)
                     assert found == k
                     assert used <= budget
 
@@ -142,7 +152,7 @@ def test_run_matches_step_replay():
             assert action.vector == k
             break
         label = label.append(probe(action.vector))
-    found, used = gbsa_run(probe, n, d)
+    found, used = walk_tree(probe, n, d)
     assert found == k
     assert used == label.length
 
@@ -154,7 +164,7 @@ def test_run_random_supports(n, d, data):
         st.lists(st.integers(1, n), unique=True, max_size=min(d, n))
     )
     k = BitVector.from_coords(n, coords)
-    found, used = gbsa_run(membership(k), n, d)
+    found, used = walk_tree(membership(k), n, d)
     assert found == k
     assert used <= gbsa_test_budget(n, d)
 
@@ -266,6 +276,12 @@ def test_construct_disjunct_always_verifies(n, d):
     H = construct_disjunct(n, d)
     assert H.b <= n
     assert verify_disjunct(H, d)
+
+
+def test_construct_disjunct_widths():
+    # the widths the candidate search picks; a shorter design moves these
+    widths = {(16, 2): 16, (64, 4): 64, (128, 4): 121, (256, 4): 121, (256, 1): 16, (4096, 2): 121}
+    assert {key: construct_disjunct(*key).b for key in widths} == widths
 
 
 def test_construct_disjunct_deterministic():
