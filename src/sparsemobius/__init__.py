@@ -57,10 +57,7 @@ from .oracle import (
 from .pasmt import pasmt_run, solve_bin_system
 from .reference import (
     DenseTable,
-    DenseTableOracle,
-    brute_force_learn,
     check_subset_sum_independence,
-    dense_from_polynomial,
     mobius_transform,
     zeta_transform,
 )

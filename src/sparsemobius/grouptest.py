@@ -163,11 +163,15 @@ class GbsaTree:
         self, block: int, remaining: int, window: int, found: int, count: int
     ) -> GbsaState:
         """Take the forced steps (a one-candidate window is a defective, an
-        exhausted block hands over to the next) until a test is pending."""
+        exhausted block hands over to the next) until a test is pending.
+
+        States are built by tuple.__new__, which skips the NamedTuple's
+        Python-level __new__: the same object at half the cost, once per
+        depth-first query."""
         while True:
             if window & (window - 1):
                 half = _lowest(window, (window.bit_count() + 1) // 2)
-                return GbsaState(block, remaining, window, found, count, half)
+                return tuple.__new__(GbsaState, (block, remaining, window, found, count, half))
             if window:
                 found |= window
                 count += 1
@@ -178,10 +182,10 @@ class GbsaTree:
                 remaining ^= window
                 window = 0
             if remaining:
-                return GbsaState(block, remaining, 0, found, count, remaining)
+                return tuple.__new__(GbsaState, (block, remaining, 0, found, count, remaining))
             block += 1
             if block == len(self.blocks):
-                return GbsaState(block, 0, 0, found, count, None)
+                return tuple.__new__(GbsaState, (block, 0, 0, found, count, None))
             remaining = self.blocks[block]
 
 

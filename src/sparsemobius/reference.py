@@ -1,10 +1,10 @@
-"""Dense reference transforms and brute-force baselines.
+"""Dense reference transforms and the subset-sum independence check.
 
-Everything here is exponential in n and exists to validate the sparse
+The transforms are exponential in n and exist to validate the sparse
 algorithms on small instances: the zeta transform (coefficient table to
-evaluation table), its Mobius inverse, an exhaustive learner, and the
-subset-sum independence check that the pruning rule of the sparse
-algorithms relies on.
+evaluation table) and its Mobius inverse.  The subset-sum independence
+check tests the assumption that the pruning rule of the sparse algorithms
+relies on.
 """
 
 from __future__ import annotations
@@ -13,23 +13,18 @@ from typing import Sequence
 
 from .core import BitVector
 from .errors import CapacityError, DimensionError
-from .oracle import DEFAULT_TAU, CountingOracle, QueryOracle, SparsePolynomial
+from .oracle import DEFAULT_TAU, SparsePolynomial
 
 __all__ = [
     "MAX_DENSE_N",
-    "MAX_BRUTE_FORCE_N",
     "MAX_CHECK_SPARSITY",
     "DenseTable",
-    "DenseTableOracle",
     "zeta_transform",
     "mobius_transform",
-    "dense_from_polynomial",
-    "brute_force_learn",
     "check_subset_sum_independence",
 ]
 
 MAX_DENSE_N = 24
-MAX_BRUTE_FORCE_N = 20
 MAX_CHECK_SPARSITY = 25
 
 
@@ -73,14 +68,6 @@ class DenseTable:
         return f"DenseTable(n={self.n})"
 
 
-def dense_from_polynomial(poly: SparsePolynomial) -> DenseTable:
-    """Coefficient table of a sparse polynomial (not its evaluations)."""
-    table = DenseTable.zeros(poly.n)
-    for k, v in poly.entries.items():
-        table.values[k.mask] = v
-    return table
-
-
 def zeta_transform(table: DenseTable) -> DenseTable:
     """Sum over subsets: coefficient table in, evaluation table out.
 
@@ -104,43 +91,6 @@ def mobius_transform(table: DenseTable) -> DenseTable:
             if x & bit:
                 values[x] -= values[x ^ bit]
     return DenseTable(table.n, values)
-
-
-class DenseTableOracle:
-    """Evaluation oracle backed by a precomputed table of function values."""
-
-    __slots__ = ("n", "_values")
-
-    def __init__(self, evaluations: DenseTable):
-        self.n = evaluations.n
-        self._values = evaluations.values
-
-    def eval(self, x: BitVector) -> float:
-        if x.n != self.n:
-            raise DimensionError(f"point length {x.n}, expected {self.n}")
-        return self._values[x.mask]
-
-
-def brute_force_learn(f: QueryOracle, n: int, tau: float = DEFAULT_TAU) -> SparsePolynomial:
-    """Recover the full spectrum by querying every point of {0,1}^n.
-
-    Exactly 2^n evaluations; coefficients with |value| <= tau are dropped.
-    Capped at n = 20.
-    """
-    if n < 1 or getattr(f, "n", n) != n:
-        raise DimensionError(f"oracle dimension {getattr(f, 'n', None)} != {n}")
-    if n > MAX_BRUTE_FORCE_N:
-        raise CapacityError(f"brute force is capped at n={MAX_BRUTE_FORCE_N}, got {n}")
-    points = [BitVector(n, m) for m in range(1 << n)]
-    if isinstance(f, CountingOracle):
-        values = f.batch_eval(points)
-    else:
-        values = [f.eval(x) for x in points]
-    spectrum = mobius_transform(DenseTable(n, values))
-    entries = {
-        BitVector(n, m): v for m, v in enumerate(spectrum.values) if abs(v) > tau
-    }
-    return SparsePolynomial(n, entries)
 
 
 def check_subset_sum_independence(

@@ -18,15 +18,11 @@ from itertools import combinations
 import pytest
 
 from sparsemobius.core import BitVector, syndrome
-from sparsemobius.errors import ParameterError
-from sparsemobius.fasmt import fasmt_run
 from sparsemobius.grouptest import (
     GbsaTree,
     construct_disjunct,
-    construct_list_disjunct,
     decode_disjunct,
     gbsa_test_budget,
-    identity_matrix,
     verify_disjunct,
 )
 from sparsemobius.harness import (
@@ -34,10 +30,11 @@ from sparsemobius.harness import (
     generate_synthetic,
     lower_bound,
     run_benchmark,
+    run_cell,
+    runner_design,
     write_csv,
 )
-from sparsemobius.hybrid import hybrid_run
-from sparsemobius.oracle import CountingOracle, SparsePolynomial, SparsePolyOracle
+from sparsemobius.oracle import DEFAULT_TAU, CountingOracle, SparsePolynomial, SparsePolyOracle
 from sparsemobius.pasmt import pasmt_run
 from sparsemobius.reference import (
     DenseTable,
@@ -46,10 +43,19 @@ from sparsemobius.reference import (
 )
 from sparsemobius.rng import SplitMix64
 
+from weights import integer_weights
+
 GRID_NS = (16, 32, 64, 128, 256)
 GRID_SS = (1, 4, 16)
 GRID_DS = (1, 2, 4)
 INSTANCES_PER_CELL = 100
+
+
+def _run(algorithm: str, truth: SparsePolynomial, d: int, transcript=None):
+    """One run_cell dispatch on a fresh counting oracle over truth."""
+    f = CountingOracle(SparsePolyOracle(truth))
+    cell = GridCell(algorithm, truth.n, truth.sparsity, d, 0)
+    return run_cell(cell, f, DEFAULT_TAU, transcript), f
 
 
 def _dense_zeta_values(poly: SparsePolynomial) -> list:
@@ -58,37 +64,6 @@ def _dense_zeta_values(poly: SparsePolynomial) -> list:
     for k, v in poly.entries.items():
         vals[k.mask] = v
     return zeta_transform(DenseTable(poly.n, vals)).values
-
-
-@lru_cache(maxsize=1)
-def _matrix_cache():
-    return {}
-
-
-def _matrix_for(n: int, d: int):
-    cache = _matrix_cache()
-    key = (n, d)
-    if key not in cache:
-        if n >= 2 and d < n:
-            cache[key] = construct_disjunct(n, d)
-        else:
-            cache[key] = identity_matrix(n)
-    return cache[key]
-
-
-@lru_cache(maxsize=1)
-def _design_cache():
-    return {}
-
-
-def _design_for(n: int, d: int):
-    if n < 2:
-        return None
-    cache = _design_cache()
-    key = (n, d)
-    if key not in cache:
-        cache[key] = construct_list_disjunct(n, min(d, n - 1), seed=40_000 + 97 * n + d)
-    return cache[key]
 
 
 @lru_cache(maxsize=1)
@@ -103,8 +78,7 @@ def _small_suite() -> tuple:
         truth = generate_synthetic(n, s, d, seed=50_000 + i)
         integer_mode = bool(i % 2)
         if integer_mode:
-            entries = {k: 1 + int(8 * (v - 1.0)) for k, v in truth.entries.items()}
-            truth = SparsePolynomial(n, entries, degree_bound=d)
+            truth = integer_weights(truth)
         suite.append((truth, d, integer_mode))
     for n in range(1, 11):
         for mask in range(1 << n):
@@ -125,21 +99,14 @@ def scaled_grid():
     idx = 0
     for n in GRID_NS:
         for d in GRID_DS:
-            H = _matrix_for(n, d)
-            design = _design_for(n, d)
+            b = runner_design("pasmt", n, d).b
             for s in GRID_SS:
                 for i in range(INSTANCES_PER_CELL):
                     truth = generate_synthetic(n, s, d, seed=1_000_000 + idx)
                     idx += 1
                     truths.append(truth)
                     for algorithm in ("pasmt", "fasmt", "hybrid"):
-                        f = CountingOracle(SparsePolyOracle(truth))
-                        if algorithm == "pasmt":
-                            got = pasmt_run(f, H, d)
-                        elif algorithm == "fasmt":
-                            got = fasmt_run(f, n, d)
-                        else:
-                            got = hybrid_run(f, n, d, seed=17, design=design)
+                        got, f = _run(algorithm, truth, d)
                         records.append(
                             {
                                 "algorithm": algorithm,
@@ -149,7 +116,7 @@ def scaled_grid():
                                 "s_actual": truth.sparsity,
                                 "queries": f.query_count,
                                 "rounds": f.round_count,
-                                "b": H.b,
+                                "b": b,
                                 "exact": got.close_to(truth, 1e-9),
                             }
                         )
@@ -194,13 +161,7 @@ def test_criterion_01_small_instances_exact():
         base = SparsePolyOracle(truth)
         reference = [base.eval(BitVector(n, m)) for m in range(1 << n)]
         for runner in ("pasmt", "fasmt", "hybrid"):
-            f = CountingOracle(SparsePolyOracle(truth))
-            if runner == "pasmt":
-                got = pasmt_run(f, _matrix_for(n, d), d)
-            elif runner == "fasmt":
-                got = fasmt_run(f, n, d)
-            else:
-                got = hybrid_run(f, n, d, seed=11, design=_design_for(n, d))
+            got, _ = _run(runner, truth, d)
             values = _dense_zeta_values(got)
             if integer_mode:
                 assert values == reference, (runner, n, d, truth.entries)
@@ -400,17 +361,10 @@ def test_criterion_10_deterministic_transcripts():
     degree bound reproduces the transcript byte for byte, and benchmark CSV
     rows differ only in runtime_ms."""
     truth = generate_synthetic(24, 5, 2, seed=77)
-    H = construct_disjunct(24, 2)
 
     def run_once(algorithm):
-        f = CountingOracle(SparsePolyOracle(truth))
         sink = io.StringIO()
-        if algorithm == "pasmt":
-            got = pasmt_run(f, H, 2, transcript=sink)
-        elif algorithm == "fasmt":
-            got = fasmt_run(f, 24, 2, transcript=sink)
-        else:
-            got = hybrid_run(f, 24, 2, seed=5, transcript=sink)
+        got, _ = _run(algorithm, truth, 2, transcript=sink)
         return got, sink.getvalue()
 
     for algorithm in ("pasmt", "fasmt", "hybrid"):

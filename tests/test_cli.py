@@ -130,7 +130,7 @@ def test_verify_match(tmp_path, capsys):
 
 def test_verify_mismatch_exits_3(tmp_path, capsys):
     # +1 and -1 cancel at the root, silencing the adaptive runners; the
-    # exhaustive baseline still sees both coefficients
+    # input file still holds both coefficients
     inst = tmp_path / "cancel.txt"
     write_poly_file(inst, SparsePolynomial(4, {bv("1000"): 1.0, bv("0100"): -1.0}))
     code = main(["verify", "--alg", "fasmt", "--input", str(inst), "--d", "1"])
@@ -138,12 +138,11 @@ def test_verify_mismatch_exits_3(tmp_path, capsys):
     assert "MISMATCH" in capsys.readouterr().out
 
 
-def test_verify_caps_dimension(tmp_path, capsys):
+def test_verify_runs_at_n_64(tmp_path, capsys):
     inst = tmp_path / "big.txt"
-    write_poly_file(inst, SparsePolynomial(13, {bv("1" + "0" * 12): 1.0}))
-    code = main(["verify", "--alg", "fasmt", "--input", str(inst), "--d", "1"])
-    assert code == 1
-    assert "invalid input" in capsys.readouterr().err
+    main(["gen", "--n", "64", "--s", "8", "--d", "3", "--seed", "6", "--out", str(inst)])
+    assert main(["verify", "--alg", "hybrid", "--input", str(inst), "--d", "3"]) == 0
+    assert "spectra match" in capsys.readouterr().out
 
 
 def test_bench_runs_grid(tmp_path, capsys):

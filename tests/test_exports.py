@@ -6,9 +6,11 @@ import ast
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import sparsemobius
+from sparsemobius.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 # a backticked span that reads as a name, optionally called
@@ -71,3 +73,15 @@ def test_readme_api_names_resolve():
     # plain words are skipped; a deleted or misspelt name is reported
     text = "`tau`, `fasmt_run`, `core.log_query`, `no_such_helper`, `core.nothing(x)`, `Nope`"
     assert unresolved_api_names(text) == ["no_such_helper", "core.nothing(x)", "Nope"]
+
+
+def test_readme_command_lines_parse():
+    # every command in the Command line block parses, so a removed flag
+    # cannot stay documented there
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv[1:] for argv in commands if argv[:1] == ["sparsemobius"]]
+    assert len(commands) == 5
+    for argv in commands:
+        build_parser().parse_args(argv)

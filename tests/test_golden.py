@@ -25,11 +25,12 @@ import pytest
 
 from sparsemobius.core import BitVector
 from sparsemobius.fasmt import fasmt_run
-from sparsemobius.grouptest import construct_disjunct, identity_matrix
-from sparsemobius.harness import generate_synthetic
+from sparsemobius.harness import generate_synthetic, runner_design
 from sparsemobius.hybrid import hybrid_run
 from sparsemobius.oracle import CountingOracle, SparsePolynomial, SparsePolyOracle
 from sparsemobius.pasmt import pasmt_run
+
+from weights import integer_weights
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_runs.json"
 HYBRID_SEED = 2024
@@ -56,9 +57,8 @@ def instances() -> list[tuple[str, SparsePolynomial, int, float]]:
     drawn = generate_synthetic(64, 16, 2, seed=901, weight_lo=-8.0, weight_hi=8.0)
     signed = {k: int(v) or 9 for k, v in drawn.entries.items()}
     cases.append(("int-signed-n64-s16-d2-seed901", SparsePolynomial(64, signed), 2, 0.0))
-    drawn = generate_synthetic(256, 16, 4, seed=902)
-    positive = {k: 1 + int(8 * (v - 1.0)) for k, v in drawn.entries.items()}
-    cases.append(("int-n256-s16-d4-seed902", SparsePolynomial(256, positive), 4, 0.0))
+    positive = integer_weights(generate_synthetic(256, 16, 4, seed=902))
+    cases.append(("int-n256-s16-d4-seed902", positive, 4, 0.0))
     truth = SparsePolynomial(1, {BitVector(1, 1): 1.5, BitVector(1, 0): -0.25})
     cases.append(("n1-two-terms", truth, 1, 1e-9))
     for n in (1024, 2048):
@@ -67,9 +67,8 @@ def instances() -> list[tuple[str, SparsePolynomial, int, float]]:
         truth = generate_synthetic(n, 8, 4, seed=seed)
         cases.append((f"n{n}-s8-d4-seed{seed}", truth, 4, 1e-9))
     # the benchmark's dense_int shape: many live buckets per level
-    drawn = generate_synthetic(256, 64, 2, seed=903)
-    positive = {k: 1 + int(8 * (v - 1.0)) for k, v in drawn.entries.items()}
-    cases.append(("int-n256-s64-d2-seed903", SparsePolynomial(256, positive), 2, 0.0))
+    positive = integer_weights(generate_synthetic(256, 64, 2, seed=903))
+    cases.append(("int-n256-s64-d2-seed903", positive, 2, 0.0))
     return cases
 
 
@@ -78,8 +77,7 @@ def run_one(runner: str, truth: SparsePolynomial, d: int, tau: float) -> dict:
     f = CountingOracle(SparsePolyOracle(truth))
     sink = io.StringIO()
     if runner == "pasmt":
-        H = construct_disjunct(n, d) if n > d else identity_matrix(n)
-        got = pasmt_run(f, H, d, tau, transcript=sink)
+        got = pasmt_run(f, runner_design("pasmt", n, d), d, tau, transcript=sink)
     elif runner == "fasmt":
         got = fasmt_run(f, n, d, tau, transcript=sink)
     else:

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sparsemobius.core import BitVector
 from sparsemobius.errors import FormatError, ParameterError
+from sparsemobius.grouptest import construct_disjunct, construct_list_disjunct, identity_matrix
 from sparsemobius.harness import (
     BenchRecord,
     GridCell,
@@ -18,8 +20,12 @@ from sparsemobius.harness import (
     optimality_ratio,
     read_grid,
     run_benchmark,
+    run_cell,
+    runner_design,
     write_csv,
 )
+from sparsemobius.hybrid import hybrid_run
+from sparsemobius.oracle import DEFAULT_TAU, CountingOracle, SparsePolynomial, SparsePolyOracle
 from sparsemobius.rng import (
     MAX_RANK,
     PRNG_ID,
@@ -231,6 +237,58 @@ def test_run_benchmark_flags_failures():
     assert records[0].queries >= 1
     with pytest.raises(ParameterError):
         run_benchmark([GridCell("nope", 8, 2, 1, 0)])
+
+
+def test_runner_design_rules():
+    # pasmt: the identity unless 2 <= n and d < n, where the disjunct design
+    assert runner_design("pasmt", 1, 1) == identity_matrix(1)
+    assert runner_design("pasmt", 8, 8) == identity_matrix(8)
+    assert runner_design("pasmt", 64, 2) == construct_disjunct(64, 2)
+    assert runner_design("fasmt", 64, 2) is None
+    assert runner_design("hybrid", 1, 1) is None
+    # hybrid's seed is 40000 + 97n + d; perfbench/bench.py build_designs copies it
+    for n, d, seed in ((64, 2, 46_210), (256, 4, 64_836)):
+        assert runner_design("hybrid", n, d) == construct_list_disjunct(n, d, seed)
+    assert runner_design("hybrid", 8, 8) == construct_list_disjunct(8, 7, 40_784)
+
+
+def test_runner_design_is_built_once_per_n_d(monkeypatch):
+    built = []
+
+    def counting(n, d, seed):
+        built.append((n, d))
+        return construct_list_disjunct(n, d, seed)
+
+    monkeypatch.setattr("sparsemobius.harness.construct_list_disjunct", counting)
+    runner_design.cache_clear()
+    try:
+        run_benchmark([GridCell("hybrid", 32, 4, 2, 1), GridCell("hybrid", 32, 4, 2, 2)])
+        f = CountingOracle(SparsePolyOracle(generate_synthetic(32, 4, 2, seed=3)))
+        run_cell(GridCell("hybrid", 32, 4, 2, 3), f, DEFAULT_TAU)
+    finally:
+        runner_design.cache_clear()
+    assert built == [(32, 2)]
+
+
+@pytest.mark.parametrize("algorithm", ["pasmt", "fasmt"])
+def test_run_cell_builds_only_its_own_design(algorithm):
+    # hybrid's design cannot audit weight-16 supports of 4096 coordinates,
+    # C(4096, 16) being past the generator's rank space; pasmt and fasmt
+    # do not need that design
+    n = 4096
+    wide = BitVector.from_coords(n, range(1, 17))
+    truth = SparsePolynomial(n, {wide: 1.0, BitVector.from_coords(n, [5, 900]): 2.0})
+    f = CountingOracle(SparsePolyOracle(truth))
+    assert run_cell(GridCell(algorithm, n, 2, 16, 0), f, DEFAULT_TAU).close_to(truth)
+
+
+def test_hybrid_bench_rows_run_over_the_registry_design():
+    cells = [GridCell("hybrid", 64, 6, 3, seed) for seed in (1, 2, 3)]
+    design = runner_design("hybrid", 64, 3)
+    for cell, rec in zip(cells, run_benchmark(cells)):
+        f = CountingOracle(SparsePolyOracle(generate_synthetic(64, 6, 3, cell.seed)))
+        hybrid_run(f, 64, 3, design.seed, design=design)
+        assert (rec.queries, rec.rounds) == (f.query_count, f.round_count)
 
 
 def csv_rows(text: str) -> list[dict[str, str]]:

@@ -6,13 +6,10 @@ from hypothesis import strategies as st
 
 from sparsemobius.core import BitVector
 from sparsemobius.errors import CapacityError, DimensionError
-from sparsemobius.oracle import CountingOracle, SparsePolynomial, SparsePolyOracle
+from sparsemobius.oracle import SparsePolynomial
 from sparsemobius.reference import (
     DenseTable,
-    DenseTableOracle,
-    brute_force_learn,
     check_subset_sum_independence,
-    dense_from_polynomial,
     mobius_transform,
     zeta_transform,
 )
@@ -64,42 +61,13 @@ def test_transforms_are_inverse(n, data):
 
 def test_dense_from_polynomial_and_eval_agree():
     poly = SparsePolynomial(3, {bv("100"): 2, bv("011"): -3, bv("000"): 1})
-    evals = zeta_transform(dense_from_polynomial(poly))
+    coeff = DenseTable.zeros(3)
+    for k, v in poly.entries.items():
+        coeff.values[k.mask] = v
+    evals = zeta_transform(coeff)
     for m in range(8):
         x = BitVector(3, m)
         assert evals[x] == poly.evaluate(x)
-
-
-def test_dense_table_oracle():
-    poly = SparsePolynomial(2, {bv("10"): 5})
-    oracle = DenseTableOracle(zeta_transform(dense_from_polynomial(poly)))
-    assert oracle.eval(bv("10")) == 5
-    assert oracle.eval(bv("01")) == 0
-    with pytest.raises(DimensionError):
-        oracle.eval(bv("100"))
-
-
-def test_brute_force_learn_recovers():
-    poly = SparsePolynomial(4, {bv("1010"): 1.5, bv("0001"): -2.0, bv("0000"): 3.0})
-    f = CountingOracle(SparsePolyOracle(poly))
-    got = brute_force_learn(f, 4)
-    assert got == poly
-    assert f.query_count == 16
-    assert f.round_count == 1
-
-
-def test_brute_force_learn_drops_tiny_values():
-    poly = SparsePolynomial(3, {bv("100"): 1.0, bv("010"): 1e-12})
-    got = brute_force_learn(SparsePolyOracle(poly), 3, tau=1e-9)
-    assert got.entries == {bv("100"): 1.0}
-
-
-def test_brute_force_learn_caps():
-    f = SparsePolyOracle(SparsePolynomial(21, {}))
-    with pytest.raises(CapacityError):
-        brute_force_learn(f, 21)
-    with pytest.raises(DimensionError):
-        brute_force_learn(SparsePolyOracle(SparsePolynomial(3, {})), 4)
 
 
 def test_subset_sum_independence_examples():
@@ -131,18 +99,3 @@ def test_subset_sum_independence_cap():
     entries[BitVector(30, 1 << 26)] = -1e9
     with pytest.raises(CapacityError):
         check_subset_sum_independence(SparsePolynomial(30, entries))
-
-
-@given(st.data())
-def test_brute_force_matches_truth_random(data):
-    n = data.draw(st.integers(1, 6))
-    masks = data.draw(st.lists(st.integers(0, 2**n - 1), unique=True, max_size=4))
-    values = data.draw(
-        st.lists(
-            st.integers(-9, 9).filter(bool),
-            min_size=len(masks),
-            max_size=len(masks),
-        )
-    )
-    poly = SparsePolynomial(n, dict(zip(map(lambda m: BitVector(n, m), masks), values)))
-    assert brute_force_learn(SparsePolyOracle(poly), n, tau=0.5) == poly
