@@ -22,8 +22,6 @@ from .errors import (
 )
 from .fasmt import fasmt_run, split_bin
 from .grouptest import (
-    GbsaResult,
-    GbsaTest,
     ListDesign,
     construct_disjunct,
     construct_list_disjunct,

@@ -22,7 +22,7 @@ from .errors import (
     SparseMobiusError,
 )
 from .harness import (
-    GridCell,
+    ALGORITHMS,
     generate_synthetic,
     lower_bound,
     read_grid,
@@ -34,6 +34,7 @@ from .oracle import (
     DEFAULT_TAU,
     CountingOracle,
     SparsePolyOracle,
+    _read_lines,
     read_hypergraph,
     read_polynomial,
     write_polynomial,
@@ -60,8 +61,7 @@ def _load_instance(path: str, form: str):
         return read_polynomial(path)
     if form == "hgr":
         return read_hypergraph(path)
-    with open(path, "r", encoding="ascii") as handle:
-        lines = handle.read().splitlines()
+    lines = _read_lines(path)
     header = lines[0].split() if lines else []
     n = int(header[0]) if header and header[0].isdigit() else 0
     for line in lines[1:]:
@@ -77,9 +77,8 @@ def _load_instance(path: str, form: str):
 def _run_algorithm(args, truth):
     oracle = CountingOracle(SparsePolyOracle(truth))
     sink = open(args.transcript, "w", encoding="ascii") if args.transcript else None
-    cell = GridCell(args.alg, truth.n, truth.sparsity, args.d, 0)
     with sink if sink is not None else nullcontext():
-        recovered = run_cell(cell, oracle, args.tau, sink)
+        recovered = run_cell(args.alg, oracle, args.d, args.tau, sink)
     return recovered, oracle
 
 
@@ -128,7 +127,7 @@ def _cmd_bound(args) -> int:
 
 
 def _add_common(sub) -> None:
-    sub.add_argument("--alg", required=True, choices=("pasmt", "fasmt", "hybrid"))
+    sub.add_argument("--alg", required=True, choices=ALGORITHMS)
     sub.add_argument("--input", required=True, help="instance file")
     sub.add_argument(
         "--format",

@@ -14,7 +14,7 @@ log_query writes the one transcript line format every runner emits.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, TextIO
 
 from .errors import CapacityError, DimensionError
 
@@ -143,9 +143,6 @@ class Label:
         return "".join(
             "1" if (self.mask >> i) & 1 else "0" for i in range(self.length)
         )
-
-    def bits(self) -> Iterator[int]:
-        return ((self.mask >> i) & 1 for i in range(self.length))
 
     def append(self, bit: int) -> "Label":
         if bit not in (0, 1):

@@ -28,9 +28,6 @@ from .errors import (
 from .rng import SplitMix64, bernoulli_mask, random_subset
 
 __all__ = [
-    "GbsaTest",
-    "GbsaResult",
-    "GbsaAction",
     "GbsaState",
     "GbsaTree",
     "gbsa_step",
@@ -48,21 +45,6 @@ __all__ = [
 VERIFY_WORK_CAP = 10**8
 # random low-weight syndromes decoded to audit a list design's bound
 AUDIT_TRIALS = 256
-
-
-class GbsaTest(NamedTuple):
-    """Next action: apply this test vector and report the binary outcome."""
-
-    vector: BitVector
-
-
-class GbsaResult(NamedTuple):
-    """Terminal action: the defective set is fully determined."""
-
-    vector: BitVector
-
-
-GbsaAction = GbsaTest | GbsaResult
 
 
 def gbsa_test_budget(n: int, d: int) -> int:
@@ -196,28 +178,25 @@ def _mask_of(indices: list[int]) -> int:
     return mask
 
 
-def gbsa_step(label: Label, n: int, d: int) -> GbsaAction:
-    """Walk the splitting tree along an outcome prefix.
+def gbsa_step(label: Label, n: int, d: int) -> GbsaState:
+    """Walk the splitting tree over coordinates 1..n along an outcome prefix.
 
-    Feeds the bits of the label to the decision tree in order.  If the tree
-    wants another outcome, the pending test vector comes back as GbsaTest;
-    if it terminates after consuming the whole label, the determined
-    defective set comes back as GbsaResult.  A label the tree cannot
-    realize raises InfeasiblePrefixError.
+    Feeds the label's outcomes to the tree in order and returns the state
+    it reaches: a pending test, or test None once the tree has terminated
+    and found is the defective set.  A label the tree cannot realize
+    raises InfeasiblePrefixError.
     """
     if n < 0 or d < 1:
         raise ParameterError(f"need n >= 0 and d >= 1, got n={n}, d={d}")
     tree = GbsaTree((1 << n) - 1, d)
     state = tree.start()
-    for bit in label.bits():
+    for i in range(label.length):
         if state.test is None:
             raise InfeasiblePrefixError(
                 f"label {label.to01()!r} extends past the decision tree"
             )
-        state = tree.advance(state, bit)
-    if state.test is None:
-        return GbsaResult(BitVector(n, state.found))
-    return GbsaTest(BitVector(n, state.test))
+        state = tree.advance(state, (label.mask >> i) & 1)
+    return state
 
 
 def identity_matrix(n: int) -> TestMatrix:

@@ -17,7 +17,7 @@ import io
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from typing import Sequence, TextIO
 
@@ -57,22 +57,6 @@ __all__ = [
 ]
 
 ALGORITHMS = ("pasmt", "fasmt", "hybrid")
-
-CSV_FIELDS = [
-    "algorithm",
-    "n",
-    "s_requested",
-    "s_actual",
-    "d",
-    "seed",
-    "queries",
-    "rounds",
-    "runtime_ms",
-    "exact",
-    "lower_bound",
-    "optimality_ratio",
-]
-
 
 def generate_synthetic(
     n: int,
@@ -168,8 +152,8 @@ def runner_design(algorithm: str, n: int, d: int) -> TestMatrix | ListDesign | N
     identity.  hybrid's list design is seeded by (n, d) alone, so every
     instance of a cell shares it; it is None when n < 2, where hybrid runs
     the depth-first search directly.  fasmt needs none.  Each algorithm
-    builds only its own design: hybrid's audit cannot sample supports at
-    some (n, d) that the other two runners handle, such as (4096, 16).
+    builds only its own design, so a pasmt or fasmt run never pays for
+    hybrid's audit.
     """
     if algorithm == "pasmt":
         return construct_disjunct(n, d) if 2 <= n and d < n else identity_matrix(n)
@@ -179,22 +163,24 @@ def runner_design(algorithm: str, n: int, d: int) -> TestMatrix | ListDesign | N
 
 
 def run_cell(
-    cell: GridCell,
+    algorithm: str,
     oracle: CountingOracle,
+    d: int,
     tau: float,
     transcript: TextIO | None = None,
 ) -> SparsePolynomial:
-    """Run the cell's algorithm on the oracle over its runner_design;
-    cell.seed seeds the instance only, not the design."""
-    if cell.algorithm not in ALGORITHMS:
-        raise ParameterError(f"unknown algorithm {cell.algorithm!r}")
-    design = runner_design(cell.algorithm, cell.n, cell.d)
-    if cell.algorithm == "pasmt":
-        return pasmt_run(oracle, design, cell.d, tau, transcript)
-    if cell.algorithm == "fasmt":
-        return fasmt_run(oracle, cell.n, cell.d, tau, transcript)
+    """Run the named algorithm on the oracle over its runner_design at
+    (oracle.n, d)."""
+    if algorithm not in ALGORITHMS:
+        raise ParameterError(f"unknown algorithm {algorithm!r}")
+    n = oracle.n
+    design = runner_design(algorithm, n, d)
+    if algorithm == "pasmt":
+        return pasmt_run(oracle, design, d, tau, transcript)
+    if algorithm == "fasmt":
+        return fasmt_run(oracle, n, d, tau, transcript)
     # hybrid ignores the seed argument when it is handed a design
-    return hybrid_run(oracle, cell.n, cell.d, 0, tau, transcript, design)
+    return hybrid_run(oracle, n, d, 0, tau, transcript, design)
 
 
 def run_benchmark(
@@ -216,7 +202,7 @@ def run_benchmark(
         runner_design(cell.algorithm, cell.n, cell.d)
         start = time.perf_counter()
         try:
-            recovered = run_cell(cell, oracle, tau)
+            recovered = run_cell(cell.algorithm, oracle, cell.d, tau)
             exact = recovered.close_to(truth)
         except SparseMobiusError:
             exact = False
@@ -250,17 +236,13 @@ def write_csv(records: Sequence[BenchRecord], sink: str | os.PathLike | TextIO) 
     """Write records with the generator identifier pinned in a comment."""
     out = io.StringIO()
     out.write(f"# prng={PRNG_ID}\n")
-    writer = csv.DictWriter(out, fieldnames=CSV_FIELDS, lineterminator="\n")
+    writer = csv.DictWriter(
+        out, fieldnames=[f.name for f in fields(BenchRecord)], lineterminator="\n"
+    )
     writer.writeheader()
     for rec in records:
-        row = {name: getattr(rec, name) for name in CSV_FIELDS}
-        row["exact"] = "true" if rec.exact else "false"
-        row["runtime_ms"] = repr(rec.runtime_ms)
-        row["lower_bound"] = "" if rec.lower_bound is None else repr(rec.lower_bound)
-        row["optimality_ratio"] = (
-            "" if rec.optimality_ratio is None else repr(rec.optimality_ratio)
-        )
-        writer.writerow(row)
+        # csv writes None as an empty cell and a float as its repr
+        writer.writerow(asdict(rec) | {"exact": "true" if rec.exact else "false"})
     _write_text(sink, out.getvalue())
 
 

@@ -74,17 +74,6 @@ class SparsePolynomial:
     def sparsity(self) -> int:
         return len(self.entries)
 
-    def evaluate(self, x: BitVector) -> float:
-        """Sum of coefficients whose support is componentwise below x."""
-        if x.n != self.n:
-            raise DimensionError(f"point length {x.n}, expected {self.n}")
-        xm = x.mask
-        total = 0
-        for k, v in self.entries.items():
-            if k.mask & xm == k.mask:
-                total += v
-        return total
-
     def close_to(self, other: "SparsePolynomial", tol: float = DEFAULT_TAU) -> bool:
         """Same dimension, same supports, values within tol."""
         if self.n != other.n or self.entries.keys() != other.entries.keys():
@@ -182,10 +171,17 @@ def _parse_value(token: str, lineno: int) -> float:
 
 
 def _read_lines(source: str | os.PathLike | TextIO) -> list[str]:
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="ascii") as handle:
-            return handle.read().splitlines()
-    return source.read().splitlines()
+    """The lines of a text source; a file holding a non-ASCII byte raises
+    FormatError at that byte's line."""
+    if not isinstance(source, (str, os.PathLike)):
+        return source.read().splitlines()
+    with open(source, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("ascii").splitlines()
+    except UnicodeDecodeError as err:
+        lineno = data.count(b"\n", 0, err.start) + 1
+        raise FormatError(f"non-ASCII byte {data[err.start]:#04x}", lineno) from None
 
 
 def _write_text(sink: str | os.PathLike | TextIO, text: str) -> None:

@@ -4,8 +4,10 @@ The generator is splitmix64 (Steele, Lea, and Flood's mixing constants), a
 well-known fixed-increment mixer.  It is tiny, has a documented algorithm
 identifier, and makes every sampled artifact reproducible from a single
 64-bit seed.  Bounded draws use rejection from whole 64-bit words, so they
-are exactly uniform.  Subset draws go through combinatorial unranking of
-lexicographically ordered c-subsets rather than draw-until-distinct loops.
+are exactly uniform.  A uniform c-subset comes from Floyd's algorithm
+(Bentley and Floyd, 1987): c bounded draws and no draw-until-distinct loop,
+for any n and c.  unrank_subset maps a rank to the rank-th c-subset in
+lexicographic order, for callers that draw the rank themselves.
 Bernoulli(1/base) masks read one coordinate from each base-`base` digit of
 a bounded draw, so one 64-bit word serves as many coordinates as it has
 whole digits.
@@ -88,19 +90,17 @@ def unrank_subset(n: int, c: int, rank: int) -> tuple[int, ...]:
 def random_subset(rng: SplitMix64, n: int, c: int) -> tuple[int, ...]:
     """Uniform c-subset of {1..n} as ascending 1-based coordinates.
 
-    Rejects parameter combinations whose subset count does not fit in 64
-    bits, so ranks always come from a single-word draw.
+    Floyd's algorithm: for j = n-c+1 .. n, draw t uniform on 1..j and take
+    t, or j itself when t is already taken.  Every c-subset comes out with
+    probability 1/C(n, c), from c draws of rng.below(j).
     """
     if not 0 <= c <= n:
         raise ParameterError(f"subset size {c} out of range 0..{n}")
-    total = comb(n, c)
-    if total > MAX_RANK:
-        raise ParameterError(
-            f"C({n},{c}) = {total} exceeds the 64-bit rank space"
-        )
-    if c == 0:
-        return ()
-    return unrank_subset(n, c, rng.below(total))
+    chosen: set[int] = set()
+    for j in range(n - c + 1, n + 1):
+        t = 1 + rng.below(j)
+        chosen.add(j if t in chosen else t)
+    return tuple(sorted(chosen))
 
 
 def bernoulli_mask(rng: SplitMix64, n: int, base: int) -> int:

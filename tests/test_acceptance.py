@@ -54,8 +54,7 @@ INSTANCES_PER_CELL = 100
 def _run(algorithm: str, truth: SparsePolynomial, d: int, transcript=None):
     """One run_cell dispatch on a fresh counting oracle over truth."""
     f = CountingOracle(SparsePolyOracle(truth))
-    cell = GridCell(algorithm, truth.n, truth.sparsity, d, 0)
-    return run_cell(cell, f, DEFAULT_TAU, transcript), f
+    return run_cell(algorithm, f, d, DEFAULT_TAU, transcript), f
 
 
 def _dense_zeta_values(poly: SparsePolynomial) -> list:
@@ -93,35 +92,22 @@ def _small_suite() -> tuple:
 @pytest.fixture(scope="module")
 def scaled_grid():
     """Criterion-2 grid, run once; records feed criteria 3, 4, and 11."""
-    records = []
-    truths = []
+    instances = [
+        (n, s, d)
+        for n in GRID_NS
+        for d in GRID_DS
+        for s in GRID_SS
+        for _ in range(INSTANCES_PER_CELL)
+    ]
+    cells = [
+        GridCell(algorithm, n, s, d, 1_000_000 + idx)
+        for idx, (n, s, d) in enumerate(instances)
+        for algorithm in ("pasmt", "fasmt", "hybrid")
+    ]
     start = time.perf_counter()
-    idx = 0
-    for n in GRID_NS:
-        for d in GRID_DS:
-            b = runner_design("pasmt", n, d).b
-            for s in GRID_SS:
-                for i in range(INSTANCES_PER_CELL):
-                    truth = generate_synthetic(n, s, d, seed=1_000_000 + idx)
-                    idx += 1
-                    truths.append(truth)
-                    for algorithm in ("pasmt", "fasmt", "hybrid"):
-                        got, f = _run(algorithm, truth, d)
-                        records.append(
-                            {
-                                "algorithm": algorithm,
-                                "n": n,
-                                "s": s,
-                                "d": d,
-                                "s_actual": truth.sparsity,
-                                "queries": f.query_count,
-                                "rounds": f.round_count,
-                                "b": b,
-                                "exact": got.close_to(truth, 1e-9),
-                            }
-                        )
+    records = run_benchmark(cells)
     elapsed = time.perf_counter() - start
-    return {"records": records, "truths": truths, "elapsed": elapsed}
+    return {"records": records, "elapsed": elapsed}
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +166,7 @@ def test_criterion_02_scaled_grid_exact(scaled_grid):
     within 5 minutes."""
     records = scaled_grid["records"]
     assert len(records) == 3 * INSTANCES_PER_CELL * len(GRID_NS) * len(GRID_SS) * len(GRID_DS)
-    failures = [r for r in records if not r["exact"]]
+    failures = [r for r in records if not r.exact]
     assert not failures, f"{len(failures)} inexact runs, first: {failures[:3]}"
     assert scaled_grid["elapsed"] < 300.0, f"grid took {scaled_grid['elapsed']:.1f}s"
 
@@ -191,14 +177,14 @@ def test_criterion_03_depth_first_query_budget(scaled_grid):
     violations = []
     count = 0
     for r in scaled_grid["records"]:
-        if r["algorithm"] != "fasmt":
+        if r.algorithm != "fasmt":
             continue
         count += 1
-        n, d = r["n"], r["d"]
-        budget = 1 + r["s_actual"] * (d * (math.ceil(math.log2(n / d)) + 2) + d)
-        assert budget == 1 + r["s_actual"] * gbsa_test_budget(n, d)
-        if r["queries"] > budget:
-            violations.append((n, r["s"], d, r["queries"], budget))
+        n, d = r.n, r.d
+        budget = 1 + r.s_actual * (d * (math.ceil(math.log2(n / d)) + 2) + d)
+        assert budget == 1 + r.s_actual * gbsa_test_budget(n, d)
+        if r.queries > budget:
+            violations.append((n, r.s_requested, d, r.queries, budget))
     assert count == INSTANCES_PER_CELL * len(GRID_NS) * len(GRID_SS) * len(GRID_DS)
     assert not violations, violations[:5]
 
@@ -208,10 +194,11 @@ def test_criterion_04_breadth_first_envelope_and_rounds(scaled_grid):
     queries in at most b + 1 rounds; with the matrix held fixed at
     (n=128, d=2), the round count does not depend on s."""
     for r in scaled_grid["records"]:
-        if r["algorithm"] != "pasmt":
+        if r.algorithm != "pasmt":
             continue
-        assert r["queries"] <= r["s_actual"] * r["b"] + 1, r
-        assert r["rounds"] <= r["b"] + 1, r
+        b = runner_design("pasmt", r.n, r.d).b
+        assert r.queries <= r.s_actual * b + 1, r
+        assert r.rounds <= b + 1, r
 
     H = construct_disjunct(128, 2)
     rounds_seen = set()
@@ -232,8 +219,8 @@ def test_hybrid_trades_between_the_other_runners(scaled_grid):
     fewer rounds than pasmt, and needs fewer rounds than fasmt."""
     totals = {}
     for r in scaled_grid["records"]:
-        queries, rounds = totals.get(r["algorithm"], (0, 0))
-        totals[r["algorithm"]] = (queries + r["queries"], rounds + r["rounds"])
+        queries, rounds = totals.get(r.algorithm, (0, 0))
+        totals[r.algorithm] = (queries + r.queries, rounds + r.rounds)
     assert totals["hybrid"][0] < totals["pasmt"][0], totals
     assert totals["hybrid"][1] < totals["pasmt"][1], totals
     assert totals["hybrid"][1] < totals["fasmt"][1], totals
@@ -411,6 +398,9 @@ def test_criterion_11_cancellation_guardrails(scaled_grid):
     for truth, _, _ in _small_suite():
         assert all(v > 0 for v in truth.entries.values())
         assert check_subset_sum_independence(truth) is True
-    for truth in scaled_grid["truths"]:
+    for r in scaled_grid["records"]:
+        if r.algorithm != "pasmt":
+            continue
+        truth = generate_synthetic(r.n, r.s_requested, r.d, r.seed)
         assert all(v > 0 for v in truth.entries.values())
         assert check_subset_sum_independence(truth) is True

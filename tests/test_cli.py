@@ -68,6 +68,23 @@ def test_reconstruct_round_trip(tmp_path, capsys, alg):
     assert "queries=" in msg and "rounds=" in msg
 
 
+def test_reconstruct_hybrid_at_n_4096_d_16(tmp_path, capsys):
+    # hybrid's design audit draws weight-16 supports of 4096 coordinates
+    n = 4096
+    truth = SparsePolynomial(n, {
+        BitVector.from_coords(n, range(1, 17)): 1.0,
+        BitVector.from_coords(n, [5, 900]): 2.0,
+    })
+    inst = write_poly_file(tmp_path / "wide.txt", truth)
+    out = tmp_path / "rec.txt"
+    code = main([
+        "reconstruct", "--alg", "hybrid", "--input", inst,
+        "--d", "16", "--out", str(out),
+    ])
+    assert code == 0, capsys.readouterr().err
+    assert read_polynomial(out).close_to(truth, 1e-9)
+
+
 def test_reconstruct_writes_transcript(tmp_path):
     inst = tmp_path / "inst.txt"
     main(["gen", "--n", "8", "--s", "2", "--d", "1", "--seed", "4", "--out", str(inst)])
@@ -210,6 +227,27 @@ def test_malformed_file_exits_1(tmp_path, capsys):
         "--d", "1", "--out", str(tmp_path / "rec.txt"),
     ])
     assert code == 1
+
+
+@pytest.mark.parametrize("byte", [b"\xc3", b"\xff"])
+@pytest.mark.parametrize("form", ["auto", "poly"])
+def test_non_ascii_input_exits_1(tmp_path, capsys, byte, form):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"4 1\n1.0 1000" + byte + b"\n")
+    code = main([
+        "reconstruct", "--alg", "fasmt", "--input", str(bad),
+        "--format", form, "--d", "1", "--out", str(tmp_path / "rec.txt"),
+    ])
+    assert code == 1
+    assert "invalid input: line 2: non-ASCII byte" in capsys.readouterr().err
+
+
+def test_non_ascii_grid_exits_1(tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_bytes(b"# caf\xc3\xa9\nfasmt 10 2 1 1\n")
+    code = main(["bench", "--grid", str(grid), "--out", str(tmp_path / "bench.csv")])
+    assert code == 1
+    assert "invalid input: line 1: non-ASCII byte 0xc3" in capsys.readouterr().err
 
 
 def test_bad_arguments_exit_1(capsys):

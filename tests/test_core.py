@@ -82,7 +82,6 @@ def test_label_text_convention():
     ell = lab("011")
     assert ell.length == 3
     assert ell.mask == 0b110
-    assert tuple(ell.bits()) == (0, 1, 1)
     assert ell.to01() == "011"
     assert Label(3, 0b110) == ell
     with pytest.raises(DimensionError):

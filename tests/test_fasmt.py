@@ -136,7 +136,7 @@ def test_transcript_shape():
     label, x, value = lines[0].split("\t")
     assert label == ""
     assert x == "1" * 12
-    assert float(value) == truth.evaluate(BitVector.ones(12))
+    assert float(value) == SparsePolyOracle(truth).eval(BitVector.ones(12))
     for line in lines[1:]:
         label, x, value = line.split("\t")
         assert set(label) <= {"0", "1"}
@@ -159,6 +159,7 @@ def test_transcript_values_are_raw_or_residual(monkeypatch, seed):
     monkeypatch.setattr(fasmt, "split_bin", recorded)
     n, d = 32, 2
     truth = generate_synthetic(n, 8, d, seed)
+    raw = SparsePolyOracle(truth).eval
 
     def logged(run) -> list[tuple[BitVector, float]]:
         sink = io.StringIO()
@@ -167,20 +168,20 @@ def test_transcript_values_are_raw_or_residual(monkeypatch, seed):
         return [(BitVector.from01(x), float(v)) for _, x, v in rows]
 
     lines = logged(lambda f, sink: pasmt_run(f, construct_disjunct(n, d), d, transcript=sink))
-    assert all(v == truth.evaluate(x) for x, v in lines)
+    assert all(v == raw(x) for x, v in lines)
     assert zero_sums == []
 
     lines = logged(lambda f, sink: fasmt_run(f, n, d, transcript=sink))
     root, *searched = lines
-    assert root[1] == truth.evaluate(root[0])
+    assert root[1] == raw(root[0])
     assert [v for _, v in searched] == zero_sums
-    assert any(v != truth.evaluate(x) for x, v in searched)
+    assert any(v != raw(x) for x, v in searched)
 
     zero_sums.clear()
     lines = logged(lambda f, sink: hybrid_run(f, n, d, seed, transcript=sink))
     phase1 = len(lines) - len(zero_sums)
     assert 0 < phase1 < len(lines)
-    assert all(v == truth.evaluate(x) for x, v in lines[:phase1])
+    assert all(v == raw(x) for x, v in lines[:phase1])
     assert [v for _, v in lines[phase1:]] == zero_sums
 
 

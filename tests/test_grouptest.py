@@ -16,8 +16,6 @@ from sparsemobius.errors import (
 )
 from sparsemobius.grouptest import (
     AUDIT_TRIALS,
-    GbsaResult,
-    GbsaTest,
     GbsaTree,
     ListDesign,
     construct_disjunct,
@@ -78,24 +76,26 @@ def test_budget_values():
 
 
 def test_step_first_action_is_first_block():
-    action = gbsa_step(Label.empty(), 8, 2)
-    assert action == GbsaTest(bv("11110000"))
+    state = gbsa_step(Label.empty(), 8, 2)
+    assert state.test == bv("11110000").mask
 
 
 def test_step_all_blocks_negative():
-    action = gbsa_step(lab("00"), 8, 2)
-    assert action == GbsaResult(bv("00000000"))
+    state = gbsa_step(lab("00"), 8, 2)
+    assert state.test is None
+    assert state.found == 0
 
 
 def test_step_positive_block_splits():
-    action = gbsa_step(lab("1"), 4, 1)
-    assert action == GbsaTest(bv("1100"))
+    state = gbsa_step(lab("1"), 4, 1)
+    assert state.test == bv("1100").mask
 
 
 def test_step_full_trace():
     # positive block, left half clean, coordinate 3 isolated, rest clean
-    action = gbsa_step(lab("1010"), 4, 1)
-    assert action == GbsaResult(bv("0010"))
+    state = gbsa_step(lab("1010"), 4, 1)
+    assert state.test is None
+    assert state.found == bv("0010").mask
     found, used = walk_tree(membership(bv("0010")), 4, 1)
     assert found == bv("0010")
     assert used == 4
@@ -147,11 +147,11 @@ def test_run_matches_step_replay():
     probe = membership(k)
     label = Label.empty()
     while True:
-        action = gbsa_step(label, n, d)
-        if isinstance(action, GbsaResult):
-            assert action.vector == k
+        state = gbsa_step(label, n, d)
+        if state.test is None:
+            assert state.found == k.mask
             break
-        label = label.append(probe(action.vector))
+        label = label.append(probe(BitVector(n, state.test)))
     found, used = walk_tree(probe, n, d)
     assert found == k
     assert used == label.length
@@ -179,15 +179,18 @@ def test_tree_over_a_universe_walks_the_tree_over_its_coordinates(n, d, data):
     tree = GbsaTree(sum(1 << c for c in coords), d)
     state = tree.start()
     label = Label.empty()
+
+    def relabel(mask: int) -> int:
+        # bit i of a mask over 0..m-1 stands for coordinate coords[i]
+        return sum(1 << c for i, c in enumerate(coords) if mask >> i & 1)
+
     for bit in outcomes:
-        action = gbsa_step(label, m, d)
-        expected = sum(1 << coords[i - 1] for i in action.vector.coords())
+        step = gbsa_step(label, m, d)
         if state.test is None:
-            assert action == GbsaResult(action.vector)
-            assert state.found == expected
+            assert step.test is None
+            assert state.found == relabel(step.found)
             return
-        assert action == GbsaTest(action.vector)
-        assert state.test == expected
+        assert state.test == relabel(step.test)
         label = label.append(bit)
         try:
             state = tree.advance(state, bit)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -97,9 +98,9 @@ def test_unrank_subset_matches_the_linear_walk(n, data):
     assert unrank_subset(n, c, rank) == linear_walk_unrank(n, c, rank)
 
 
-@given(st.integers(1, 40), st.data())
+@given(st.integers(1, 4096), st.data())
 def test_random_subset_shape(n, data):
-    c = data.draw(st.integers(0, min(n, 6)))
+    c = data.draw(st.integers(0, min(n, 16)))
     rng = SplitMix64(data.draw(st.integers(0, 2**32)))
     coords = random_subset(rng, n, c)
     assert len(coords) == c
@@ -109,11 +110,17 @@ def test_random_subset_shape(n, data):
 
 
 def test_random_subset_rank_space_guard():
+    with pytest.raises(ParameterError):
+        random_subset(SplitMix64(0), 4, 5)
+
+
+def test_random_subset_is_uniform():
+    # 10,000 draws of a 2-subset of {1..5}: each of the 10 comes up about
+    # 1,000 times, the binomial standard deviation being 30
     rng = SplitMix64(0)
-    with pytest.raises(ParameterError):
-        random_subset(rng, 2000, 500)
-    with pytest.raises(ParameterError):
-        random_subset(rng, 4, 5)
+    counts = Counter(random_subset(rng, 5, 2) for _ in range(10_000))
+    assert sorted(counts) == list(combinations(range(1, 6), 2))
+    assert all(850 <= k <= 1150 for k in counts.values()), counts
 
 
 def digitwise_bernoulli_mask(rng: SplitMix64, n: int, base: int) -> int:
@@ -264,22 +271,21 @@ def test_runner_design_is_built_once_per_n_d(monkeypatch):
     try:
         run_benchmark([GridCell("hybrid", 32, 4, 2, 1), GridCell("hybrid", 32, 4, 2, 2)])
         f = CountingOracle(SparsePolyOracle(generate_synthetic(32, 4, 2, seed=3)))
-        run_cell(GridCell("hybrid", 32, 4, 2, 3), f, DEFAULT_TAU)
+        run_cell("hybrid", f, 2, DEFAULT_TAU)
     finally:
         runner_design.cache_clear()
     assert built == [(32, 2)]
 
 
-@pytest.mark.parametrize("algorithm", ["pasmt", "fasmt"])
-def test_run_cell_builds_only_its_own_design(algorithm):
-    # hybrid's design cannot audit weight-16 supports of 4096 coordinates,
-    # C(4096, 16) being past the generator's rank space; pasmt and fasmt
-    # do not need that design
+@pytest.mark.parametrize("algorithm", ["pasmt", "fasmt", "hybrid"])
+def test_run_cell_recovers_at_n_4096_d_16(algorithm):
+    # C(4096, 16) is past the 64-bit rank space; hybrid's design audit
+    # draws its weight-16 supports without ranking them
     n = 4096
     wide = BitVector.from_coords(n, range(1, 17))
     truth = SparsePolynomial(n, {wide: 1.0, BitVector.from_coords(n, [5, 900]): 2.0})
     f = CountingOracle(SparsePolyOracle(truth))
-    assert run_cell(GridCell(algorithm, n, 2, 16, 0), f, DEFAULT_TAU).close_to(truth)
+    assert run_cell(algorithm, f, 16, DEFAULT_TAU).close_to(truth)
 
 
 def test_hybrid_bench_rows_run_over_the_registry_design():

@@ -50,27 +50,28 @@ def test_polynomial_validation():
 
 
 def test_evaluate_examples():
-    assert P.evaluate(bv("1111")) == 5.0
-    assert P.evaluate(bv("1000")) == 2.0
-    assert P.evaluate(bv("0111")) == 3.0
-    assert P.evaluate(bv("0110")) == 0.0
-    assert P.evaluate(bv("1001")) == 5.0
+    f = SparsePolyOracle(P)
+    assert f.eval(bv("1111")) == 5.0
+    assert f.eval(bv("1000")) == 2.0
+    assert f.eval(bv("0111")) == 3.0
+    assert f.eval(bv("0110")) == 0.0
+    assert f.eval(bv("1001")) == 5.0
     with pytest.raises(DimensionError):
-        P.evaluate(bv("111"))
+        f.eval(bv("111"))
 
 
 def test_constant_term_always_counts():
-    c = SparsePolynomial(3, {bv("000"): 7.0, bv("100"): 1.0})
-    assert c.evaluate(bv("000")) == 7.0
-    assert c.evaluate(bv("111")) == 8.0
+    c = SparsePolyOracle(SparsePolynomial(3, {bv("000"): 7.0, bv("100"): 1.0}))
+    assert c.eval(bv("000")) == 7.0
+    assert c.eval(bv("111")) == 8.0
 
 
 def test_integer_mode_stays_integer():
-    q = SparsePolynomial(3, {bv("100"): 2, bv("011"): -3})
+    q = SparsePolyOracle(SparsePolynomial(3, {bv("100"): 2, bv("011"): -3}))
     for mask in range(8):
-        value = q.evaluate(BitVector(3, mask))
+        value = q.eval(BitVector(3, mask))
         assert isinstance(value, int)
-    assert q.evaluate(bv("111")) == -1
+    assert q.eval(bv("111")) == -1
 
 
 def test_close_to():
@@ -100,8 +101,8 @@ def test_hypergraph():
     assert list(g.entries) == [bv("1100"), bv("0001")]
     assert isinstance(g.entries[bv("0001")], int)
     # a point counts the edges inside it
-    assert g.evaluate(bv("1101")) == 2.0
-    assert g.evaluate(bv("1011")) == -1
+    assert SparsePolyOracle(g).eval(bv("1101")) == 2.0
+    assert SparsePolyOracle(g).eval(bv("1011")) == -1
 
 
 @given(st.integers(0, 15))

@@ -206,7 +206,7 @@ def test_round_count_does_not_depend_on_sparsity():
 def test_levels_conserve_mass_and_track_true_buckets():
     truth = generate_synthetic(16, 4, 2, seed=21)
     H = construct_disjunct(16, 2)
-    total = truth.evaluate(BitVector.ones(16))
+    total = SparsePolyOracle(truth).eval(BitVector.ones(16))
     for depth in range(H.b + 1):
         labels, values = level(oracle_for(truth), H, depth, 1e-9)
         assert abs(sum(values) - total) < 1e-6
@@ -242,7 +242,7 @@ def test_transcript_lines_and_determinism():
     first_label, first_x, first_v = lines[0].split("\t")
     assert first_label == ""
     assert first_x == "1" * 10
-    assert float(first_v) == truth.evaluate(BitVector.ones(10))
+    assert float(first_v) == SparsePolyOracle(truth).eval(BitVector.ones(10))
     f = oracle_for(truth)
     pasmt_run(f, H, 2)
     assert len(lines) == f.query_count

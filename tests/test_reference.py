@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from sparsemobius.core import BitVector
 from sparsemobius.errors import CapacityError, DimensionError
-from sparsemobius.oracle import SparsePolynomial
+from sparsemobius.oracle import SparsePolynomial, SparsePolyOracle
 from sparsemobius.reference import (
     DenseTable,
     check_subset_sum_independence,
@@ -67,7 +67,7 @@ def test_dense_from_polynomial_and_eval_agree():
     evals = zeta_transform(coeff)
     for m in range(8):
         x = BitVector(3, m)
-        assert evals[x] == poly.evaluate(x)
+        assert evals[x] == SparsePolyOracle(poly).eval(x)
 
 
 def test_subset_sum_independence_examples():
