@@ -261,19 +261,18 @@ def construct_disjunct(n: int, d: int) -> TestMatrix:
     Candidates are the identity, a per-bit design when d = 1, and
     Reed-Solomon concatenations over prime fields q with q >= d*(m-1) + 1
     where m = ceil(log_q n).  The smallest column count wins; ties keep the
-    earlier candidate, so results are deterministic.
+    earlier candidate, so results are deterministic, and the identity wins
+    whenever no candidate is shorter, which includes every d >= n.  Fields
+    stop at q = isqrt(n-1) + 1: past it q*q >= n, the identity's width.
     """
-    if n < 2:
-        raise ParameterError(f"need n >= 2, got {n}")
-    if not 1 <= d < n:
-        raise ParameterError(f"need 1 <= d < n, got d={d}")
+    if n < 1 or d < 1:
+        raise ParameterError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     best = identity_matrix(n)
     if d == 1:
         cand = _bit_tests(n)
         if cand.b < best.b:
             best = cand
-    stop = max(d + 1, math.isqrt(n - 1) + 1)
-    for q in range(2, stop + 1):
+    for q in range(2, math.isqrt(n - 1) + 2):
         if not _is_prime(q):
             continue
         m = 1
@@ -364,18 +363,19 @@ class ListDesign:
 
 
 def list_design_width(n: int, d: int) -> int:
-    """The smallest b >= 1 with (n - d) * (N - D)^b <= d * N^b, where
+    """The smallest b >= 0 with (n - d) * (N - D)^b <= d * N^b, where
     N = (d+1)^(d+1) and D = d^d.
 
     With cells Bernoulli(p), p = 1/(d+1), a test drops a coordinate outside
     a weight-<= d support with probability at least p(1-p)^d = D/N, so b
     tests leave at most (n - d)(1 - D/N)^b false candidates in expectation,
-    and this width caps that at d: O(d log(n/d)) tests.  The arithmetic is
-    exact, so every platform builds the same design.
+    and this width caps that at d: O(d log(n/d)) tests, and none exactly
+    when n <= 2d.  The arithmetic is exact, so every platform builds the
+    same design.
     """
     big, small = (d + 1) ** (d + 1), d**d
-    b = 1
-    miss, total = big - small, big
+    b = 0
+    miss = total = 1
     while (n - d) * miss > d * total:
         b += 1
         miss *= big - small
@@ -387,11 +387,12 @@ def construct_list_disjunct(n: int, d: int, seed: int) -> ListDesign:
     """Random Bernoulli(1/(d+1)) design with list_design_width(n, d) tests,
     the fewest that keep a weight-d support's expected list of false
     candidates at most d long, audited by decoding AUDIT_TRIALS random
-    low-weight syndromes.  Each column is one bernoulli_mask draw."""
-    if n < 2:
-        raise ParameterError(f"need n >= 2, got {n}")
-    if not 1 <= d < n:
-        raise ParameterError(f"need 1 <= d < n, got d={d}")
+    low-weight syndromes.  Each column is one bernoulli_mask draw.  A d
+    above n is capped at n; where n <= 2d the design has no tests, so its
+    one candidate set is all n coordinates."""
+    if n < 1 or d < 1:
+        raise ParameterError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    d = min(d, n)
     b = list_design_width(n, d)
     rng = SplitMix64(seed)
     matrix = TestMatrix(

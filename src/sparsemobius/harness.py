@@ -1,8 +1,8 @@
 """Synthetic instances, information-theoretic bounds, and the benchmark loop.
 
 Instances are random weighted hypergraphs: each edge draws a cardinality
-uniform on {1..d}, then a uniform vertex set of that cardinality by
-combinatorial unranking, then (after duplicate vertex-sets are dropped) an
+uniform on {1..min(d, n)}, then a uniform vertex set of that cardinality
+(rng.random_subset), then (after duplicate vertex-sets are dropped) an
 independent weight uniform on [weight_lo, weight_hi).  The default weight
 range [1, 2) keeps every coefficient positive, which guarantees the
 subset-sum independence the pruning rule needs.  All randomness comes from
@@ -24,12 +24,7 @@ from typing import Sequence, TextIO
 from .core import BitVector, TestMatrix
 from .errors import FormatError, ParameterError, SparseMobiusError
 from .fasmt import fasmt_run
-from .grouptest import (
-    ListDesign,
-    construct_disjunct,
-    construct_list_disjunct,
-    identity_matrix,
-)
+from .grouptest import ListDesign, construct_disjunct, construct_list_disjunct
 from .hybrid import hybrid_run
 from .oracle import (
     DEFAULT_TAU,
@@ -40,7 +35,7 @@ from .oracle import (
     _write_text,
 )
 from .pasmt import pasmt_run
-from .rng import PRNG_ID, MAX_RANK, SplitMix64, unrank_subset
+from .rng import PRNG_ID, SplitMix64, random_subset
 
 __all__ = [
     "ALGORITHMS",
@@ -67,26 +62,18 @@ def generate_synthetic(
     weight_hi: float = 2.0,
 ) -> SparsePolynomial:
     """Random s-sparse degree <= d instance; duplicates may shrink s."""
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
-    if not 1 <= d <= n:
-        raise ParameterError(f"need 1 <= d <= n, got d={d}")
+    if n < 1 or d < 1:
+        raise ParameterError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     if s < 0:
         raise ParameterError(f"need s >= 0, got {s}")
     if not weight_lo < weight_hi:
         raise ParameterError(f"empty weight range [{weight_lo}, {weight_hi})")
-    for c in range(1, d + 1):
-        if math.comb(n, c) > MAX_RANK:
-            raise ParameterError(
-                f"C({n},{c}) exceeds the 64-bit rank space of the generator"
-            )
     rng = SplitMix64(seed)
     supports: list[BitVector] = []
     seen: set[BitVector] = set()
     for _ in range(s):
-        c = 1 + rng.below(d)
-        rank = rng.below(math.comb(n, c))
-        support = BitVector.from_coords(n, unrank_subset(n, c, rank))
+        c = 1 + rng.below(min(d, n))
+        support = BitVector.from_coords(n, random_subset(rng, n, c))
         if support not in seen:
             seen.add(support)
             supports.append(support)
@@ -148,17 +135,16 @@ class BenchRecord:
 def runner_design(algorithm: str, n: int, d: int) -> TestMatrix | ListDesign | None:
     """The design an algorithm runs over at (n, d), built once per process.
 
-    pasmt's matrix is the disjunct design when 2 <= n and d < n, else the
-    identity.  hybrid's list design is seeded by (n, d) alone, so every
-    instance of a cell shares it; it is None when n < 2, where hybrid runs
-    the depth-first search directly.  fasmt needs none.  Each algorithm
+    pasmt's is construct_disjunct(n, d), and hybrid's is a list design
+    seeded by (n, d) alone, so every instance of a cell shares it; both
+    exist for every n >= 1, d >= 1.  fasmt needs none.  Each algorithm
     builds only its own design, so a pasmt or fasmt run never pays for
     hybrid's audit.
     """
     if algorithm == "pasmt":
-        return construct_disjunct(n, d) if 2 <= n and d < n else identity_matrix(n)
-    if algorithm == "hybrid" and n >= 2:
-        return construct_list_disjunct(n, min(d, n - 1), seed=40_000 + 97 * n + d)
+        return construct_disjunct(n, d)
+    if algorithm == "hybrid":
+        return construct_list_disjunct(n, d, seed=40_000 + 97 * n + d)
     return None
 
 

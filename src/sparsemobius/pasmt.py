@@ -170,4 +170,4 @@ def pasmt_run(
                 f"two buckets decoded to support {support.to01()!r}", label=label
             )
         entries[support] = value
-    return SparsePolynomial(f.n, entries)
+    return SparsePolynomial(f.n, entries, degree_bound=d)

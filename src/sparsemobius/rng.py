@@ -3,11 +3,10 @@
 The generator is splitmix64 (Steele, Lea, and Flood's mixing constants), a
 well-known fixed-increment mixer.  It is tiny, has a documented algorithm
 identifier, and makes every sampled artifact reproducible from a single
-64-bit seed.  Bounded draws use rejection from whole 64-bit words, so they
-are exactly uniform.  A uniform c-subset comes from Floyd's algorithm
-(Bentley and Floyd, 1987): c bounded draws and no draw-until-distinct loop,
-for any n and c.  unrank_subset maps a rank to the rank-th c-subset in
-lexicographic order, for callers that draw the rank themselves.
+64-bit seed.  Bounded draws use rejection from as many whole 64-bit words
+as the bound needs, so they are exactly uniform for any bound.  A uniform
+c-subset is the unranking of a uniform rank below C(n, c): unrank_subset
+maps a rank to the rank-th c-subset in lexicographic order.
 Bernoulli(1/base) masks read one coordinate from each base-`base` digit of
 a bounded draw, so one 64-bit word serves as many coordinates as it has
 whole digits.
@@ -44,9 +43,18 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Exactly uniform integer in [0, bound)."""
+        """Exactly uniform integer in [0, bound), for any bound >= 1, by
+        rejection from the fewest whole 64-bit words whose range reaches it."""
         if not 1 <= bound <= MAX_RANK:
-            raise ParameterError(f"bound must be in 1..2^64, got {bound}")
+            if bound < 1:
+                raise ParameterError(f"bound must be >= 1, got {bound}")
+            span = 1 << 64 * -(-(bound - 1).bit_length() // 64)
+            limit = span - span % bound
+            while True:
+                # the first word drawn is the most significant
+                u = self.below(span >> 64) << 64 | self.next64()
+                if u < limit:
+                    return u % bound
         limit = MAX_RANK - MAX_RANK % bound
         while True:
             u = self.next64()
@@ -61,15 +69,16 @@ class SplitMix64:
 def unrank_subset(n: int, c: int, rank: int) -> tuple[int, ...]:
     """The rank-th c-subset of {1..n} in lexicographic order, 0-based rank.
 
-    Each coordinate is found by bisection, so the cost is O(c log n)
-    binomials rather than a walk over all n coordinates.
+    Each coordinate but the last is found by bisection, and the last is
+    read off the rank, so the cost is O(c log n) binomials rather than a
+    walk over all n coordinates.
     """
     total = comb(n, c)
     if not 0 <= rank < total:
         raise ParameterError(f"rank {rank} out of range for C({n},{c})={total}")
     coords = []
     a = 1
-    for remaining in range(c, 0, -1):
+    for remaining in range(c, 1, -1):
         # C(n-a+1, remaining) - C(n-x+1, remaining) subsets of {a..n}
         # start below x; the next coordinate is the largest x with at most
         # rank of them
@@ -84,23 +93,17 @@ def unrank_subset(n: int, c: int, rank: int) -> tuple[int, ...]:
         rank -= top - comb(n - lo + 1, remaining)
         coords.append(lo)
         a = lo + 1
+    if c:
+        coords.append(a + rank)
     return tuple(coords)
 
 
 def random_subset(rng: SplitMix64, n: int, c: int) -> tuple[int, ...]:
-    """Uniform c-subset of {1..n} as ascending 1-based coordinates.
-
-    Floyd's algorithm: for j = n-c+1 .. n, draw t uniform on 1..j and take
-    t, or j itself when t is already taken.  Every c-subset comes out with
-    probability 1/C(n, c), from c draws of rng.below(j).
-    """
+    """Uniform c-subset of {1..n} as ascending 1-based coordinates: the
+    unranking of one rng.below(C(n, c)) draw."""
     if not 0 <= c <= n:
         raise ParameterError(f"subset size {c} out of range 0..{n}")
-    chosen: set[int] = set()
-    for j in range(n - c + 1, n + 1):
-        t = 1 + rng.below(j)
-        chosen.add(j if t in chosen else t)
-    return tuple(sorted(chosen))
+    return unrank_subset(n, c, rng.below(comb(n, c)))
 
 
 def bernoulli_mask(rng: SplitMix64, n: int, base: int) -> int:

@@ -162,6 +162,16 @@ def test_verify_runs_at_n_64(tmp_path, capsys):
     assert "spectra match" in capsys.readouterr().out
 
 
+def test_gen_and_verify_at_n_4096_d_16(tmp_path, capsys):
+    # C(4096, 7) and up are past 2^64: the generator draws multiword ranks
+    inst = tmp_path / "wide.txt"
+    args = ["gen", "--n", "4096", "--s", "2", "--d", "16", "--seed", "1", "--out", str(inst)]
+    assert main(args) == 0, capsys.readouterr().err
+    for alg in ("pasmt", "fasmt", "hybrid"):
+        assert main(["verify", "--alg", alg, "--input", str(inst), "--d", "16"]) == 0
+        assert "spectra match" in capsys.readouterr().out
+
+
 def test_bench_runs_grid(tmp_path, capsys):
     grid = tmp_path / "grid.txt"
     grid.write_text("# small grid\npasmt 10 2 1 1\nfasmt 10 2 1 1\nhybrid 10 2 1 1\n")

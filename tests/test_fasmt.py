@@ -77,11 +77,11 @@ def test_recovers_and_counts():
 
 @pytest.mark.parametrize("n, s, d, seed", [(8, 2, 1, 1), (24, 6, 3, 2), (40, 8, 2, 3), (5, 4, 5, 4)])
 def test_exact_across_shapes(n, s, d, seed):
-    truth = generate_synthetic(n, s, min(d, n), seed=seed)
+    truth = generate_synthetic(n, s, d, seed=seed)
     f = oracle_for(truth)
-    got = fasmt_run(f, n, min(d, n))
+    got = fasmt_run(f, n, d)
     assert got.close_to(truth, 1e-9)
-    assert f.query_count <= 1 + truth.sparsity * gbsa_test_budget(n, min(d, n))
+    assert f.query_count <= 1 + truth.sparsity * gbsa_test_budget(n, d)
 
 
 def test_zero_function():

@@ -249,12 +249,12 @@ def test_verify_disjunct_rejects():
 
 
 def test_construct_disjunct_params():
-    with pytest.raises(ParameterError):
-        construct_disjunct(1, 1)
+    # d >= n leaves nothing shorter than the identity
+    assert construct_disjunct(1, 1) == identity_matrix(1)
+    assert construct_disjunct(8, 8) == identity_matrix(8)
+    assert construct_disjunct(8, 20) == identity_matrix(8)
     with pytest.raises(ParameterError):
         construct_disjunct(8, 0)
-    with pytest.raises(ParameterError):
-        construct_disjunct(8, 8)
 
 
 def test_construct_disjunct_degenerate_is_identity():
@@ -367,20 +367,23 @@ def test_list_design_shape():
     # smallest b with (32 - 3) * (4^4 - 3^3)^b <= 3 * (4^4)^b
     assert design.b == 21
     assert design.list_bound >= 1
+    # n <= 2d: no tests, so the one candidate set is every coordinate
+    for n, d in ((1, 1), (8, 8), (8, 4), (3, 9)):
+        design = construct_list_disjunct(n, d, seed=0)
+        assert (design.n, design.b, design.d) == (n, 0, min(d, n))
+        assert list_decode(design, Label.empty()) == tuple(range(1, n + 1))
     with pytest.raises(ParameterError):
-        construct_list_disjunct(1, 1, seed=0)
-    with pytest.raises(ParameterError):
-        construct_list_disjunct(8, 8, seed=0)
+        construct_list_disjunct(8, 0, seed=0)
 
 
 def test_list_design_width_is_the_smallest_that_caps_the_expected_list():
-    for n in range(2, 601):
-        for d in range(1, min(8, n - 1) + 1):
+    for n in range(1, 601):
+        for d in range(1, 9):
             big, small = (d + 1) ** (d + 1), d**d
             b = list_design_width(n, d)
-            assert b >= 1
+            assert (b == 0) == (n <= 2 * d), (n, d)
             assert (n - d) * (big - small) ** b <= d * big**b, (n, d)
-            if b > 1:
+            if b > 0:
                 assert (n - d) * (big - small) ** (b - 1) > d * big ** (b - 1), (n, d)
     assert list_design_width(256, 2) == 31
     assert list_design_width(16384, 4) == 98

@@ -60,6 +60,33 @@ def test_below_hits_every_residue():
         rng.below(0)
 
 
+@pytest.mark.parametrize(
+    "seed, bound, first",
+    [
+        (1, 10, [5, 9, 0, 5]),
+        (2, 3**40, [10905525725756348110, 10987583248141275951, 5747796768693156649, 6394052312532759219]),
+        (3, 2**64, [2092789425003139053, 12918135221727111561, 11307387092600937729, 1344154044715485647]),
+        (4, 2**63 + 1, [7958955049054603978, 9071633986856679582, 7278725300257082041, 8277778672505814866]),
+    ],
+)
+def test_below_keeps_its_draws_up_to_2_64(seed, bound, first):
+    # a bound up to 2^64 takes one word per try, so these draws are pinned
+    rng = SplitMix64(seed)
+    assert [rng.below(bound) for _ in range(4)] == first
+
+
+def test_below_past_2_64_is_uniform():
+    # 3,000 draws below 3 * 2^64: each third of the range about 1,000
+    # times, the binomial standard deviation being 26
+    bound = 3 << 64
+    rng = SplitMix64(11)
+    draws = [rng.below(bound) for _ in range(3000)]
+    assert all(0 <= u < bound for u in draws)
+    counts = Counter(u >> 64 for u in draws)
+    assert sorted(counts) == [0, 1, 2]
+    assert all(850 <= k <= 1150 for k in counts.values()), counts
+
+
 def test_uniform_stays_in_range():
     rng = SplitMix64(9)
     draws = [rng.uniform(1.0, 2.0) for _ in range(500)]
@@ -188,11 +215,17 @@ def test_generate_synthetic_validation():
     with pytest.raises(ParameterError):
         generate_synthetic(0, 1, 1, seed=0)
     with pytest.raises(ParameterError):
-        generate_synthetic(8, 2, 9, seed=0)
-    with pytest.raises(ParameterError):
         generate_synthetic(8, -1, 2, seed=0)
     with pytest.raises(ParameterError):
-        generate_synthetic(2000, 4, 500, seed=0)
+        generate_synthetic(8, 2, 0, seed=0)
+
+
+def test_generate_synthetic_degree_above_n():
+    # d > n draws each cardinality from 1..n
+    for seed in range(5):
+        poly = generate_synthetic(8, 6, 20, seed=seed)
+        assert poly.degree_bound == 20
+        assert all(1 <= k.weight() <= 8 for k in poly.entries)
 
 
 def test_generate_synthetic_zero_sparsity():
@@ -247,16 +280,15 @@ def test_run_benchmark_flags_failures():
 
 
 def test_runner_design_rules():
-    # pasmt: the identity unless 2 <= n and d < n, where the disjunct design
-    assert runner_design("pasmt", 1, 1) == identity_matrix(1)
+    # pasmt: the disjunct design, which is the identity where d >= n
+    for n, d in ((1, 1), (8, 8), (64, 2)):
+        assert runner_design("pasmt", n, d) == construct_disjunct(n, d)
     assert runner_design("pasmt", 8, 8) == identity_matrix(8)
-    assert runner_design("pasmt", 64, 2) == construct_disjunct(64, 2)
     assert runner_design("fasmt", 64, 2) is None
-    assert runner_design("hybrid", 1, 1) is None
     # hybrid's seed is 40000 + 97n + d; perfbench/bench.py build_designs copies it
-    for n, d, seed in ((64, 2, 46_210), (256, 4, 64_836)):
+    for n, d, seed in ((1, 1, 40_098), (8, 8, 40_784), (64, 2, 46_210), (256, 4, 64_836)):
         assert runner_design("hybrid", n, d) == construct_list_disjunct(n, d, seed)
-    assert runner_design("hybrid", 8, 8) == construct_list_disjunct(8, 7, 40_784)
+    assert runner_design("hybrid", 1, 1).b == 0
 
 
 def test_runner_design_is_built_once_per_n_d(monkeypatch):
@@ -279,13 +311,23 @@ def test_runner_design_is_built_once_per_n_d(monkeypatch):
 
 @pytest.mark.parametrize("algorithm", ["pasmt", "fasmt", "hybrid"])
 def test_run_cell_recovers_at_n_4096_d_16(algorithm):
-    # C(4096, 16) is past the 64-bit rank space; hybrid's design audit
-    # draws its weight-16 supports without ranking them
+    # C(4096, 16) is past 2^64, so each weight-16 support hybrid's design
+    # audit draws takes a rank of more than one 64-bit word
     n = 4096
     wide = BitVector.from_coords(n, range(1, 17))
     truth = SparsePolynomial(n, {wide: 1.0, BitVector.from_coords(n, [5, 900]): 2.0})
     f = CountingOracle(SparsePolyOracle(truth))
     assert run_cell(algorithm, f, 16, DEFAULT_TAU).close_to(truth)
+
+
+@pytest.mark.parametrize("algorithm", ["pasmt", "fasmt", "hybrid"])
+@pytest.mark.parametrize("n, s, d", [(32, 4, 3), (8, 6, 20)])
+def test_run_cell_recovers_and_carries_the_degree_bound(algorithm, n, s, d):
+    for seed in range(3):
+        truth = generate_synthetic(n, s, d, seed=seed)
+        got = run_cell(algorithm, CountingOracle(SparsePolyOracle(truth)), d, DEFAULT_TAU)
+        assert got.close_to(truth, 1e-9)
+        assert got.degree_bound == d
 
 
 def test_hybrid_bench_rows_run_over_the_registry_design():

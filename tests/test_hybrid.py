@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sparsemobius.core import BitVector, Label
 from sparsemobius.errors import DimensionError, ParameterError, ReconstructionError
+from sparsemobius.fasmt import fasmt_run
 from sparsemobius.grouptest import (
     ListDesign,
     construct_list_disjunct,
@@ -80,18 +81,18 @@ def test_antichain_layers_match_repeated_peeling(length, data):
     [(12, 4, 3, 77), (20, 5, 2, 78), (32, 8, 2, 79), (6, 3, 2, 80), (5, 3, 5, 81)],
 )
 def test_exact_across_shapes(n, s, d, seed):
-    truth = generate_synthetic(n, s, min(d, n), seed=seed)
+    truth = generate_synthetic(n, s, d, seed=seed)
     f = oracle_for(truth)
-    got = hybrid_run(f, n, min(d, n), seed=seed)
+    got = hybrid_run(f, n, d, seed=seed)
     assert got.close_to(truth, 1e-9)
-    assert got.degree_bound == min(d, n)
+    assert got.degree_bound == d
 
 
 def test_round_and_query_envelope():
     n, d, seed = 24, 2, 5
     truth = generate_synthetic(n, 6, d, seed=seed)
     s = truth.sparsity
-    design = construct_list_disjunct(n, min(d, n - 1), seed)
+    design = construct_list_disjunct(n, d, seed)
     per_bin = max(
         gbsa_test_budget(m, min(d, m)) for m in range(1, design.list_bound + 1)
     )
@@ -133,6 +134,24 @@ def test_single_coordinate_domain():
         f = oracle_for(truth)
         got = hybrid_run(f, 1, 1, seed=3)
         assert got == truth
+
+
+def test_runs_as_fasmt_where_n_is_at_most_2d():
+    # the design has no tests, so phase 1 is the root query and phase 2
+    # one search over all n coordinates
+    for n in range(1, 17):
+        for d in range((n + 1) // 2, n + 3):
+            for seed in range(2):
+                truth = generate_synthetic(n, 4, d, seed=seed)
+                runs = []
+                for run in (
+                    lambda f, sink: hybrid_run(f, n, d, seed=seed, transcript=sink),
+                    lambda f, sink: fasmt_run(f, n, d, transcript=sink),
+                ):
+                    f, sink = oracle_for(truth), io.StringIO()
+                    got = run(f, sink)
+                    runs.append((got.entries, f.query_count, f.round_count, sink.getvalue()))
+                assert runs[0] == runs[1], (n, d, seed)
 
 
 def test_integer_mode_zero_tau():
