@@ -15,12 +15,7 @@ import argparse
 import sys
 from contextlib import nullcontext
 
-from .errors import (
-    DecodeError,
-    InfeasiblePrefixError,
-    ReconstructionError,
-    SparseMobiusError,
-)
+from .errors import ReconstructionError, SparseMobiusError
 from .harness import (
     ALGORITHMS,
     generate_synthetic,
@@ -183,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ReconstructionError, InfeasiblePrefixError, DecodeError) as err:
+    except ReconstructionError as err:
         print(f"reconstruction failed: {err}", file=sys.stderr)
         return 2
     except OSError as err:

@@ -1,10 +1,12 @@
-"""Bit vectors, outcome labels, and test matrices over the Boolean semiring.
+"""Bit vectors and test matrices over the Boolean semiring.
 
-These three immutable value types are the shared currency of every
+These two immutable value types are the shared currency of every
 reconstruction algorithm in the package.  A vector of length n is stored as a
 Python integer with coordinate i kept in bit i-1, so the textual form reads
-coordinate 1 first: "0011" with n = 4 has coordinates 3 and 4 set.  Outcome
-labels use the same layout with the first recorded outcome in bit 0.
+coordinate 1 first: "0011" with n = 4 has coordinates 3 and 4 set.  An
+outcome label is a bit vector too, named Label where the code means one:
+a test matrix maps a support in {0,1}^n to the b outcomes of its tests in
+{0,1}^b, with the first outcome in bit 0.
 
 The runners need two operations on a test matrix, and both live here:
 syndrome encodes a support into its outcome label, and build_query_vector
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, TextIO
 
-from .errors import CapacityError, DimensionError
+from .errors import DimensionError
 
 __all__ = [
     "MAX_LABEL_LENGTH",
@@ -28,15 +30,17 @@ __all__ = [
     "build_query_vector",
 ]
 
+# the longest label the depth-first search may grow one outcome at a time
 MAX_LABEL_LENGTH = 1 << 16
 
 
 class BitVector:
     """Immutable binary vector with coordinates numbered 1..n.
 
-    Equality and hashing are by value, so vectors can key dictionaries.
-    Length 0 is allowed so that syndromes of empty matrix prefixes are
-    representable.
+    It serves both ends of a test matrix: supports and query points of
+    length n, and outcome labels (the alias Label) of length b.  Equality
+    and hashing are by value, so vectors can key dictionaries.  Length 0 is
+    allowed so that syndromes of empty matrix prefixes are representable.
     """
 
     __slots__ = ("n", "mask")
@@ -48,10 +52,6 @@ class BitVector:
             raise DimensionError(f"mask {mask:#x} does not fit in {n} bits")
         self.n = n
         self.mask = mask
-
-    @classmethod
-    def zeros(cls, n: int) -> "BitVector":
-        return cls(n, 0)
 
     @classmethod
     def ones(cls, n: int) -> "BitVector":
@@ -111,56 +111,8 @@ class BitVector:
         return f"BitVector({self.to01()!r})"
 
 
-class Label:
-    """Immutable outcome string of a test sequence, one bit per test.
-
-    Position i (0-based) holds the outcome of test i+1.  Labels grow by
-    append and are capped at MAX_LABEL_LENGTH bits.
-    """
-
-    __slots__ = ("length", "mask")
-
-    def __init__(self, length: int, mask: int = 0):
-        if length < 0:
-            raise DimensionError(f"label length must be nonnegative, got {length}")
-        if length > MAX_LABEL_LENGTH:
-            raise CapacityError(f"label length {length} exceeds {MAX_LABEL_LENGTH}")
-        if mask < 0 or mask.bit_length() > length:
-            raise DimensionError(f"mask {mask:#x} does not fit in {length} bits")
-        self.length = length
-        self.mask = mask
-
-    @classmethod
-    def empty(cls) -> "Label":
-        return cls(0, 0)
-
-    @classmethod
-    def from01(cls, text: str) -> "Label":
-        bits = BitVector.from01(text)
-        return cls(bits.n, bits.mask)
-
-    def to01(self) -> str:
-        return "".join(
-            "1" if (self.mask >> i) & 1 else "0" for i in range(self.length)
-        )
-
-    def append(self, bit: int) -> "Label":
-        if bit not in (0, 1):
-            raise DimensionError(f"label bits must be 0 or 1, got {bit!r}")
-        return Label(self.length + 1, self.mask | (bit << self.length))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Label)
-            and self.length == other.length
-            and self.mask == other.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.length, self.mask))
-
-    def __repr__(self) -> str:
-        return f"Label({self.to01()!r})"
+# an outcome string: position i (0-based) holds the outcome of test i+1
+Label = BitVector
 
 
 def log_query(transcript: TextIO | None, label: Label, x: BitVector, value: float) -> None:
@@ -244,7 +196,7 @@ def syndrome(H: TestMatrix, k: BitVector) -> Label:
     for t, col in enumerate(H.columns):
         if col.mask & k.mask:
             mask |= 1 << t
-    return Label(H.b, mask)
+    return BitVector(H.b, mask)
 
 
 def build_query_vector(H: TestMatrix, label: Label) -> BitVector:
@@ -255,10 +207,8 @@ def build_query_vector(H: TestMatrix, label: Label) -> BitVector:
     holds exactly when syndrome(H, k) is componentwise below the label.  A
     width-0 matrix gives the all-ones point.
     """
-    if label.length != H.b:
-        raise DimensionError(
-            f"label length {label.length} != column count {H.b}"
-        )
+    if label.n != H.b:
+        raise DimensionError(f"label length {label.n} != column count {H.b}")
     union = 0
     for t, col in enumerate(H.columns):
         if not (label.mask >> t) & 1:

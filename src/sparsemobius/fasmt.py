@@ -88,7 +88,7 @@ def _search(
         return
     advance = tree.advance
     full = (1 << n) - 1
-    length, mask = label.length, label.mask
+    length, mask = label.n, label.mask
     state = tree.start()
     residual = [pair for pair in found.items() if pair[0] & union == 0]
     own: list[tuple[int, float]] = []
@@ -242,7 +242,7 @@ def fasmt_run(
         raise ParameterError(f"need d >= 1, got {d}")
     ones = BitVector.ones(n)
     root = f.eval(ones)
-    log_query(transcript, Label.empty(), ones, root)
-    root_bucket = (Label.empty(), root, 0, ones.mask, ())
+    log_query(transcript, Label(0), ones, root)
+    root_bucket = (Label(0), root, 0, ones.mask, ())
     discovered = depth_first_search(f, [root_bucket], d, tau, transcript)
     return SparsePolynomial(n, discovered, degree_bound=d)

@@ -80,8 +80,8 @@ class GbsaState(NamedTuple):
     block indexes the current block and remaining holds its coordinates not
     yet found.  window is 0 while the whole remaining block is under test;
     otherwise it holds the candidates for the block's next defective and its
-    lower half is under test.  found and count are the defectives identified
-    so far.  test is the pending test mask, or None once the tree has
+    lower half is under test.  found holds the defectives identified so
+    far.  test is the pending test mask, or None once the tree has
     terminated and found is the defective set.
     """
 
@@ -89,7 +89,6 @@ class GbsaState(NamedTuple):
     remaining: int
     window: int
     found: int
-    count: int
     test: int | None
 
 
@@ -124,7 +123,7 @@ class GbsaTree:
 
     def start(self) -> GbsaState:
         """The root of the tree: the first block's test, or the empty result."""
-        return self._settle(-1, 0, 0, 0, 0)
+        return self._settle(-1, 0, 0, 0)
 
     def advance(self, state: GbsaState, outcome: int) -> GbsaState:
         """The child of a pending state along one test outcome.
@@ -132,18 +131,16 @@ class GbsaTree:
         Raises InfeasiblePrefixError once the outcomes imply more than d
         defectives.
         """
-        block, remaining, window, found, count, test = state
+        block, remaining, window, found, test = state
         if window:
             window = test if outcome else window ^ test
         elif outcome:
             window = remaining
         else:
             remaining = 0
-        return self._settle(block, remaining, window, found, count)
+        return self._settle(block, remaining, window, found)
 
-    def _settle(
-        self, block: int, remaining: int, window: int, found: int, count: int
-    ) -> GbsaState:
+    def _settle(self, block: int, remaining: int, window: int, found: int) -> GbsaState:
         """Take the forced steps (a one-candidate window is a defective, an
         exhausted block hands over to the next) until a test is pending.
 
@@ -153,21 +150,20 @@ class GbsaTree:
         while True:
             if window & (window - 1):
                 half = _lowest(window, (window.bit_count() + 1) // 2)
-                return tuple.__new__(GbsaState, (block, remaining, window, found, count, half))
+                return tuple.__new__(GbsaState, (block, remaining, window, found, half))
             if window:
                 found |= window
-                count += 1
-                if count > self.d:
+                if found.bit_count() > self.d:
                     raise InfeasiblePrefixError(
                         f"outcomes imply more than d={self.d} defectives"
                     )
                 remaining ^= window
                 window = 0
             if remaining:
-                return tuple.__new__(GbsaState, (block, remaining, 0, found, count, remaining))
+                return tuple.__new__(GbsaState, (block, remaining, 0, found, remaining))
             block += 1
             if block == len(self.blocks):
-                return tuple.__new__(GbsaState, (block, 0, 0, found, count, None))
+                return tuple.__new__(GbsaState, (block, 0, 0, found, None))
             remaining = self.blocks[block]
 
 
@@ -190,7 +186,7 @@ def gbsa_step(label: Label, n: int, d: int) -> GbsaState:
         raise ParameterError(f"need n >= 0 and d >= 1, got n={n}, d={d}")
     tree = GbsaTree((1 << n) - 1, d)
     state = tree.start()
-    for i in range(label.length):
+    for i in range(label.n):
         if state.test is None:
             raise InfeasiblePrefixError(
                 f"label {label.to01()!r} extends past the decision tree"
@@ -389,7 +385,7 @@ def construct_list_disjunct(n: int, d: int, seed: int) -> ListDesign:
     candidates at most d long, audited by decoding AUDIT_TRIALS random
     low-weight syndromes.  Each column is one bernoulli_mask draw.  A d
     above n is capped at n; where n <= 2d the design has no tests, so its
-    one candidate set is all n coordinates."""
+    one candidate set is all n coordinates, its bound without an audit."""
     if n < 1 or d < 1:
         raise ParameterError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     d = min(d, n)
@@ -398,6 +394,8 @@ def construct_list_disjunct(n: int, d: int, seed: int) -> ListDesign:
     matrix = TestMatrix(
         n, [BitVector(n, bernoulli_mask(rng, n, d + 1)) for _ in range(b)]
     )
+    if b == 0:
+        return ListDesign(matrix, d, n, seed)
     bound = 1
     for _ in range(AUDIT_TRIALS):
         weight = 1 + rng.below(d)

@@ -85,7 +85,7 @@ def refine_levels(
     full = (1 << n) - 1
     ones = BitVector.ones(n)
     root = f.batch_eval([ones])[0]
-    log_query(transcript, Label.empty(), ones, root)
+    log_query(transcript, Label(0), ones, root)
     if abs(root) <= tau:
         return []
     # bucket i: label bits, sum, zero union, and the earlier buckets below it

@@ -88,8 +88,8 @@ def depth_first_search(f, buckets, d, tau, discovered, transcript=None):
             label, value, union, state = pending
             v0, v1 = split_bin(value, x, raw, discovered)
             _log(transcript, label, x, v0)
-            stack.append((label.append(1), v1, union, state, 1))
-            stack.append((label.append(0), v0, union | state.test, state, 0))
+            stack.append((Label(label.n + 1, label.mask | 1 << label.n), v1, union, state, 1))
+            stack.append((Label(label.n + 1, label.mask), v0, union | state.test, state, 0))
             pending = _next_query(n, tree, stack, tau, discovered)
             if pending is not None:
                 still.append((tree, stack, pending))
@@ -99,9 +99,9 @@ def depth_first_search(f, buckets, d, tau, discovered, transcript=None):
 def fasmt_run(f: CountingOracle, n: int, d: int, tau: float, transcript=None):
     ones = BitVector.ones(n)
     root = f.eval(ones)
-    _log(transcript, Label.empty(), ones, root)
+    _log(transcript, Label(0), ones, root)
     discovered: dict[BitVector, float] = {}
-    depth_first_search(f, [(Label.empty(), root, 0, ones.mask)], d, tau, discovered, transcript)
+    depth_first_search(f, [(Label(0), root, 0, ones.mask)], d, tau, discovered, transcript)
     return SparsePolynomial(n, discovered, degree_bound=d)
 
 

@@ -191,6 +191,7 @@ def test_degree_overflow_raises():
         fasmt_run(oracle_for(truth), 8, 2)
     assert "degree overflow" in str(info.value)
     assert info.value.label is not None
+    assert isinstance(info.value.label, Label)
 
 
 def test_validation():
@@ -202,7 +203,7 @@ def test_validation():
     # a bucket waiting on itself or a later bucket would never start
     ones = BitVector.ones(4).mask
     for below in ([0], [1]):
-        buckets = [(Label.empty(), 5.0, 0, ones, below), (Label.empty(), 5.0, 0, ones, ())]
+        buckets = [(Label(0), 5.0, 0, ones, below), (Label(0), 5.0, 0, ones, ())]
         with pytest.raises(ParameterError):
             depth_first_search(f, buckets, 2, 1e-9)
     assert f.query_count == 0

@@ -193,7 +193,8 @@ def test_degree_overflow_raises_with_label(caplog):
             hybrid_run(f, 10, 2, seed=8, design=design)
     assert "degree overflow" in str(info.value)
     # the label extends the bucket's full phase-1 syndrome
-    assert info.value.label.length > design.b
+    assert isinstance(info.value.label, Label)
+    assert info.value.label.n > design.b
     assert not any("falling back" in rec.message for rec in caplog.records)
     assert f.query_count <= 1 + design.b + gbsa_test_budget(10, 2)
 

@@ -71,7 +71,7 @@ def reference_refine_levels(f, H, tau, transcript):
     transcript.write(f"\t{ones.to01()}\t{root!r}\n")
     if abs(root) <= tau:
         return [], []
-    labels, values, unions = [Label.empty()], [root], [0]
+    labels, values, unions = [Label(0)], [root], [0]
     states = [(labels, values)]
     for column in H.columns:
         col = column.mask
@@ -91,11 +91,11 @@ def reference_refine_levels(f, H, tau, transcript):
             v0 = zero_sums[i]
             v1 = values[i] - v0
             if abs(v0) > tau:
-                next_labels.append(ell.append(0))
+                next_labels.append(Label(ell.n + 1, ell.mask))
                 next_values.append(v0)
                 next_unions.append(unions[i] | col)
             if abs(v1) > tau:
-                next_labels.append(ell.append(1))
+                next_labels.append(Label(ell.n + 1, ell.mask | 1 << ell.n))
                 next_values.append(v1)
                 next_unions.append(unions[i])
         labels, values, unions = next_labels, next_values, next_unions
@@ -212,7 +212,7 @@ def test_levels_conserve_mass_and_track_true_buckets():
         assert abs(sum(values) - total) < 1e-6
         texts = [ell.to01() for ell in labels]
         assert texts == sorted(texts)
-        assert all(ell.length == depth for ell in labels)
+        assert all(ell.n == depth for ell in labels)
         expected = {}
         for k, v in truth.entries.items():
             prefix = Label(depth, syndrome(H, k).mask & ((1 << depth) - 1))
@@ -266,6 +266,7 @@ def test_degree_overflow_raises_with_label():
     H = construct_disjunct(32, 2)
     with pytest.raises(ReconstructionError, match="above d=2") as info:
         pasmt_run(oracle_for(truth), H, 2)
+    assert isinstance(info.value.label, Label)
     assert info.value.label == syndrome(H, deep)
 
 
