@@ -21,7 +21,6 @@ from typing import Iterable, TextIO
 from .errors import DimensionError
 
 __all__ = [
-    "MAX_LABEL_LENGTH",
     "BitVector",
     "Label",
     "TestMatrix",
@@ -29,10 +28,6 @@ __all__ = [
     "syndrome",
     "build_query_vector",
 ]
-
-# the longest label the depth-first search may grow one outcome at a time
-MAX_LABEL_LENGTH = 1 << 16
-
 
 class BitVector:
     """Immutable binary vector with coordinates numbered 1..n.

@@ -14,9 +14,10 @@ sent the oracle's raw value there, keeping its stack, its finds and its
 splitting tree in locals.  A child whose sum vanishes is never pushed.  The
 search carries on with a nonzero 0-child at once and pushes a nonzero
 1-child, which it pops once the 0-child's subtree is done, so a bucket's
-descendants are split in lexicographic label order.  A child carries its
-label as (length, mask) integers, an immutable splitting-tree state over
-the bucket's universe of candidate coordinates, and a residual list: the
+descendants are split in lexicographic label order.  A bucket's
+splitting tree ranges over the coordinates outside its zero union, the
+only ones its supports can use.  A child carries its label as (length,
+mask) integers, an immutable state of that tree, and a residual list: the
 discovered coefficients whose supports avoid the child's zero union, in
 discovery order, which are the only ones that can lie below its query
 points.  The 0-child keeps the pairs subtracted at its parent's query; the
@@ -29,26 +30,24 @@ label lies below its own finishes, so running buckets are pairwise
 incomparable and none of their coefficients lies below another's query
 points.  A search running alone is driven with single evaluations: no
 other bucket can start before it finishes, and each evaluation is one query
-and one round, as a batch of one is, so the counts do not change.  This
-runner has a single root bucket, so every query is its own round and the
-query count is at most 1 + s * (the splitting tree's test budget).
+and one round, as a batch of one is, so the counts do not change.
+
+This runner feeds the engine the level loop run over no tests: the root
+query, then a single bucket over all n coordinates, so every query is its
+own round and the query count is at most 1 + s * (the splitting tree's
+test budget).
 """
 
 from __future__ import annotations
 
 from typing import Generator, Sequence, TextIO
 
-from .core import MAX_LABEL_LENGTH, BitVector, Label, log_query
-from .errors import (
-    CapacityError,
-    DimensionError,
-    InfeasiblePrefixError,
-    ParameterError,
-    ReconstructionError,
-)
+from .core import BitVector, Label, TestMatrix, log_query
+from .errors import InfeasiblePrefixError, ParameterError, ReconstructionError
 from .grouptest import GbsaTree
 from .grouptest import gbsa_step  # unused here; the benchmark's traced run looks it up
 from .oracle import DEFAULT_TAU, CountingOracle, SparsePolynomial
+from .pasmt import refine_levels
 
 __all__ = ["split_bin", "depth_first_search", "fasmt_run"]
 
@@ -75,19 +74,19 @@ def _search(
     n: int,
     d: int,
     tau: float,
-    bucket: tuple[Label, float, int, int, Sequence[int]],
+    bucket: tuple[Label, float, int, Sequence[int]],
     found: dict[int, float],
     transcript: TextIO | None,
 ) -> Generator[BitVector, float, None]:
     """One bucket's splitting search: yields each query point and is sent
     the oracle's raw value there.  Records every coefficient it pins down
     in found, in order, and returns once its stack is empty."""
-    label, value, union, universe, _ = bucket
-    tree = GbsaTree(universe, d)
+    label, value, union, _ = bucket
+    full = (1 << n) - 1
+    tree = GbsaTree(full ^ union, d)
     if abs(value) <= tau:
         return
     advance = tree.advance
-    full = (1 << n) - 1
     length, mask = label.n, label.mask
     state = tree.start()
     residual = [pair for pair in found.items() if pair[0] & union == 0]
@@ -104,10 +103,6 @@ def _search(
                 v0, v1, below = split_bin(value, x, (yield x), residual)
                 if transcript is not None:
                     log_query(transcript, Label(length, mask), x, v0)
-                if length >= MAX_LABEL_LENGTH:
-                    raise CapacityError(
-                        f"label length {length + 1} exceeds {MAX_LABEL_LENGTH}"
-                    )
                 if abs(v1) > tau:
                     stack.append(
                         (length + 1, mask | 1 << length, v1, union, residual, len(own), state)
@@ -143,17 +138,18 @@ def _search(
 
 def depth_first_search(
     f: CountingOracle,
-    buckets: Sequence[tuple[Label, float, int, int, Sequence[int]]],
+    buckets: Sequence[tuple[Label, float, int, Sequence[int]]],
     d: int,
     tau: float,
     transcript: TextIO | None = None,
 ) -> dict[BitVector, float]:
     """Finish buckets by splitting searches, one batched round per step.
 
-    Each bucket is (label, sum, zero union, universe, below): the union of
-    the tests its label records a 0 at, the mask of coordinates its
-    supports may use, and the indices of the earlier buckets whose labels
-    lie componentwise below its own.  A bucket starts in the round after
+    The buckets are refine_levels' leaves as it returns them: (label, sum,
+    zero union, below), with the union of the tests the label records a 0
+    at and the indices of the earlier buckets whose labels lie
+    componentwise below its own.  A bucket's search ranges over the
+    coordinates outside its zero union.  A bucket starts in the round after
     the last bucket on its list finishes, with the coefficients found so
     far that avoid its zero union as its residual list.  Each running
     search is a generator of query points; a round sends every running
@@ -167,11 +163,11 @@ def depth_first_search(
     waiting = []
     dependents: list[list[int]] = [[] for _ in buckets]
     for i, bucket in enumerate(buckets):
-        for j in bucket[4]:
+        for j in bucket[3]:
             if not 0 <= j < i:
                 raise ParameterError(f"bucket {i} must list earlier buckets only")
             dependents[j].append(i)
-        waiting.append(len(bucket[4]))
+        waiting.append(len(bucket[3]))
     found: dict[int, float] = {}
     ready = [i for i, count in enumerate(waiting) if not count]
 
@@ -229,20 +225,17 @@ def fasmt_run(
 ) -> SparsePolynomial:
     """Recover the coefficient map of the oracle depth-first.
 
-    Exact under the same conditions as the breadth-first runner whenever
-    the true degree is at most d.  A true degree above d surfaces as
+    The level loop runs over no tests, which is the root query alone, and
+    the engine searches its one leaf over all n coordinates.  Exact under
+    the same conditions as the breadth-first runner whenever the true
+    degree is at most d.  A true degree above d surfaces as
     ReconstructionError (degree overflow) carrying the offending label.
     The transcript's root line holds the raw value f(1...1); every later
     line holds the residual 0-child sum, f(x) minus the coefficients
     already found below x.
     """
-    if f.n != n:
-        raise DimensionError(f"oracle is over n={f.n}, expected {n}")
     if d < 1:
         raise ParameterError(f"need d >= 1, got {d}")
-    ones = BitVector.ones(n)
-    root = f.eval(ones)
-    log_query(transcript, Label(0), ones, root)
-    root_bucket = (Label(0), root, 0, ones.mask, ())
-    discovered = depth_first_search(f, [root_bucket], d, tau, transcript)
+    leaves = refine_levels(f, TestMatrix(n, ()), tau, transcript)
+    discovered = depth_first_search(f, leaves, d, tau, transcript)
     return SparsePolynomial(n, discovered, degree_bound=d)

@@ -5,11 +5,12 @@ list-disjunct design: Bernoulli(1/(d+1)) cells, and the fewest tests,
 O(d log(n/d)), that keep a weight-d support's expected list of false
 candidates at most d long (grouptest.list_design_width).  Its surviving
 leaf buckets are not exactly decodable, but each one comes with a small
-candidate coordinate set that is guaranteed to contain the support of
-every coefficient in the bucket.  Phase 2 finishes each bucket with the
-depth-first runner's search engine, its splitting tree ranging over the
-candidate set only.  Where n <= 2d the design has no tests: phase 1 is
-the root query and phase 2 one search over all n, exactly as fasmt runs.
+candidate coordinate set, the coordinates outside its zero union, that is
+guaranteed to contain the support of every coefficient in the bucket.
+Phase 2 hands the leaves as they are to the depth-first runner's search
+engine, whose splitting tree for each bucket ranges over that set only.
+Where n <= 2d the design has no tests: phase 1 is the root query and phase
+2 one search over all n, exactly as fasmt runs.
 
 A bucket's coefficients can lie below another bucket's query points only
 when its label lies componentwise below the other's, so phase 1 hands each
@@ -27,12 +28,12 @@ from __future__ import annotations
 
 from typing import TextIO
 
-from .core import BitVector
 from .errors import DimensionError, ParameterError
 from .fasmt import depth_first_search
 from .fasmt import fasmt_run  # unused here; the benchmark's traced run looks it up
-from .grouptest import ListDesign, construct_list_disjunct, list_decode
+from .grouptest import ListDesign, construct_list_disjunct
 from .grouptest import gbsa_step  # unused here; the benchmark's traced run looks it up
+from .grouptest import list_decode  # unused here; the benchmark's traced run looks it up
 from .oracle import DEFAULT_TAU, CountingOracle, SparsePolynomial
 from .pasmt import refine_levels
 
@@ -61,13 +62,8 @@ def hybrid_run(
         raise DimensionError(f"oracle is over n={f.n}, expected {n}")
     if d < 1:
         raise ParameterError(f"need d >= 1, got {d}")
-    if design is not None and design.n != n:
-        raise DimensionError(f"design is over n={design.n}, expected {n}")
     if design is None:
         design = construct_list_disjunct(n, d, seed)
-    buckets = [
-        (label, value, union, BitVector.from_coords(n, list_decode(design, label)).mask, below)
-        for label, value, union, below in refine_levels(f, design.matrix, tau, transcript)
-    ]
-    discovered = depth_first_search(f, buckets, d, tau, transcript)
+    leaves = refine_levels(f, design.matrix, tau, transcript)
+    discovered = depth_first_search(f, leaves, d, tau, transcript)
     return SparsePolynomial(n, discovered, degree_bound=d)

@@ -165,9 +165,5 @@ def pasmt_run(
             raise ReconstructionError(
                 f"bucket {label.to01()!r} failed to decode: {err}", label=label
             ) from err
-        if support in entries:
-            raise ReconstructionError(
-                f"two buckets decoded to support {support.to01()!r}", label=label
-            )
         entries[support] = value
     return SparsePolynomial(f.n, entries, degree_bound=d)

@@ -5,13 +5,8 @@ import io
 import pytest
 
 from sparsemobius import fasmt
-from sparsemobius.core import MAX_LABEL_LENGTH, BitVector, Label
-from sparsemobius.errors import (
-    CapacityError,
-    DimensionError,
-    ParameterError,
-    ReconstructionError,
-)
+from sparsemobius.core import BitVector, Label
+from sparsemobius.errors import DimensionError, ParameterError, ReconstructionError
 from sparsemobius.fasmt import depth_first_search, fasmt_run, split_bin
 from sparsemobius.grouptest import (
     construct_disjunct,
@@ -55,11 +50,12 @@ def test_split_bin_respects_zero_union():
     # excludes coordinate 1, so every query point the search makes does too
     f = oracle_for(P)
     sink = io.StringIO()
-    bucket = (Label.from01("0"), 3.0, bv("1000").mask, BitVector.ones(4).mask, ())
+    bucket = (Label.from01("0"), 3.0, bv("1000").mask, ())
     assert depth_first_search(f, [bucket], 2, 1e-9, sink) == {bv("0001"): 3.0}
     lines = [line.split("\t") for line in sink.getvalue().splitlines()]
-    # the first test is the block of coordinates 1 and 2: query point 0011
-    assert lines[0] == ["0", "0011", "3.0"]
+    # the search ranges over coordinates 2-4, so the first test is the
+    # block of coordinates 2 and 3: query point 0001
+    assert lines[0] == ["0", "0001", "3.0"]
     assert all(x.startswith("0") for _, x, _ in lines)
     assert len(lines) == f.query_count == f.round_count
 
@@ -201,9 +197,8 @@ def test_validation():
     with pytest.raises(ParameterError):
         fasmt_run(f, 4, 0)
     # a bucket waiting on itself or a later bucket would never start
-    ones = BitVector.ones(4).mask
     for below in ([0], [1]):
-        buckets = [(Label(0), 5.0, 0, ones, below), (Label(0), 5.0, 0, ones, ())]
+        buckets = [(Label(0), 5.0, 0, below), (Label(0), 5.0, 0, ())]
         with pytest.raises(ParameterError):
             depth_first_search(f, buckets, 2, 1e-9)
     assert f.query_count == 0
@@ -235,14 +230,14 @@ def test_every_search_query_calls_split_bin_through_the_module(monkeypatch, n, s
 
 
 def test_a_support_decoded_by_two_running_buckets():
-    # both buckets' universes hold coordinate 1, the one true support, and
-    # neither label lies below the other, so both test it in one round; the
-    # second to record the support names its own label
+    # both buckets' zero unions leave coordinate 1 alone, the one true
+    # support, and neither label lies below the other, so both test it in
+    # one round; the second to record the support names its own label
     f = oracle_for(SparsePolynomial(4, {bv("1000"): 2.0}))
-    universe = bv("1000").mask
+    union = bv("0111").mask
     buckets = [
-        (Label.from01("01"), 2.0, 0, universe, ()),
-        (Label.from01("10"), 2.0, 0, universe, ()),
+        (Label.from01("01"), 2.0, union, ()),
+        (Label.from01("10"), 2.0, union, ()),
     ]
     with pytest.raises(ReconstructionError, match="decoded twice") as info:
         depth_first_search(f, buckets, 1, 1e-9)
@@ -251,23 +246,14 @@ def test_a_support_decoded_by_two_running_buckets():
     assert f.query_count == 2
 
 
-def test_a_full_label_raises_after_one_query():
-    f = oracle_for(P)
-    ones = BitVector.ones(4).mask
-    bucket = (Label(MAX_LABEL_LENGTH, 0), 5.0, 0, ones, ())
-    with pytest.raises(CapacityError):
-        depth_first_search(f, [bucket], 2, 1e-9)
-    assert f.query_count == f.round_count == 1
-
-
 def test_degree_overflow_in_a_shared_round_names_its_bucket():
     # bucket "10" holds the weight-2 support 1100 and overflows d = 1 in
     # its third query; bucket "01" holds 0001 and is still running then
     truth = SparsePolynomial(4, {bv("1100"): 1.0, bv("0001"): 3.0})
     f = oracle_for(truth)
     buckets = [
-        (Label.from01("10"), 1.0, bv("0001").mask, bv("1100").mask, ()),
-        (Label.from01("01"), 3.0, bv("1100").mask, bv("0011").mask, ()),
+        (Label.from01("10"), 1.0, bv("0011").mask, ()),
+        (Label.from01("01"), 3.0, bv("1100").mask, ()),
     ]
     with pytest.raises(ReconstructionError, match="degree overflow") as info:
         depth_first_search(f, buckets, 1, 1e-9)

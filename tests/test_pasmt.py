@@ -14,7 +14,12 @@ from sparsemobius.core import (
     syndrome,
 )
 from sparsemobius.errors import DimensionError, ParameterError, ReconstructionError
-from sparsemobius.grouptest import construct_disjunct, identity_matrix
+from sparsemobius.grouptest import (
+    construct_disjunct,
+    construct_list_disjunct,
+    identity_matrix,
+    list_decode,
+)
 from sparsemobius.harness import generate_synthetic
 from sparsemobius.oracle import CountingOracle, SparsePolynomial, SparsePolyOracle
 from sparsemobius.pasmt import pasmt_run, refine_levels, solve_bin_system
@@ -229,6 +234,13 @@ def test_leaf_unions_match_zero_positions():
     full = (1 << H.n) - 1
     for label, _, union, _ in leaves:
         assert union == full ^ build_query_vector(H, label).mask
+    # the depth-first engine searches a hybrid leaf over the coordinates
+    # outside its zero union, which are the leaf's list-decoded candidates
+    design = construct_list_disjunct(12, 2, seed=5)
+    leaves = refine_levels(oracle_for(truth), design.matrix, 1e-9)
+    assert leaves
+    for label, _, union, _ in leaves:
+        assert list_decode(design, label) == BitVector(12, full ^ union).coords()
 
 
 def test_transcript_lines_and_determinism():
