@@ -9,13 +9,17 @@ big-integer operations, so a caller can walk many branches of the tree side
 by side.  The non-adaptive side builds d-disjunct test matrices
 (Reed-Solomon concatenation, with an identity fallback) plus randomized
 list-disjunct designs, together with the naive cover decoder for both.
+Both builders work a whole column, or a whole evaluation point, at a time:
+the Reed-Solomon symbols come from Horner's rule over base-q digits and
+their masks from one bytes translate each, and a list design's column is
+one bernoulli_mask draw.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 from .core import BitVector, Label, TestMatrix, build_query_vector, syndrome
@@ -25,7 +29,7 @@ from .errors import (
     InfeasiblePrefixError,
     ParameterError,
 )
-from .rng import SplitMix64, bernoulli_mask, random_subset
+from .rng import SplitMix64, bernoulli_mask
 
 __all__ = [
     "GbsaState",
@@ -43,8 +47,6 @@ __all__ = [
 ]
 
 VERIFY_WORK_CAP = 10**8
-# random low-weight syndromes decoded to audit a list design's bound
-AUDIT_TRIALS = 256
 
 
 def gbsa_test_budget(n: int, d: int) -> int:
@@ -227,21 +229,38 @@ def _rs_concat(n: int, q: int, m: int) -> TestMatrix:
     """Reed-Solomon code over GF(q) of message length m, concatenated with
     the identity: test (position, symbol) contains item j iff j's codeword
     carries that symbol at that position.  Zero and duplicate test columns
-    carry no information and are dropped."""
-    cols = [0] * (q * q)
-    for j in range(n):
-        digits = []
-        v = j
-        for _ in range(m):
-            digits.append(v % q)
-            v //= q
-        for alpha in range(q):
-            acc = 0
-            power = 1
-            for digit in digits:
-                acc = (acc + digit * power) % q
-                power = (power * alpha) % q
-            cols[alpha * q + acc] |= 1 << j
+    carry no information and are dropped.
+
+    Item j = j0 + q*j' (j0 its lowest base-q digit) carries the symbol
+    (j0 + alpha * symbol(j')) % q at point alpha, so each point's symbols
+    take one pass per digit, Horner's rule over the items below
+    ceil(n / q^i), and each pass joins one precomputed q-symbol run per
+    item of the pass before.  Where q < 256 each symbol's mask is read off
+    the symbol bytes by one translate.
+    """
+    # shifts[t] lists (t + j0) % q for j0 = 0..q-1
+    shifts = [[(t + j0) % q for j0 in range(q)] for t in range(q)]
+    cols = []
+    for alpha in range(q):
+        # after[s] lists the symbols of the items j0 + q*j', j0 = 0..q-1,
+        # whose j' carries symbol s
+        after = [shifts[alpha * s % q] for s in range(q)]
+        syms = [0]  # the symbols of the items below ceil(n / q^(i+1))
+        for i in range(m - 1, -1, -1):
+            syms = list(chain.from_iterable(map(after.__getitem__, syms)))
+            del syms[-(-n // q**i) :]  # keep the first ceil(n / q^i)
+        if q < 256:
+            text = bytes(syms)[::-1]  # item n-1 first, as int() reads it
+            # the translate table for v takes byte v to b"1", the rest to b"0"
+            cols += [
+                int(text.translate(b"0" * v + b"1" + b"0" * (255 - v)), 2)
+                for v in range(q)
+            ]
+        else:
+            masks = [0] * q
+            for j, sym in enumerate(syms):
+                masks[sym] |= 1 << j
+            cols += masks
     seen: set[int] = set()
     kept = []
     for mask in cols:
@@ -258,27 +277,29 @@ def construct_disjunct(n: int, d: int) -> TestMatrix:
     Reed-Solomon concatenations over prime fields q with q >= d*(m-1) + 1
     where m = ceil(log_q n).  The smallest column count wins; ties keep the
     earlier candidate, so results are deterministic, and the identity wins
-    whenever no candidate is shorter, which includes every d >= n.  Fields
-    stop at q = isqrt(n-1) + 1: past it q*q >= n, the identity's width.
+    whenever no candidate is shorter, which includes every d >= n; it is
+    built only then.  Fields stop at q = isqrt(n-1) + 1: past it
+    q*q >= n, the identity's width.
     """
     if n < 1 or d < 1:
         raise ParameterError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    best = identity_matrix(n)
+    best = None
+    width = n
     if d == 1:
         cand = _bit_tests(n)
-        if cand.b < best.b:
-            best = cand
+        if cand.b < width:
+            best, width = cand, cand.b
     for q in range(2, math.isqrt(n - 1) + 2):
         if not _is_prime(q):
             continue
         m = 1
         while q**m < n:
             m += 1
-        if m >= 2 and q >= d * (m - 1) + 1 and q * q < best.b:
+        if m >= 2 and q >= d * (m - 1) + 1 and q * q < width:
             cand = _rs_concat(n, q, m)
-            if cand.b < best.b:
-                best = cand
-    return best
+            if cand.b < width:
+                best, width = cand, cand.b
+    return identity_matrix(n) if best is None else best
 
 
 def verify_disjunct(H: TestMatrix, d: int) -> bool:
@@ -339,14 +360,12 @@ class ListDesign:
 
     Each cell is Bernoulli(1/(d+1)) and the width is list_design_width(n, d),
     the fewest tests that keep the expected number of false candidates of a
-    weight-d support at or below d.  list_bound is the largest
-    candidate-set size observed while decoding random weight <= d syndromes
-    at construction time; it is an audited estimate, not a certificate.
+    weight-d support at or below d.  The seed is the one the matrix was
+    drawn from.
     """
 
     matrix: TestMatrix
     d: int
-    list_bound: int
     seed: int
 
     @property
@@ -382,27 +401,19 @@ def list_design_width(n: int, d: int) -> int:
 def construct_list_disjunct(n: int, d: int, seed: int) -> ListDesign:
     """Random Bernoulli(1/(d+1)) design with list_design_width(n, d) tests,
     the fewest that keep a weight-d support's expected list of false
-    candidates at most d long, audited by decoding AUDIT_TRIALS random
-    low-weight syndromes.  Each column is one bernoulli_mask draw.  A d
-    above n is capped at n; where n <= 2d the design has no tests, so its
-    one candidate set is all n coordinates, its bound without an audit."""
+    candidates at most d long.  Each column is one bernoulli_mask draw from
+    one SplitMix64(seed) stream.  A d above n is capped at n; where n <= 2d
+    the design has no tests, so its one candidate set is all n
+    coordinates."""
     if n < 1 or d < 1:
         raise ParameterError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     d = min(d, n)
-    b = list_design_width(n, d)
     rng = SplitMix64(seed)
-    matrix = TestMatrix(
-        n, [BitVector(n, bernoulli_mask(rng, n, d + 1)) for _ in range(b)]
-    )
-    if b == 0:
-        return ListDesign(matrix, d, n, seed)
-    bound = 1
-    for _ in range(AUDIT_TRIALS):
-        weight = 1 + rng.below(d)
-        support = BitVector.from_coords(n, random_subset(rng, n, weight))
-        hits = build_query_vector(matrix, syndrome(matrix, support)).weight()
-        bound = max(bound, hits)
-    return ListDesign(matrix, d, bound, seed)
+    columns = [
+        BitVector(n, bernoulli_mask(rng, n, d + 1))
+        for _ in range(list_design_width(n, d))
+    ]
+    return ListDesign(TestMatrix(n, columns), d, seed)
 
 
 def list_decode(design: ListDesign, label: Label) -> tuple[int, ...]:

@@ -139,7 +139,7 @@ def runner_design(algorithm: str, n: int, d: int) -> TestMatrix | ListDesign | N
     seeded by (n, d) alone, so every instance of a cell shares it; both
     exist for every n >= 1, d >= 1.  fasmt needs none.  Each algorithm
     builds only its own design, so a pasmt or fasmt run never pays for
-    hybrid's audit.
+    hybrid's.
     """
     if algorithm == "pasmt":
         return construct_disjunct(n, d)

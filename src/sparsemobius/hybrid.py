@@ -18,10 +18,11 @@ leaf the list of leaves below it.  The engine starts a bucket in the round
 after the last bucket on its list finishes and batches one query per
 running bucket into a shared adaptive round; phase 2 then takes as many
 rounds as the longest chain of per-bucket query counts along that order.
-A candidate set larger than the audited bound is still sound, so its bucket
-is searched over the larger set; it only costs more queries.  A degree
-overflow in a bucket's search raises ReconstructionError with the bucket's
-label: the full-domain runner would overflow as well.
+The width bounds only the expected size of a candidate set; a larger set
+is still sound, so its bucket is searched over the larger set, which only
+costs more queries.  A degree overflow in a bucket's search raises
+ReconstructionError with the bucket's label: the full-domain runner would
+overflow as well.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def hybrid_run(
     """Recover the coefficient map with batched localization.
 
     The seed fixes the randomized design, so reruns are reproducible.  A
-    prebuilt design may be passed in to amortize its audit across runs, in
+    prebuilt design may be passed in to build it once for many runs, in
     which case the seed is ignored.  A true degree above d surfaces as
     ReconstructionError (degree overflow) carrying the offending label.
     The transcript's phase-1 lines hold the raw value f(x), as pasmt's do;

@@ -82,12 +82,13 @@ def refine_levels(
     n = f.n
     if H.n != n:
         raise DimensionError(f"matrix is over n={H.n}, oracle over n={n}")
-    full = (1 << n) - 1
     ones = BitVector.ones(n)
-    root = f.batch_eval([ones])[0]
-    log_query(transcript, Label(0), ones, root)
+    root = f.eval(ones)  # a round of its own
+    if transcript is not None:
+        log_query(transcript, Label(0), ones, root)
     if abs(root) <= tau:
         return []
+    full = ones.mask
     # bucket i: label bits, sum, zero union, and the earlier buckets below it
     masks, values, unions, below = [0], [root], [0], [[]]
     for t, column in enumerate(H.columns):
@@ -133,9 +134,7 @@ def refine_levels(
         masks, values, unions, below = next_masks, next_values, next_unions, next_below
         if not masks:
             break
-    return [
-        (Label(H.b, m), v, u, row) for m, v, u, row in zip(masks, values, unions, below)
-    ]
+    return list(zip([Label(H.b, m) for m in masks], values, unions, below))
 
 
 def pasmt_run(

@@ -6,15 +6,20 @@ identifier, and makes every sampled artifact reproducible from a single
 64-bit seed.  Bounded draws use rejection from as many whole 64-bit words
 as the bound needs, so they are exactly uniform for any bound.  A uniform
 c-subset is the unranking of a uniform rank below C(n, c): unrank_subset
-maps a rank to the rank-th c-subset in lexicographic order.
+maps a rank to the rank-th c-subset in lexicographic order, guessing each
+coordinate from a closed-form estimate of the binomials and settling it
+with exact ones.
 Bernoulli(1/base) masks read one coordinate from each base-`base` digit of
 a bounded draw, so one 64-bit word serves as many coordinates as it has
-whole digits.
+whole digits.  The digits are read c at a time, by one divmod through a
+cached digit table whose entry v spells which of v's c digits are 0; c is
+the largest exponent that keeps the table at or below 1,024 entries.
 """
 
 from __future__ import annotations
 
-from math import comb
+from functools import lru_cache
+from math import ceil, comb, exp, lgamma, log
 
 from .errors import ParameterError
 
@@ -25,6 +30,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 MAX_RANK = 1 << 64
+# digit tables stay at or below this many entries
+_TABLE_SIZE = 1024
 
 
 class SplitMix64:
@@ -66,33 +73,59 @@ class SplitMix64:
         return lo + (hi - lo) * ((self.next64() >> 11) * 2.0**-53)
 
 
+def _smallest_top(target: int, r: int, hi: int) -> tuple[int, int]:
+    """The smallest y in [r, hi] with C(y, r) >= target, and C(y, r), for a
+    target in [1, C(hi, r)].
+
+    C(y, r) is at most, and about, (y - (r-1)/2)^r / r! (AM-GM), so the
+    guess below is the answer or one short of it unless r is a large share
+    of y; exact binomials settle it, by bisection over what is left when it
+    misses by more than one.  math.log takes ints of any size, so no
+    binomial is turned into a float.
+    """
+    guess = exp((log(target) + lgamma(r + 1)) / r) + (r - 1) / 2
+    y = min(max(ceil(guess), r), hi)
+    lo, value = r, comb(y, r)
+    if value >= target:
+        if comb(y - 1, r) < target:
+            return y, value
+        hi = y - 1
+    else:
+        value = comb(y + 1, r)
+        if value >= target:
+            return y + 1, value
+        lo = y + 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if comb(mid, r) >= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, comb(lo, r)
+
+
 def unrank_subset(n: int, c: int, rank: int) -> tuple[int, ...]:
     """The rank-th c-subset of {1..n} in lexicographic order, 0-based rank.
 
-    Each coordinate but the last is found by bisection, and the last is
-    read off the rank, so the cost is O(c log n) binomials rather than a
-    walk over all n coordinates.
+    Each coordinate but the last is found by _smallest_top, and the last is
+    read off the rank, so the cost is a few binomials per coordinate rather
+    than a walk over all n coordinates.
     """
     total = comb(n, c)
     if not 0 <= rank < total:
         raise ParameterError(f"rank {rank} out of range for C({n},{c})={total}")
     coords = []
     a = 1
+    top = total  # C(n-a+1, remaining): the subsets of {a..n} still open
     for remaining in range(c, 1, -1):
-        # C(n-a+1, remaining) - C(n-x+1, remaining) subsets of {a..n}
-        # start below x; the next coordinate is the largest x with at most
-        # rank of them
-        top = comb(n - a + 1, remaining)
-        lo, hi = a, n - remaining + 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if top - comb(n - mid + 1, remaining) <= rank:
-                lo = mid
-            else:
-                hi = mid - 1
-        rank -= top - comb(n - lo + 1, remaining)
-        coords.append(lo)
-        a = lo + 1
+        # C(y, remaining) of them start at n-y+1 or later; the next
+        # coordinate is the largest x = n-y+1 with at most rank of them
+        # starting below it
+        y, tail = _smallest_top(top - rank, remaining, n - a + 1)
+        rank -= top - tail
+        coords.append(n - y + 1)
+        a = n - y + 2
+        top = tail * remaining // y  # C(y-1, remaining-1) start at n-y+1
     if c:
         coords.append(a + rank)
     return tuple(coords)
@@ -106,6 +139,64 @@ def random_subset(rng: SplitMix64, n: int, c: int) -> tuple[int, ...]:
     return unrank_subset(n, c, rng.below(comb(n, c)))
 
 
+@lru_cache(maxsize=64)
+def _zero_digits(base: int) -> tuple[int, tuple[str, ...] | None]:
+    """The digit table of a base: the largest c with base**c at most
+    _TABLE_SIZE, and the table whose entry v spells v's c base-`base`
+    digits, least significant first, as "1" where a digit is 0 and "0"
+    elsewhere.  A base above _TABLE_SIZE gets c = 1 and no table."""
+    if base > _TABLE_SIZE:
+        return 1, None
+    c, table = 1, ["1"] + ["0"] * (base - 1)
+    while len(table) * base <= _TABLE_SIZE:
+        # entry t * base + digit: digit first, then t's digits
+        table = [("0" if digit else "1") + t for t in table for digit in range(base)]
+        c += 1
+    return c, tuple(table)
+
+
+def _below_many(rng: SplitMix64, bound: int, count: int) -> list[int]:
+    """count successive rng.below(bound) draws, the same words drawn and the
+    same rejected, with next64 inlined where bound fits one word."""
+    if bound > MAX_RANK:
+        return [rng.below(bound) for _ in range(count)]
+    limit = MAX_RANK - MAX_RANK % bound
+    state = rng.state
+    out = []
+    for _ in range(count):
+        while True:
+            state = (state + _GOLDEN) & _MASK64
+            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+            z ^= z >> 31
+            if z < limit:
+                break
+        out.append(z % bound)
+    rng.state = state
+    return out
+
+
+def _zero_bits(words: list[int], digits: int, base: int) -> str:
+    """The zero flags of the low `digits` base-`base` digits of each word,
+    word by word and least significant digit first: "1" where a digit is 0.
+
+    One pass over the words per c digits, through the digit table."""
+    c, table = _zero_digits(base)
+    unit = base**c
+    pieces = []
+    for _ in range(digits // c):
+        if table is None:
+            pieces.append(["0" if u % unit else "1" for u in words])
+        else:
+            pieces.append([table[u % unit] for u in words])
+        words = [u // unit for u in words]
+    if digits % c:
+        # the words are below base**(digits % c) by now; their table
+        # entries end in flags for zero digits past the last
+        pieces.append([table[u][: digits % c] for u in words])
+    return "".join(map("".join, zip(*pieces)))
+
+
 def bernoulli_mask(rng: SplitMix64, n: int, base: int) -> int:
     """n-bit mask whose bits are independent Bernoulli(1/base).
 
@@ -113,21 +204,16 @@ def bernoulli_mask(rng: SplitMix64, n: int, base: int) -> int:
     where k is the largest exponent with base**k <= 2^64 and r is k or the
     number of coordinates left, whichever is smaller.  The j-th least
     significant base-`base` digit of the draw decides bit j of the batch:
-    the bit is set exactly when its digit is 0.
+    the bit is set exactly when its digit is 0.  The batches are spelled
+    out as one string of flags, so the mask is built once.
     """
     if n < 0 or base < 2:
         raise ParameterError(f"need n >= 0 and base >= 2, got n={n}, base={base}")
     k = 1
     while base ** (k + 1) <= MAX_RANK:
         k += 1
-    mask = 0
-    for start in range(0, n, k):
-        r = min(k, n - start)
-        u = rng.below(base**r)
-        batch = 0
-        for j in range(r):
-            if not u % base:
-                batch |= 1 << j
-            u //= base
-        mask |= batch << start
-    return mask
+    full, r = divmod(n, k)
+    flags = _zero_bits(_below_many(rng, base**k, full), k, base)
+    if r:
+        flags += _zero_bits(_below_many(rng, base**r, 1), r, base)
+    return int(flags[::-1], 2) if flags else 0

@@ -1,0 +1,103 @@
+"""The set-up builders as they were before digit tables, Horner passes and
+first guesses, kept as the references the current builders are tested
+against.
+
+bernoulli_mask decodes one base-`base` digit per Python step, _rs_concat
+evaluates each item's codeword one digit at a time at every point, and
+unrank_subset finds each coordinate by bisection over binomials.
+"""
+
+from __future__ import annotations
+
+from math import comb
+
+from sparsemobius.core import BitVector, TestMatrix
+from sparsemobius.errors import ParameterError
+from sparsemobius.rng import MAX_RANK, SplitMix64
+
+
+def unrank_subset(n: int, c: int, rank: int) -> tuple[int, ...]:
+    """The rank-th c-subset of {1..n} in lexicographic order, 0-based rank.
+
+    Each coordinate but the last is found by bisection, and the last is
+    read off the rank, so the cost is O(c log n) binomials rather than a
+    walk over all n coordinates.
+    """
+    total = comb(n, c)
+    if not 0 <= rank < total:
+        raise ParameterError(f"rank {rank} out of range for C({n},{c})={total}")
+    coords = []
+    a = 1
+    for remaining in range(c, 1, -1):
+        # C(n-a+1, remaining) - C(n-x+1, remaining) subsets of {a..n}
+        # start below x; the next coordinate is the largest x with at most
+        # rank of them
+        top = comb(n - a + 1, remaining)
+        lo, hi = a, n - remaining + 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if top - comb(n - mid + 1, remaining) <= rank:
+                lo = mid
+            else:
+                hi = mid - 1
+        rank -= top - comb(n - lo + 1, remaining)
+        coords.append(lo)
+        a = lo + 1
+    if c:
+        coords.append(a + rank)
+    return tuple(coords)
+
+
+def bernoulli_mask(rng: SplitMix64, n: int, base: int) -> int:
+    """n-bit mask whose bits are independent Bernoulli(1/base).
+
+    Coordinates are drawn k at a time from one rng.below(base**r) call,
+    where k is the largest exponent with base**k <= 2^64 and r is k or the
+    number of coordinates left, whichever is smaller.  The j-th least
+    significant base-`base` digit of the draw decides bit j of the batch:
+    the bit is set exactly when its digit is 0.
+    """
+    if n < 0 or base < 2:
+        raise ParameterError(f"need n >= 0 and base >= 2, got n={n}, base={base}")
+    k = 1
+    while base ** (k + 1) <= MAX_RANK:
+        k += 1
+    mask = 0
+    for start in range(0, n, k):
+        r = min(k, n - start)
+        u = rng.below(base**r)
+        batch = 0
+        for j in range(r):
+            if not u % base:
+                batch |= 1 << j
+            u //= base
+        mask |= batch << start
+    return mask
+
+
+def _rs_concat(n: int, q: int, m: int) -> TestMatrix:
+    """Reed-Solomon code over GF(q) of message length m, concatenated with
+    the identity: test (position, symbol) contains item j iff j's codeword
+    carries that symbol at that position.  Zero and duplicate test columns
+    carry no information and are dropped."""
+    cols = [0] * (q * q)
+    for j in range(n):
+        digits = []
+        v = j
+        for _ in range(m):
+            digits.append(v % q)
+            v //= q
+        for alpha in range(q):
+            acc = 0
+            power = 1
+            for digit in digits:
+                acc = (acc + digit * power) % q
+                power = (power * alpha) % q
+            cols[alpha * q + acc] |= 1 << j
+    seen: set[int] = set()
+    kept = []
+    for mask in cols:
+        if mask and mask not in seen:
+            seen.add(mask)
+            kept.append(BitVector(n, mask))
+    return TestMatrix(n, kept)

@@ -1,0 +1,124 @@
+"""The set-up builders give the designs and instances they always gave.
+
+reference_builders keeps bernoulli_mask, _rs_concat and unrank_subset as
+they were before they read several digits per step, so each current
+builder is compared with its reference draw for draw; the digests below
+pin the designs and instances at the benchmark's sizes, which the golden
+runs (n <= 256) do not reach.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from math import comb
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import reference_builders as ref
+from sparsemobius.core import TestMatrix
+from sparsemobius.grouptest import _rs_concat, construct_disjunct, construct_list_disjunct
+from sparsemobius.harness import generate_synthetic
+from sparsemobius.oracle import SparsePolynomial
+from sparsemobius.rng import SplitMix64, bernoulli_mask, unrank_subset
+
+# small bases, bases around the digit table's 1,024-entry cap, and bases
+# past 2^64, which one 64-bit word cannot hold
+BASES = st.one_of(
+    st.integers(2, 40), st.integers(1000, 1100), st.integers(2**64 - 2, 2**64 + 9)
+)
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 5000), BASES, st.integers(0, 2**64 - 1))
+def test_bernoulli_mask_matches_the_per_digit_reference(n, base, seed):
+    a, b = SplitMix64(seed), SplitMix64(seed)
+    assert bernoulli_mask(a, n, base) == ref.bernoulli_mask(b, n, base)
+    assert a.state == b.state
+
+
+def subset_cases():
+    n = st.one_of(st.integers(0, 60), st.integers(61, 10**6))
+    c = n.flatmap(lambda n: st.tuples(st.just(n), st.integers(0, min(n, 20))))
+    return c.flatmap(lambda nc: st.tuples(st.just(nc), st.integers(0, comb(*nc) - 1)))
+
+
+@settings(max_examples=300)
+@given(subset_cases())
+@example(((4096, 16), comb(4096, 16) - 1))  # a rank past 2^64
+@example(((4096, 16), 2**64))
+@example(((4096, 16), comb(4095, 15)))  # the first rank whose subset skips 1
+@example(((400, 200), comb(400, 200) // 7))  # guesses that miss by more than one
+def test_unrank_subset_matches_the_bisection_reference(case):
+    (n, c), rank = case
+    assert unrank_subset(n, c, rank) == ref.unrank_subset(n, c, rank)
+
+
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(PRIMES), st.integers(1, 4), st.data())
+def test_rs_concat_matches_the_per_item_reference(q, m, data):
+    n = data.draw(st.integers(1, min(q**m, 700)))
+    assert _rs_concat(n, q, m) == ref._rs_concat(n, q, m)
+
+
+def test_rs_concat_past_one_byte_symbols_matches_the_reference():
+    # q >= 256: the symbols no longer fit a byte each
+    assert _rs_concat(600, 257, 2) == ref._rs_concat(600, 257, 2)
+
+
+def columns_digest(H: TestMatrix) -> str:
+    masks = " ".join(format(c.mask, "x") for c in H.columns)
+    return hashlib.sha256(masks.encode()).hexdigest()
+
+
+def instance_digest(poly: SparsePolynomial) -> str:
+    items = " ".join(f"{k.mask:x}:{v.hex()}" for k, v in poly.entries.items())
+    return hashlib.sha256(items.encode()).hexdigest()
+
+
+# (n, d): (disjunct width, its digest, list-design width, its digest), the
+# list design seeded 40000 + 97n + d as the runners seed it
+DESIGNS = {
+    (1024, 4): (
+        121, "9eb36b3387785bc34440527c447d127622cd49d5655c9a1461da9db0a1a475e8",
+        65, "5bdd82c5b43bfa50326bdac103b37e41adfef0ec9f802bf8ed26329014547ab4",
+    ),
+    (2048, 4): (
+        169, "72918c0f201a060fd745877f4d7fdaf1f2527cb596d57cbe3fdb2159c98da67b",
+        73, "4e39b2863d0ab45050fdb36e3cdfcd0529efa063793c30979e0a302ef700708c",
+    ),
+    (4096, 4): (
+        169, "9ce6889a1b982c9cd0ebd47d99ccd821df428ffd83bf18678177aaff8e834ec0",
+        82, "5308d5a5ff0513f999ca25813b2200878dcc8eaaf78660383c6f6d1ee27a6c9b",
+    ),
+    (4096, 16): (
+        1369, "8f91fe21f5b5bfe9d3d27abda410cd51e27bde695d6e18c7e0c999ef518d3f52",
+        246, "61dd1abff18bbbd70c1910cd04b490f18a33c25287e43142fb5d992832809d50",
+    ),
+}
+
+
+@pytest.mark.parametrize("n, d", sorted(DESIGNS))
+def test_benchmark_size_designs_are_pinned(n, d):
+    disjunct = construct_disjunct(n, d)
+    listed = construct_list_disjunct(n, d, 40_000 + 97 * n + d).matrix
+    got = (disjunct.b, columns_digest(disjunct), listed.b, columns_digest(listed))
+    assert got == DESIGNS[n, d]
+
+
+INSTANCES = [
+    "a3e8a5e2189893523f16a7f5e88dce438b21718c545470ccbe23ac792c4f4ee5",
+    "bdc01c389f631aaefcc94f1b0c248283072b324fc10777bd1cdaa77c298e0e17",
+    "c64939e3e175aecfb55744ef869a53d5d0efcfdd598c8ed29789ac1eabf8a97b",
+    "5cdd359810d475fd3a28a548eda6f5f0de52a9e746208cbb76881b5e02bc2f5a",
+    "fb7a9301ef0da6931e46f9fd08d0d790b443329d3c24f7fb55b24af34a0f6c54",
+]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_benchmark_size_instances_are_pinned(seed):
+    assert instance_digest(generate_synthetic(4096, 8, 4, seed)) == INSTANCES[seed]

@@ -69,7 +69,7 @@ def test_reconstruct_round_trip(tmp_path, capsys, alg):
 
 
 def test_reconstruct_hybrid_at_n_4096_d_16(tmp_path, capsys):
-    # hybrid's design audit draws weight-16 supports of 4096 coordinates
+    # hybrid builds its design at (4096, 16) and searches a weight-16 support
     n = 4096
     truth = SparsePolynomial(n, {
         BitVector.from_coords(n, range(1, 17)): 1.0,

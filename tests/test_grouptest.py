@@ -15,7 +15,6 @@ from sparsemobius.errors import (
     ParameterError,
 )
 from sparsemobius.grouptest import (
-    AUDIT_TRIALS,
     GbsaTree,
     ListDesign,
     construct_disjunct,
@@ -29,7 +28,6 @@ from sparsemobius.grouptest import (
     verify_disjunct,
     _lowest,
 )
-from sparsemobius.rng import SplitMix64, bernoulli_mask, random_subset
 
 
 def bv(text: str) -> BitVector:
@@ -327,7 +325,7 @@ def test_decoders_match_the_row_scan(n, data):
     H = TestMatrix(n, [BitVector(n, c) for c in columns])
     label = Label(H.b, data.draw(st.integers(0, (1 << H.b) - 1)))
     want = row_scan_decode(H, label)
-    design = ListDesign(matrix=H, d=1, list_bound=1, seed=0)
+    design = ListDesign(matrix=H, d=1, seed=0)
     assert list_decode(design, label) == BitVector(n, want).coords()
     # d = n leaves only the consistency check
     if syndrome(H, BitVector(n, want)) == label:
@@ -337,26 +335,10 @@ def test_decoders_match_the_row_scan(n, data):
             decode_disjunct(H, label, n)
 
 
-def test_list_bound_matches_the_row_scan_audit():
-    for n, d, seed in ((16, 1, 0), (40, 3, 7), (97, 2, 11)):
-        design = construct_list_disjunct(n, d, seed)
-        rng = SplitMix64(seed)
-        for _ in range(design.b):
-            bernoulli_mask(rng, n, d + 1)  # the draws that built the columns
-        bound = 1
-        for _ in range(AUDIT_TRIALS):
-            weight = 1 + rng.below(d)
-            k = BitVector.from_coords(n, random_subset(rng, n, weight))
-            hits = row_scan_decode(design.matrix, syndrome(design.matrix, k))
-            bound = max(bound, hits.bit_count())
-        assert design.list_bound == bound
-
-
 def test_list_design_determinism():
     a = construct_list_disjunct(32, 3, seed=11)
     b = construct_list_disjunct(32, 3, seed=11)
     assert a.matrix == b.matrix
-    assert a.list_bound == b.list_bound
     c = construct_list_disjunct(32, 3, seed=12)
     assert c.matrix != a.matrix
 
@@ -366,12 +348,10 @@ def test_list_design_shape():
     assert design.n == 32
     # smallest b with (32 - 3) * (4^4 - 3^3)^b <= 3 * (4^4)^b
     assert design.b == 21
-    assert design.list_bound >= 1
     # n <= 2d: no tests, so the one candidate set is every coordinate
     for n, d in ((1, 1), (8, 8), (8, 4), (3, 9)):
         design = construct_list_disjunct(n, d, seed=0)
         assert (design.n, design.b, design.d) == (n, 0, min(d, n))
-        assert design.list_bound == n
         assert list_decode(design, Label(0)) == tuple(range(1, n + 1))
     with pytest.raises(ParameterError):
         construct_list_disjunct(8, 0, seed=0)

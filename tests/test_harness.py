@@ -311,8 +311,9 @@ def test_runner_design_is_built_once_per_n_d(monkeypatch):
 
 @pytest.mark.parametrize("algorithm", ["pasmt", "fasmt", "hybrid"])
 def test_run_cell_recovers_at_n_4096_d_16(algorithm):
-    # C(4096, 16) is past 2^64, so each weight-16 support hybrid's design
-    # audit draws takes a rank of more than one 64-bit word
+    # each runner builds or searches at (4096, 16) and finds a weight-16
+    # support, one of C(4096, 16) > 2^64 (a rank generate_synthetic would
+    # draw from more than one 64-bit word)
     n = 4096
     wide = BitVector.from_coords(n, range(1, 17))
     truth = SparsePolynomial(n, {wide: 1.0, BitVector.from_coords(n, [5, 900]): 2.0})

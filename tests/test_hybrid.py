@@ -10,7 +10,6 @@ from sparsemobius.core import BitVector, Label
 from sparsemobius.errors import DimensionError, ParameterError, ReconstructionError
 from sparsemobius.fasmt import fasmt_run
 from sparsemobius.grouptest import (
-    ListDesign,
     construct_list_disjunct,
     gbsa_test_budget,
     list_decode,
@@ -92,9 +91,11 @@ def test_round_and_query_envelope():
     truth = generate_synthetic(n, 6, d, seed=seed)
     s = truth.sparsity
     design = construct_list_disjunct(n, d, seed)
-    per_bin = max(
-        gbsa_test_budget(m, min(d, m)) for m in range(1, design.list_bound + 1)
-    )
+    # the largest candidate set a leaf of this design hands to phase 2
+    full = (1 << n) - 1
+    leaves = refine_levels(oracle_for(truth), design.matrix, 1e-9)
+    largest = max((full ^ union).bit_count() for _, _, union, _ in leaves)
+    per_bin = max(gbsa_test_budget(m, min(d, m)) for m in range(1, largest + 1))
     f = oracle_for(truth)
     got = hybrid_run(f, n, d, seed=seed, design=design)
     assert got.close_to(truth, 1e-9)
@@ -163,12 +164,6 @@ def test_integer_mode_zero_tau():
 def test_oversized_candidate_set_is_searched():
     truth = generate_synthetic(12, 4, 3, seed=77)
     design = construct_list_disjunct(12, 3, seed=5)
-    doctored = ListDesign(
-        matrix=design.matrix,
-        d=design.d,
-        list_bound=0,
-        seed=design.seed,
-    )
     # phase 1 alone, to price the search of every leaf's candidate set
     phase1 = oracle_for(truth)
     leaves = refine_levels(phase1, design.matrix, 1e-9)
@@ -176,7 +171,7 @@ def test_oversized_candidate_set_is_searched():
         gbsa_test_budget(len(list_decode(design, label)), 3) for label, *_ in leaves
     )
     f = oracle_for(truth)
-    got = hybrid_run(f, 12, 3, seed=999, design=doctored)
+    got = hybrid_run(f, 12, 3, seed=999, design=design)
     assert got.close_to(truth, 1e-9)
     assert f.query_count <= phase1.query_count + budget
 
