@@ -8,9 +8,10 @@ outcome label is a bit vector too, named Label where the code means one:
 a test matrix maps a support in {0,1}^n to the b outcomes of its tests in
 {0,1}^b, with the first outcome in bit 0.
 
-The runners need two operations on a test matrix, and both live here:
-syndrome encodes a support into its outcome label, and build_query_vector
-decodes a label into the query point whose downward closure it cuts out.
+A test matrix has one encode/decode pair, both here: syndrome encodes a
+support into its outcome label, and build_query_vector decodes a label into
+the query point whose downward closure it cuts out.  Of the runners, only
+pasmt's leaf decoder (grouptest.decode_disjunct) uses them.
 log_query writes the one transcript line format every runner emits.
 """
 
@@ -157,14 +158,9 @@ class TestMatrix:
         if self._rows is None:
             rows = [0] * self.n
             for t, col in enumerate(self.columns):
-                mask = col.mask
                 bit = 1 << t
-                i = 0
-                while mask:
-                    if mask & 1:
-                        rows[i] |= bit
-                    mask >>= 1
-                    i += 1
+                for i in col.coords():
+                    rows[i - 1] |= bit
             self._rows = tuple(rows)
         return self._rows
 

@@ -8,7 +8,8 @@ the tree is an immutable state, and one outcome advances it with a few
 big-integer operations, so a caller can walk many branches of the tree side
 by side.  The non-adaptive side builds d-disjunct test matrices
 (Reed-Solomon concatenation, with an identity fallback) plus randomized
-list-disjunct designs, together with the naive cover decoder for both.
+list-disjunct designs, which are test matrices that keep the seed they
+were drawn from, together with the naive cover decoder for both.
 Both builders work a whole column, or a whole evaluation point, at a time:
 the Reed-Solomon symbols come from Horner's rule over base-q digits and
 their masks from one bytes translate each, and a list design's column is
@@ -18,9 +19,8 @@ one bernoulli_mask draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import chain, combinations
-from typing import NamedTuple
+from itertools import chain, combinations, count
+from typing import Iterable, NamedTuple
 
 from .core import BitVector, Label, TestMatrix, build_query_vector, syndrome
 from .errors import (
@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 VERIFY_WORK_CAP = 10**8
+_WIDTH_GUARD_BITS = 128  # list_design_width's fixed-point bits beyond n's
 
 
 def gbsa_test_budget(n: int, d: int) -> int:
@@ -169,13 +170,6 @@ class GbsaTree:
             remaining = self.blocks[block]
 
 
-def _mask_of(indices: list[int]) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
-
-
 def gbsa_step(label: Label, n: int, d: int) -> GbsaState:
     """Walk the splitting tree over coordinates 1..n along an outcome prefix.
 
@@ -208,9 +202,9 @@ def _bit_tests(n: int) -> TestMatrix:
     full = (1 << n) - 1
     cols = []
     for p in range(width):
-        ones = _mask_of([j for j in range(n) if (j >> p) & 1])
-        cols.append(BitVector(n, ones))
-        cols.append(BitVector(n, full ^ ones))
+        ones = BitVector.from_coords(n, [j + 1 for j in range(n) if (j >> p) & 1])
+        cols.append(ones)
+        cols.append(BitVector(n, full ^ ones.mask))
     return TestMatrix(n, cols)
 
 
@@ -354,27 +348,16 @@ def decode_disjunct(H: TestMatrix, label: Label, d: int) -> BitVector:
     return support
 
 
-@dataclass(frozen=True)
-class ListDesign:
-    """Randomized list-disjunct design.
+class ListDesign(TestMatrix):
+    """Randomized list-disjunct design: a test matrix that keeps the seed
+    construct_list_disjunct drew its columns from.  Equality and hashing
+    are the matrix's, by columns."""
 
-    Each cell is Bernoulli(1/(d+1)) and the width is list_design_width(n, d),
-    the fewest tests that keep the expected number of false candidates of a
-    weight-d support at or below d.  The seed is the one the matrix was
-    drawn from.
-    """
+    __slots__ = ("seed",)
 
-    matrix: TestMatrix
-    d: int
-    seed: int
-
-    @property
-    def n(self) -> int:
-        return self.matrix.n
-
-    @property
-    def b(self) -> int:
-        return self.matrix.b
+    def __init__(self, n: int, columns: Iterable[BitVector], seed: int):
+        super().__init__(n, columns)
+        self.seed = seed
 
 
 def list_design_width(n: int, d: int) -> int:
@@ -385,44 +368,51 @@ def list_design_width(n: int, d: int) -> int:
     a weight-<= d support with probability at least p(1-p)^d = D/N, so b
     tests leave at most (n - d)(1 - D/N)^b false candidates in expectation,
     and this width caps that at d: O(d log(n/d)) tests, and none exactly
-    when n <= 2d.  The arithmetic is exact, so every platform builds the
-    same design.
+    when n <= 2d.  The answer is exact, so every platform builds the same
+    design: ((N - D)/N)^b is carried as a floor and a ceiling in fixed
+    point, a few small-integer steps per test whatever d is, and only a b
+    whose bounds straddle d/(n - d) is decided by the exact powers.
     """
+    if n <= 2 * d:
+        return 0
     big, small = (d + 1) ** (d + 1), d**d
-    b = 0
-    miss = total = 1
-    while (n - d) * miss > d * total:
-        b += 1
-        miss *= big - small
-        total *= big
-    return b
+    bits = _WIDTH_GUARD_BITS + n.bit_length()
+    one = 1 << bits
+    ratio = ((big - small) << bits) // big  # floor of one * (N - D)/N
+    lo = hi = one  # lo <= one * ((N - D)/N)^b <= hi
+    for b in count(1):
+        lo = (lo * ratio) >> bits
+        hi = -((-hi * (ratio + 1)) >> bits)
+        if (n - d) * hi <= d * one:
+            return b
+        if (n - d) * lo <= d * one and (n - d) * (big - small) ** b <= d * big**b:
+            return b
 
 
 def construct_list_disjunct(n: int, d: int, seed: int) -> ListDesign:
     """Random Bernoulli(1/(d+1)) design with list_design_width(n, d) tests,
     the fewest that keep a weight-d support's expected list of false
     candidates at most d long.  Each column is one bernoulli_mask draw from
-    one SplitMix64(seed) stream.  A d above n is capped at n; where n <= 2d
-    the design has no tests, so its one candidate set is all n
+    one SplitMix64(seed) stream, and the design keeps the seed.  Where
+    n <= 2d the design has no tests, so its one candidate set is all n
     coordinates."""
     if n < 1 or d < 1:
         raise ParameterError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    d = min(d, n)
     rng = SplitMix64(seed)
     columns = [
         BitVector(n, bernoulli_mask(rng, n, d + 1))
         for _ in range(list_design_width(n, d))
     ]
-    return ListDesign(TestMatrix(n, columns), d, seed)
+    return ListDesign(n, columns, seed)
 
 
-def list_decode(design: ListDesign, label: Label) -> tuple[int, ...]:
+def list_decode(H: TestMatrix, label: Label) -> tuple[int, ...]:
     """Candidate coordinates (1-based, ascending) for a full syndrome.
 
     The candidates are the coordinates outside every test the label
     records a 0 at, read off the label's query vector in O(b) big-integer
     operations.  Sound by construction: every support consistent with the
-    label is a subset of the returned set.  The size is only
-    probabilistically small.
+    label is a subset of the returned set.  For a list design the size is
+    only probabilistically small.
     """
-    return build_query_vector(design.matrix, label).coords()
+    return build_query_vector(H, label).coords()

@@ -24,7 +24,7 @@ from typing import Sequence, TextIO
 from .core import BitVector, TestMatrix
 from .errors import FormatError, ParameterError, SparseMobiusError
 from .fasmt import fasmt_run
-from .grouptest import ListDesign, construct_disjunct, construct_list_disjunct
+from .grouptest import construct_disjunct, construct_list_disjunct
 from .hybrid import hybrid_run
 from .oracle import (
     DEFAULT_TAU,
@@ -132,14 +132,14 @@ class BenchRecord:
 
 
 @lru_cache(maxsize=None)
-def runner_design(algorithm: str, n: int, d: int) -> TestMatrix | ListDesign | None:
+def runner_design(algorithm: str, n: int, d: int) -> TestMatrix | None:
     """The design an algorithm runs over at (n, d), built once per process.
 
-    pasmt's is construct_disjunct(n, d), and hybrid's is a list design
-    seeded by (n, d) alone, so every instance of a cell shares it; both
-    exist for every n >= 1, d >= 1.  fasmt needs none.  Each algorithm
-    builds only its own design, so a pasmt or fasmt run never pays for
-    hybrid's.
+    pasmt's is construct_disjunct(n, d), and hybrid's is a list design (a
+    matrix that keeps its seed) seeded by (n, d) alone, so every instance
+    of a cell shares it; both exist for every n >= 1, d >= 1.  fasmt needs
+    none.  Each algorithm builds only its own design, so a pasmt or fasmt
+    run never pays for hybrid's.
     """
     if algorithm == "pasmt":
         return construct_disjunct(n, d)
@@ -165,8 +165,7 @@ def run_cell(
         return pasmt_run(oracle, design, d, tau, transcript)
     if algorithm == "fasmt":
         return fasmt_run(oracle, n, d, tau, transcript)
-    # hybrid ignores the seed argument when it is handed a design
-    return hybrid_run(oracle, n, d, 0, tau, transcript, design)
+    return hybrid_run(oracle, n, d, design.seed, tau, transcript, design)
 
 
 def run_benchmark(
@@ -233,7 +232,8 @@ def write_csv(records: Sequence[BenchRecord], sink: str | os.PathLike | TextIO) 
 
 
 def read_grid(source: str | os.PathLike | TextIO) -> list[GridCell]:
-    """Read 'algorithm n s d seed' lines; '#' starts a comment."""
+    """Read 'algorithm n s d seed' lines; '#' starts a comment.  A line
+    with n < 1, s < 0 or d < 1 fails with its number before any cell runs."""
     lines = _read_lines(source)
     cells = []
     for lineno, line in enumerate(lines, start=1):
@@ -250,5 +250,7 @@ def read_grid(source: str | os.PathLike | TextIO) -> list[GridCell]:
             n, s, d, seed = (int(p) for p in parts[1:])
         except ValueError:
             raise FormatError("n, s, d, seed must be integers", lineno) from None
+        if n < 1 or d < 1 or s < 0:
+            raise FormatError(f"need n, d >= 1 and s >= 0, got n={n}, s={s}, d={d}", lineno)
         cells.append(GridCell(algorithm, n, s, d, seed))
     return cells

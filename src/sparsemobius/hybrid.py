@@ -53,9 +53,10 @@ def hybrid_run(
     """Recover the coefficient map with batched localization.
 
     The seed fixes the randomized design, so reruns are reproducible.  A
-    prebuilt design may be passed in to build it once for many runs, in
-    which case the seed is ignored.  A true degree above d surfaces as
-    ReconstructionError (degree overflow) carrying the offending label.
+    prebuilt design may be passed in to build it once for many runs; it
+    keeps its own seed, and the seed argument is not read.  A true degree
+    above d surfaces as ReconstructionError (degree overflow) carrying the
+    offending label.
     The transcript's phase-1 lines hold the raw value f(x), as pasmt's do;
     its phase-2 lines hold residual 0-child sums, as fasmt's do.
     """
@@ -65,6 +66,6 @@ def hybrid_run(
         raise ParameterError(f"need d >= 1, got {d}")
     if design is None:
         design = construct_list_disjunct(n, d, seed)
-    leaves = refine_levels(f, design.matrix, tau, transcript)
+    leaves = refine_levels(f, design, tau, transcript)
     discovered = depth_first_search(f, leaves, d, tau, transcript)
     return SparsePolynomial(n, discovered, degree_bound=d)

@@ -1,10 +1,11 @@
-"""The set-up builders as they were before digit tables, Horner passes and
-first guesses, kept as the references the current builders are tested
-against.
+"""The set-up builders as they were before digit tables, Horner passes,
+first guesses and fixed-point bounds, kept as the references the current
+builders are tested against.
 
 bernoulli_mask decodes one base-`base` digit per Python step, _rs_concat
-evaluates each item's codeword one digit at a time at every point, and
-unrank_subset finds each coordinate by bisection over binomials.
+evaluates each item's codeword one digit at a time at every point,
+unrank_subset finds each coordinate by bisection over binomials, and
+list_design_width multiplies out the exact powers one test at a time.
 """
 
 from __future__ import annotations
@@ -101,3 +102,17 @@ def _rs_concat(n: int, q: int, m: int) -> TestMatrix:
             seen.add(mask)
             kept.append(BitVector(n, mask))
     return TestMatrix(n, kept)
+
+
+def list_design_width(n: int, d: int) -> int:
+    """The smallest b >= 0 with (n - d) * (N - D)^b <= d * N^b, where
+    N = (d+1)^(d+1) and D = d^d, by exact powers: the operands grow by
+    about (d+1) log2(d+1) bits per test."""
+    big, small = (d + 1) ** (d + 1), d**d
+    b = 0
+    miss = total = 1
+    while (n - d) * miss > d * total:
+        b += 1
+        miss *= big - small
+        total *= big
+    return b

@@ -133,7 +133,7 @@ def hybrid_run(f: CountingOracle, n: int, d: int, seed: int, tau: float, transcr
     design = construct_list_disjunct(n, min(d, n - 1), seed)
     bins = [
         LocalizedBin(label, value, list_decode(design, label), union)
-        for label, value, union, _ in refine_levels(f, design.matrix, tau, transcript)
+        for label, value, union, _ in refine_levels(f, design, tau, transcript)
     ]
     discovered: dict[BitVector, float] = {}
     for layer in antichain_layers(bins):

@@ -1,15 +1,17 @@
 """The set-up builders give the designs and instances they always gave.
 
-reference_builders keeps bernoulli_mask, _rs_concat and unrank_subset as
-they were before they read several digits per step, so each current
-builder is compared with its reference draw for draw; the digests below
-pin the designs and instances at the benchmark's sizes, which the golden
-runs (n <= 256) do not reach.
+reference_builders keeps bernoulli_mask, _rs_concat, unrank_subset and
+list_design_width as they were before they read several digits per step
+or bounded their powers in fixed point, so each current builder is
+compared with its reference draw for draw; the digests below pin the
+designs and instances at the benchmark's sizes, which the golden runs
+(n <= 256) do not reach.
 """
 
 from __future__ import annotations
 
 import hashlib
+import time
 from math import comb
 
 import pytest
@@ -17,8 +19,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_builders as ref
+from sparsemobius import grouptest
 from sparsemobius.core import TestMatrix
-from sparsemobius.grouptest import _rs_concat, construct_disjunct, construct_list_disjunct
+from sparsemobius.grouptest import (
+    _rs_concat,
+    construct_disjunct,
+    construct_list_disjunct,
+    list_design_width,
+)
 from sparsemobius.harness import generate_synthetic
 from sparsemobius.oracle import SparsePolynomial
 from sparsemobius.rng import SplitMix64, bernoulli_mask, unrank_subset
@@ -70,6 +78,50 @@ def test_rs_concat_past_one_byte_symbols_matches_the_reference():
     assert _rs_concat(600, 257, 2) == ref._rs_concat(600, 257, 2)
 
 
+@settings(max_examples=300)
+@given(st.integers(1, 5000), st.integers(1, 40))
+@example(4096, 4)
+@example(9, 4)  # n = 2d + 1, the first n with a test
+def test_list_design_width_matches_the_exact_power_reference(n, d):
+    assert list_design_width(n, d) == ref.list_design_width(n, d)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 300), st.integers(1, 12), st.integers(0, 8))
+def test_list_design_width_decides_straddled_bounds_exactly(n, d, guard):
+    # with few fraction bits the fixed-point bounds straddle the threshold
+    # at most widths, so the answer rests on the exact comparison
+    saved = grouptest._WIDTH_GUARD_BITS
+    grouptest._WIDTH_GUARD_BITS = guard - n.bit_length()
+    try:
+        assert list_design_width(n, d) == ref.list_design_width(n, d)
+    finally:
+        grouptest._WIDTH_GUARD_BITS = saved
+
+
+# list-design widths at every (n, d) the benchmark, the golden runs and the
+# acceptance grid build a list design at
+WIDTHS = {
+    (1, 1): 0, (16, 1): 10, (16, 2): 13, (16, 4): 13, (20, 3): 16,
+    (32, 1): 12, (32, 2): 17, (32, 4): 23, (50, 4): 29, (64, 1): 15,
+    (64, 2): 22, (64, 4): 32, (100, 3): 32, (128, 1): 17, (128, 2): 26,
+    (128, 4): 41, (256, 1): 20, (256, 2): 31, (256, 4): 49, (1024, 4): 65,
+    (2048, 4): 73, (4096, 4): 82,
+}
+
+
+@pytest.mark.parametrize("n, d", sorted(WIDTHS))
+def test_list_design_widths_are_pinned(n, d):
+    assert list_design_width(n, d) == WIDTHS[n, d] == ref.list_design_width(n, d)
+
+
+def test_list_design_width_at_large_d_is_cheap():
+    # the exact powers reach millions of bits here: about 20 s of CPU
+    start = time.process_time()
+    assert list_design_width(4096, 256) == 1887
+    assert time.process_time() - start < 1.0
+
+
 def columns_digest(H: TestMatrix) -> str:
     masks = " ".join(format(c.mask, "x") for c in H.columns)
     return hashlib.sha256(masks.encode()).hexdigest()
@@ -105,7 +157,7 @@ DESIGNS = {
 @pytest.mark.parametrize("n, d", sorted(DESIGNS))
 def test_benchmark_size_designs_are_pinned(n, d):
     disjunct = construct_disjunct(n, d)
-    listed = construct_list_disjunct(n, d, 40_000 + 97 * n + d).matrix
+    listed = construct_list_disjunct(n, d, 40_000 + 97 * n + d)
     got = (disjunct.b, columns_digest(disjunct), listed.b, columns_digest(listed))
     assert got == DESIGNS[n, d]
 

@@ -125,6 +125,39 @@ def test_reconstruct_explicit_format(tmp_path):
     assert read_polynomial(out).entries == {bv("1100"): 2.0}
 
 
+def test_reconstruct_hypergraph_format_flag(tmp_path):
+    graph = tmp_path / "graph.txt"
+    graph.write_text("6 2\n3 1 2\n-1 4\n")
+    out = tmp_path / "rec.txt"
+    args = ["reconstruct", "--alg", "pasmt", "--input", str(graph), "--d", "2", "--out", str(out)]
+    assert main(args + ["--format", "hgr"]) == 0
+    assert read_polynomial(out).entries == {bv("110000"): 3, bv("000100"): -1}
+    assert main(args + ["--format", "poly"]) == 1
+
+
+def test_reconstruct_autodetect_skips_blank_lines(tmp_path):
+    # the first data line decides the format, not the blank line before it
+    inst = tmp_path / "poly.txt"
+    inst.write_text("4 1\n\n2.0 1100\n")
+    out = tmp_path / "rec.txt"
+    assert main([
+        "reconstruct", "--alg", "fasmt", "--input", str(inst),
+        "--d", "2", "--out", str(out),
+    ]) == 0
+    assert read_polynomial(out).entries == {bv("1100"): 2.0}
+
+
+def test_reconstruct_header_only_file_gives_the_empty_map(tmp_path):
+    inst = tmp_path / "empty.txt"
+    inst.write_text("4 0\n")
+    out = tmp_path / "rec.txt"
+    assert main([
+        "reconstruct", "--alg", "hybrid", "--input", str(inst),
+        "--d", "1", "--out", str(out),
+    ]) == 0
+    assert out.read_text() == "4 0\n"
+
+
 @pytest.mark.parametrize("alg", ["pasmt", "fasmt", "hybrid"])
 def test_reconstruct_degree_overflow_exits_2(alg, tmp_path, capsys):
     inst = tmp_path / "deep.txt"
@@ -250,6 +283,16 @@ def test_non_ascii_input_exits_1(tmp_path, capsys, byte, form):
     ])
     assert code == 1
     assert "invalid input: line 2: non-ASCII byte" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["pasmt 0 4 2 1", "pasmt 16 -2 2 1", "fasmt 16 4 0 1"])
+def test_bench_rejects_a_bad_grid_line_before_running(tmp_path, capsys, line):
+    grid = tmp_path / "grid.txt"
+    grid.write_text(f"fasmt 8 2 1 1\n{line}\n")
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--grid", str(grid), "--out", str(out)]) == 1
+    assert "invalid input: line 2:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_non_ascii_grid_exits_1(tmp_path, capsys):

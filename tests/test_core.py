@@ -96,6 +96,8 @@ def test_matrix_basics():
     assert H2.row_masks == (0b01, 0b10, 0b11, 0b00)
     with pytest.raises(DimensionError):
         TestMatrix(4, (bv("101"),))
+    with pytest.raises(DimensionError):
+        TestMatrix(0, [])
 
 
 def test_semiring_apply_transpose():

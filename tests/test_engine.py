@@ -102,7 +102,7 @@ def test_phase_two_starts_a_bucket_once_the_buckets_below_it_finish(n, s, d, see
     truth = generate_synthetic(n, s, d, seed=seed)
     design = construct_list_disjunct(n, d, seed)
     phase1 = oracle_for(truth)
-    leaves = refine_levels(phase1, design.matrix, 1e-9)
+    leaves = refine_levels(phase1, design, 1e-9)
     f = oracle_for(truth)
     sink = io.StringIO()
     hybrid_run(f, n, d, seed, transcript=sink, design=design)

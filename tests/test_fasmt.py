@@ -87,6 +87,14 @@ def test_zero_function():
     assert f.query_count == 1
 
 
+def test_zero_sum_bucket_costs_no_query():
+    # the bucket's universe is empty; searched anyway, it would report a
+    # zero coefficient on the empty support
+    f = oracle_for(SparsePolynomial(2, {}))
+    assert depth_first_search(f, [(Label(0), 0.0, 0b11, ())], 1, 1e-9) == {}
+    assert f.query_count == 0
+
+
 def test_constant_function_query_count():
     truth = SparsePolynomial(8, {bv("00000000"): 4.5})
     f = oracle_for(truth)
@@ -222,7 +230,7 @@ def test_every_search_query_calls_split_bin_through_the_module(monkeypatch, n, s
     assert calls[0] == f.query_count - 1
     design = construct_list_disjunct(n, d, seed)
     phase1 = oracle_for(truth)
-    refine_levels(phase1, design.matrix, 1e-9)
+    refine_levels(phase1, design, 1e-9)
     calls[0] = 0
     f = oracle_for(truth)
     hybrid_run(f, n, d, seed, design=design)

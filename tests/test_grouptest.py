@@ -234,6 +234,8 @@ def test_identity_matrix():
     assert eye.columns == (bv("100"), bv("010"), bv("001"))
     assert verify_disjunct(eye, 1)
     assert verify_disjunct(eye, 2)
+    # one coordinate: no other coordinate can cover it
+    assert verify_disjunct(identity_matrix(1), 1)
 
 
 def test_verify_disjunct_rejects():
@@ -325,8 +327,7 @@ def test_decoders_match_the_row_scan(n, data):
     H = TestMatrix(n, [BitVector(n, c) for c in columns])
     label = Label(H.b, data.draw(st.integers(0, (1 << H.b) - 1)))
     want = row_scan_decode(H, label)
-    design = ListDesign(matrix=H, d=1, seed=0)
-    assert list_decode(design, label) == BitVector(n, want).coords()
+    assert list_decode(H, label) == BitVector(n, want).coords()
     # d = n leaves only the consistency check
     if syndrome(H, BitVector(n, want)) == label:
         assert decode_disjunct(H, label, n) == BitVector(n, want)
@@ -338,20 +339,24 @@ def test_decoders_match_the_row_scan(n, data):
 def test_list_design_determinism():
     a = construct_list_disjunct(32, 3, seed=11)
     b = construct_list_disjunct(32, 3, seed=11)
-    assert a.matrix == b.matrix
+    assert a == b
     c = construct_list_disjunct(32, 3, seed=12)
-    assert c.matrix != a.matrix
+    assert c != a
 
 
 def test_list_design_shape():
     design = construct_list_disjunct(32, 3, seed=11)
+    # a plain matrix that keeps the seed it was drawn from
+    assert isinstance(design, ListDesign) and isinstance(design, TestMatrix)
+    assert design.seed == 11
+    assert design == TestMatrix(32, design.columns)
     assert design.n == 32
     # smallest b with (32 - 3) * (4^4 - 3^3)^b <= 3 * (4^4)^b
     assert design.b == 21
     # n <= 2d: no tests, so the one candidate set is every coordinate
     for n, d in ((1, 1), (8, 8), (8, 4), (3, 9)):
         design = construct_list_disjunct(n, d, seed=0)
-        assert (design.n, design.b, design.d) == (n, 0, min(d, n))
+        assert (design.n, design.b) == (n, 0)
         assert list_decode(design, Label(0)) == tuple(range(1, n + 1))
     with pytest.raises(ParameterError):
         construct_list_disjunct(8, 0, seed=0)
@@ -379,7 +384,7 @@ def test_list_decode_is_sound(n, seed, data):
         st.lists(st.integers(1, n), unique=True, max_size=d)
     )
     k = BitVector.from_coords(n, coords)
-    candidates = list_decode(design, syndrome(design.matrix, k))
+    candidates = list_decode(design, syndrome(design, k))
     assert set(coords).issubset(candidates)
     assert candidates == tuple(sorted(candidates))
 

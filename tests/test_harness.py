@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sparsemobius.core import BitVector
-from sparsemobius.errors import FormatError, ParameterError
+from sparsemobius.errors import FormatError, ParameterError, SparseMobiusError
 from sparsemobius.grouptest import construct_disjunct, construct_list_disjunct, identity_matrix
 from sparsemobius.harness import (
     BenchRecord,
@@ -277,6 +277,27 @@ def test_run_benchmark_flags_failures():
     assert records[0].queries >= 1
     with pytest.raises(ParameterError):
         run_benchmark([GridCell("nope", 8, 2, 1, 0)])
+
+
+def test_run_benchmark_records_a_failed_run_and_goes_on(monkeypatch):
+    calls = []
+
+    def fail_first(algorithm, oracle, d, tau):
+        calls.append(algorithm)
+        if len(calls) == 1:
+            raise SparseMobiusError("no map")
+        return run_cell(algorithm, oracle, d, tau)
+
+    monkeypatch.setattr("sparsemobius.harness.run_cell", fail_first)
+    records = run_benchmark([GridCell("fasmt", 8, 2, 1, 0), GridCell("pasmt", 8, 2, 1, 0)])
+    assert calls == ["fasmt", "pasmt"]
+    assert [rec.exact for rec in records] == [False, True]
+
+
+def test_run_cell_rejects_an_unknown_algorithm():
+    f = CountingOracle(SparsePolyOracle(SparsePolynomial(4, {})))
+    with pytest.raises(ParameterError):
+        run_cell("nope", f, 1, DEFAULT_TAU)
 
 
 def test_runner_design_rules():

@@ -93,7 +93,7 @@ def test_round_and_query_envelope():
     design = construct_list_disjunct(n, d, seed)
     # the largest candidate set a leaf of this design hands to phase 2
     full = (1 << n) - 1
-    leaves = refine_levels(oracle_for(truth), design.matrix, 1e-9)
+    leaves = refine_levels(oracle_for(truth), design, 1e-9)
     largest = max((full ^ union).bit_count() for _, _, union, _ in leaves)
     per_bin = max(gbsa_test_budget(m, min(d, m)) for m in range(1, largest + 1))
     f = oracle_for(truth)
@@ -166,7 +166,7 @@ def test_oversized_candidate_set_is_searched():
     design = construct_list_disjunct(12, 3, seed=5)
     # phase 1 alone, to price the search of every leaf's candidate set
     phase1 = oracle_for(truth)
-    leaves = refine_levels(phase1, design.matrix, 1e-9)
+    leaves = refine_levels(phase1, design, 1e-9)
     budget = sum(
         gbsa_test_budget(len(list_decode(design, label)), 3) for label, *_ in leaves
     )

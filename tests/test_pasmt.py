@@ -172,6 +172,15 @@ def test_zero_function_costs_one_query():
     assert f.round_count == 1
 
 
+def test_level_loop_ends_when_every_bucket_vanishes():
+    # each coefficient alone is within tau, so the first level keeps no bucket
+    truth = SparsePolynomial(2, {bv("10"): 0.6, bv("01"): 0.6})
+    f = oracle_for(truth)
+    assert refine_levels(f, identity_matrix(2), 1.0) == []
+    assert (f.query_count, f.round_count) == (2, 2)
+    assert pasmt_run(oracle_for(truth), identity_matrix(2), d=1, tau=1.0).entries == {}
+
+
 def test_constant_function():
     truth = SparsePolynomial(5, {bv("00000"): -2.5})
     f = oracle_for(truth)
@@ -237,7 +246,7 @@ def test_leaf_unions_match_zero_positions():
     # the depth-first engine searches a hybrid leaf over the coordinates
     # outside its zero union, which are the leaf's list-decoded candidates
     design = construct_list_disjunct(12, 2, seed=5)
-    leaves = refine_levels(oracle_for(truth), design.matrix, 1e-9)
+    leaves = refine_levels(oracle_for(truth), design, 1e-9)
     assert leaves
     for label, _, union, _ in leaves:
         assert list_decode(design, label) == BitVector(12, full ^ union).coords()

@@ -29,6 +29,8 @@ def test_dense_table_indexing():
         t[bv("0")]
     with pytest.raises(DimensionError):
         DenseTable(2, [1, 2, 3])
+    with pytest.raises(DimensionError):
+        DenseTable(0, [0])
     with pytest.raises(CapacityError):
         DenseTable(25, [])
 
