@@ -46,7 +46,7 @@ from .core import BitVector, Label, TestMatrix, log_query
 from .errors import InfeasiblePrefixError, ParameterError, ReconstructionError
 from .grouptest import GbsaTree
 from .grouptest import gbsa_step  # unused here; the benchmark's traced run looks it up
-from .oracle import DEFAULT_TAU, CountingOracle, SparsePolynomial
+from .oracle import DEFAULT_TAU, CountingOracle, SparsePolynomial, check_tau
 from .pasmt import refine_levels
 
 __all__ = ["split_bin", "depth_first_search", "fasmt_run"]
@@ -158,8 +158,10 @@ def depth_first_search(
     alone, which charges one query and one round per point as a batch of
     one does.  Returns every recovered coefficient.  A support of weight
     above d surfaces as ReconstructionError (degree overflow) carrying the
-    label of the bucket where the tree ran out.
+    label of the bucket where the tree ran out.  A tau that is negative or
+    not finite raises ParameterError before any query.
     """
+    check_tau(tau)
     waiting = []
     dependents: list[list[int]] = [[] for _ in buckets]
     for i, bucket in enumerate(buckets):

@@ -33,6 +33,7 @@ from .oracle import (
     SparsePolyOracle,
     _read_lines,
     _write_text,
+    check_tau,
 )
 from .pasmt import pasmt_run
 from .rng import PRNG_ID, SplitMix64, random_subset
@@ -175,8 +176,11 @@ def run_benchmark(
     """Generate, reconstruct, and score every cell of the grid.
 
     Each cell's runner_design is built before its timer starts, so
-    runtime_ms is the solve and the exactness check only.
+    runtime_ms is the solve and the exactness check only.  An unknown
+    algorithm or a tau that is negative or not finite raises
+    ParameterError before any cell runs.
     """
+    check_tau(tau)
     for cell in grid:
         if cell.algorithm not in ALGORITHMS:
             raise ParameterError(f"unknown algorithm {cell.algorithm!r}")

@@ -31,7 +31,7 @@ from typing import Sequence, TextIO
 from .core import BitVector, Label, TestMatrix, log_query
 from .errors import DecodeError, DimensionError, ParameterError, ReconstructionError
 from .grouptest import decode_disjunct
-from .oracle import DEFAULT_TAU, CountingOracle, SparsePolynomial
+from .oracle import DEFAULT_TAU, CountingOracle, SparsePolynomial, check_tau
 
 __all__ = ["solve_bin_system", "pasmt_run"]
 
@@ -77,8 +77,10 @@ def refine_levels(
     leaves whose labels lie componentwise below its own).  The root
     evaluation and each level are separate batches.  An all-zero root
     returns no buckets.  A run over the first t columns of H returns the
-    buckets of level t.
+    buckets of level t.  A tau that is negative or not finite raises
+    ParameterError before any query.
     """
+    check_tau(tau)
     n = f.n
     if H.n != n:
         raise DimensionError(f"matrix is over n={H.n}, oracle over n={n}")

@@ -171,6 +171,24 @@ def test_reconstruct_degree_overflow_exits_2(alg, tmp_path, capsys):
     assert "reconstruction failed" in capsys.readouterr().err
 
 
+def test_a_bad_tau_exits_1(tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    main(["gen", "--n", "8", "--s", "3", "--d", "2", "--seed", "5", "--out", str(inst)])
+    out = tmp_path / "rec.txt"
+    code = main([
+        "reconstruct", "--alg", "pasmt", "--input", str(inst),
+        "--d", "2", "--tau", "nan", "--out", str(out),
+    ])
+    assert code == 1
+    assert "tau" in capsys.readouterr().err
+    assert not out.exists()
+    grid = tmp_path / "grid.txt"
+    grid.write_text("fasmt 8 2 1 0\n")
+    csv_out = tmp_path / "bench.csv"
+    assert main(["bench", "--grid", str(grid), "--out", str(csv_out), "--tau", "nan"]) == 1
+    assert not csv_out.exists()
+
+
 def test_verify_match(tmp_path, capsys):
     inst = tmp_path / "inst.txt"
     main(["gen", "--n", "10", "--s", "3", "--d", "2", "--seed", "8", "--out", str(inst)])

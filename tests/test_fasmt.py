@@ -111,6 +111,15 @@ def test_single_coordinate_domain():
     assert f.query_count == 2
 
 
+def test_depth_first_search_rejects_a_bad_tau_before_any_query():
+    f = oracle_for(SparsePolynomial(10, {bv("1000000000"): 7}))
+    leaves = refine_levels(f, construct_disjunct(10, 1), 0.0)
+    charged = (f.query_count, f.round_count)
+    with pytest.raises(ParameterError, match="tau"):
+        depth_first_search(f, leaves, 1, -1.0)
+    assert (f.query_count, f.round_count) == charged
+
+
 def test_integer_mode_zero_tau():
     truth = SparsePolynomial(10, {bv("1000000000"): 7, bv("0000000011"): -2})
     got = fasmt_run(oracle_for(truth), 10, 2, tau=0.0)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from collections import Counter
 from itertools import combinations
 from math import comb
@@ -14,6 +15,7 @@ from sparsemobius.core import BitVector
 from sparsemobius.errors import FormatError, ParameterError, SparseMobiusError
 from sparsemobius.grouptest import construct_disjunct, construct_list_disjunct, identity_matrix
 from sparsemobius.harness import (
+    ALGORITHMS,
     BenchRecord,
     GridCell,
     generate_synthetic,
@@ -292,6 +294,33 @@ def test_run_benchmark_records_a_failed_run_and_goes_on(monkeypatch):
     records = run_benchmark([GridCell("fasmt", 8, 2, 1, 0), GridCell("pasmt", 8, 2, 1, 0)])
     assert calls == ["fasmt", "pasmt"]
     assert [rec.exact for rec in records] == [False, True]
+
+
+@pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_runners_reject_a_bad_tau_before_any_query(algorithm, tau):
+    # nan and inf zeroed every bucket, -1 kept every bucket alive
+    f = CountingOracle(SparsePolyOracle(generate_synthetic(8, 3, 2, 5)))
+    with pytest.raises(ParameterError, match="tau"):
+        run_cell(algorithm, f, 2, tau)
+    assert (f.query_count, f.round_count) == (0, 0)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_runners_take_tau_zero_in_integer_mode(algorithm):
+    floats = generate_synthetic(32, 6, 2, 7)
+    truth = SparsePolynomial(32, {k: 1 + int(8 * (v - 1)) for k, v in floats.entries.items()})
+    got = run_cell(algorithm, CountingOracle(SparsePolyOracle(truth)), 2, 0)
+    assert got == truth
+    assert all(type(v) is int for v in got.entries.values())
+
+
+def test_run_benchmark_rejects_a_bad_tau_before_any_cell(monkeypatch):
+    calls = []
+    monkeypatch.setattr("sparsemobius.harness.run_cell", lambda *args: calls.append(args))
+    with pytest.raises(ParameterError, match="tau"):
+        run_benchmark([GridCell("fasmt", 8, 2, 1, 0)], tau=math.nan)
+    assert calls == []
 
 
 def test_run_cell_rejects_an_unknown_algorithm():

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import io
+import itertools
+import math
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsemobius.core import BitVector
 from sparsemobius.errors import DimensionError, FormatError, ValidationError
 from sparsemobius.fasmt import split_bin
+from sparsemobius.harness import generate_synthetic
 from sparsemobius.oracle import (
     CountingOracle,
     SparsePolynomial,
@@ -139,6 +143,125 @@ def test_counting_oracle_batches():
     f.eval(bv("1111"))
     assert f.query_count == 5
     assert f.round_count == 3
+
+
+class EvalOnly:
+    """An inner oracle with eval alone, the shape of a timing wrapper."""
+
+    def __init__(self, inner):
+        self.n = inner.n
+        self.inner = inner
+
+    def eval(self, x):
+        return self.inner.eval(x)
+
+
+def test_counting_oracle_over_an_eval_only_inner():
+    poly = generate_synthetic(40, 30, 2, seed=4)
+    xs = [BitVector(40, m) for m in range(0, 2**40, 2**40 // 70)]
+    direct = CountingOracle(SparsePolyOracle(poly))
+    wrapped = CountingOracle(EvalOnly(SparsePolyOracle(poly)))
+    assert len(xs) >= SparsePolyOracle(poly)._min_batch  # the direct side slices
+    for f in (direct, wrapped):
+        assert f.batch_eval(xs[:3]) + f.batch_eval(xs) + [f.eval(xs[5])] == [
+            SparsePolyOracle(poly).eval(x) for x in xs[:3] + xs + [xs[5]]
+        ]
+        assert (f.query_count, f.round_count) == (len(xs) + 4, 3)
+
+
+def test_a_call_that_raises_is_not_charged():
+    f = CountingOracle(SparsePolyOracle(P))
+    with pytest.raises(DimensionError):
+        f.eval(bv("111"))
+    with pytest.raises(DimensionError):
+        f.batch_eval([bv("1111"), bv("111")])
+    assert (f.query_count, f.round_count) == (0, 0)
+    f.batch_eval([bv("1111"), bv("0001")])
+    assert (f.query_count, f.round_count) == (2, 1)
+
+
+# a coefficient: an int, a small float, or a float of any magnitude up to 1e300
+WEIGHTS = st.one_of(
+    st.integers(-(10**12), 10**12).filter(bool),
+    st.floats(-8, 8, allow_nan=False).filter(bool),
+    st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False).filter(bool),
+)
+
+
+@st.composite
+def oracle_batches(draw):
+    """A polynomial over n <= 300 with supports of size <= 3 (the empty one
+    included) and mixed weights, and a batch of 1 to 80 points."""
+    n = draw(st.integers(1, 300))
+    # sizes drawn first and then filled, so that large ones are common
+    s, size = draw(st.integers(0, 60)), draw(st.integers(1, 80))
+    weights = draw(st.lists(WEIGHTS, min_size=s, max_size=s))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    entries = {
+        BitVector.from_coords(n, rnd.sample(range(1, n + 1), rnd.randint(0, min(3, n)))): v
+        for v in weights
+    }
+    # uniform points, and the all-ones point where every support hits
+    full = (1 << n) - 1
+    xs = [BitVector(n, rnd.choice((rnd.getrandbits(n), full))) for _ in range(size)]
+    return SparsePolynomial(n, entries), xs
+
+
+def slices(poly: SparsePolynomial, size: int) -> bool:
+    """SparsePolyOracle's documented rule: slice a batch of B points when
+    B*s >= 8*(B + T + D), T the bytes the supports touch and D the sum of
+    the support sizes."""
+    coords = {c for k in poly.entries for c in k.coords()}
+    touched = len({(c - 1) // 8 for c in coords})
+    total = sum(k.weight() for k in poly.entries)
+    return size * poly.sparsity >= 8 * (size + touched + total)
+
+
+def _wide(n, s, size):
+    # s supports of weight 2 over n coordinates, and size dense points
+    pairs = itertools.islice(itertools.combinations(range(1, n + 1), 2), s)
+    entries = {BitVector.from_coords(n, pair): 1.5 - i for i, pair in enumerate(pairs)}
+    return SparsePolynomial(n, entries), [BitVector(n, (1 << n) - 1 - i) for i in range(size)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_batches())
+@example(_wide(13, 3, 80))  # the loop side
+@example(_wide(13, 40, 80))  # the sliced side, at n not a multiple of 8
+def test_batch_eval_is_eval_per_point(case):
+    poly, xs = case
+    oracle = SparsePolyOracle(poly)
+    want = [oracle.eval(x) for x in xs]
+    assert (len(xs) >= oracle._min_batch) == slices(poly, len(xs))
+    # both paths, whichever side the batch falls on
+    for got in (oracle.batch_eval(xs), oracle._sliced(xs)):
+        assert list(map(repr, got)) == list(map(repr, want))
+        assert list(map(type, got)) == list(map(type, want))
+
+
+@pytest.mark.parametrize("size", [1, 5, 80])
+def test_batch_eval_rejects_a_bad_point_anywhere(size):
+    poly, xs = _wide(13, 40, size)
+    for at in range(size):
+        bad = xs[:at] + [BitVector(12, 1)] + xs[at + 1 :]
+        f = CountingOracle(SparsePolyOracle(poly))
+        with pytest.raises(DimensionError):
+            f.batch_eval(bad)
+        with pytest.raises(DimensionError):
+            SparsePolyOracle(poly)._sliced(bad)
+        assert (f.query_count, f.round_count) == (0, 0)
+
+
+def test_slicing_tables_are_built_by_the_first_sliced_batch():
+    poly, xs = _wide(13, 40, 80)
+    oracle = SparsePolyOracle(poly)
+    assert 5 < oracle._min_batch <= 80
+    oracle.batch_eval(xs[:5])
+    assert oracle._tables is None
+    oracle.batch_eval(xs)
+    assert oracle._tables is not None
+    # an oracle with s <= 8 never slices
+    assert SparsePolyOracle(_wide(13, 8, 1)[0])._min_batch == math.inf
 
 
 def test_polynomial_file_round_trip(tmp_path):
