@@ -11,7 +11,10 @@ a test matrix maps a support in {0,1}^n to the b outcomes of its tests in
 A test matrix has one encode/decode pair, both here: syndrome encodes a
 support into its outcome label, and build_query_vector decodes a label into
 the query point whose downward closure it cuts out.  Of the runners, only
-pasmt's leaf decoder (grouptest.decode_disjunct) uses them.
+pasmt's leaf decoder (grouptest.decode_disjunct) uses either, and it uses
+build_query_vector alone.  The level loop and the depth-first engine build
+their query points through _point, which skips the range check of
+BitVector's constructor for masks that fit by construction.
 log_query writes the one transcript line format every runner emits.
 """
 
@@ -110,6 +113,24 @@ class BitVector:
 # an outcome string: position i (0-based) holds the outcome of test i+1
 Label = BitVector
 
+_new = object.__new__
+
+
+def _point(n: int, mask: int) -> BitVector:
+    """A length-n vector built without BitVector's checks.
+
+    The caller guarantees the invariant those checks enforce: mask is a
+    sub-mask of the n-bit all-ones mask.  The level loop and the depth-first
+    engine hold it by construction: each query point they build is a
+    candidate set ANDed with another mask, and each candidate set is the
+    all-ones mask with some bits cleared.  Every other caller goes through
+    BitVector.
+    """
+    x = _new(BitVector)
+    x.n = n
+    x.mask = mask
+    return x
+
 
 def log_query(transcript: TextIO | None, label: Label, x: BitVector, value: float) -> None:
     """Write one tab-separated transcript line (bucket label, query point,
@@ -196,13 +217,15 @@ def build_query_vector(H: TestMatrix, label: Label) -> BitVector:
     Given a width-t matrix and a length-t label, returns
     x = NOT(union of the columns the label records a 0 at), so that k <= x
     holds exactly when syndrome(H, k) is componentwise below the label.  A
-    width-0 matrix gives the all-ones point.
+    width-0 matrix gives the all-ones point.  The label's outcomes are
+    walked as text, test 1 first, and only the columns at its 0s are ORed.
     """
-    if label.n != H.b:
-        raise DimensionError(f"label length {label.n} != column count {H.b}")
+    b = H.b
+    if label.n != b:
+        raise DimensionError(f"label length {label.n} != column count {b}")
     union = 0
-    for t, col in enumerate(H.columns):
-        if not (label.mask >> t) & 1:
+    for col, bit in zip(H.columns, format(label.mask, f"0{b}b")[::-1]):
+        if bit == "0":
             union |= col.mask
     # the union lies inside the n coordinates, so XOR complements it
     return BitVector(H.n, ((1 << H.n) - 1) ^ union)

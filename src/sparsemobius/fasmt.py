@@ -15,14 +15,17 @@ splitting tree in locals.  A child whose sum vanishes is never pushed.  The
 search carries on with a nonzero 0-child at once and pushes a nonzero
 1-child, which it pops once the 0-child's subtree is done, so a bucket's
 descendants are split in lexicographic label order.  A bucket's
-splitting tree ranges over the coordinates outside its zero union, the
-only ones its supports can use.  A child carries its label as (length,
-mask) integers, an immutable state of that tree, and a residual list: the
-discovered coefficients whose supports avoid the child's zero union, in
-discovery order, which are the only ones that can lie below its query
-points.  The 0-child keeps the pairs subtracted at its parent's query; the
-1-child extends its parent's list by whatever its 0-sibling's subtree
-found.
+splitting tree ranges over its candidate set, the coordinates outside its
+zero union, the only ones its supports can use.  A child carries its label
+as (length, mask) integers, its candidate set, an immutable state of that
+tree, and a residual list: the discovered coefficients whose supports lie
+inside the child's candidate set, in discovery order, which are the only
+ones that can lie below its query points.  A query point is the candidate
+set minus the pending test, one big-integer operation besides the
+complement of the test; it is the 0-child's candidate set, and the
+1-child keeps its parent's.  The 0-child keeps the pairs subtracted at its
+parent's query; the 1-child extends its parent's list by whatever its
+0-sibling's subtree found.
 
 Searches of several buckets run side by side, one query per bucket per
 adaptive round.  A bucket starts in the round after the last bucket whose
@@ -42,8 +45,13 @@ from __future__ import annotations
 
 from typing import Generator, Sequence, TextIO
 
-from .core import BitVector, Label, TestMatrix, log_query
-from .errors import InfeasiblePrefixError, ParameterError, ReconstructionError
+from .core import BitVector, Label, TestMatrix, _point, log_query
+from .errors import (
+    DimensionError,
+    InfeasiblePrefixError,
+    ParameterError,
+    ReconstructionError,
+)
 from .grouptest import GbsaTree
 from .grouptest import gbsa_step  # unused here; the benchmark's traced run looks it up
 from .oracle import DEFAULT_TAU, CountingOracle, SparsePolynomial, check_tau
@@ -82,34 +90,38 @@ def _search(
     the oracle's raw value there.  Records every coefficient it pins down
     in found, in order, and returns once its stack is empty."""
     label, value, union, _ = bucket
-    full = (1 << n) - 1
-    tree = GbsaTree(full ^ union, d)
     if abs(value) <= tau:
         return
+    # the candidate set: the coordinates outside the zero union, the only
+    # ones the bucket's supports can use; the union lies inside the n
+    # coordinates (depth_first_search checks it), so XOR complements it
+    free = ((1 << n) - 1) ^ union
+    tree = GbsaTree(free, d)
     advance = tree.advance
     length, mask = label.n, label.mask
     state = tree.start()
     residual = [pair for pair in found.items() if pair[0] & union == 0]
     own: list[tuple[int, float]] = []
-    # pending 1-children: label length and mask, sum, zero union, residual
-    # list, the search's find count at push, parent tree state
+    # pending 1-children: label length and mask, sum, candidate set,
+    # residual list, the search's find count at push, parent tree state
     stack: list[tuple] = []
     try:
         while True:
             test = state.test
             if test is not None:
-                # union and test lie inside the n coordinates, so XOR complements
-                x = BitVector(n, full ^ (union | test))
+                # not free ^ test: a retested block can hold coordinates an
+                # earlier 0-outcome already took out of the candidate set
+                x = _point(n, free & ~test)
                 v0, v1, below = split_bin(value, x, (yield x), residual)
                 if transcript is not None:
                     log_query(transcript, Label(length, mask), x, v0)
                 if abs(v1) > tau:
                     stack.append(
-                        (length + 1, mask | 1 << length, v1, union, residual, len(own), state)
+                        (length + 1, mask | 1 << length, v1, free, residual, len(own), state)
                     )
                 length += 1
                 if abs(v0) > tau:
-                    value, union, residual = v0, union | test, below
+                    value, free, residual = v0, x.mask, below
                     state = advance(state, 0)
                     continue
             else:
@@ -122,9 +134,9 @@ def _search(
                 own.append((state.found, value))
             if not stack:
                 return
-            length, mask, value, union, residual, mark, state = stack.pop()
+            length, mask, value, free, residual, mark, state = stack.pop()
             # what the search found since the 1-child was pushed (its
-            # 0-sibling's subtree) avoids the child's zero union as well
+            # 0-sibling's subtree) lies inside the child's candidate set as well
             if mark < len(own):
                 residual = residual + own[mark:]
             state = advance(state, 1)
@@ -159,12 +171,16 @@ def depth_first_search(
     one does.  Returns every recovered coefficient.  A support of weight
     above d surfaces as ReconstructionError (degree overflow) carrying the
     label of the bucket where the tree ran out.  A tau that is negative or
-    not finite raises ParameterError before any query.
+    not finite raises ParameterError, and a zero union outside the n
+    coordinates DimensionError, before any query.
     """
     check_tau(tau)
+    full = (1 << f.n) - 1
     waiting = []
     dependents: list[list[int]] = [[] for _ in buckets]
     for i, bucket in enumerate(buckets):
+        if not 0 <= bucket[2] <= full:
+            raise DimensionError(f"bucket {i} has a zero union outside n={f.n} coordinates")
         for j in bucket[3]:
             if not 0 <= j < i:
                 raise ParameterError(f"bucket {i} must list earlier buckets only")

@@ -22,7 +22,7 @@ import math
 from itertools import chain, combinations, count
 from typing import Iterable, NamedTuple
 
-from .core import BitVector, Label, TestMatrix, build_query_vector, syndrome
+from .core import BitVector, Label, TestMatrix, build_query_vector
 from .errors import (
     CapacityError,
     DecodeError,
@@ -332,17 +332,25 @@ def decode_disjunct(H: TestMatrix, label: Label, d: int) -> BitVector:
     Coordinate i is declared present iff every test containing i is
     positive in the label, that is, iff i lies outside the union of the
     tests the label records a 0 at; that union is the label's query
-    vector, so decoding costs O(b) big-integer operations, not a scan of
-    the n rows.  The decoded support is then re-encoded; any mismatch with
-    the label (the signature of degree overflow or a non-disjunct matrix)
-    raises DecodeError, and so does a support of weight above d.
+    vector, so decoding ORs only the columns at the label's 0s, not a scan
+    of the n rows.  The support re-encodes to the label exactly when every
+    column at a label 1 meets it, since the columns at its 0s avoid it by
+    construction; a column that misses it (the signature of degree
+    overflow or a non-disjunct matrix) raises DecodeError, and so does a
+    support of weight above d.
     """
     support = build_query_vector(H, label)
-    if syndrome(H, support) != label:
-        raise DecodeError(
-            f"decoded support is inconsistent with syndrome {label.to01()!r}"
-        )
-    weight = support.weight()
+    sm = support.mask
+    columns = H.columns
+    ones = label.mask
+    while ones:
+        low = ones & -ones
+        if not columns[low.bit_length() - 1].mask & sm:
+            raise DecodeError(
+                f"decoded support is inconsistent with syndrome {label.to01()!r}"
+            )
+        ones ^= low
+    weight = sm.bit_count()
     if weight > d:
         raise DecodeError(f"decoded support has weight {weight} above d={d}")
     return support

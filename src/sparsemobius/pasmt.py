@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Sequence, TextIO
 
-from .core import BitVector, Label, TestMatrix, log_query
+from .core import BitVector, Label, TestMatrix, _point, log_query
 from .errors import DecodeError, DimensionError, ParameterError, ReconstructionError
 from .grouptest import decode_disjunct
 from .oracle import DEFAULT_TAU, CountingOracle, SparsePolynomial, check_tau
@@ -74,11 +74,13 @@ def refine_levels(
 
     Each returned leaf is (full-length label, bucket sum, union of the
     columns at which the label records a 0, the ascending indices of the
-    leaves whose labels lie componentwise below its own).  The root
-    evaluation and each level are separate batches.  An all-zero root
-    returns no buckets.  A run over the first t columns of H returns the
-    buckets of level t.  A tau that is negative or not finite raises
-    ParameterError before any query.
+    leaves whose labels lie componentwise below its own).  While the loop
+    runs, a bucket carries its candidate set, the complement of that
+    union, so its query point costs one AND, and the leaf's union is
+    complemented back once at return.  The root evaluation and each level
+    are separate batches.  An all-zero root returns no buckets.  A run over
+    the first t columns of H returns the buckets of level t.  A tau that is
+    negative or not finite raises ParameterError before any query.
     """
     check_tau(tau)
     n = f.n
@@ -91,12 +93,14 @@ def refine_levels(
     if abs(root) <= tau:
         return []
     full = ones.mask
-    # bucket i: label bits, sum, zero union, and the earlier buckets below it
-    masks, values, unions, below = [0], [root], [0], [[]]
+    # bucket i: label bits, sum, candidate set (the coordinates outside the
+    # columns its label records a 0 at), and the earlier buckets below it
+    masks, values, frees, below = [0], [root], [full], [[]]
     for t, column in enumerate(H.columns):
-        col = column.mask
-        # union and column lie inside the n coordinates, so XOR complements
-        queries = [BitVector(n, full ^ (u | col)) for u in unions]
+        # the column lies inside the n coordinates, so XOR complements it
+        keep = full ^ column.mask
+        # a bucket's query point is its 0-child's candidate set
+        queries = [_point(n, free & keep) for free in frees]
         measurements = f.batch_eval(queries)
         if transcript is not None:
             for m, x, v in zip(masks, queries, measurements):
@@ -108,8 +112,10 @@ def refine_levels(
         children: list[tuple[int, ...]] = []
         next_masks: list[int] = []
         next_values: list[float] = []
-        next_unions: list[int] = []
+        next_frees: list[int] = []
         next_below: list[list[int]] = []
+        # once labels diverge most rows are empty, and an empty row skips
+        # building its comprehension
         for i, row in enumerate(below):
             v0 = zero_sums[i]
             v1 = values[i] - v0
@@ -120,23 +126,28 @@ def refine_levels(
                 kids = (z,)
                 next_masks.append(masks[i])
                 next_values.append(v0)
-                next_unions.append(unions[i] | col)
-                next_below.append([child0[j] for j in row if child0[j] is not None])
+                next_frees.append(queries[i].mask)
+                next_below.append(
+                    [child0[j] for j in row if child0[j] is not None] if row else []
+                )
             if abs(v1) > tau:
-                inherited = [k for j in row for k in children[j]]
+                inherited = [k for j in row for k in children[j]] if row else []
                 if z is not None:
                     inherited.append(z)
                 kids += (len(next_masks),)
                 next_masks.append(masks[i] | bit)
                 next_values.append(v1)
-                next_unions.append(unions[i])
+                next_frees.append(frees[i])
                 next_below.append(inherited)
             child0.append(z)
             children.append(kids)
-        masks, values, unions, below = next_masks, next_values, next_unions, next_below
+        masks, values, frees, below = next_masks, next_values, next_frees, next_below
         if not masks:
             break
-    return list(zip([Label(H.b, m) for m in masks], values, unions, below))
+    return [
+        (Label(H.b, m), v, full ^ free, row)
+        for m, v, free, row in zip(masks, values, frees, below)
+    ]
 
 
 def pasmt_run(

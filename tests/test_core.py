@@ -15,6 +15,8 @@ from sparsemobius.core import (
     syndrome,
 )
 from sparsemobius.errors import DimensionError
+from sparsemobius.harness import ALGORITHMS, generate_synthetic, run_cell
+from sparsemobius.oracle import CountingOracle, SparsePolyOracle
 
 
 def bv(text: str) -> BitVector:
@@ -172,3 +174,40 @@ def test_subsampling_equivalence_random(n, b, data):
 def test_repr_is_stable():
     assert "0011" in repr(bv("0011"))
     assert "011" in repr(lab("011"))
+
+
+class RecordingOracle:
+    """Evaluation oracle that keeps every point it is asked about."""
+
+    def __init__(self, inner: SparsePolyOracle):
+        self.inner = inner
+        self.n = inner.n
+        self.points: list[BitVector] = []
+
+    def eval(self, x: BitVector) -> float:
+        self.points.append(x)
+        return self.inner.eval(x)
+
+    def batch_eval(self, xs) -> list[float]:
+        self.points.extend(xs)
+        return self.inner.batch_eval(xs)
+
+
+@pytest.mark.parametrize("logged", [False, True])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("n, d", [(1, 1), (8, 4), (64, 2), (4096, 4)])
+def test_every_query_point_is_well_formed(n, d, algorithm, logged):
+    # the level loop and the engine build their points without
+    # BitVector's checks; each must still be the vector the checks allow
+    truth = generate_synthetic(n, 6, d, seed=n + d)
+    oracle = RecordingOracle(SparsePolyOracle(truth))
+    sink = io.StringIO() if logged else None
+    got = run_cell(algorithm, CountingOracle(oracle), d, 1e-9, sink)
+    assert got.entries.keys() == truth.entries.keys()
+    assert len(oracle.points) > 1
+    for x in oracle.points:
+        assert type(x) is BitVector
+        assert x.n == oracle.n
+        assert 0 <= x.mask < 2**n
+        assert x == BitVector(n, x.mask)
+        assert hash(x) == hash(BitVector(n, x.mask))

@@ -111,6 +111,16 @@ def test_single_coordinate_domain():
     assert f.query_count == 2
 
 
+@pytest.mark.parametrize("union", [1 << 2, -1])
+def test_depth_first_search_rejects_a_union_outside_the_coordinates(union):
+    # the engine builds its query points unchecked from the bucket's
+    # complement, so a union outside the n coordinates must not get that far
+    f = oracle_for(SparsePolynomial(2, {bv("11"): 1.0}))
+    with pytest.raises(DimensionError, match="bucket 0"):
+        depth_first_search(f, [(Label(0), 1.0, union, ())], 1, 1e-9)
+    assert f.query_count == 0
+
+
 def test_depth_first_search_rejects_a_bad_tau_before_any_query():
     f = oracle_for(SparsePolynomial(10, {bv("1000000000"): 7}))
     leaves = refine_levels(f, construct_disjunct(10, 1), 0.0)

@@ -29,6 +29,8 @@ from sparsemobius.grouptest import (
     _lowest,
 )
 
+import reference_decode
+
 
 def bv(text: str) -> BitVector:
     return BitVector.from01(text)
@@ -334,6 +336,44 @@ def test_decoders_match_the_row_scan(n, data):
     else:
         with pytest.raises(DecodeError):
             decode_disjunct(H, label, n)
+
+
+# (matrix, d): the figure's matrix, explicit d-disjunct designs, and list
+# designs, which are not disjunct, so their labels often decode overweight
+DECODE_CASES = [
+    *((H_FIG, d) for d in (1, 2, 3)),
+    *((construct_disjunct(n, d), d) for n, d in ((1, 1), (20, 2), (64, 4), (100, 3), (256, 1))),
+    *((construct_list_disjunct(n, d, seed), d) for n, d, seed in ((32, 3, 5), (64, 2, 6), (200, 4, 7))),
+]
+
+
+def decode_outcome(decode, H: TestMatrix, label: Label, d: int):
+    try:
+        return decode(H, label, d)
+    except (DecodeError, DimensionError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(DECODE_CASES), st.data())
+def test_decode_disjunct_matches_the_reference(case, data):
+    H, d = case
+    n, b = H.n, H.b
+    kind = data.draw(st.sampled_from(["uniform", "syndrome", "flipped", "length"]))
+    if kind == "uniform":
+        # mostly inconsistent labels
+        label = Label(b, data.draw(st.integers(0, (1 << b) - 1)))
+    elif kind == "length":
+        width = data.draw(st.sampled_from([b + 1, max(b - 1, 0)]).filter(lambda w: w != b))
+        label = Label(width, data.draw(st.integers(0, (1 << width) - 1)))
+    else:
+        # the syndrome of a support up to two above d, so some are overweight
+        coords = data.draw(st.lists(st.integers(0, n - 1), max_size=d + 2))
+        label = syndrome(H, BitVector(n, sum(1 << i for i in set(coords))))
+        if kind == "flipped" and b:
+            label = Label(b, label.mask ^ 1 << data.draw(st.integers(0, b - 1)))
+    want = decode_outcome(reference_decode.decode_disjunct, H, label, d)
+    assert decode_outcome(decode_disjunct, H, label, d) == want
 
 
 def test_list_design_determinism():
