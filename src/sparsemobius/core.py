@@ -10,11 +10,13 @@ a test matrix maps a support in {0,1}^n to the b outcomes of its tests in
 
 A test matrix has one encode/decode pair, both here: syndrome encodes a
 support into its outcome label, and build_query_vector decodes a label into
-the query point whose downward closure it cuts out.  Of the runners, only
-pasmt's leaf decoder (grouptest.decode_disjunct) uses either, and it uses
-build_query_vector alone.  The level loop and the depth-first engine build
-their query points through _point, which skips the range check of
-BitVector's constructor for masks that fit by construction.
+the query point whose downward closure it cuts out.  No runner calls
+either: the level loop carries each bucket's decoded point, its candidate
+set, and pasmt hands that set to grouptest.decode_disjunct with the leaf's
+label, so the label is only checked, not decoded.  The level loop and the
+depth-first engine build their query points as _point does, without the
+range check of BitVector's constructor, for masks that fit by
+construction.
 log_query writes the one transcript line format every runner emits.
 """
 
@@ -120,11 +122,12 @@ def _point(n: int, mask: int) -> BitVector:
     """A length-n vector built without BitVector's checks.
 
     The caller guarantees the invariant those checks enforce: mask is a
-    sub-mask of the n-bit all-ones mask.  The level loop and the depth-first
-    engine hold it by construction: each query point they build is a
-    candidate set ANDed with another mask, and each candidate set is the
-    all-ones mask with some bits cleared.  Every other caller goes through
-    BitVector.
+    sub-mask of the n-bit all-ones mask.  The depth-first engine holds it
+    by construction, and so does the level loop, which builds its points
+    the same way inline to save a call per point: each query point they
+    build is a candidate set ANDed with another mask, and each candidate set
+    is the all-ones mask with some bits cleared.  Every other caller goes
+    through BitVector.
     """
     x = _new(BitVector)
     x.n = n

@@ -26,6 +26,7 @@ from .core import BitVector, Label, TestMatrix, build_query_vector
 from .errors import (
     CapacityError,
     DecodeError,
+    DimensionError,
     InfeasiblePrefixError,
     ParameterError,
 )
@@ -326,34 +327,41 @@ def verify_disjunct(H: TestMatrix, d: int) -> bool:
     return True
 
 
-def decode_disjunct(H: TestMatrix, label: Label, d: int) -> BitVector:
-    """Naive cover decoding of a full syndrome.
+def decode_disjunct(
+    H: TestMatrix, label: Label, d: int, support: int | None = None
+) -> BitVector:
+    """Naive cover decoding of a full syndrome, checked against it.
 
     Coordinate i is declared present iff every test containing i is
     positive in the label, that is, iff i lies outside the union of the
     tests the label records a 0 at; that union is the label's query
     vector, so decoding ORs only the columns at the label's 0s, not a scan
-    of the n rows.  The support re-encodes to the label exactly when every
-    column at a label 1 meets it, since the columns at its 0s avoid it by
-    construction; a column that misses it (the signature of degree
-    overflow or a non-disjunct matrix) raises DecodeError, and so does a
-    support of weight above d.
+    of the n rows.  A caller that already holds that support, as the level
+    loop does for each leaf, passes its mask and the label is not decoded
+    again; the outcome is the same.  A label whose length is not H's width
+    raises DimensionError.  The support re-encodes to the label exactly
+    when every column at a label 1 meets it, since the columns at its 0s
+    avoid it by construction; a column that misses it (the signature of
+    degree overflow or a non-disjunct matrix) raises DecodeError, and so
+    does a support of weight above d.
     """
-    support = build_query_vector(H, label)
-    sm = support.mask
     columns = H.columns
+    if label.n != len(columns):
+        raise DimensionError(f"label length {label.n} != column count {len(columns)}")
+    if support is None:
+        support = build_query_vector(H, label).mask
     ones = label.mask
     while ones:
         low = ones & -ones
-        if not columns[low.bit_length() - 1].mask & sm:
+        if not columns[low.bit_length() - 1].mask & support:
             raise DecodeError(
                 f"decoded support is inconsistent with syndrome {label.to01()!r}"
             )
         ones ^= low
-    weight = sm.bit_count()
+    weight = support.bit_count()
     if weight > d:
         raise DecodeError(f"decoded support has weight {weight} above d={d}")
-    return support
+    return BitVector(H.n, support)
 
 
 class ListDesign(TestMatrix):

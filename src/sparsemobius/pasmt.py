@@ -6,8 +6,10 @@ adaptive round per column refines every surviving bucket at once: a single
 evaluation per bucket yields a unit lower-triangular system in label order
 whose solution is the 0-child sums; 1-child sums follow by conservation,
 and buckets whose sum vanishes are dropped.  After all b columns each
-surviving bucket holds exactly one coefficient and its full syndrome, which
-the disjunct decoder turns back into a support.
+surviving bucket holds exactly one coefficient and its full syndrome.  Its
+support is the candidate set the loop carried down with it, so the
+disjunct decoder only checks that support against the label and does not
+decode the label again.
 
 The system is sparse: bucket i's row holds only the earlier buckets whose
 labels lie componentwise below its own.  The level loop carries that list
@@ -16,9 +18,12 @@ c-child of bucket j lies below the c'-child of bucket i exactly when label
 j <= label i and c <= c', so the 1-child of i inherits the surviving
 children of every bucket on i's list followed by i's own surviving
 0-child, and the 0-child of i inherits the surviving 0-children only.
-Both lists stay ascending, so a level with L buckets and E comparable
-pairs costs O(L + E) besides its queries, and the back-substitution
-subtracts in the same order as a dense solve would.
+Both lists stay ascending.  A level makes one pass over its buckets: the
+back-substitution of bucket i's 0-child sum, in row order as a dense
+solve subtracts, and the building of i's children share that pass, so no
+separate triangular solve runs, and a level with L buckets and E
+comparable pairs costs O(L + E) besides its queries.  solve_bin_system is
+that solve on its own, with the row checks the pass makes inline.
 
 The query count is at most s*b + 1 and the number of adaptive rounds is
 b + 1, independent of s (the all-ones root query is its own round).
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 from typing import Sequence, TextIO
 
-from .core import BitVector, Label, TestMatrix, _point, log_query
+from .core import BitVector, Label, TestMatrix, _new, log_query
 from .errors import DecodeError, DimensionError, ParameterError, ReconstructionError
 from .grouptest import decode_disjunct
 from .oracle import DEFAULT_TAU, CountingOracle, SparsePolynomial, check_tau
@@ -93,61 +98,68 @@ def refine_levels(
     if abs(root) <= tau:
         return []
     full = ones.mask
-    # bucket i: label bits, sum, candidate set (the coordinates outside the
+    # a bucket: label bits, sum, candidate set (the coordinates outside the
     # columns its label records a 0 at), and the earlier buckets below it
-    masks, values, frees, below = [0], [root], [full], [[]]
+    buckets: list[tuple[int, float, int, list[int]]] = [(0, root, full, [])]
     for t, column in enumerate(H.columns):
-        # the column lies inside the n coordinates, so XOR complements it
+        # the column lies inside the n coordinates, so XOR complements it;
+        # a bucket's query point is its 0-child's candidate set, built
+        # without BitVector's checks as core._point builds it
         keep = full ^ column.mask
-        # a bucket's query point is its 0-child's candidate set
-        queries = [_point(n, free & keep) for free in frees]
+        queries = []
+        for bucket in buckets:
+            x = _new(BitVector)
+            x.n = n
+            x.mask = bucket[2] & keep
+            queries.append(x)
         measurements = f.batch_eval(queries)
         if transcript is not None:
-            for m, x, v in zip(masks, queries, measurements):
+            for (m, *_), x, v in zip(buckets, queries, measurements):
                 log_query(transcript, Label(t, m), x, v)
-        zero_sums = solve_bin_system(below, measurements)
         bit = 1 << t
-        # surviving children of each bucket, as next-level indices
-        child0: list[int | None] = []
-        children: list[tuple[int, ...]] = []
-        next_masks: list[int] = []
-        next_values: list[float] = []
-        next_frees: list[int] = []
-        next_below: list[list[int]] = []
-        # once labels diverge most rows are empty, and an empty row skips
-        # building its comprehension
-        for i, row in enumerate(below):
-            v0 = zero_sums[i]
-            v1 = values[i] - v0
-            kids: tuple[int, ...] = ()
-            z = None
+        # per bucket: its 0-child sum and its (0-child, 1-child) pair of
+        # next-level indices, None for a child that vanished
+        settled: list[tuple[float, int | None, int | None]] = []
+        children: list[tuple[int, float, int, list[int]]] = []
+        for i, ((m, v, free, row), x, v0) in enumerate(zip(buckets, queries, measurements)):
+            # most rows are empty once labels diverge: the measurement is
+            # the 0-child sum, and only the 1-child can have a row
+            if row:
+                # back-substitute in row order, as solve_bin_system does;
+                # a c-child of a bucket below lies below the 1-child, and
+                # its 0-child below the 0-child too
+                below0: list[int] = []
+                below1: list[int] = []
+                last = -1
+                for j in row:
+                    if not last < j < i:
+                        raise ParameterError(
+                            f"row {i} must list strictly increasing indices below {i}"
+                        )
+                    u0, k0, k1 = settled[j]
+                    v0 -= u0
+                    if k0 is not None:
+                        below0.append(k0)
+                        below1.append(k0)
+                    if k1 is not None:
+                        below1.append(k1)
+                    last = j
+            else:
+                below0, below1 = [], []
+            z0 = z1 = None
             if abs(v0) > tau:
-                z = len(next_masks)
-                kids = (z,)
-                next_masks.append(masks[i])
-                next_values.append(v0)
-                next_frees.append(queries[i].mask)
-                next_below.append(
-                    [child0[j] for j in row if child0[j] is not None] if row else []
-                )
+                z0 = len(children)
+                children.append((m, v0, x.mask, below0))
+                below1.append(z0)
+            v1 = v - v0
             if abs(v1) > tau:
-                inherited = [k for j in row for k in children[j]] if row else []
-                if z is not None:
-                    inherited.append(z)
-                kids += (len(next_masks),)
-                next_masks.append(masks[i] | bit)
-                next_values.append(v1)
-                next_frees.append(frees[i])
-                next_below.append(inherited)
-            child0.append(z)
-            children.append(kids)
-        masks, values, frees, below = next_masks, next_values, next_frees, next_below
-        if not masks:
+                z1 = len(children)
+                children.append((m | bit, v1, free, below1))
+            settled.append((v0, z0, z1))
+        buckets = children
+        if not buckets:
             break
-    return [
-        (Label(H.b, m), v, full ^ free, row)
-        for m, v, free, row in zip(masks, values, frees, below)
-    ]
+    return [(Label(H.b, m), v, full ^ free, row) for m, v, free, row in buckets]
 
 
 def pasmt_run(
@@ -169,10 +181,11 @@ def pasmt_run(
     if d < 1:
         raise ParameterError(f"need d >= 1, got {d}")
     leaves = refine_levels(f, H, tau, transcript)
+    full = (1 << f.n) - 1
     entries: dict[BitVector, float] = {}
-    for label, value, *_ in leaves:
+    for label, value, union, _ in leaves:
         try:
-            support = decode_disjunct(H, label, d)
+            support = decode_disjunct(H, label, d, full ^ union)
         except DecodeError as err:
             raise ReconstructionError(
                 f"bucket {label.to01()!r} failed to decode: {err}", label=label

@@ -374,6 +374,15 @@ def test_decode_disjunct_matches_the_reference(case, data):
             label = Label(b, label.mask ^ 1 << data.draw(st.integers(0, b - 1)))
     want = decode_outcome(reference_decode.decode_disjunct, H, label, d)
     assert decode_outcome(decode_disjunct, H, label, d) == want
+    # handed the support, as pasmt hands it the level loop's, the decoder
+    # only checks it, with the same outcome; a wrong-length label fails
+    # whatever support comes with it
+    if label.n == b:
+        support = reference_decode.build_query_vector(H, label).mask
+    else:
+        support = data.draw(st.integers(0, (1 << n) - 1))
+    checked = decode_outcome(lambda H, label, d: decode_disjunct(H, label, d, support), H, label, d)
+    assert checked == want
 
 
 def test_list_design_determinism():

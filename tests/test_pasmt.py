@@ -13,10 +13,16 @@ from sparsemobius.core import (
     build_query_vector,
     syndrome,
 )
-from sparsemobius.errors import DimensionError, ParameterError, ReconstructionError
+from sparsemobius.errors import (
+    DecodeError,
+    DimensionError,
+    ParameterError,
+    ReconstructionError,
+)
 from sparsemobius.grouptest import (
     construct_disjunct,
     construct_list_disjunct,
+    decode_disjunct,
     identity_matrix,
     list_decode,
 )
@@ -152,6 +158,70 @@ def test_refine_levels_matches_dense_level_loop(n, integer, data):
     assert [(labels, [repr(v) for v in values]) for labels, values in states] == [
         (labels, [repr(v) for v in values]) for labels, values in want_states
     ]
+
+
+@st.composite
+def level_loop_cases(draw):
+    """(H, d, truth, tau): an explicit d-disjunct design, a list design or
+    an arbitrary column set, mostly not disjunct, with supports of weight up
+    to d + 1 and float or exact integer weights."""
+    family = draw(st.sampled_from(["disjunct", "list", "arbitrary"]))
+    d = draw(st.integers(1, 4))
+    if family == "arbitrary":
+        n = draw(st.integers(1, 24))
+        columns = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=10))
+        H = TestMatrix(n, [BitVector(n, c) for c in columns])
+    elif family == "disjunct":
+        n = draw(st.integers(1, 40))
+        H = construct_disjunct(n, d)
+    else:
+        n = draw(st.integers(1, 40))
+        H = construct_list_disjunct(n, d, draw(st.integers(0, 99)))
+    supports = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=d + 1), max_size=10))
+    if draw(st.booleans()):
+        weights = st.integers(-9, 9).filter(bool)
+        tau = 0.0
+    else:
+        weights = st.floats(-4.0, 4.0, allow_nan=False).filter(lambda w: abs(w) > 1e-3)
+        tau = 1e-9
+    masks = sorted({sum(1 << i for i in set(coords)) for coords in supports})
+    truth = SparsePolynomial(n, {BitVector(n, k): draw(weights) for k in masks})
+    return H, d, truth, tau
+
+
+@settings(max_examples=150, deadline=None)
+@given(level_loop_cases())
+def test_every_level_hands_on_rows_the_checked_solver_accepts(case):
+    # the level loop back-substitutes without calling solve_bin_system, so
+    # the rows it builds must still meet that solver's precondition
+    H, _, truth, tau = case
+    for t in range(H.b + 1):
+        leaves = refine_levels(oracle_for(truth), TestMatrix(H.n, H.columns[:t]), tau)
+        rows = [row for *_, row in leaves]
+        for i, row in enumerate(rows):
+            assert all(a < b for a, b in zip(row, row[1:]))
+            assert all(0 <= j < i for j in row)
+        sums = [v for _, v, *_ in leaves]
+        assert len(solve_bin_system(rows, sums)) == len(leaves)
+
+
+@settings(max_examples=150, deadline=None)
+@given(level_loop_cases())
+def test_leaf_supports_decode_as_decode_disjunct_decodes_the_labels(case):
+    # pasmt hands the decoder the support the level loop returns with a
+    # leaf, which must be the label's cover decoding
+    H, d, truth, tau = case
+    full = (1 << H.n) - 1
+    for label, _, union, _ in refine_levels(oracle_for(truth), H, tau):
+        assert full ^ union == build_query_vector(H, label).mask
+        assert decode_outcome(H, label, d, full ^ union) == decode_outcome(H, label, d)
+
+
+def decode_outcome(*args):
+    try:
+        return decode_disjunct(*args)
+    except (DecodeError, DimensionError) as err:
+        return type(err), str(err)
 
 
 def test_recovers_small_instance_identity_matrix():
