@@ -20,17 +20,13 @@ from .errors import (
     SparseMobiusError,
     ValidationError,
 )
-from .fasmt import fasmt_run, split_bin
+from .fasmt import fasmt_run
 from .grouptest import (
     ListDesign,
     construct_disjunct,
     construct_list_disjunct,
     decode_disjunct,
-    gbsa_step,
     gbsa_test_budget,
-    identity_matrix,
-    list_decode,
-    verify_disjunct,
 )
 from .harness import (
     BenchRecord,
@@ -52,7 +48,7 @@ from .oracle import (
     read_polynomial,
     write_polynomial,
 )
-from .pasmt import pasmt_run, solve_bin_system
+from .pasmt import pasmt_run
 from .reference import (
     DenseTable,
     check_subset_sum_independence,

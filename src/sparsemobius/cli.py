@@ -29,6 +29,7 @@ from .oracle import (
     DEFAULT_TAU,
     CountingOracle,
     SparsePolyOracle,
+    _parse_header,
     _read_lines,
     read_hypergraph,
     read_polynomial,
@@ -48,17 +49,16 @@ class _Parser(argparse.ArgumentParser):
 def _load_instance(path: str, form: str):
     """Read a coefficient map from either accepted file format.
 
-    Auto-detection reads the first data line: two tokens whose second is a
-    full-width bitstring mean the coefficient format, anything else the
-    hypergraph edge list.
+    Auto-detection reads n from the header as both readers do, then the
+    first data line: two tokens whose second is an n-character bitstring
+    mean the coefficient format, anything else the hypergraph edge list.
     """
     if form == "poly":
         return read_polynomial(path)
     if form == "hgr":
         return read_hypergraph(path)
     lines = _read_lines(path)
-    header = lines[0].split() if lines else []
-    n = int(header[0]) if header and header[0].isdigit() else 0
+    n, _ = _parse_header(lines, "polynomial")
     for line in lines[1:]:
         parts = line.split()
         if not parts:

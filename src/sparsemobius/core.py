@@ -14,9 +14,8 @@ the query point whose downward closure it cuts out.  No runner calls
 either: the level loop carries each bucket's decoded point, its candidate
 set, and pasmt hands that set to grouptest.decode_disjunct with the leaf's
 label, so the label is only checked, not decoded.  The level loop and the
-depth-first engine build their query points as _point does, without the
-range check of BitVector's constructor, for masks that fit by
-construction.
+depth-first engine build their query points inline through _new, without
+BitVector's range check: each is a candidate set ANDed with another mask.
 log_query writes the one transcript line format every runner emits.
 """
 
@@ -116,23 +115,6 @@ class BitVector:
 Label = BitVector
 
 _new = object.__new__
-
-
-def _point(n: int, mask: int) -> BitVector:
-    """A length-n vector built without BitVector's checks.
-
-    The caller guarantees the invariant those checks enforce: mask is a
-    sub-mask of the n-bit all-ones mask.  The depth-first engine holds it
-    by construction, and so does the level loop, which builds its points
-    the same way inline to save a call per point: each query point they
-    build is a candidate set ANDed with another mask, and each candidate set
-    is the all-ones mask with some bits cleared.  Every other caller goes
-    through BitVector.
-    """
-    x = _new(BitVector)
-    x.n = n
-    x.mask = mask
-    return x
 
 
 def log_query(transcript: TextIO | None, label: Label, x: BitVector, value: float) -> None:

@@ -15,8 +15,8 @@ splitting tree in locals.  A child whose sum vanishes is never pushed.  The
 search carries on with a nonzero 0-child at once and pushes a nonzero
 1-child, which it pops once the 0-child's subtree is done, so a bucket's
 descendants are split in lexicographic label order.  A bucket's
-splitting tree ranges over its candidate set, the coordinates outside its
-zero union, the only ones its supports can use.  A child carries its label
+splitting tree ranges over the candidate set the level loop hands it, the
+only coordinates its supports can use.  A child carries its label
 as (length, mask) integers, its candidate set, an immutable state of that
 tree, and a residual list: the discovered coefficients whose supports lie
 inside the child's candidate set, in discovery order, which are the only
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from typing import Generator, Sequence, TextIO
 
-from .core import BitVector, Label, TestMatrix, _point, log_query
+from .core import BitVector, Label, TestMatrix, _new, log_query
 from .errors import (
     DimensionError,
     InfeasiblePrefixError,
@@ -89,18 +89,14 @@ def _search(
     """One bucket's splitting search: yields each query point and is sent
     the oracle's raw value there.  Records every coefficient it pins down
     in found, in order, and returns once its stack is empty."""
-    label, value, union, _ = bucket
+    label, value, free, _ = bucket
     if abs(value) <= tau:
         return
-    # the candidate set: the coordinates outside the zero union, the only
-    # ones the bucket's supports can use; the union lies inside the n
-    # coordinates (depth_first_search checks it), so XOR complements it
-    free = ((1 << n) - 1) ^ union
     tree = GbsaTree(free, d)
     advance = tree.advance
     length, mask = label.n, label.mask
     state = tree.start()
-    residual = [pair for pair in found.items() if pair[0] & union == 0]
+    residual = [pair for pair in found.items() if pair[0] & free == pair[0]]
     own: list[tuple[int, float]] = []
     # pending 1-children: label length and mask, sum, candidate set,
     # residual list, the search's find count at push, parent tree state
@@ -110,8 +106,11 @@ def _search(
             test = state.test
             if test is not None:
                 # not free ^ test: a retested block can hold coordinates an
-                # earlier 0-outcome already took out of the candidate set
-                x = _point(n, free & ~test)
+                # earlier 0-outcome already took out of free; free fits in n
+                # bits (depth_first_search checks it), so x skips the checks
+                x = _new(BitVector)
+                x.n = n
+                x.mask = free & ~test
                 v0, v1, below = split_bin(value, x, (yield x), residual)
                 if transcript is not None:
                     log_query(transcript, Label(length, mask), x, v0)
@@ -158,12 +157,12 @@ def depth_first_search(
     """Finish buckets by splitting searches, one batched round per step.
 
     The buckets are refine_levels' leaves as it returns them: (label, sum,
-    zero union, below), with the union of the tests the label records a 0
-    at and the indices of the earlier buckets whose labels lie
-    componentwise below its own.  A bucket's search ranges over the
-    coordinates outside its zero union.  A bucket starts in the round after
-    the last bucket on its list finishes, with the coefficients found so
-    far that avoid its zero union as its residual list.  Each running
+    candidate set, below), with the mask of the coordinates outside the
+    tests the label records a 0 at and the indices of the earlier buckets
+    whose labels lie componentwise below its own.  A bucket's search ranges
+    over its candidate set.  A bucket starts in the round after the last
+    bucket on its list finishes, with the coefficients found so far that
+    lie inside its candidate set as its residual list.  Each running
     search is a generator of query points; a round sends every running
     search the oracle's value at its point.  While only one search runs,
     no bucket can start before it finishes, so it is driven with eval
@@ -171,7 +170,7 @@ def depth_first_search(
     one does.  Returns every recovered coefficient.  A support of weight
     above d surfaces as ReconstructionError (degree overflow) carrying the
     label of the bucket where the tree ran out.  A tau that is negative or
-    not finite raises ParameterError, and a zero union outside the n
+    not finite raises ParameterError, and a candidate set outside the n
     coordinates DimensionError, before any query.
     """
     check_tau(tau)
@@ -180,7 +179,7 @@ def depth_first_search(
     dependents: list[list[int]] = [[] for _ in buckets]
     for i, bucket in enumerate(buckets):
         if not 0 <= bucket[2] <= full:
-            raise DimensionError(f"bucket {i} has a zero union outside n={f.n} coordinates")
+            raise DimensionError(f"bucket {i} has a candidate set outside n={f.n} coordinates")
         for j in bucket[3]:
             if not 0 <= j < i:
                 raise ParameterError(f"bucket {i} must list earlier buckets only")

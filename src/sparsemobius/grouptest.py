@@ -19,12 +19,11 @@ one bernoulli_mask draw.
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations, count
+from itertools import chain, count
 from typing import Iterable, NamedTuple
 
 from .core import BitVector, Label, TestMatrix, build_query_vector
 from .errors import (
-    CapacityError,
     DecodeError,
     DimensionError,
     InfeasiblePrefixError,
@@ -39,7 +38,6 @@ __all__ = [
     "gbsa_test_budget",
     "identity_matrix",
     "construct_disjunct",
-    "verify_disjunct",
     "decode_disjunct",
     "ListDesign",
     "list_design_width",
@@ -47,7 +45,6 @@ __all__ = [
     "list_decode",
 ]
 
-VERIFY_WORK_CAP = 10**8
 _WIDTH_GUARD_BITS = 128  # list_design_width's fixed-point bits beyond n's
 
 
@@ -295,36 +292,6 @@ def construct_disjunct(n: int, d: int) -> TestMatrix:
             if cand.b < width:
                 best, width = cand, cand.b
     return identity_matrix(n) if best is None else best
-
-
-def verify_disjunct(H: TestMatrix, d: int) -> bool:
-    """Exhaustively certify d-disjunctness.
-
-    For every coordinate i and every set S of min(d, n-1) other
-    coordinates, some test must contain i and avoid all of S.  The work is
-    capped at n^(d+1) <= 10^8.
-    """
-    n = H.n
-    if d < 1:
-        raise ParameterError(f"need d >= 1, got {d}")
-    if n ** (d + 1) > VERIFY_WORK_CAP:
-        raise CapacityError(
-            f"verification work n^(d+1) = {n ** (d + 1)} exceeds {VERIFY_WORK_CAP}"
-        )
-    rows = H.row_masks
-    size = min(d, n - 1)
-    if size == 0:
-        return all(rows[i] for i in range(n))
-    for i in range(n):
-        mine = rows[i]
-        others = [rows[j] for j in range(n) if j != i]
-        for combo in combinations(others, size):
-            union = 0
-            for r in combo:
-                union |= r
-            if mine & ~union == 0:
-                return False
-    return True
 
 
 def decode_disjunct(

@@ -5,7 +5,7 @@ list-disjunct design: Bernoulli(1/(d+1)) cells, and the fewest tests,
 O(d log(n/d)), that keep a weight-d support's expected list of false
 candidates at most d long (grouptest.list_design_width).  Its surviving
 leaf buckets are not exactly decodable, but each one comes with a small
-candidate coordinate set, the coordinates outside its zero union, that is
+candidate coordinate set, outside every test its label records a 0 at,
 guaranteed to contain the support of every coefficient in the bucket.
 Phase 2 hands the leaves as they are to the depth-first runner's search
 engine, whose splitting tree for each bucket ranges over that set only.

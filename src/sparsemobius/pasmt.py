@@ -18,12 +18,14 @@ c-child of bucket j lies below the c'-child of bucket i exactly when label
 j <= label i and c <= c', so the 1-child of i inherits the surviving
 children of every bucket on i's list followed by i's own surviving
 0-child, and the 0-child of i inherits the surviving 0-children only.
-Both lists stay ascending.  A level makes one pass over its buckets: the
-back-substitution of bucket i's 0-child sum, in row order as a dense
-solve subtracts, and the building of i's children share that pass, so no
-separate triangular solve runs, and a level with L buckets and E
-comparable pairs costs O(L + E) besides its queries.  solve_bin_system is
-that solve on its own, with the row checks the pass makes inline.
+Both lists stay ascending and below their own index by construction, so
+the loop does not check them.  A level makes one pass over its buckets:
+the back-substitution of bucket i's 0-child sum, in row order as a dense
+solve subtracts, and the building of i's children share that pass, so a
+level with L buckets and E comparable pairs costs O(L + E) besides its
+queries.  solve_bin_system is that solve on its own, with the row checks;
+the row tests check the loop's rows with it, and the traced benchmark
+looks it up.
 
 The query count is at most s*b + 1 and the number of adaptive rounds is
 b + 1, independent of s (the all-ones root query is its own round).
@@ -77,15 +79,15 @@ def refine_levels(
 ) -> list[tuple[Label, float, int, list[int]]]:
     """Run the level loop and return surviving leaf buckets.
 
-    Each returned leaf is (full-length label, bucket sum, union of the
-    columns at which the label records a 0, the ascending indices of the
-    leaves whose labels lie componentwise below its own).  While the loop
-    runs, a bucket carries its candidate set, the complement of that
-    union, so its query point costs one AND, and the leaf's union is
-    complemented back once at return.  The root evaluation and each level
-    are separate batches.  An all-zero root returns no buckets.  A run over
-    the first t columns of H returns the buckets of level t.  A tau that is
-    negative or not finite raises ParameterError before any query.
+    Each returned leaf is (full-length label, bucket sum, candidate set,
+    the ascending indices of the leaves whose labels lie componentwise
+    below its own).  The candidate set is the mask of the coordinates
+    outside every column the label records a 0 at, the only ones the
+    bucket's supports can use; a bucket carries it from the root down, so
+    its query point costs one AND.  The root evaluation and each level are
+    separate batches.  An all-zero root returns no buckets.  A run over
+    the first t columns of H returns the buckets of level t.  A tau that
+    is negative or not finite raises ParameterError before any query.
     """
     check_tau(tau)
     n = f.n
@@ -103,8 +105,8 @@ def refine_levels(
     buckets: list[tuple[int, float, int, list[int]]] = [(0, root, full, [])]
     for t, column in enumerate(H.columns):
         # the column lies inside the n coordinates, so XOR complements it;
-        # a bucket's query point is its 0-child's candidate set, built
-        # without BitVector's checks as core._point builds it
+        # a bucket's query point is its 0-child's candidate set, a sub-mask
+        # of the n coordinates, so it skips BitVector's checks
         keep = full ^ column.mask
         queries = []
         for bucket in buckets:
@@ -121,7 +123,7 @@ def refine_levels(
         # next-level indices, None for a child that vanished
         settled: list[tuple[float, int | None, int | None]] = []
         children: list[tuple[int, float, int, list[int]]] = []
-        for i, ((m, v, free, row), x, v0) in enumerate(zip(buckets, queries, measurements)):
+        for (m, v, free, row), x, v0 in zip(buckets, queries, measurements):
             # most rows are empty once labels diverge: the measurement is
             # the 0-child sum, and only the 1-child can have a row
             if row:
@@ -130,12 +132,7 @@ def refine_levels(
                 # its 0-child below the 0-child too
                 below0: list[int] = []
                 below1: list[int] = []
-                last = -1
                 for j in row:
-                    if not last < j < i:
-                        raise ParameterError(
-                            f"row {i} must list strictly increasing indices below {i}"
-                        )
                     u0, k0, k1 = settled[j]
                     v0 -= u0
                     if k0 is not None:
@@ -143,7 +140,6 @@ def refine_levels(
                         below1.append(k0)
                     if k1 is not None:
                         below1.append(k1)
-                    last = j
             else:
                 below0, below1 = [], []
             z0 = z1 = None
@@ -159,7 +155,7 @@ def refine_levels(
         buckets = children
         if not buckets:
             break
-    return [(Label(H.b, m), v, full ^ free, row) for m, v, free, row in buckets]
+    return [(Label(H.b, m), v, free, row) for m, v, free, row in buckets]
 
 
 def pasmt_run(
@@ -180,12 +176,10 @@ def pasmt_run(
     """
     if d < 1:
         raise ParameterError(f"need d >= 1, got {d}")
-    leaves = refine_levels(f, H, tau, transcript)
-    full = (1 << f.n) - 1
     entries: dict[BitVector, float] = {}
-    for label, value, union, _ in leaves:
+    for label, value, free, _ in refine_levels(f, H, tau, transcript):
         try:
-            support = decode_disjunct(H, label, d, full ^ union)
+            support = decode_disjunct(H, label, d, free)
         except DecodeError as err:
             raise ReconstructionError(
                 f"bucket {label.to01()!r} failed to decode: {err}", label=label

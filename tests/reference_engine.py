@@ -131,9 +131,12 @@ def hybrid_run(f: CountingOracle, n: int, d: int, seed: int, tau: float, transcr
     if n < 2:
         return fasmt_run(f, n, d, tau, transcript)
     design = construct_list_disjunct(n, min(d, n - 1), seed)
+    full = (1 << n) - 1
+    # refine_levels hands each leaf on with its candidate set, the
+    # complement of the zero union this engine keeps
     bins = [
-        LocalizedBin(label, value, list_decode(design, label), union)
-        for label, value, union, _ in refine_levels(f, design, tau, transcript)
+        LocalizedBin(label, value, list_decode(design, label), full ^ free)
+        for label, value, free, _ in refine_levels(f, design, tau, transcript)
     ]
     discovered: dict[BitVector, float] = {}
     for layer in antichain_layers(bins):

@@ -23,7 +23,6 @@ from sparsemobius.grouptest import (
     construct_disjunct,
     decode_disjunct,
     gbsa_test_budget,
-    verify_disjunct,
 )
 from sparsemobius.harness import (
     GridCell,
@@ -43,6 +42,7 @@ from sparsemobius.reference import (
 )
 from sparsemobius.rng import SplitMix64
 
+from disjunct import verify_disjunct
 from weights import integer_weights
 
 GRID_NS = (16, 32, 64, 128, 256)
@@ -224,6 +224,22 @@ def test_hybrid_trades_between_the_other_runners(scaled_grid):
     assert totals["hybrid"][0] < totals["pasmt"][0], totals
     assert totals["hybrid"][1] < totals["pasmt"][1], totals
     assert totals["hybrid"][1] < totals["fasmt"][1], totals
+
+
+def test_scaled_grid_totals_are_pinned(scaled_grid):
+    """The criterion-2 grid's query and round totals per runner, so a
+    refactor that moves a count fails here; a change that moves them on
+    purpose updates these numbers and says so."""
+    totals = {}
+    for r in scaled_grid["records"]:
+        queries, rounds = totals.get(r.algorithm, (0, 0))
+        totals[r.algorithm] = (queries + r.queries, rounds + r.rounds)
+    assert totals == {
+        "pasmt": (1_013_963, 177_900),
+        "hybrid": (697_745, 138_584),
+        "fasmt": (258_876, 258_876),
+    }
+    assert sum(r.exact for r in scaled_grid["records"]) == 13_500
 
 
 def test_criterion_05_binary_splitting_recovery():

@@ -147,6 +147,19 @@ def test_reconstruct_autodetect_skips_blank_lines(tmp_path):
     assert read_polynomial(out).entries == {bv("1100"): 2.0}
 
 
+def test_reconstruct_autodetect_reads_the_header_as_the_readers_do(tmp_path):
+    # the readers' int() reads "+4" as 4, so auto-detection must see n = 4
+    # too and not send the file to the hypergraph reader
+    inst = tmp_path / "poly.txt"
+    inst.write_text("+4 2\n2.0 1000\n3.0 0001\n")
+    out = tmp_path / "rec.txt"
+    assert main([
+        "reconstruct", "--alg", "pasmt", "--input", str(inst),
+        "--d", "2", "--out", str(out),
+    ]) == 0
+    assert read_polynomial(out).entries == {bv("1000"): 2.0, bv("0001"): 3.0}
+
+
 def test_reconstruct_header_only_file_gives_the_empty_map(tmp_path):
     inst = tmp_path / "empty.txt"
     inst.write_text("4 0\n")

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import sparsemobius
 from sparsemobius.cli import build_parser
+from sparsemobius.core import BitVector, TestMatrix
+from sparsemobius.grouptest import construct_list_disjunct
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 # a backticked span that reads as a name, optionally called
@@ -113,3 +115,17 @@ def test_names_the_benchmark_tracer_patches_resolve():
         if not callable(getattr(importlib.import_module(f"sparsemobius.{module}"), name, None))
     ]
     assert missing == []
+
+
+def test_what_the_benchmark_reads_of_the_matrix_types_resolves():
+    # the tracer swaps the row_masks property on the class and reads the
+    # cached _rows to time only the first build; the benchmark passes a
+    # list design's own seed to hybrid_run
+    assert "row_masks" in TestMatrix.__dict__
+    assert isinstance(TestMatrix.__dict__["row_masks"], property)
+    assert "_rows" in TestMatrix.__slots__
+    H = TestMatrix(2, [BitVector(2, 0b10)])
+    assert H._rows is None
+    assert H.row_masks == (0, 1)
+    assert H._rows == (0, 1)
+    assert construct_list_disjunct(16, 2, seed=5).seed == 5

@@ -50,7 +50,8 @@ def test_split_bin_respects_zero_union():
     # excludes coordinate 1, so every query point the search makes does too
     f = oracle_for(P)
     sink = io.StringIO()
-    bucket = (Label.from01("0"), 3.0, bv("1000").mask, ())
+    full = bv("1111").mask
+    bucket = (Label.from01("0"), 3.0, full ^ bv("1000").mask, ())
     assert depth_first_search(f, [bucket], 2, 1e-9, sink) == {bv("0001"): 3.0}
     lines = [line.split("\t") for line in sink.getvalue().splitlines()]
     # the search ranges over coordinates 2-4, so the first test is the
@@ -91,7 +92,8 @@ def test_zero_sum_bucket_costs_no_query():
     # the bucket's universe is empty; searched anyway, it would report a
     # zero coefficient on the empty support
     f = oracle_for(SparsePolynomial(2, {}))
-    assert depth_first_search(f, [(Label(0), 0.0, 0b11, ())], 1, 1e-9) == {}
+    full = 0b11
+    assert depth_first_search(f, [(Label(0), 0.0, full ^ 0b11, ())], 1, 1e-9) == {}
     assert f.query_count == 0
 
 
@@ -114,10 +116,12 @@ def test_single_coordinate_domain():
 @pytest.mark.parametrize("union", [1 << 2, -1])
 def test_depth_first_search_rejects_a_union_outside_the_coordinates(union):
     # the engine builds its query points unchecked from the bucket's
-    # complement, so a union outside the n coordinates must not get that far
+    # candidate set, the union's complement, so a union outside the n
+    # coordinates, whose complement is outside them too, must not get that far
     f = oracle_for(SparsePolynomial(2, {bv("11"): 1.0}))
+    full = 0b11
     with pytest.raises(DimensionError, match="bucket 0"):
-        depth_first_search(f, [(Label(0), 1.0, union, ())], 1, 1e-9)
+        depth_first_search(f, [(Label(0), 1.0, full ^ union, ())], 1, 1e-9)
     assert f.query_count == 0
 
 
@@ -224,8 +228,9 @@ def test_validation():
     with pytest.raises(ParameterError):
         fasmt_run(f, 4, 0)
     # a bucket waiting on itself or a later bucket would never start
+    full = bv("1111").mask
     for below in ([0], [1]):
-        buckets = [(Label(0), 5.0, 0, below), (Label(0), 5.0, 0, ())]
+        buckets = [(Label(0), 5.0, full ^ 0, below), (Label(0), 5.0, full ^ 0, ())]
         with pytest.raises(ParameterError):
             depth_first_search(f, buckets, 2, 1e-9)
     assert f.query_count == 0
@@ -261,10 +266,10 @@ def test_a_support_decoded_by_two_running_buckets():
     # support, and neither label lies below the other, so both test it in
     # one round; the second to record the support names its own label
     f = oracle_for(SparsePolynomial(4, {bv("1000"): 2.0}))
-    union = bv("0111").mask
+    full, union = bv("1111").mask, bv("0111").mask
     buckets = [
-        (Label.from01("01"), 2.0, union, ()),
-        (Label.from01("10"), 2.0, union, ()),
+        (Label.from01("01"), 2.0, full ^ union, ()),
+        (Label.from01("10"), 2.0, full ^ union, ()),
     ]
     with pytest.raises(ReconstructionError, match="decoded twice") as info:
         depth_first_search(f, buckets, 1, 1e-9)
@@ -278,9 +283,10 @@ def test_degree_overflow_in_a_shared_round_names_its_bucket():
     # its third query; bucket "01" holds 0001 and is still running then
     truth = SparsePolynomial(4, {bv("1100"): 1.0, bv("0001"): 3.0})
     f = oracle_for(truth)
+    full = bv("1111").mask
     buckets = [
-        (Label.from01("10"), 1.0, bv("0011").mask, ()),
-        (Label.from01("01"), 3.0, bv("1100").mask, ()),
+        (Label.from01("10"), 1.0, full ^ bv("0011").mask, ()),
+        (Label.from01("01"), 3.0, full ^ bv("1100").mask, ()),
     ]
     with pytest.raises(ReconstructionError, match="degree overflow") as info:
         depth_first_search(f, buckets, 1, 1e-9)

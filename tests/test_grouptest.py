@@ -25,11 +25,11 @@ from sparsemobius.grouptest import (
     identity_matrix,
     list_decode,
     list_design_width,
-    verify_disjunct,
     _lowest,
 )
 
 import reference_decode
+from disjunct import verify_disjunct
 
 
 def bv(text: str) -> BitVector:

@@ -92,9 +92,8 @@ def test_round_and_query_envelope():
     s = truth.sparsity
     design = construct_list_disjunct(n, d, seed)
     # the largest candidate set a leaf of this design hands to phase 2
-    full = (1 << n) - 1
     leaves = refine_levels(oracle_for(truth), design, 1e-9)
-    largest = max((full ^ union).bit_count() for _, _, union, _ in leaves)
+    largest = max(free.bit_count() for _, _, free, _ in leaves)
     per_bin = max(gbsa_test_budget(m, min(d, m)) for m in range(1, largest + 1))
     f = oracle_for(truth)
     got = hybrid_run(f, n, d, seed=seed, design=design)

@@ -143,6 +143,10 @@ def test_refine_levels_matches_dense_level_loop(n, integer, data):
     want_out, got_out = io.StringIO(), io.StringIO()
     want, want_states = reference_refine_levels(oracle_for(truth), H, tau, want_out)
     got = refine_levels(oracle_for(truth), H, tau, got_out)
+    # the reference keeps each leaf's zero union; a leaf's third field is
+    # its complement, the candidate set
+    full = (1 << n) - 1
+    want = [(ell, v, full ^ union) for ell, v, union in want]
     assert leaf_key(got) == leaf_key(want)
     # each leaf lists every leaf whose label lies below its own, all earlier
     for i, (ell, _, _, below) in enumerate(got):
@@ -211,10 +215,9 @@ def test_leaf_supports_decode_as_decode_disjunct_decodes_the_labels(case):
     # pasmt hands the decoder the support the level loop returns with a
     # leaf, which must be the label's cover decoding
     H, d, truth, tau = case
-    full = (1 << H.n) - 1
-    for label, _, union, _ in refine_levels(oracle_for(truth), H, tau):
-        assert full ^ union == build_query_vector(H, label).mask
-        assert decode_outcome(H, label, d, full ^ union) == decode_outcome(H, label, d)
+    for label, _, free, _ in refine_levels(oracle_for(truth), H, tau):
+        assert free == build_query_vector(H, label).mask
+        assert decode_outcome(H, label, d, free) == decode_outcome(H, label, d)
 
 
 def decode_outcome(*args):
@@ -311,15 +314,16 @@ def test_leaf_unions_match_zero_positions():
     H = construct_disjunct(12, 2)
     leaves = refine_levels(oracle_for(truth), H, 1e-9)
     full = (1 << H.n) - 1
-    for label, _, union, _ in leaves:
+    for label, _, free, _ in leaves:
+        union = full ^ free
         assert union == full ^ build_query_vector(H, label).mask
     # the depth-first engine searches a hybrid leaf over the coordinates
     # outside its zero union, which are the leaf's list-decoded candidates
     design = construct_list_disjunct(12, 2, seed=5)
     leaves = refine_levels(oracle_for(truth), design, 1e-9)
     assert leaves
-    for label, _, union, _ in leaves:
-        assert list_decode(design, label) == BitVector(12, full ^ union).coords()
+    for label, _, free, _ in leaves:
+        assert list_decode(design, label) == BitVector(12, free).coords()
 
 
 def test_transcript_lines_and_determinism():
