@@ -45,6 +45,7 @@ from .oracle import (
     SparsePolynomial,
     SparsePolyOracle,
     read_hypergraph,
+    read_instance,
     read_polynomial,
     write_polynomial,
 )

@@ -29,10 +29,7 @@ from .oracle import (
     DEFAULT_TAU,
     CountingOracle,
     SparsePolyOracle,
-    _parse_header,
-    _read_lines,
-    read_hypergraph,
-    read_polynomial,
+    read_instance,
     write_polynomial,
 )
 
@@ -46,35 +43,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _load_instance(path: str, form: str):
-    """Read a coefficient map from either accepted file format.
-
-    Auto-detection reads n from the header as both readers do, then the
-    first data line: two tokens whose second is an n-character bitstring
-    mean the coefficient format, anything else the hypergraph edge list.
-    """
-    if form == "poly":
-        return read_polynomial(path)
-    if form == "hgr":
-        return read_hypergraph(path)
-    lines = _read_lines(path)
-    n, _ = _parse_header(lines, "polynomial")
-    for line in lines[1:]:
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) == 2 and len(parts[1]) == n and set(parts[1]) <= {"0", "1"}:
-            return read_polynomial(path)
-        return read_hypergraph(path)
-    return read_polynomial(path)
-
-
-def _run_algorithm(args, truth):
+def _run_algorithm(args):
+    truth = read_instance(args.input, args.format)
     oracle = CountingOracle(SparsePolyOracle(truth))
     sink = open(args.transcript, "w", encoding="ascii") if args.transcript else None
     with sink if sink is not None else nullcontext():
         recovered = run_cell(args.alg, oracle, args.d, args.tau, sink)
-    return recovered, oracle
+    return truth, recovered, oracle
 
 
 def _cmd_gen(args) -> int:
@@ -87,8 +62,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    truth = _load_instance(args.input, args.format)
-    recovered, oracle = _run_algorithm(args, truth)
+    truth, recovered, oracle = _run_algorithm(args)
     write_polynomial(recovered, args.out)
     print(
         f"algorithm={args.alg} n={truth.n} coefficients={recovered.sparsity} "
@@ -98,8 +72,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    truth = _load_instance(args.input, args.format)
-    recovered, _ = _run_algorithm(args, truth)
+    truth, recovered, _ = _run_algorithm(args)
     if recovered.close_to(truth, max(args.tau, DEFAULT_TAU)):
         print("verified: spectra match")
         return 0

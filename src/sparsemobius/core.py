@@ -60,13 +60,10 @@ class BitVector:
     @classmethod
     def from01(cls, text: str) -> "BitVector":
         """Parse the textual form, coordinate 1 first."""
-        mask = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                mask |= 1 << i
-            elif ch != "0":
-                raise DimensionError(f"invalid bit {ch!r} in {text!r}")
-        return cls(len(text), mask)
+        bad = text.lstrip("01")  # starts at the first character not 0 or 1
+        if bad:
+            raise DimensionError(f"invalid bit {bad[0]!r} in {text!r}")
+        return cls(len(text), int(text[::-1] or "0", 2))
 
     @classmethod
     def from_coords(cls, n: int, coords: Iterable[int]) -> "BitVector":
@@ -79,11 +76,12 @@ class BitVector:
         return cls(n, mask)
 
     def to01(self) -> str:
-        return "".join("1" if (self.mask >> i) & 1 else "0" for i in range(self.n))
+        """The textual form, coordinate 1 first."""
+        return format(self.mask, f"0{self.n}b")[::-1] if self.n else ""
 
     def coords(self) -> tuple[int, ...]:
         """1-based coordinates that are set, ascending."""
-        bits = format(self.mask, "b")[::-1]  # coordinate 1 first
+        bits = self.to01()
         out = []
         i = bits.find("1")
         while i >= 0:
@@ -205,11 +203,10 @@ def build_query_vector(H: TestMatrix, label: Label) -> BitVector:
     width-0 matrix gives the all-ones point.  The label's outcomes are
     walked as text, test 1 first, and only the columns at its 0s are ORed.
     """
-    b = H.b
-    if label.n != b:
-        raise DimensionError(f"label length {label.n} != column count {b}")
+    if label.n != H.b:
+        raise DimensionError(f"label length {label.n} != column count {H.b}")
     union = 0
-    for col, bit in zip(H.columns, format(label.mask, f"0{b}b")[::-1]):
+    for col, bit in zip(H.columns, label.to01()):
         if bit == "0":
             union |= col.mask
     # the union lies inside the n coordinates, so XOR complements it

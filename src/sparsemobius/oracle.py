@@ -19,7 +19,6 @@ bit-identical to eval's.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 from itertools import compress
@@ -37,6 +36,7 @@ __all__ = [
     "read_polynomial",
     "write_polynomial",
     "read_hypergraph",
+    "read_instance",
 ]
 
 DEFAULT_TAU = 1e-9
@@ -316,11 +316,8 @@ def _write_text(sink: str | os.PathLike | TextIO, text: str) -> None:
 def _parse_header(lines: list[str], what: str) -> tuple[int, int]:
     if not lines:
         raise FormatError(f"empty {what} file", 1)
-    parts = lines[0].split()
-    if len(parts) != 2:
-        raise FormatError(f"{what} header must be two integers", 1)
     try:
-        n, count = int(parts[0]), int(parts[1])
+        n, count = map(int, lines[0].split())
     except ValueError:
         raise FormatError(f"{what} header must be two integers", 1) from None
     if n < 1 or count < 0:
@@ -338,9 +335,21 @@ def _data_lines(lines: list[str], count: int, what: str) -> list[tuple[int, str]
     return body
 
 
+def _bitstring(token: str, n: int) -> BitVector | None:
+    """The support an n-character bitstring token spells, else None."""
+    try:
+        support = BitVector.from01(token)
+    except DimensionError:
+        return None
+    return support if support.n == n else None
+
+
 def read_polynomial(source: str | os.PathLike | TextIO) -> SparsePolynomial:
     """Read the "n s" / "value bitstring" coefficient format."""
-    lines = _read_lines(source)
+    return _parse_polynomial(_read_lines(source))
+
+
+def _parse_polynomial(lines: list[str]) -> SparsePolynomial:
     n, s = _parse_header(lines, "polynomial")
     entries: dict[BitVector, float] = {}
     for lineno, line in _data_lines(lines, s, "coefficient"):
@@ -348,12 +357,11 @@ def read_polynomial(source: str | os.PathLike | TextIO) -> SparsePolynomial:
         if len(parts) != 2:
             raise FormatError("expected 'value bitstring'", lineno)
         value = _parse_value(parts[0], lineno)
-        bits = parts[1]
-        if len(bits) != n or set(bits) - {"0", "1"}:
+        support = _bitstring(parts[1], n)
+        if support is None:
             raise FormatError(f"bitstring must be {n} chars of 0/1", lineno)
-        support = BitVector.from01(bits)
         if support in entries:
-            raise FormatError(f"duplicate support {bits!r}", lineno)
+            raise FormatError(f"duplicate support {parts[1]!r}", lineno)
         if value == 0:
             raise FormatError("zero coefficient not allowed", lineno)
         entries[support] = value
@@ -362,18 +370,19 @@ def read_polynomial(source: str | os.PathLike | TextIO) -> SparsePolynomial:
 
 def write_polynomial(poly: SparsePolynomial, sink: str | os.PathLike | TextIO) -> None:
     """Write the coefficient format, supports in canonical ascending order."""
-    out = io.StringIO()
-    out.write(f"{poly.n} {poly.sparsity}\n")
-    for k in sorted(poly.entries, key=lambda v: v.mask):
-        out.write(f"{poly.entries[k]!r} {k.to01()}\n")
-    _write_text(sink, out.getvalue())
+    entries = sorted(poly.entries.items(), key=lambda kv: kv[0].mask)
+    body = "".join(f"{v!r} {k.to01()}\n" for k, v in entries)
+    _write_text(sink, f"{poly.n} {poly.sparsity}\n{body}")
 
 
 def read_hypergraph(source: str | os.PathLike | TextIO) -> SparsePolynomial:
     """Read the "n m" / "w v1 v2 ... vk" edge-list format as the hypergraph's
     edge-count polynomial: one monomial per edge, its weight as the
     coefficient, in file order."""
-    lines = _read_lines(source)
+    return _parse_hypergraph(_read_lines(source))
+
+
+def _parse_hypergraph(lines: list[str]) -> SparsePolynomial:
     n, m = _parse_header(lines, "hypergraph")
     entries: dict[BitVector, float] = {}
     for lineno, line in _data_lines(lines, m, "edge"):
@@ -399,3 +408,22 @@ def read_hypergraph(source: str | os.PathLike | TextIO) -> SparsePolynomial:
             raise FormatError(f"duplicate edge vertex-set {verts.to01()!r}", lineno)
         entries[verts] = weight
     return SparsePolynomial(n, entries)
+
+
+def read_instance(source: str | os.PathLike | TextIO, form: str = "auto") -> SparsePolynomial:
+    """Read a coefficient map from a source in either format, reading it once.
+
+    form is "poly", "hgr" (the edge list) or "auto", which reads n from the
+    header as both readers do, then the first data line: two tokens whose
+    second is an n-character bitstring, or no data line at all, mean the
+    coefficient format, anything else the edge list.
+    """
+    if form not in ("auto", "poly", "hgr"):
+        raise ParameterError(f"unknown instance format {form!r}")
+    lines = _read_lines(source)
+    if form == "auto":
+        n, _ = _parse_header(lines, "polynomial")
+        first = next((line.split() for line in lines[1:] if line.strip()), None)
+        poly = first is None or len(first) == 2 and _bitstring(first[1], n) is not None
+        form = "poly" if poly else "hgr"
+    return _parse_polynomial(lines) if form == "poly" else _parse_hypergraph(lines)

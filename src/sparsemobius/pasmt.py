@@ -92,7 +92,7 @@ def refine_levels(
     check_tau(tau)
     n = f.n
     if H.n != n:
-        raise DimensionError(f"matrix is over n={H.n}, oracle over n={n}")
+        raise DimensionError(f"oracle is over n={n}, expected {H.n}")
     ones = BitVector.ones(n)
     root = f.eval(ones)  # a round of its own
     if transcript is not None:

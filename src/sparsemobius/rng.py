@@ -21,6 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import ceil, comb, exp, lgamma, log
 
+from .core import BitVector
 from .errors import ParameterError
 
 PRNG_ID = "splitmix64"
@@ -216,4 +217,4 @@ def bernoulli_mask(rng: SplitMix64, n: int, base: int) -> int:
     flags = _zero_bits(_below_many(rng, base**k, full), k, base)
     if r:
         flags += _zero_bits(_below_many(rng, base**r, 1), r, base)
-    return int(flags[::-1], 2) if flags else 0
+    return BitVector.from01(flags).mask

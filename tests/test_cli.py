@@ -4,6 +4,7 @@ import csv
 
 import pytest
 
+from sparsemobius import cli, oracle
 from sparsemobius.cli import main
 from sparsemobius.core import BitVector
 from sparsemobius.oracle import (
@@ -158,6 +159,29 @@ def test_reconstruct_autodetect_reads_the_header_as_the_readers_do(tmp_path):
         "--d", "2", "--out", str(out),
     ]) == 0
     assert read_polynomial(out).entries == {bv("1000"): 2.0, bv("0001"): 3.0}
+
+
+@pytest.mark.parametrize(
+    "text", ["4 2\n2.0 1000\n3.0 0001\n", "6 2\n3 1 2\n-1 4\n"], ids=["poly", "hgr"]
+)
+def test_reconstruct_autodetect_reads_the_input_once(tmp_path, monkeypatch, text):
+    reads = []
+    read_lines = oracle._read_lines
+
+    def counted(source):
+        reads.append(source)
+        return read_lines(source)
+
+    monkeypatch.setattr(oracle, "_read_lines", counted)
+    # a copy of the name in the command module would read past the counter
+    monkeypatch.setattr(cli, "_read_lines", counted, raising=False)
+    inst = tmp_path / "inst.txt"
+    inst.write_text(text)
+    assert main([
+        "reconstruct", "--alg", "fasmt", "--input", str(inst), "--format", "auto",
+        "--d", "2", "--out", str(tmp_path / "rec.txt"),
+    ]) == 0
+    assert reads == [str(inst)]
 
 
 def test_reconstruct_header_only_file_gives_the_empty_map(tmp_path):

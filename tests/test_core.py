@@ -3,7 +3,7 @@ from __future__ import annotations
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsemobius.core import (
@@ -70,6 +70,61 @@ def test_mask_fits_width_boundary(cls, width):
     for mask in (1 << width, -1):
         with pytest.raises(DimensionError, match="does not fit"):
             cls(width, mask)
+
+
+def to01_per_bit(v: BitVector) -> str:
+    """The textual form by its definition: one character per coordinate."""
+    return "".join("1" if (v.mask >> i) & 1 else "0" for i in range(v.n))
+
+
+def from01_per_bit(text: str) -> BitVector:
+    """The parse by its definition: coordinate i+1 from character i."""
+    mask = 0
+    for i, ch in enumerate(text):
+        if ch == "1":
+            mask |= 1 << i
+        elif ch != "0":
+            raise DimensionError(f"invalid bit {ch!r} in {text!r}")
+    return BitVector(len(text), mask)
+
+
+@st.composite
+def vectors(draw):
+    """Vectors of length 0..5,000, half of them with coordinate n set."""
+    n = draw(st.integers(0, 5000))
+    mask = draw(st.integers(0, (1 << n) - 1))
+    if n and draw(st.booleans()):
+        mask |= 1 << (n - 1)
+    return BitVector(n, mask)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vectors())
+@example(BitVector(0))
+@example(BitVector(1, 1))
+@example(BitVector(5000, 1 << 4999))
+@example(BitVector.ones(5000))
+def test_text_form_matches_the_per_bit_definition(v):
+    text = to01_per_bit(v)
+    assert v.to01() == text
+    assert BitVector.from01(text) == from01_per_bit(text) == v
+
+
+@given(
+    st.text(alphabet="01", max_size=40),
+    st.characters(blacklist_characters="01"),
+    st.text(max_size=10),
+)
+@example("", "2", "")
+@example("0110", " ", "1")
+@example("1", "\u0661", "")  # a Unicode digit one that int() would read
+def test_from01_names_the_first_invalid_character(head, bad, tail):
+    text = head + bad + tail
+    with pytest.raises(DimensionError) as info:
+        BitVector.from01(text)
+    with pytest.raises(DimensionError) as ref:
+        from01_per_bit(text)
+    assert str(info.value) == str(ref.value) == f"invalid bit {bad!r} in {text!r}"
 
 
 def test_bitvector_hash_eq():

@@ -19,13 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsemobius.core import BitVector
-from sparsemobius.errors import ReconstructionError
+from sparsemobius.errors import DimensionError, ReconstructionError
 from sparsemobius.fasmt import fasmt_run
-from sparsemobius.grouptest import construct_list_disjunct
+from sparsemobius.grouptest import construct_disjunct, construct_list_disjunct
 from sparsemobius.harness import generate_synthetic
 from sparsemobius.hybrid import hybrid_run
 from sparsemobius.oracle import CountingOracle, SparsePolynomial, SparsePolyOracle
-from sparsemobius.pasmt import refine_levels
+from sparsemobius.pasmt import pasmt_run, refine_levels
 from sparsemobius.reference import check_subset_sum_independence
 
 import reference_engine
@@ -129,3 +129,19 @@ def test_phase_two_starts_a_bucket_once_the_buckets_below_it_finish(n, s, d, see
     # each bucket finishes the longest chain of query counts below it
     assert f.round_count - phase1.round_count == max(finish)
     assert any(below for *_, below in leaves)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda f: pasmt_run(f, construct_disjunct(9, 2), 2),
+        lambda f: fasmt_run(f, 9, 2),
+        lambda f: hybrid_run(f, 9, 2, seed=0),
+    ],
+    ids=["pasmt", "fasmt", "hybrid"],
+)
+def test_each_runner_names_the_oracle_n_and_the_expected_n_before_any_query(run):
+    f = oracle_for(SparsePolynomial(8, {BitVector.from_coords(8, [3]): 1.0}))
+    with pytest.raises(DimensionError, match=r"^oracle is over n=8, expected 9$"):
+        run(f)
+    assert f.query_count == 0

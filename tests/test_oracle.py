@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsemobius.core import BitVector
-from sparsemobius.errors import DimensionError, FormatError, ValidationError
+from sparsemobius.errors import DimensionError, FormatError, ParameterError, ValidationError
 from sparsemobius.fasmt import split_bin
 from sparsemobius.harness import generate_synthetic
 from sparsemobius.oracle import (
@@ -18,6 +18,7 @@ from sparsemobius.oracle import (
     SparsePolynomial,
     SparsePolyOracle,
     read_hypergraph,
+    read_instance,
     read_polynomial,
     write_polynomial,
 )
@@ -288,6 +289,31 @@ def test_polynomial_read_from_handle():
     assert back == SparsePolynomial(2, {bv("10"): 1.5})
     empty = read_polynomial(io.StringIO("3 0\n"))
     assert empty.sparsity == 0
+
+
+@pytest.mark.parametrize(
+    "text, form, entries",
+    [
+        ("4 2\n2.0 1000\n3.0 0001\n", "auto", {bv("1000"): 2.0, bv("0001"): 3.0}),
+        ("4 2\n\n3 1 2\n-1 4\n", "auto", {bv("1100"): 3, bv("0001"): -1}),
+        ("+4 1\n1 1000\n", "auto", {bv("1000"): 1}),
+        ("4 0\n", "auto", {}),
+        ("2 1\n1 2\n", "hgr", {bv("01"): 1}),
+        ("2 1\n1 01\n", "poly", {bv("01"): 1}),
+    ],
+)
+def test_read_instance_reads_either_format_from_a_handle(text, form, entries):
+    assert read_instance(io.StringIO(text), form).entries == entries
+
+
+def test_read_instance_errors():
+    # a 4-character vertex token is not a bitstring over n = 5
+    with pytest.raises(FormatError, match="line 2: vertex id 1000 out of range"):
+        read_instance(io.StringIO("5 1\n1 1000\n"))
+    with pytest.raises(FormatError, match="line 1: polynomial header"):
+        read_instance(io.StringIO("4\n1 1000\n"))
+    with pytest.raises(ParameterError, match="unknown instance format"):
+        read_instance(io.StringIO("4 0\n"), "xml")
 
 
 @pytest.mark.parametrize(
