@@ -25,7 +25,12 @@ set minus the pending test, one big-integer operation besides the
 complement of the test; it is the 0-child's candidate set, and the
 1-child keeps its parent's.  The 0-child keeps the pairs subtracted at its
 parent's query; the 1-child extends its parent's list by whatever its
-0-sibling's subtree found.
+0-sibling's subtree found.  A retested block can lie wholly outside the
+candidate set once 0-outcomes have taken its coordinates out.  Such a
+test is not asked: every support in the bucket avoids it, so the 0-child
+is the whole bucket and the 1-child is empty.  The search advances the
+tree with outcome 0 and appends a 0 to the label, with no query and no
+transcript line.
 
 Searches of several buckets run side by side, one query per bucket per
 adaptive round.  A bucket starts in the round after the last bucket whose
@@ -106,11 +111,19 @@ def _search(
             test = state.test
             if test is not None:
                 # not free ^ test: a retested block can hold coordinates an
-                # earlier 0-outcome already took out of free; free fits in n
-                # bits (depth_first_search checks it), so x skips the checks
+                # earlier 0-outcome already took out of free
+                point = free & ~test
+                if point == free:
+                    # the test misses the candidate set, so every support
+                    # here avoids it: the 0-child is the bucket, unasked
+                    length += 1
+                    state = advance(state, 0)
+                    continue
+                # free fits in n bits (depth_first_search checks it), so x
+                # skips the checks
                 x = _new(BitVector)
                 x.n = n
-                x.mask = free & ~test
+                x.mask = point
                 v0, v1, below = split_bin(value, x, (yield x), residual)
                 if transcript is not None:
                     log_query(transcript, Label(length, mask), x, v0)

@@ -7,7 +7,8 @@ tests.  It is an explicit state machine over a universe mask: each node of
 the tree is an immutable state, and one outcome advances it with a few
 big-integer operations, so a caller can walk many branches of the tree side
 by side.  The non-adaptive side builds d-disjunct test matrices
-(Reed-Solomon concatenation, with an identity fallback) plus randomized
+(Reed-Solomon concatenation at the Kautz-Singleton point count
+d*(m-1) + 1, with an identity fallback) plus randomized
 list-disjunct designs, which are test matrices that keep the seed they
 were drawn from, together with the naive cover decoder for both.
 Both builders work a whole column, or a whole evaluation point, at a time:
@@ -217,11 +218,17 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def _rs_concat(n: int, q: int, m: int) -> TestMatrix:
-    """Reed-Solomon code over GF(q) of message length m, concatenated with
-    the identity: test (position, symbol) contains item j iff j's codeword
-    carries that symbol at that position.  Zero and duplicate test columns
-    carry no information and are dropped.
+def _rs_concat(n: int, q: int, m: int, points: int | None = None) -> TestMatrix:
+    """Reed-Solomon code over GF(q) of message length m, evaluated at the
+    first points elements alpha = 0..points-1 of GF(q) (all q by default)
+    and concatenated with the identity: test (position, symbol) contains
+    item j iff j's codeword carries that symbol at that position.  Zero
+    and duplicate test columns carry no information and are dropped.
+
+    Two items' codewords are polynomials of degree below m, so they agree
+    on at most m - 1 points; with points >= d*(m-1) + 1, any d other
+    codewords miss one of an item's symbols, and the matrix is d-disjunct
+    (Kautz-Singleton).
 
     Item j = j0 + q*j' (j0 its lowest base-q digit) carries the symbol
     (j0 + alpha * symbol(j')) % q at point alpha, so each point's symbols
@@ -233,7 +240,7 @@ def _rs_concat(n: int, q: int, m: int) -> TestMatrix:
     # shifts[t] lists (t + j0) % q for j0 = 0..q-1
     shifts = [[(t + j0) % q for j0 in range(q)] for t in range(q)]
     cols = []
-    for alpha in range(q):
+    for alpha in range(q if points is None else points):
         # after[s] lists the symbols of the items j0 + q*j', j0 = 0..q-1,
         # whose j' carries symbol s
         after = [shifts[alpha * s % q] for s in range(q)]
@@ -265,13 +272,17 @@ def _rs_concat(n: int, q: int, m: int) -> TestMatrix:
 def construct_disjunct(n: int, d: int) -> TestMatrix:
     """Deterministic d-disjunct matrix with as few tests as the search finds.
 
-    Candidates are the identity, a per-bit design when d = 1, and
-    Reed-Solomon concatenations over prime fields q with q >= d*(m-1) + 1
-    where m = ceil(log_q n).  The smallest column count wins; ties keep the
-    earlier candidate, so results are deterministic, and the identity wins
-    whenever no candidate is shorter, which includes every d >= n; it is
-    built only then.  Fields stop at q = isqrt(n-1) + 1: past it
-    q*q >= n, the identity's width.
+    Candidates are the identity, a per-bit design when d = 1, and one
+    Reed-Solomon concatenation per message length m >= 2: it evaluates at
+    L = d*(m-1) + 1 points over the smallest prime field q with q**m >= n
+    and q >= L, so it has at most L*q tests.  The search minimises the
+    test count, which is pasmt's round count less one: a Reed-Solomon
+    candidate is scored L*q without being built, and only the narrowest is
+    built.  Ties keep the earlier candidate (the per-bit design, then the
+    smaller m), so results are deterministic, and the identity wins
+    whenever no candidate is shorter, which includes every d >= n.  Since
+    q >= L, a candidate scores at least L*L, so the search over m stops
+    once L*L reaches the best width so far.
     """
     if n < 1 or d < 1:
         raise ParameterError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
@@ -281,16 +292,18 @@ def construct_disjunct(n: int, d: int) -> TestMatrix:
         cand = _bit_tests(n)
         if cand.b < width:
             best, width = cand, cand.b
-    for q in range(2, math.isqrt(n - 1) + 2):
-        if not _is_prime(q):
-            continue
-        m = 1
-        while q**m < n:
-            m += 1
-        if m >= 2 and q >= d * (m - 1) + 1 and q * q < width:
-            cand = _rs_concat(n, q, m)
-            if cand.b < width:
-                best, width = cand, cand.b
+    field = None
+    for m in count(2):
+        points = d * (m - 1) + 1
+        if points * points >= width:
+            break
+        q = points
+        while q**m < n or not _is_prime(q):
+            q += 1
+        if points * q < width:
+            field, width = (q, m, points), points * q
+    if field is not None:
+        return _rs_concat(n, *field)
     return identity_matrix(n) if best is None else best
 
 

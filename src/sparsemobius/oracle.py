@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from itertools import compress
 from typing import Mapping, Protocol, Sequence, TextIO
 
@@ -276,16 +277,25 @@ class CountingOracle:
         return values
 
 
+# the numerals the file formats take: ASCII digits only, where int() and
+# float() alone also take underscores, non-ASCII digits, inf and nan
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def _integer(token: str) -> int | None:
+    """The value of a plain ASCII integer numeral, else None."""
+    return int(token) if _INTEGER.fullmatch(token) else None
+
+
 def _parse_value(token: str, lineno: int) -> float:
-    """Numeric literal, kept as int when written as one (exact integer mode)."""
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        value = float(token)
-    except ValueError:
-        raise FormatError(f"invalid numeric value {token!r}", lineno) from None
+    """Plain ASCII numeral, kept as int when written as one (exact integer mode)."""
+    value = _integer(token)
+    if value is not None:
+        return value
+    if not _DECIMAL.fullmatch(token):
+        raise FormatError(f"invalid numeric value {token!r}", lineno)
+    value = float(token)
     if not math.isfinite(value):
         raise FormatError(f"non-finite value {token!r}", lineno)
     return value
@@ -316,10 +326,10 @@ def _write_text(sink: str | os.PathLike | TextIO, text: str) -> None:
 def _parse_header(lines: list[str], what: str) -> tuple[int, int]:
     if not lines:
         raise FormatError(f"empty {what} file", 1)
-    try:
-        n, count = map(int, lines[0].split())
-    except ValueError:
-        raise FormatError(f"{what} header must be two integers", 1) from None
+    fields = [_integer(token) for token in lines[0].split()]
+    if len(fields) != 2 or None in fields:
+        raise FormatError(f"{what} header must be two integers", 1)
+    n, count = fields
     if n < 1 or count < 0:
         raise FormatError(f"invalid {what} header values {n} {count}", 1)
     return n, count
@@ -394,10 +404,9 @@ def _parse_hypergraph(lines: list[str]) -> SparsePolynomial:
             raise FormatError("zero edge weight not allowed", lineno)
         coords = []
         for tok in parts[1:]:
-            try:
-                v = int(tok)
-            except ValueError:
-                raise FormatError(f"invalid vertex id {tok!r}", lineno) from None
+            v = _integer(tok)
+            if v is None:
+                raise FormatError(f"invalid vertex id {tok!r}", lineno)
             if not 1 <= v <= n:
                 raise FormatError(f"vertex id {v} out of range 1..{n}", lineno)
             coords.append(v)

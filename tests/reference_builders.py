@@ -76,19 +76,22 @@ def bernoulli_mask(rng: SplitMix64, n: int, base: int) -> int:
     return mask
 
 
-def _rs_concat(n: int, q: int, m: int) -> TestMatrix:
-    """Reed-Solomon code over GF(q) of message length m, concatenated with
-    the identity: test (position, symbol) contains item j iff j's codeword
-    carries that symbol at that position.  Zero and duplicate test columns
-    carry no information and are dropped."""
-    cols = [0] * (q * q)
+def _rs_concat(n: int, q: int, m: int, points: int | None = None) -> TestMatrix:
+    """Reed-Solomon code over GF(q) of message length m at the points
+    alpha = 0..points-1 (all q by default), concatenated with the identity:
+    test (position, symbol) contains item j iff j's codeword carries that
+    symbol at that position.  Zero and duplicate test columns carry no
+    information and are dropped."""
+    if points is None:
+        points = q
+    cols = [0] * (q * points)
     for j in range(n):
         digits = []
         v = j
         for _ in range(m):
             digits.append(v % q)
             v //= q
-        for alpha in range(q):
+        for alpha in range(points):
             acc = 0
             power = 1
             for digit in digits:

@@ -2,9 +2,9 @@
 starts, kept as the reference the current engine is tested against.
 
 split_bin scans every discovered coefficient at every query, stack entries
-carry Label objects, and hybrid's phase 2 runs the leaf buckets in
-antichain layers: a layer starts only once every bucket of the layer
-before it has finished.
+carry Label objects, a test inside the zero union is answered 0 without a
+query, and hybrid's phase 2 runs the leaf buckets in antichain layers: a
+layer starts only once every bucket of the layer before it has finished.
 """
 
 from __future__ import annotations
@@ -55,6 +55,11 @@ def _next_query(n, tree, stack, tau, discovered):
                     f"degree overflow at bucket {label.to01()!r}: {err}", label=label
                 ) from err
         if state.test is not None:
+            if state.test & ~union == 0:
+                # every coordinate of the test is already known absent, so
+                # the 0-child is the whole bucket and needs no query
+                stack.append((Label(label.n + 1, label.mask), value, union, state, 0))
+                continue
             return label, value, union, state
         support = BitVector(n, state.found)
         if support in discovered:

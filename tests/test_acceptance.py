@@ -235,9 +235,9 @@ def test_scaled_grid_totals_are_pinned(scaled_grid):
         queries, rounds = totals.get(r.algorithm, (0, 0))
         totals[r.algorithm] = (queries + r.queries, rounds + r.rounds)
     assert totals == {
-        "pasmt": (1_013_963, 177_900),
-        "hybrid": (697_745, 138_584),
-        "fasmt": (258_876, 258_876),
+        "pasmt": (760_030, 137_700),
+        "hybrid": (690_258, 136_159),
+        "fasmt": (251_660, 251_660),
     }
     assert sum(r.exact for r in scaled_grid["records"]) == 13_500
 

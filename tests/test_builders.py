@@ -69,13 +69,16 @@ PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 @settings(max_examples=100)
 @given(st.sampled_from(PRIMES), st.integers(1, 4), st.data())
 def test_rs_concat_matches_the_per_item_reference(q, m, data):
+    # points None evaluates at all q points, as the full-length code does
     n = data.draw(st.integers(1, min(q**m, 700)))
-    assert _rs_concat(n, q, m) == ref._rs_concat(n, q, m)
+    points = data.draw(st.none() | st.integers(1, q))
+    assert _rs_concat(n, q, m, points) == ref._rs_concat(n, q, m, points)
 
 
 def test_rs_concat_past_one_byte_symbols_matches_the_reference():
     # q >= 256: the symbols no longer fit a byte each
     assert _rs_concat(600, 257, 2) == ref._rs_concat(600, 257, 2)
+    assert _rs_concat(600, 257, 2, 9) == ref._rs_concat(600, 257, 2, 9)
 
 
 @settings(max_examples=300)
@@ -133,22 +136,23 @@ def instance_digest(poly: SparsePolynomial) -> str:
 
 
 # (n, d): (disjunct width, its digest, list-design width, its digest), the
-# list design seeded 40000 + 97n + d as the runners seed it
+# list design seeded 40000 + 97n + d as the runners seed it; the disjunct
+# designs are the Reed-Solomon codes at the Kautz-Singleton point count
 DESIGNS = {
     (1024, 4): (
-        121, "9eb36b3387785bc34440527c447d127622cd49d5655c9a1461da9db0a1a475e8",
+        99, "5eeb0912038a69fbee510841ff480cbbdaa76784dc64eecc021afd9a91752cf1",
         65, "5bdd82c5b43bfa50326bdac103b37e41adfef0ec9f802bf8ed26329014547ab4",
     ),
     (2048, 4): (
-        169, "72918c0f201a060fd745877f4d7fdaf1f2527cb596d57cbe3fdb2159c98da67b",
+        117, "a30976a194e117fac4b4cfdbe472a76b0c1fdb843c0533e3e1d354dc657df6f0",
         73, "4e39b2863d0ab45050fdb36e3cdfcd0529efa063793c30979e0a302ef700708c",
     ),
     (4096, 4): (
-        169, "9ce6889a1b982c9cd0ebd47d99ccd821df428ffd83bf18678177aaff8e834ec0",
+        153, "9848ee4ec27f8803485c418a1a015f1311915988b4eb93feb7ebc420f8098d9c",
         82, "5308d5a5ff0513f999ca25813b2200878dcc8eaaf78660383c6f6d1ee27a6c9b",
     ),
     (4096, 16): (
-        1369, "8f91fe21f5b5bfe9d3d27abda410cd51e27bde695d6e18c7e0c999ef518d3f52",
+        1139, "86b00e9fe50e5af9611ce4fc8588e559478eb21722155aeb6a48ce52d5b92c88",
         246, "61dd1abff18bbbd70c1910cd04b490f18a33c25287e43142fb5d992832809d50",
     ),
 }

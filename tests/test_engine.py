@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsemobius.core import BitVector
+from sparsemobius.core import BitVector, TestMatrix
 from sparsemobius.errors import DimensionError, ReconstructionError
-from sparsemobius.fasmt import fasmt_run
+from sparsemobius.fasmt import depth_first_search, fasmt_run
 from sparsemobius.grouptest import construct_disjunct, construct_list_disjunct
 from sparsemobius.harness import generate_synthetic
 from sparsemobius.hybrid import hybrid_run
@@ -93,6 +93,37 @@ def test_hybrid_matches_the_reference_engine(case, seed):
         # its last digit
         assert [k for k, _ in got] == [k for k, _ in want]
         assert all(abs(float(a) - float(b)) <= 1e-9 for (_, a), (_, b) in zip(got, want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(), st.integers(0, 2**16), st.booleans())
+def test_no_engine_query_point_is_its_buckets_candidate_set(case, seed, listed):
+    # a test that misses the candidate set would ask the set itself, whose
+    # value the bucket's sum already gives
+    truth, d, tau = case
+    n = truth.n
+    design = construct_list_disjunct(n, d, seed) if listed else TestMatrix(n, ())
+    f = oracle_for(truth)
+    leaves = refine_levels(f, design, tau)
+    sink = io.StringIO()
+    try:
+        depth_first_search(f, leaves, d, tau, sink)
+    except ReconstructionError:
+        pass  # a cancelling subset can end a search; its earlier points count
+    points = {}
+    for line in sink.getvalue().splitlines():
+        label, x = line.split("\t")[:2]
+        points[label] = BitVector.from01(x).mask
+    frees = {label.to01(): free for label, _, free, _ in leaves}
+    for label, x in points.items():
+        # a node's candidate set is the point its nearest asked 0-step
+        # queried, or its leaf's candidate set
+        free = frees[label[: design.b]]
+        for k in range(len(label) - 1, design.b - 1, -1):
+            if label[k] == "0" and label[:k] in points:
+                free = points[label[:k]]
+                break
+        assert x & ~free == 0 and x != free, (label, x, free)
 
 
 @pytest.mark.parametrize(

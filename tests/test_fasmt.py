@@ -9,6 +9,7 @@ from sparsemobius.core import BitVector, Label
 from sparsemobius.errors import DimensionError, ParameterError, ReconstructionError
 from sparsemobius.fasmt import depth_first_search, fasmt_run, split_bin
 from sparsemobius.grouptest import (
+    GbsaTree,
     construct_disjunct,
     construct_list_disjunct,
     gbsa_test_budget,
@@ -280,7 +281,9 @@ def test_a_support_decoded_by_two_running_buckets():
 
 def test_degree_overflow_in_a_shared_round_names_its_bucket():
     # bucket "10" holds the weight-2 support 1100 and overflows d = 1 in
-    # its third query; bucket "01" holds 0001 and is still running then
+    # its third query; bucket "01" holds 0001 and is still running then,
+    # and its last test, the coordinate its second query ruled out, misses
+    # its candidate set and is not asked
     truth = SparsePolynomial(4, {bv("1100"): 1.0, bv("0001"): 3.0})
     f = oracle_for(truth)
     full = bv("1111").mask
@@ -292,4 +295,26 @@ def test_degree_overflow_in_a_shared_round_names_its_bucket():
         depth_first_search(f, buckets, 1, 1e-9)
     assert info.value.label.to01().startswith("10")
     assert f.round_count == 3
-    assert f.query_count == 6
+    assert f.query_count == 5
+
+
+def test_a_retested_block_outside_the_candidate_set_is_not_asked():
+    # the support 0100 over two blocks, 1100 and 0011: the first block's
+    # second query rules coordinate 1 out, so once coordinate 2 is found the
+    # block's retest {1} misses the candidate set and its 0-outcome is taken
+    # without a query, the fourth test of the tree's walk
+    support, d = bv("0100"), 2
+    tree = GbsaTree(bv("1111").mask, d)
+    state, walked = tree.start(), 0
+    while state.test is not None:
+        state = tree.advance(state, 1 if support.mask & state.test else 0)
+        walked += 1
+    assert (walked, state.found) == (4, support.mask)
+    truth = SparsePolynomial(4, {support: 5.0})
+    f = oracle_for(truth)
+    sink = io.StringIO()
+    got = depth_first_search(f, [(Label(0), 5.0, bv("1111").mask, ())], d, 1e-9, sink)
+    assert got == truth.entries
+    assert f.query_count == walked - 1 == 3
+    lines = [line.split("\t")[:2] for line in sink.getvalue().splitlines()]
+    assert lines == [["", "0011"], ["1", "0111"], ["100", "0100"]]

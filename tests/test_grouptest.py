@@ -26,6 +26,7 @@ from sparsemobius.grouptest import (
     list_decode,
     list_design_width,
     _lowest,
+    _rs_concat,
 )
 
 import reference_decode
@@ -283,9 +284,39 @@ def test_construct_disjunct_always_verifies(n, d):
     assert verify_disjunct(H, d)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_construct_disjunct_verifies_at_every_small_n(d):
+    # every n whose certification fits the work cap at this d
+    for n in range(1, 41):
+        assert verify_disjunct(construct_disjunct(n, d), d), (n, d)
+
+
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(PRIMES), st.integers(2, 4), st.data())
+def test_rs_codewords_agree_on_at_most_m_minus_1_points(q, m, data):
+    # two items share a test iff their codewords carry the same symbol at
+    # its point, so two rows meet in at most m - 1 tests however few
+    # points are kept; at the Kautz-Singleton count L = d*(m-1) + 1 that
+    # leaves each item a test outside any d others
+    n = data.draw(st.integers(2, min(q**m, 200)))
+    points = data.draw(st.integers(1, q))
+    rows = _rs_concat(n, q, m, points).row_masks
+    assert all(0 < row.bit_count() <= points for row in rows)
+    assert max(
+        (a & b).bit_count() for i, a in enumerate(rows) for b in rows[i + 1 :]
+    ) <= m - 1
+
+
 def test_construct_disjunct_widths():
     # the widths the candidate search picks; a shorter design moves these
-    widths = {(16, 2): 16, (64, 4): 64, (128, 4): 121, (256, 4): 121, (256, 1): 16, (4096, 2): 121}
+    widths = {
+        (16, 2): 15, (64, 4): 55, (128, 4): 65, (256, 2): 35, (256, 4): 85,
+        (256, 1): 16, (1024, 4): 99, (2048, 4): 117, (4096, 2): 77,
+        (4096, 4): 153, (16384, 8): 493,
+    }
     assert {key: construct_disjunct(*key).b for key in widths} == widths
 
 

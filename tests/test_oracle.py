@@ -341,6 +341,40 @@ def test_polynomial_format_errors(text, lineno):
     assert f"line {lineno}:" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "read, text, lineno",
+    [
+        (read_polynomial, "2 1\n1_000 10\n", 2),
+        (read_polynomial, "2 1\n1_0.5 10\n", 2),
+        (read_polynomial, "2 1\n\u0661\u0662 10\n", 2),
+        (read_polynomial, "2 1\nnan 10\n", 2),
+        (read_polynomial, "1_0 1\n1 1000000000\n", 1),
+        (read_hypergraph, "1_0 1\n1 1\n", 1),
+        (read_hypergraph, "12 1\n1 1_0\n", 2),
+        (read_hypergraph, "12 1\n1 \u0661\n", 2),
+        (read_hypergraph, "12 1\n1_0 1\n", 2),
+    ],
+    ids=[
+        "underscore-value", "underscore-float", "arabic-indic-value", "nan",
+        "underscore-header", "underscore-edge-header", "underscore-vertex",
+        "arabic-indic-vertex", "underscore-weight",
+    ],
+)
+def test_readers_take_only_plain_ascii_numerals(read, text, lineno):
+    # int() and float() alone read each of these as a number
+    with pytest.raises(FormatError) as info:
+        read(io.StringIO(text))
+    assert info.value.line == lineno
+
+
+def test_readers_take_signs_points_and_exponents():
+    text = "4 4\n+2 1000\n-.5 0100\n5. 0010\n1e3 0001\n"
+    got = read_polynomial(io.StringIO(text)).entries
+    assert list(got.values()) == [2, -0.5, 5.0, 1000.0]
+    assert isinstance(got[bv("1000")], int)
+    assert read_hypergraph(io.StringIO("+3 1\n-2 +3\n")).entries == {bv("001"): -2}
+
+
 def test_hypergraph_file_round_trip(tmp_path):
     # an edge list read from a file and written as coefficients reads back
     # as the same polynomial
