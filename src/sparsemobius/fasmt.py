@@ -11,16 +11,19 @@ the coefficient.
 One engine runs these searches for both this runner and the hybrid one.
 Each bucket's search is a generator: it yields each query point and is
 sent the oracle's raw value there, keeping its stack, its finds and its
-splitting tree in locals.  A child whose sum vanishes is never pushed.  The
+splitting tree in locals.  GbsaTree cuts the candidate set into blocks;
+the search steps the tree by GbsaTree's rule in five integers (block
+index, remaining, window, found and pending test), with no call per
+query.  A child whose sum vanishes is never pushed.  The
 search carries on with a nonzero 0-child at once and pushes a nonzero
 1-child, which it pops once the 0-child's subtree is done, so a bucket's
 descendants are split in lexicographic label order.  A bucket's
 splitting tree ranges over the candidate set the level loop hands it, the
 only coordinates its supports can use.  A child carries its label
-as (length, mask) integers, its candidate set, an immutable state of that
-tree, and a residual list: the discovered coefficients whose supports lie
-inside the child's candidate set, in discovery order, which are the only
-ones that can lie below its query points.  A query point is the candidate
+as (length, mask) integers, its candidate set, the five integers of its
+parent's tree node, and a residual list: the discovered coefficients
+whose supports lie inside the child's candidate set, in discovery order,
+which are the only ones that can lie below its query points.  A query point is the candidate
 set minus the pending test, one big-integer operation besides the
 complement of the test; it is the 0-child's candidate set, and the
 1-child keeps its parent's.  The 0-child keeps the pairs subtracted at its
@@ -51,13 +54,8 @@ from __future__ import annotations
 from typing import Generator, Sequence, TextIO
 
 from .core import BitVector, Label, TestMatrix, _new, log_query
-from .errors import (
-    DimensionError,
-    InfeasiblePrefixError,
-    ParameterError,
-    ReconstructionError,
-)
-from .grouptest import GbsaTree
+from .errors import DimensionError, ParameterError, ReconstructionError
+from .grouptest import GbsaTree, _lowest
 from .grouptest import gbsa_step  # unused here; the benchmark's traced run looks it up
 from .oracle import DEFAULT_TAU, CountingOracle, SparsePolynomial, check_tau
 from .pasmt import refine_levels
@@ -76,6 +74,8 @@ def split_bin(
     Returns (0-child sum, 1-child sum, the pairs subtracted); the two sums
     add up to the bucket value.
     """
+    if not residual:
+        return raw, value - raw, residual
     xm = x.mask
     below = [pair for pair in residual if pair[0] & xm == pair[0]]
     for _, c in below:
@@ -93,71 +93,107 @@ def _search(
 ) -> Generator[BitVector, float, None]:
     """One bucket's splitting search: yields each query point and is sent
     the oracle's raw value there.  Records every coefficient it pins down
-    in found, in order, and returns once its stack is empty."""
+    in found, in order, and returns once its stack is empty.
+
+    The splitting tree is stepped here by GbsaTree's rule, in five locals
+    (block index, remaining, window, support found and pending test)
+    rather than through GbsaTree.advance, whose call and state object
+    cost more than the step itself once per query."""
     label, value, free, _ = bucket
     if abs(value) <= tau:
         return
-    tree = GbsaTree(free, d)
-    advance = tree.advance
+    blocks = GbsaTree(free, d).blocks
+    nblocks = len(blocks)
     length, mask = label.n, label.mask
-    state = tree.start()
+    # the tree's root: before the first block, with nothing found
+    block, remaining, window, support = -1, 0, 0, 0
     residual = [pair for pair in found.items() if pair[0] & free == pair[0]]
     own: list[tuple[int, float]] = []
     # pending 1-children: label length and mask, sum, candidate set,
-    # residual list, the search's find count at push, parent tree state
+    # residual list, the search's find count at push, and the parent's
+    # block, remaining, window, support and test
     stack: list[tuple] = []
-    try:
+    while True:
+        # GbsaTree._settle: a one-candidate window is a defective, an
+        # exhausted block hands over to the next, until a test is pending
         while True:
-            test = state.test
-            if test is not None:
-                # not free ^ test: a retested block can hold coordinates an
-                # earlier 0-outcome already took out of free
-                point = free & ~test
-                if point == free:
-                    # the test misses the candidate set, so every support
-                    # here avoids it: the 0-child is the bucket, unasked
-                    length += 1
-                    state = advance(state, 0)
-                    continue
-                # free fits in n bits (depth_first_search checks it), so x
-                # skips the checks
-                x = _new(BitVector)
-                x.n = n
-                x.mask = point
-                v0, v1, below = split_bin(value, x, (yield x), residual)
-                if transcript is not None:
-                    log_query(transcript, Label(length, mask), x, v0)
-                if abs(v1) > tau:
-                    stack.append(
-                        (length + 1, mask | 1 << length, v1, free, residual, len(own), state)
-                    )
-                length += 1
-                if abs(v0) > tau:
-                    value, free, residual = v0, x.mask, below
-                    state = advance(state, 0)
-                    continue
-            else:
-                if state.found in found:
+            if window & (window - 1):
+                test = _lowest(window, (window.bit_count() + 1) // 2)
+                break
+            if window:
+                support |= window
+                if support.bit_count() > d:
+                    # length and mask name the child the outcome led to
+                    label = Label(length, mask)
                     raise ReconstructionError(
-                        f"support {BitVector(n, state.found).to01()!r} decoded twice",
-                        label=Label(length, mask),
+                        f"degree overflow at bucket {label.to01()!r}: "
+                        f"outcomes imply more than d={d} defectives",
+                        label=label,
                     )
-                found[state.found] = value
-                own.append((state.found, value))
-            if not stack:
-                return
-            length, mask, value, free, residual, mark, state = stack.pop()
-            # what the search found since the 1-child was pushed (its
-            # 0-sibling's subtree) lies inside the child's candidate set as well
-            if mark < len(own):
-                residual = residual + own[mark:]
-            state = advance(state, 1)
-    except InfeasiblePrefixError as err:
-        # only advance raises it, after length and mask name the child
-        label = Label(length, mask)
-        raise ReconstructionError(
-            f"degree overflow at bucket {label.to01()!r}: {err}", label=label
-        ) from err
+                remaining ^= window
+                window = 0
+            if remaining:
+                test = remaining
+                break
+            block += 1
+            if block == nblocks:
+                test = None
+                break
+            remaining = blocks[block]
+        if test is not None:
+            # not free ^ test: a retested block can hold coordinates an
+            # earlier 0-outcome already took out of free
+            point = free & ~test
+            if point == free:
+                # the test misses the candidate set, so every support
+                # here avoids it: the 0-child is the bucket, unasked
+                length += 1
+                if window:
+                    window ^= test
+                else:
+                    remaining = 0
+                continue
+            # free fits in n bits (depth_first_search checks it), so x
+            # skips the checks
+            x = _new(BitVector)
+            x.n = n
+            x.mask = point
+            v0, v1, below = split_bin(value, x, (yield x), residual)
+            if transcript is not None:
+                log_query(transcript, Label(length, mask), x, v0)
+            if abs(v1) > tau:
+                stack.append(
+                    (length + 1, mask | 1 << length, v1, free, residual, len(own),
+                     block, remaining, window, support, test)
+                )
+            length += 1
+            if abs(v0) > tau:
+                # outcome 0: the test holds no defective
+                value, free, residual = v0, point, below
+                if window:
+                    window ^= test
+                else:
+                    remaining = 0
+                continue
+        else:
+            if support in found:
+                raise ReconstructionError(
+                    f"support {BitVector(n, support).to01()!r} decoded twice",
+                    label=Label(length, mask),
+                )
+            found[support] = value
+            own.append((support, value))
+        if not stack:
+            return
+        (length, mask, value, free, residual, mark,
+         block, remaining, window, support, test) = stack.pop()
+        # what the search found since the 1-child was pushed (its
+        # 0-sibling's subtree) lies inside the child's candidate set as well
+        if mark < len(own):
+            residual = residual + own[mark:]
+        # outcome 1: the tested half, or the whole remaining block (then
+        # the test), holds the next defective
+        window = test
 
 
 def depth_first_search(

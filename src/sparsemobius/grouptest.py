@@ -6,9 +6,12 @@ every defective coordinate among n with at most d * (ceil(log2(n/d)) + 2) + d
 tests.  It is an explicit state machine over a universe mask: each node of
 the tree is an immutable state, and one outcome advances it with a few
 big-integer operations, so a caller can walk many branches of the tree side
-by side.  The non-adaptive side builds d-disjunct test matrices
-(Reed-Solomon concatenation at the Kautz-Singleton point count
-d*(m-1) + 1, with an identity fallback) plus randomized
+by side.  The depth-first engine (fasmt) takes only the blocks from
+GbsaTree and steps the same rule in its own loop, on the state's five
+integers; GbsaTree's start and advance are the reference walk that
+gbsa_step and the tests use.  The non-adaptive side builds d-disjunct
+test matrices (Reed-Solomon concatenation at the Kautz-Singleton point
+count d*(m-1) + 1, with an identity fallback) plus randomized
 list-disjunct designs, which are test matrices that keep the seed they
 were drawn from, together with the naive cover decoder for both.
 Both builders work a whole column, or a whole evaluation point, at a time:
@@ -102,6 +105,11 @@ class GbsaTree:
     d >= m).  Each block is tested whole; a positive block is binary-searched
     for its lowest defective, which is removed before the block is tested
     again.  States are immutable, so one tree serves any number of branches.
+
+    The depth-first engine reads only blocks and steps the rule of advance
+    and _settle in its own loop, one query at a time without a call or a
+    state object; start and advance are the reference walk, for gbsa_step
+    and the tests.
     """
 
     __slots__ = ("blocks", "d")
@@ -144,15 +152,11 @@ class GbsaTree:
 
     def _settle(self, block: int, remaining: int, window: int, found: int) -> GbsaState:
         """Take the forced steps (a one-candidate window is a defective, an
-        exhausted block hands over to the next) until a test is pending.
-
-        States are built by tuple.__new__, which skips the NamedTuple's
-        Python-level __new__: the same object at half the cost, once per
-        depth-first query."""
+        exhausted block hands over to the next) until a test is pending."""
         while True:
             if window & (window - 1):
                 half = _lowest(window, (window.bit_count() + 1) // 2)
-                return tuple.__new__(GbsaState, (block, remaining, window, found, half))
+                return GbsaState(block, remaining, window, found, half)
             if window:
                 found |= window
                 if found.bit_count() > self.d:
@@ -162,10 +166,10 @@ class GbsaTree:
                 remaining ^= window
                 window = 0
             if remaining:
-                return tuple.__new__(GbsaState, (block, remaining, 0, found, remaining))
+                return GbsaState(block, remaining, 0, found, remaining)
             block += 1
             if block == len(self.blocks):
-                return tuple.__new__(GbsaState, (block, 0, 0, found, None))
+                return GbsaState(block, 0, 0, found, None)
             remaining = self.blocks[block]
 
 

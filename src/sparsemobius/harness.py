@@ -31,6 +31,7 @@ from .oracle import (
     CountingOracle,
     SparsePolynomial,
     SparsePolyOracle,
+    _integer,
     _read_lines,
     _write_text,
     check_tau,
@@ -62,11 +63,18 @@ def generate_synthetic(
     weight_lo: float = 1.0,
     weight_hi: float = 2.0,
 ) -> SparsePolynomial:
-    """Random s-sparse degree <= d instance; duplicates may shrink s."""
+    """Random s-sparse degree <= d instance; duplicates may shrink s.
+
+    A weight range that is empty, or whose ends or width are not finite,
+    raises ParameterError before any draw."""
     if n < 1 or d < 1:
         raise ParameterError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     if s < 0:
         raise ParameterError(f"need s >= 0, got {s}")
+    if not all(map(math.isfinite, (weight_lo, weight_hi, weight_hi - weight_lo))):
+        # an infinite range, or one too wide for hi - lo, would draw a
+        # non-finite coefficient
+        raise ParameterError(f"weight range [{weight_lo}, {weight_hi}) is not finite")
     if not weight_lo < weight_hi:
         raise ParameterError(f"empty weight range [{weight_lo}, {weight_hi})")
     rng = SplitMix64(seed)
@@ -236,8 +244,11 @@ def write_csv(records: Sequence[BenchRecord], sink: str | os.PathLike | TextIO) 
 
 
 def read_grid(source: str | os.PathLike | TextIO) -> list[GridCell]:
-    """Read 'algorithm n s d seed' lines; '#' starts a comment.  A line
-    with n < 1, s < 0 or d < 1 fails with its number before any cell runs."""
+    """Read 'algorithm n s d seed' lines; '#' starts a comment.  The four
+    numbers are plain ASCII integer numerals, as in the instance files, so
+    '1_6' or non-ASCII digits are not read as 16.  A line with another
+    token, or with n < 1, s < 0 or d < 1, fails with its number before any
+    cell runs."""
     lines = _read_lines(source)
     cells = []
     for lineno, line in enumerate(lines, start=1):
@@ -250,10 +261,10 @@ def read_grid(source: str | os.PathLike | TextIO) -> list[GridCell]:
         algorithm = parts[0]
         if algorithm not in ALGORITHMS:
             raise FormatError(f"unknown algorithm {algorithm!r}", lineno)
-        try:
-            n, s, d, seed = (int(p) for p in parts[1:])
-        except ValueError:
-            raise FormatError("n, s, d, seed must be integers", lineno) from None
+        values = [_integer(p) for p in parts[1:]]
+        if None in values:
+            raise FormatError("n, s, d, seed must be plain ASCII integers", lineno)
+        n, s, d, seed = values
         if n < 1 or d < 1 or s < 0:
             raise FormatError(f"need n, d >= 1 and s >= 0, got n={n}, s={s}, d={d}", lineno)
         cells.append(GridCell(algorithm, n, s, d, seed))

@@ -1,12 +1,13 @@
 """The depth-first engine against its previous version, and its schedule.
 
 reference_engine keeps the engine as it was before residual lists and
-ready-driven starts.  On the same instance fasmt must make the same
-queries, write the same transcript and recover the same map to the last
-digit.  Within the runners' preconditions hybrid must make the same
-queries and recover the same map (to the last digit in integer mode), and
-its phase 2 may only take fewer rounds, since a bucket no longer waits for
-a whole antichain layer.
+ready-driven starts, stepping GbsaTree.advance.  On the same instance
+fasmt must make the same queries, write the same transcript and recover
+the same map to the last digit, or raise the same degree overflow at the
+same label and counts.  Within the runners' preconditions hybrid must
+make the same queries and recover the same map (to the last digit in
+integer mode), and its phase 2 may only take fewer rounds, since a bucket
+no longer waits for a whole antichain layer.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ import io
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sparsemobius.core import BitVector, TestMatrix
-from sparsemobius.errors import DimensionError, ReconstructionError
+from sparsemobius.core import BitVector, Label, TestMatrix
+from sparsemobius.errors import DimensionError, InfeasiblePrefixError, ReconstructionError
 from sparsemobius.fasmt import depth_first_search, fasmt_run
-from sparsemobius.grouptest import construct_disjunct, construct_list_disjunct
+from sparsemobius.grouptest import GbsaTree, construct_disjunct, construct_list_disjunct
 from sparsemobius.harness import generate_synthetic
 from sparsemobius.hybrid import hybrid_run
 from sparsemobius.oracle import CountingOracle, SparsePolynomial, SparsePolyOracle
@@ -36,12 +37,13 @@ def oracle_for(poly: SparsePolynomial) -> CountingOracle:
 
 
 @st.composite
-def instances(draw):
-    """(truth, d, tau): supports of weight at most d, float weights at a
-    small tau or signed integer weights at tau = 0."""
+def instances(draw, excess=0):
+    """(truth, d, tau): supports of weight at most d, or at most d + excess
+    for a drawn excess, float weights at a small tau or signed integer
+    weights at tau = 0."""
     n = draw(st.integers(1, 40))
     d = draw(st.integers(1, min(4, n)))
-    support = st.lists(st.integers(0, n - 1), max_size=d).map(
+    support = st.lists(st.integers(0, n - 1), max_size=d + draw(st.integers(0, excess))).map(
         lambda coords: sum(1 << i for i in set(coords))
     )
     masks = draw(st.lists(support, unique=True, max_size=12))
@@ -67,8 +69,10 @@ def run(runner, truth, d, tau, *args):
 
 
 @settings(max_examples=300, deadline=None)
-@given(instances())
+@given(instances(excess=2))
 def test_fasmt_matches_the_reference_engine(case):
+    # supports of weight d+1..d+2 overflow the tree: the message, the label
+    # and the counts at the raise must match the GbsaTree-driven engine's
     truth, d, tau = case
     assert run(fasmt_run, truth, d, tau) == run(reference_engine.fasmt_run, truth, d, tau)
 
@@ -124,6 +128,94 @@ def test_no_engine_query_point_is_its_buckets_candidate_set(case, seed, listed):
                 free = points[label[:k]]
                 break
         assert x & ~free == 0 and x != free, (label, x, free)
+
+
+def tree_walk(d, label, free, supports):
+    """The splitting tree walked over one bucket as GbsaTree.advance steps
+    it: (query points in order, recovered map, overflow label or None).
+
+    supports maps each support mask in the bucket to its coefficient; all
+    are positive, so a child is searched iff some support falls in it.  A
+    test whose point equals the candidate set is not asked: its 0-outcome
+    is taken as is.  The 0-child is walked before the 1-child."""
+    tree = GbsaTree(free, d)
+    points: list[int] = []
+    got: dict[int, int] = {}
+    # pending 1-children: parent state (None for the root), label,
+    # candidate set and the supports that fall in the child
+    pending = [(None, label, free, list(supports))]
+    while pending:
+        state, label, free, inside = pending.pop()
+        try:
+            state = tree.start() if state is None else tree.advance(state, 1)
+            while state.test is not None:
+                point = free & ~state.test
+                if point != free:
+                    points.append(point)
+                    hit = [k for k in inside if k & state.test]
+                    inside = [k for k in inside if not k & state.test]
+                    if hit:
+                        one = Label(label.n + 1, label.mask | 1 << label.n)
+                        pending.append((state, one, free, hit))
+                    free = point
+                label = Label(label.n + 1, label.mask)
+                if not inside:
+                    break
+                state = tree.advance(state, 0)
+            else:
+                assert inside == [state.found]
+                got[state.found] = supports[state.found]
+        except InfeasiblePrefixError:
+            return points, got, label
+    return points, got, None
+
+
+@st.composite
+def scattered_buckets(draw):
+    """(n, d, label, candidate set, supports): a candidate set that is not
+    one run of coordinates, and supports inside it with positive integer
+    weights, some of weight above d."""
+    n = draw(st.integers(3, 40))
+    coords = draw(st.lists(st.integers(0, n - 1), min_size=2, unique=True))
+    free = sum(1 << c for c in coords)
+    run = free >> (free & -free).bit_length() - 1
+    assume(run & (run + 1))  # not contiguous
+    d = draw(st.integers(1, 4))
+    support = st.lists(st.sampled_from(coords), max_size=d + 2).map(
+        lambda picked: sum(1 << c for c in set(picked))
+    )
+    masks = draw(st.lists(support, unique=True, min_size=1, max_size=8))
+    supports = {m: draw(st.integers(1, 9)) for m in masks}
+    length = draw(st.integers(0, 6))
+    label = Label(length, draw(st.integers(0, (1 << length) - 1)))
+    return n, d, label, free, supports
+
+
+@settings(max_examples=300, deadline=None)
+@given(scattered_buckets())
+def test_the_engine_walks_the_tree_over_a_scattered_candidate_set(case):
+    # the tree over a non-contiguous candidate set often halves its window
+    # by _lowest's bisection rather than its fast path
+    n, d, label, free, supports = case
+    points, want, overflow = tree_walk(d, label, free, supports)
+    truth = SparsePolynomial(n, {BitVector(n, k): c for k, c in supports.items()})
+    f = oracle_for(truth)
+    sink = io.StringIO()
+    bucket = (label, sum(supports.values()), free, ())
+    try:
+        got = depth_first_search(f, [bucket], d, 0.0, sink)
+    except ReconstructionError as err:
+        assert overflow is not None and err.label == overflow
+        assert str(err) == (
+            f"degree overflow at bucket {overflow.to01()!r}: "
+            f"outcomes imply more than d={d} defectives"
+        )
+    else:
+        assert overflow is None
+        assert got == {BitVector(n, k): c for k, c in want.items()}
+    asked = [BitVector.from01(line.split("\t")[1]).mask for line in sink.getvalue().splitlines()]
+    assert asked == points
+    assert f.query_count == f.round_count == len(points)
 
 
 @pytest.mark.parametrize(

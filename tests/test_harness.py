@@ -213,6 +213,21 @@ def test_generate_synthetic_weight_range():
         generate_synthetic(10, 4, 2, seed=3, weight_lo=2.0, weight_hi=2.0)
 
 
+@pytest.mark.parametrize(
+    "lo, hi", [(1.0, math.inf), (-math.inf, 2.0), (-1e308, 1e308)], ids=["hi", "lo", "width"]
+)
+def test_generate_synthetic_rejects_a_range_that_is_not_finite(lo, hi):
+    # an infinite end, or a width hi - lo that overflows, would draw a
+    # non-finite coefficient; the range is named before any draw
+    with pytest.raises(ParameterError, match=r"^weight range \[.*\) is not finite$"):
+        generate_synthetic(16, 4, 2, seed=1, weight_lo=lo, weight_hi=hi)
+
+
+def test_generate_synthetic_draws_from_a_wide_finite_range():
+    poly = generate_synthetic(16, 4, 2, seed=1, weight_lo=-1e307, weight_hi=1e307)
+    assert all(math.isfinite(v) and -1e307 <= v < 1e307 for v in poly.entries.values())
+
+
 def test_generate_synthetic_validation():
     with pytest.raises(ParameterError):
         generate_synthetic(0, 1, 1, seed=0)
@@ -426,6 +441,12 @@ def test_read_grid():
         read_grid(io.StringIO("magic 16 3 2 1\n"))
     with pytest.raises(FormatError):
         read_grid(io.StringIO("pasmt 16 x 2 1\n"))
+    # int() reads both of these as 16; the grid takes plain ASCII numerals
+    # only, as the instance readers do, and names the line
+    for token in ("1_6", "\u0661\u0666"):
+        with pytest.raises(FormatError, match="plain ASCII integers") as info:
+            read_grid(io.StringIO(f"# comment\npasmt {token} 1 1 0\n"))
+        assert info.value.line == 2
 
 
 def test_bench_record_none_bounds_round_trip():
