@@ -14,26 +14,29 @@ sent the oracle's raw value there, keeping its stack, its finds and its
 splitting tree in locals.  GbsaTree cuts the candidate set into blocks;
 the search steps the tree by GbsaTree's rule in five integers (block
 index, remaining, window, found and pending test), with no call per
-query.  A child whose sum vanishes is never pushed.  The
-search carries on with a nonzero 0-child at once and pushes a nonzero
-1-child, which it pops once the 0-child's subtree is done, so a bucket's
-descendants are split in lexicographic label order.  A bucket's
-splitting tree ranges over the candidate set the level loop hands it, the
-only coordinates its supports can use.  A child carries its label
-as (length, mask) integers, its candidate set, the five integers of its
-parent's tree node, and a residual list: the discovered coefficients
-whose supports lie inside the child's candidate set, in discovery order,
-which are the only ones that can lie below its query points.  A query point is the candidate
-set minus the pending test, one big-integer operation besides the
-complement of the test; it is the 0-child's candidate set, and the
-1-child keeps its parent's.  The 0-child keeps the pairs subtracted at its
-parent's query; the 1-child extends its parent's list by whatever its
-0-sibling's subtree found.  A retested block can lie wholly outside the
-candidate set once 0-outcomes have taken its coordinates out.  Such a
-test is not asked: every support in the bucket avoids it, so the 0-child
-is the whole bucket and the 1-child is empty.  The search advances the
-tree with outcome 0 and appends a 0 to the label, with no query and no
-transcript line.
+query.  The search is one loop over a stack whose first entry is the
+bucket, at the tree's root: it pops an entry, then settles the tree and
+asks until the entry records its support or its 0-child vanishes.  A
+child whose sum vanishes is never pushed.  A nonzero 0-child is split at
+once and a nonzero 1-child pushed, to be popped once the 0-child's
+subtree is done, so a bucket's descendants are split in lexicographic
+label order.  A bucket's splitting tree ranges over the candidate set
+the level loop hands it, the only coordinates its supports can use.  A
+child carries its label as (length, mask) integers, its candidate set,
+the five integers of its parent's tree node, and a residual list: the
+discovered coefficients whose supports lie inside the child's candidate
+set, in discovery order, which are the only ones that can lie below its
+query points.  A query point is the candidate set minus the pending
+test, one big-integer operation besides the complement of the test; it
+is the 0-child's candidate set, and the 1-child keeps its parent's.  The
+0-child keeps the pairs subtracted at its parent's query; the 1-child
+extends its parent's list by whatever its 0-sibling's subtree found.  A
+retested block can lie wholly outside the candidate set once 0-outcomes
+have taken its coordinates out.  Such a test is not asked: every support
+in the bucket avoids it, so the 0-child is the whole bucket and the
+1-child is empty.  It takes the same outcome-0 step as a nonzero
+0-child, advancing the tree and appending a 0 to the label, with no
+query and no transcript line.
 
 Searches of several buckets run side by side, one query per bucket per
 adaptive round.  A bucket starts in the round after the last bucket whose
@@ -95,96 +98,25 @@ def _search(
     the oracle's raw value there.  Records every coefficient it pins down
     in found, in order, and returns once its stack is empty.
 
-    The splitting tree is stepped here by GbsaTree's rule, in five locals
-    (block index, remaining, window, support found and pending test)
-    rather than through GbsaTree.advance, whose call and state object
-    cost more than the step itself once per query."""
+    The bucket is the stack's first entry, so one loop pops them all,
+    and an unasked test and a nonzero 0-child share one outcome-0 step.
+    The splitting tree is stepped here by GbsaTree's rule, in five
+    locals (block index, remaining, window, support found and pending
+    test) rather than through GbsaTree.advance, whose call and state
+    object cost more than the step itself once per query."""
     label, value, free, _ = bucket
     if abs(value) <= tau:
         return
     blocks = GbsaTree(free, d).blocks
     nblocks = len(blocks)
-    length, mask = label.n, label.mask
-    # the tree's root: before the first block, with nothing found
-    block, remaining, window, support = -1, 0, 0, 0
     residual = [pair for pair in found.items() if pair[0] & free == pair[0]]
     own: list[tuple[int, float]] = []
     # pending 1-children: label length and mask, sum, candidate set,
     # residual list, the search's find count at push, and the parent's
-    # block, remaining, window, support and test
-    stack: list[tuple] = []
-    while True:
-        # GbsaTree._settle: a one-candidate window is a defective, an
-        # exhausted block hands over to the next, until a test is pending
-        while True:
-            if window & (window - 1):
-                test = _lowest(window, (window.bit_count() + 1) // 2)
-                break
-            if window:
-                support |= window
-                if support.bit_count() > d:
-                    # length and mask name the child the outcome led to
-                    label = Label(length, mask)
-                    raise ReconstructionError(
-                        f"degree overflow at bucket {label.to01()!r}: "
-                        f"outcomes imply more than d={d} defectives",
-                        label=label,
-                    )
-                remaining ^= window
-                window = 0
-            if remaining:
-                test = remaining
-                break
-            block += 1
-            if block == nblocks:
-                test = None
-                break
-            remaining = blocks[block]
-        if test is not None:
-            # not free ^ test: a retested block can hold coordinates an
-            # earlier 0-outcome already took out of free
-            point = free & ~test
-            if point == free:
-                # the test misses the candidate set, so every support
-                # here avoids it: the 0-child is the bucket, unasked
-                length += 1
-                if window:
-                    window ^= test
-                else:
-                    remaining = 0
-                continue
-            # free fits in n bits (depth_first_search checks it), so x
-            # skips the checks
-            x = _new(BitVector)
-            x.n = n
-            x.mask = point
-            v0, v1, below = split_bin(value, x, (yield x), residual)
-            if transcript is not None:
-                log_query(transcript, Label(length, mask), x, v0)
-            if abs(v1) > tau:
-                stack.append(
-                    (length + 1, mask | 1 << length, v1, free, residual, len(own),
-                     block, remaining, window, support, test)
-                )
-            length += 1
-            if abs(v0) > tau:
-                # outcome 0: the test holds no defective
-                value, free, residual = v0, point, below
-                if window:
-                    window ^= test
-                else:
-                    remaining = 0
-                continue
-        else:
-            if support in found:
-                raise ReconstructionError(
-                    f"support {BitVector(n, support).to01()!r} decoded twice",
-                    label=Label(length, mask),
-                )
-            found[support] = value
-            own.append((support, value))
-        if not stack:
-            return
+    # block, remaining, window, support and test; first the bucket, at
+    # the tree's root (before the first block, nothing found, no window)
+    stack = [(label.n, label.mask, value, free, residual, 0, -1, 0, 0, 0, 0)]
+    while stack:
         (length, mask, value, free, residual, mark,
          block, remaining, window, support, test) = stack.pop()
         # what the search found since the 1-child was pushed (its
@@ -194,6 +126,66 @@ def _search(
         # outcome 1: the tested half, or the whole remaining block (then
         # the test), holds the next defective
         window = test
+        while True:
+            # GbsaTree._settle: a one-candidate window is a defective, an
+            # exhausted block hands over to the next (blocks are never
+            # empty), until a test is pending or the last block is done
+            if window & (window - 1):
+                test = _lowest(window, (window.bit_count() + 1) // 2)
+            else:
+                if window:
+                    support |= window
+                    if support.bit_count() > d:
+                        # length and mask name the child the outcome led to
+                        label = Label(length, mask)
+                        raise ReconstructionError(
+                            f"degree overflow at bucket {label.to01()!r}: "
+                            f"outcomes imply more than d={d} defectives",
+                            label=label,
+                        )
+                    remaining ^= window
+                    window = 0
+                if not remaining:
+                    block += 1
+                    if block == nblocks:
+                        if support in found:
+                            raise ReconstructionError(
+                                f"support {BitVector(n, support).to01()!r} decoded twice",
+                                label=Label(length, mask),
+                            )
+                        found[support] = value
+                        own.append((support, value))
+                        break
+                    remaining = blocks[block]
+                test = remaining
+            # not free ^ test: a retested block can hold coordinates an
+            # earlier 0-outcome already took out of free
+            point = free & ~test
+            # a test that misses the candidate set is not asked: every
+            # support here avoids it, so the 0-child is the bucket
+            if point != free:
+                # free fits in n bits (depth_first_search checks it), so x
+                # skips the checks
+                x = _new(BitVector)
+                x.n = n
+                x.mask = point
+                v0, v1, below = split_bin(value, x, (yield x), residual)
+                if transcript is not None:
+                    log_query(transcript, Label(length, mask), x, v0)
+                if abs(v1) > tau:
+                    stack.append(
+                        (length + 1, mask | 1 << length, v1, free, residual, len(own),
+                         block, remaining, window, support, test)
+                    )
+                if abs(v0) <= tau:
+                    break
+                value, free, residual = v0, point, below
+            # outcome 0: the test holds no defective
+            length += 1
+            if window:
+                window ^= test
+            else:
+                remaining = 0
 
 
 def depth_first_search(

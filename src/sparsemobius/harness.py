@@ -100,11 +100,9 @@ def lower_bound(n: int, s: int, d: int) -> float:
 
 
 def optimality_ratio(queries: int, n: int, s: int, d: int) -> float:
-    """Observed queries against the information-theoretic scaling."""
-    if s < 2 or d < 1 or n <= d:
-        raise ParameterError(
-            f"ratio needs s >= 2, d >= 1, n > d; got n={n}, s={s}, d={d}"
-        )
+    """Observed queries against the information-theoretic scaling, over
+    lower_bound's domain."""
+    lower_bound(n, s, d)  # raises ParameterError outside the domain
     if queries < 0:
         raise ParameterError(f"need queries >= 0, got {queries}")
     return queries * math.log2(s) / (s * d * math.log2(n / d))

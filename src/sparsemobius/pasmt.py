@@ -124,24 +124,19 @@ def refine_levels(
         settled: list[tuple[float, int | None, int | None]] = []
         children: list[tuple[int, float, int, list[int]]] = []
         for (m, v, free, row), x, v0 in zip(buckets, queries, measurements):
-            # most rows are empty once labels diverge: the measurement is
-            # the 0-child sum, and only the 1-child can have a row
-            if row:
-                # back-substitute in row order, as solve_bin_system does;
-                # a c-child of a bucket below lies below the 1-child, and
-                # its 0-child below the 0-child too
-                below0: list[int] = []
-                below1: list[int] = []
-                for j in row:
-                    u0, k0, k1 = settled[j]
-                    v0 -= u0
-                    if k0 is not None:
-                        below0.append(k0)
-                        below1.append(k0)
-                    if k1 is not None:
-                        below1.append(k1)
-            else:
-                below0, below1 = [], []
+            # back-substitute in row order, as solve_bin_system does; a
+            # c-child of a bucket below lies below the 1-child, and its
+            # 0-child below the 0-child too
+            below0: list[int] = []
+            below1: list[int] = []
+            for j in row:
+                u0, k0, k1 = settled[j]
+                v0 -= u0
+                if k0 is not None:
+                    below0.append(k0)
+                    below1.append(k0)
+                if k1 is not None:
+                    below1.append(k1)
             z0 = z1 = None
             if abs(v0) > tau:
                 z0 = len(children)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 import re
 import shlex
@@ -15,6 +16,7 @@ from sparsemobius.core import BitVector, TestMatrix
 from sparsemobius.grouptest import construct_list_disjunct
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+TRACING = README.parent / "perfbench" / "tracing.py"
 # a backticked span that reads as a name, optionally called
 API_SPAN = re.compile(r"^[A-Za-z_][\w.]*(\(.*\))?$")
 
@@ -89,30 +91,18 @@ def test_readme_command_lines_parse():
         build_parser().parse_args(argv)
 
 
-# (module, name) pairs that perfbench/tracing.py swaps for timing wrappers
-# and looks up with getattr, so each must stay a module attribute even
-# where the module itself no longer calls it
-TRACED_NAMES = [
-    ("pasmt", "refine_levels"),
-    ("pasmt", "solve_bin_system"),
-    ("pasmt", "decode_disjunct"),
-    ("fasmt", "split_bin"),
-    ("fasmt", "gbsa_step"),
-    ("hybrid", "gbsa_step"),
-    ("hybrid", "list_decode"),
-    ("hybrid", "refine_levels"),
-    ("hybrid", "fasmt_run"),
-    ("harness", "generate_synthetic"),
-    ("grouptest", "construct_disjunct"),
-    ("grouptest", "construct_list_disjunct"),
-]
-
-
 def test_names_the_benchmark_tracer_patches_resolve():
+    # perfbench/tracing.py swaps each (module, name) pair of its PATCHES for
+    # a timing wrapper and looks it up with getattr, so each must stay a
+    # module attribute even where the module itself no longer calls it
+    spec = importlib.util.spec_from_file_location("traced_by_the_benchmark", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.PATCHES
     missing = [
-        f"{module}.{name}"
-        for module, name in TRACED_NAMES
-        if not callable(getattr(importlib.import_module(f"sparsemobius.{module}"), name, None))
+        f"{module.__name__}.{name}"
+        for module, name, _ in tracing.PATCHES
+        if not callable(getattr(module, name, None))
     ]
     assert missing == []
 

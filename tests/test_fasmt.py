@@ -172,6 +172,26 @@ def test_transcript_shape():
         float(value)
 
 
+def test_transcript_of_a_hand_checked_search():
+    # f = 1*x1 + 2*x1x2 at n=4, d=2: blocks 1100 and 0011, then a binary
+    # search of 1100 for x1 and a retest of what remains of it
+    truth = SparsePolynomial(4, {bv("1000"): 1.0, bv("1100"): 2.0})
+    sink = io.StringIO()
+    f = oracle_for(truth)
+    assert fasmt_run(f, 4, 2, transcript=sink).entries == truth.entries
+    assert sink.getvalue().splitlines() == [
+        "\t1111\t3.0",
+        "\t0011\t0",
+        "1\t0111\t0",
+        "11\t1011\t1.0",
+        "110\t1000\t1.0",
+        # the popped 1-child 111 asks 1100, f = 3 there; the 1.0 that its
+        # 0-sibling 110 found is subtracted as well
+        "111\t1100\t2.0",
+    ]
+    assert f.query_count == 6
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_transcript_values_are_raw_or_residual(monkeypatch, seed):
     # pasmt and hybrid's phase 1 log f(x); the engine logs the 0-child sum
