@@ -23,12 +23,13 @@ subtree is done, so a bucket's descendants are split in lexicographic
 label order.  A bucket's splitting tree ranges over the candidate set
 the level loop hands it, the only coordinates its supports can use.  A
 child carries its label as (length, mask) integers, its candidate set,
-the five integers of its parent's tree node, and a residual list: the
-discovered coefficients whose supports lie inside the child's candidate
-set, in discovery order, which are the only ones that can lie below its
-query points.  A query point is the candidate set minus the pending
-test, one big-integer operation besides the complement of the test; it
-is the 0-child's candidate set, and the 1-child keeps its parent's.  The
+four of the five integers of its parent's tree node (a pending 1-child
+resumes with its parent's test as its window), and a residual list: the
+found coefficients whose supports lie inside the child's candidate set,
+in discovery order, the only ones that can lie below its query points.
+A query point is the candidate set minus the pending test, one
+big-integer operation besides the complement of the test; it is the
+0-child's candidate set, and the 1-child keeps its parent's.  The
 0-child keeps the pairs subtracted at its parent's query; the 1-child
 extends its parent's list by whatever its 0-sibling's subtree found.  A
 retested block can lie wholly outside the candidate set once 0-outcomes
@@ -102,8 +103,9 @@ def _search(
     and an unasked test and a nonzero 0-child share one outcome-0 step.
     The splitting tree is stepped here by GbsaTree's rule, in five
     locals (block index, remaining, window, support found and pending
-    test) rather than through GbsaTree.advance, whose call and state
-    object cost more than the step itself once per query."""
+    test), not by GbsaTree.advance, whose call and state object cost
+    more than the step once per query; a pending 1-child stores four of
+    them, and resumes with its parent's test as its window."""
     label, value, free, _ = bucket
     if abs(value) <= tau:
         return
@@ -113,18 +115,18 @@ def _search(
     own: list[tuple[int, float]] = []
     # pending 1-children: label length and mask, sum, candidate set,
     # residual list, the search's find count at push, and the parent's
-    # block, remaining, window, support and test; first the bucket, at
-    # the tree's root (before the first block, nothing found, no window)
-    stack = [(label.n, label.mask, value, free, residual, 0, -1, 0, 0, 0, 0)]
+    # block, remaining, support and test; first the bucket, at the
+    # tree's root (before the first block, nothing found, test 0)
+    stack = [(label.n, label.mask, value, free, residual, 0, -1, 0, 0, 0)]
     while stack:
         (length, mask, value, free, residual, mark,
-         block, remaining, window, support, test) = stack.pop()
+         block, remaining, support, test) = stack.pop()
         # what the search found since the 1-child was pushed (its
         # 0-sibling's subtree) lies inside the child's candidate set as well
         if mark < len(own):
             residual = residual + own[mark:]
-        # outcome 1: the tested half, or the whole remaining block (then
-        # the test), holds the next defective
+        # outcome 1: the parent's test (the tested half, or the whole
+        # remaining block) holds the next defective, so it is the window
         window = test
         while True:
             # GbsaTree._settle: a one-candidate window is a defective, an
@@ -175,7 +177,7 @@ def _search(
                 if abs(v1) > tau:
                     stack.append(
                         (length + 1, mask | 1 << length, v1, free, residual, len(own),
-                         block, remaining, window, support, test)
+                         block, remaining, support, test)
                     )
                 if abs(v0) <= tau:
                     break

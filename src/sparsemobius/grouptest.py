@@ -212,8 +212,6 @@ def _bit_tests(n: int) -> TestMatrix:
 
 
 def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
     i = 2
     while i * i <= q:
         if q % i == 0:
@@ -222,12 +220,12 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def _rs_concat(n: int, q: int, m: int, points: int | None = None) -> TestMatrix:
+def _rs_concat(n: int, q: int, m: int, points: int) -> TestMatrix:
     """Reed-Solomon code over GF(q) of message length m, evaluated at the
-    first points elements alpha = 0..points-1 of GF(q) (all q by default)
-    and concatenated with the identity: test (position, symbol) contains
-    item j iff j's codeword carries that symbol at that position.  Zero
-    and duplicate test columns carry no information and are dropped.
+    first points elements alpha = 0..points-1 of GF(q) and concatenated
+    with the identity: test (position, symbol) contains item j iff j's
+    codeword carries that symbol at that position.  Zero and duplicate
+    test columns carry no information and are dropped.
 
     Two items' codewords are polynomials of degree below m, so they agree
     on at most m - 1 points; with points >= d*(m-1) + 1, any d other
@@ -244,7 +242,7 @@ def _rs_concat(n: int, q: int, m: int, points: int | None = None) -> TestMatrix:
     # shifts[t] lists (t + j0) % q for j0 = 0..q-1
     shifts = [[(t + j0) % q for j0 in range(q)] for t in range(q)]
     cols = []
-    for alpha in range(q if points is None else points):
+    for alpha in range(points):
         # after[s] lists the symbols of the items j0 + q*j', j0 = 0..q-1,
         # whose j' carries symbol s
         after = [shifts[alpha * s % q] for s in range(q)]

@@ -121,8 +121,8 @@ class GridCell:
 
 @dataclass(frozen=True)
 class BenchRecord:
-    """One benchmark run.  The bound fields are None when undefined
-    (s_actual < 2 or n <= d)."""
+    """One benchmark run.  The bound fields are None outside lower_bound's
+    domain, where it raises ParameterError."""
 
     algorithm: str
     n: int
@@ -203,7 +203,11 @@ def run_benchmark(
             exact = False
         runtime_ms = (time.perf_counter() - start) * 1e3
         s_actual = truth.sparsity
-        definable = s_actual >= 2 and cell.n > cell.d
+        try:
+            bound = lower_bound(cell.n, s_actual, cell.d)
+            ratio = optimality_ratio(oracle.query_count, cell.n, s_actual, cell.d)
+        except ParameterError:
+            bound = ratio = None
         records.append(
             BenchRecord(
                 algorithm=cell.algorithm,
@@ -216,12 +220,8 @@ def run_benchmark(
                 rounds=oracle.round_count,
                 runtime_ms=runtime_ms,
                 exact=exact,
-                lower_bound=lower_bound(cell.n, s_actual, cell.d) if definable else None,
-                optimality_ratio=(
-                    optimality_ratio(oracle.query_count, cell.n, s_actual, cell.d)
-                    if definable
-                    else None
-                ),
+                lower_bound=bound,
+                optimality_ratio=ratio,
             )
         )
     return records

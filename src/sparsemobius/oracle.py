@@ -74,7 +74,7 @@ class SparsePolynomial:
                 )
             if v == 0:
                 raise ValidationError(f"zero coefficient at support {k.to01()!r}")
-            if not math.isfinite(v):
+            if not -math.inf < v < math.inf:  # math.isfinite overflows on a big int
                 raise ValidationError(f"non-finite coefficient at {k.to01()!r}")
             if degree_bound is not None and k.weight() > degree_bound:
                 raise ValidationError(
@@ -112,9 +112,9 @@ class SparsePolynomial:
 class QueryOracle(Protocol):
     """Anything that can evaluate the hidden function at a point.
 
-    An oracle may also offer batch_eval(xs), returning the list of values
-    at the points of one adaptive round; CountingOracle calls it when the
-    inner oracle has one and calls eval once per point when it has not.
+    An oracle may also offer batch_eval(xs): the values at the points of
+    one adaptive round, one per point and in order.  CountingOracle calls
+    it when the inner oracle has one, and eval per point when it has not.
     """
 
     n: int
@@ -238,7 +238,8 @@ class CountingOracle:
     round_count the number of declared batch boundaries.  A bare eval call
     is its own batch of one.  An empty batch increments nothing.  A batch
     goes to the inner oracle's batch_eval when it has one, and otherwise
-    to its eval point by point.  A call is charged once the inner oracle
+    to its eval point by point; an answer of another length than the
+    batch raises DimensionError.  A call is charged once the inner oracle
     has answered it, so a call that raises charges nothing.
     """
 
@@ -272,6 +273,8 @@ class CountingOracle:
         if not xs:
             return []
         values = self._batch_eval(xs)
+        if len(values) != len(xs):
+            raise DimensionError(f"batch of {len(xs)} points got {len(values)} values")
         self.query_count += len(xs)
         self.round_count += 1
         return values

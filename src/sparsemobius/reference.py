@@ -68,29 +68,25 @@ class DenseTable:
         return f"DenseTable(n={self.n})"
 
 
-def zeta_transform(table: DenseTable) -> DenseTable:
-    """Sum over subsets: coefficient table in, evaluation table out.
-
-    One in-place sweep per coordinate, ascending 1..n.
-    """
+def _sweep(table: DenseTable, sign: int) -> DenseTable:
+    """Zeta (sign 1) or Mobius (sign -1): one pass per coordinate, 1..n."""
     values = list(table.values)
     for i in range(table.n):
         bit = 1 << i
         for x in range(1 << table.n):
             if x & bit:
-                values[x] += values[x ^ bit]
+                values[x] += sign * values[x ^ bit]
     return DenseTable(table.n, values)
+
+
+def zeta_transform(table: DenseTable) -> DenseTable:
+    """Sum over subsets: coefficient table in, evaluation table out."""
+    return _sweep(table, 1)
 
 
 def mobius_transform(table: DenseTable) -> DenseTable:
     """Inverse of zeta_transform, same sweep order."""
-    values = list(table.values)
-    for i in range(table.n):
-        bit = 1 << i
-        for x in range(1 << table.n):
-            if x & bit:
-                values[x] -= values[x ^ bit]
-    return DenseTable(table.n, values)
+    return _sweep(table, -1)
 
 
 def check_subset_sum_independence(

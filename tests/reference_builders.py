@@ -76,14 +76,12 @@ def bernoulli_mask(rng: SplitMix64, n: int, base: int) -> int:
     return mask
 
 
-def _rs_concat(n: int, q: int, m: int, points: int | None = None) -> TestMatrix:
+def _rs_concat(n: int, q: int, m: int, points: int) -> TestMatrix:
     """Reed-Solomon code over GF(q) of message length m at the points
-    alpha = 0..points-1 (all q by default), concatenated with the identity:
-    test (position, symbol) contains item j iff j's codeword carries that
-    symbol at that position.  Zero and duplicate test columns carry no
-    information and are dropped."""
-    if points is None:
-        points = q
+    alpha = 0..points-1, concatenated with the identity: test (position,
+    symbol) contains item j iff j's codeword carries that symbol at that
+    position.  Zero and duplicate test columns carry no information and
+    are dropped."""
     cols = [0] * (q * points)
     for j in range(n):
         digits = []

@@ -69,15 +69,15 @@ PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 @settings(max_examples=100)
 @given(st.sampled_from(PRIMES), st.integers(1, 4), st.data())
 def test_rs_concat_matches_the_per_item_reference(q, m, data):
-    # points None evaluates at all q points, as the full-length code does
+    # points q evaluates at all of GF(q), as the full-length code does
     n = data.draw(st.integers(1, min(q**m, 700)))
-    points = data.draw(st.none() | st.integers(1, q))
+    points = data.draw(st.integers(1, q))
     assert _rs_concat(n, q, m, points) == ref._rs_concat(n, q, m, points)
 
 
 def test_rs_concat_past_one_byte_symbols_matches_the_reference():
     # q >= 256: the symbols no longer fit a byte each
-    assert _rs_concat(600, 257, 2) == ref._rs_concat(600, 257, 2)
+    assert _rs_concat(600, 257, 2, 257) == ref._rs_concat(600, 257, 2, 257)
     assert _rs_concat(600, 257, 2, 9) == ref._rs_concat(600, 257, 2, 9)
 
 

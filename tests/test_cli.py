@@ -7,6 +7,7 @@ import pytest
 from sparsemobius import cli, oracle
 from sparsemobius.cli import main
 from sparsemobius.core import BitVector
+from sparsemobius.harness import generate_synthetic
 from sparsemobius.oracle import (
     SparsePolynomial,
     read_polynomial,
@@ -67,6 +68,25 @@ def test_reconstruct_round_trip(tmp_path, capsys, alg):
     msg = capsys.readouterr().out
     assert f"algorithm={alg}" in msg
     assert "queries=" in msg and "rounds=" in msg
+
+
+@pytest.mark.parametrize("alg, queries", [("pasmt", 327), ("fasmt", 64), ("hybrid", 220)])
+def test_reconstruct_keeps_integers_past_the_float_range(tmp_path, capsys, alg, queries):
+    # 401-digit coefficients: exact integer mode takes them at tau = 0,
+    # though no float holds them
+    supports = generate_synthetic(64, 8, 3, 7).entries
+    inst = write_poly_file(
+        tmp_path / "big.txt",
+        SparsePolynomial(64, {k: 10**400 + i for i, k in enumerate(supports)}),
+    )
+    out = tmp_path / "rec.txt"
+    code = main([
+        "reconstruct", "--alg", alg, "--input", inst,
+        "--d", "3", "--tau", "0", "--out", str(out),
+    ])
+    assert code == 0, capsys.readouterr().err
+    assert out.read_text() == (tmp_path / "big.txt").read_text()
+    assert f"coefficients=8 queries={queries} " in capsys.readouterr().out
 
 
 def test_reconstruct_hybrid_at_n_4096_d_16(tmp_path, capsys):

@@ -8,6 +8,7 @@ import importlib.util
 import pkgutil
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import sparsemobius
@@ -70,6 +71,25 @@ def test_all_lists_resolve_and_package_reexports_are_listed():
         unlisted = [name for name in reexported.get(info.name, ()) if name not in listed]
         assert not unlisted, f"package imports {unlisted} not in {info.name}.__all__"
     assert checked >= 8
+
+
+def test_the_package_imports_the_standard_library_alone():
+    # the README promises no runtime dependencies outside the standard library
+    foreign = []
+    for path in sorted(Path(sparsemobius.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{path.name}: {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names | {"sparsemobius"}
+            ]
+    assert not foreign
 
 
 def test_readme_api_names_resolve():

@@ -37,6 +37,7 @@ from sparsemobius.rng import (
     random_subset,
     unrank_subset,
 )
+from weights import integer_weights
 
 
 def test_splitmix_determinism_and_range():
@@ -323,8 +324,7 @@ def test_runners_reject_a_bad_tau_before_any_query(algorithm, tau):
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_runners_take_tau_zero_in_integer_mode(algorithm):
-    floats = generate_synthetic(32, 6, 2, 7)
-    truth = SparsePolynomial(32, {k: 1 + int(8 * (v - 1)) for k, v in floats.entries.items()})
+    truth = integer_weights(generate_synthetic(32, 6, 2, 7))
     got = run_cell(algorithm, CountingOracle(SparsePolyOracle(truth)), 2, 0)
     assert got == truth
     assert all(type(v) is int for v in got.entries.values())

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from sparsemobius.core import BitVector
 from sparsemobius.errors import DimensionError, FormatError, ParameterError, ValidationError
 from sparsemobius.fasmt import split_bin
-from sparsemobius.harness import generate_synthetic
+from sparsemobius.harness import generate_synthetic, run_cell
 from sparsemobius.oracle import (
+    DEFAULT_TAU,
     CountingOracle,
     SparsePolynomial,
     SparsePolyOracle,
@@ -181,6 +182,29 @@ def test_a_call_that_raises_is_not_charged():
     assert (f.query_count, f.round_count) == (2, 1)
 
 
+class ShortBatches(EvalOnly):
+    """An inner oracle whose batch_eval drops its last value."""
+
+    def batch_eval(self, xs):
+        return [self.inner.eval(x) for x in xs[:-1]]
+
+
+def test_a_batch_answered_with_too_few_values_raises_and_is_not_charged():
+    f = CountingOracle(ShortBatches(SparsePolyOracle(P)))
+    with pytest.raises(DimensionError, match="batch of 2 points got 1 values"):
+        f.batch_eval([bv("1111"), bv("0001")])
+    assert (f.query_count, f.round_count) == (0, 0)
+
+
+@pytest.mark.parametrize("algorithm", ["pasmt", "hybrid"])
+def test_a_short_batch_fails_the_run_instead_of_dropping_buckets(algorithm):
+    # the level loop and the engine zip each value with its point, so an
+    # unchecked short batch would drop buckets and return a partial map
+    f = CountingOracle(ShortBatches(SparsePolyOracle(generate_synthetic(64, 8, 3, 1))))
+    with pytest.raises(DimensionError, match="points got"):
+        run_cell(algorithm, f, 3, DEFAULT_TAU)
+
+
 # a coefficient: an int, a small float, or a float of any magnitude up to 1e300
 WEIGHTS = st.one_of(
     st.integers(-(10**12), 10**12).filter(bool),
@@ -339,6 +363,11 @@ def test_polynomial_format_errors(text, lineno):
         read_polynomial(io.StringIO(text))
     assert info.value.line == lineno
     assert f"line {lineno}:" in str(info.value)
+
+
+def test_a_decimal_past_the_float_range_is_not_finite():
+    with pytest.raises(FormatError, match="line 2: non-finite value '1e999'"):
+        read_polynomial(io.StringIO("2 1\n1e999 10\n"))
 
 
 @pytest.mark.parametrize(
