@@ -259,7 +259,7 @@ def read_grid(source: str | os.PathLike | TextIO) -> list[GridCell]:
         algorithm = parts[0]
         if algorithm not in ALGORITHMS:
             raise FormatError(f"unknown algorithm {algorithm!r}", lineno)
-        values = [_integer(p) for p in parts[1:]]
+        values = [_integer(p, lineno) for p in parts[1:]]
         if None in values:
             raise FormatError("n, s, d, seed must be plain ASCII integers", lineno)
         n, s, d, seed = values

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import sys
 from itertools import compress
 from typing import Mapping, Protocol, Sequence, TextIO
 
@@ -286,14 +287,39 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
-def _integer(token: str) -> int | None:
-    """The value of a plain ASCII integer numeral, else None."""
-    return int(token) if _INTEGER.fullmatch(token) else None
+def _integer(token: str, lineno: int) -> int | None:
+    """The value of a plain ASCII integer numeral, else None.  A numeral
+    longer than the interpreter's int-string digit limit raises FormatError
+    at its line."""
+    if not _INTEGER.fullmatch(token):
+        return None
+    try:
+        return int(token)
+    except ValueError:
+        digits = len(token.lstrip("+-"))
+        limit = sys.get_int_max_str_digits()
+        raise FormatError(
+            f"integer numeral of {digits} digits is past the {limit}-digit limit"
+            " for integer-string conversion",
+            lineno,
+        ) from None
+
+
+def _numeral(value: float, support: BitVector) -> str:
+    """repr of a coefficient; an int longer than the interpreter's
+    int-string digit limit raises ValidationError naming its support."""
+    try:
+        return repr(value)
+    except ValueError:
+        raise ValidationError(
+            f"coefficient at support {support.to01()!r} is past the"
+            f" {sys.get_int_max_str_digits()}-digit limit for integer-string conversion"
+        ) from None
 
 
 def _parse_value(token: str, lineno: int) -> float:
     """Plain ASCII numeral, kept as int when written as one (exact integer mode)."""
-    value = _integer(token)
+    value = _integer(token, lineno)
     if value is not None:
         return value
     if not _DECIMAL.fullmatch(token):
@@ -329,7 +355,7 @@ def _write_text(sink: str | os.PathLike | TextIO, text: str) -> None:
 def _parse_header(lines: list[str], what: str) -> tuple[int, int]:
     if not lines:
         raise FormatError(f"empty {what} file", 1)
-    fields = [_integer(token) for token in lines[0].split()]
+    fields = [_integer(token, 1) for token in lines[0].split()]
     if len(fields) != 2 or None in fields:
         raise FormatError(f"{what} header must be two integers", 1)
     n, count = fields
@@ -384,7 +410,7 @@ def _parse_polynomial(lines: list[str]) -> SparsePolynomial:
 def write_polynomial(poly: SparsePolynomial, sink: str | os.PathLike | TextIO) -> None:
     """Write the coefficient format, supports in canonical ascending order."""
     entries = sorted(poly.entries.items(), key=lambda kv: kv[0].mask)
-    body = "".join(f"{v!r} {k.to01()}\n" for k, v in entries)
+    body = "".join(f"{_numeral(v, k)} {k.to01()}\n" for k, v in entries)
     _write_text(sink, f"{poly.n} {poly.sparsity}\n{body}")
 
 
@@ -407,7 +433,7 @@ def _parse_hypergraph(lines: list[str]) -> SparsePolynomial:
             raise FormatError("zero edge weight not allowed", lineno)
         coords = []
         for tok in parts[1:]:
-            v = _integer(tok)
+            v = _integer(tok, lineno)
             if v is None:
                 raise FormatError(f"invalid vertex id {tok!r}", lineno)
             if not 1 <= v <= n:

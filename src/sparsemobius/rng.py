@@ -11,15 +11,22 @@ coordinate from a closed-form estimate of the binomials and settling it
 with exact ones.
 Bernoulli(1/base) masks read one coordinate from each base-`base` digit of
 a bounded draw, so one 64-bit word serves as many coordinates as it has
-whole digits.  The digits are read c at a time, by one divmod through a
-cached digit table whose entry v spells which of v's c digits are 0; c is
-the largest exponent that keeps the table at or below 1,024 entries.
+whole digits; that word width is cached per base.  A mask's whole words
+are drawn together by a lane-parallel splitmix64 kernel that runs the
+generator over many words in a few big-integer operations, keeps the
+words rejection keeps and leaves the state where as many rng.below calls
+leave it; the last, partial word is one rng.below call.  The digits are
+read c at a time, by one divmod through a cached digit table whose entry
+v spells which of v's c digits are 0; c is the largest exponent that
+keeps the table at or below 1,024 entries.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from math import ceil, comb, exp, lgamma, log
+from struct import Struct
 
 from .core import BitVector
 from .errors import ParameterError
@@ -33,6 +40,14 @@ _MIX2 = 0x94D049BB133111EB
 MAX_RANK = 1 << 64
 # digit tables stay at or below this many entries
 _TABLE_SIZE = 1024
+# _below_many's kernel: words per pass, each in a 128-bit lane of one int;
+# lane i of _STEPS is (i + 1) * _GOLDEN mod 2^64, and _LANE reads a lane's
+# low 64 bits
+_LANES = 256
+_ONES = sum(1 << 128 * i for i in range(_LANES))
+_WORDS = _ONES * _MASK64
+_STEPS = sum(((i + 1) * _GOLDEN & _MASK64) << 128 * i for i in range(_LANES))
+_LANE = Struct("<Q8x")
 
 
 class SplitMix64:
@@ -156,23 +171,62 @@ def _zero_digits(base: int) -> tuple[int, tuple[str, ...] | None]:
     return c, tuple(table)
 
 
+@lru_cache(maxsize=64)
+def _word_digits(base: int) -> tuple[int, int]:
+    """The digits one draw reads in a base: the largest k with base**k at
+    most 2^64 (1 for a base past 2^64), and base**k."""
+    k = 1
+    while base ** (k + 1) <= MAX_RANK:
+        k += 1
+    return k, base**k
+
+
 def _below_many(rng: SplitMix64, bound: int, count: int) -> list[int]:
-    """count successive rng.below(bound) draws, the same words drawn and the
-    same rejected, with next64 inlined where bound fits one word."""
+    """count successive rng.below(bound) draws: the same words drawn, the
+    same rejected, and rng.state left where those calls leave it.
+
+    A bound above 2^64 takes rng.below's several-word path.  Otherwise the
+    words are drawn in passes of at most _LANES words by a lane-parallel
+    splitmix64 kernel: lane i of one int holds the state after i + 1 steps,
+    each mixing step acts on every lane at once (a 64-bit value times a
+    64-bit constant fits its 128-bit lane), and one lane-wise subtraction
+    sets bit 64 of a lane exactly when its word is under the rejection
+    limit.  Those bits, read as one byte per lane, tell itertools.compress
+    which words to keep.  A pass draws the words its missing draws are
+    expected to need and two more; when that is more than enough it stops
+    at the last draw, so the state never moves past a word that the
+    rng.below calls would not consume.
+    """
     if bound > MAX_RANK:
         return [rng.below(bound) for _ in range(count)]
     limit = MAX_RANK - MAX_RANK % bound
     state = rng.state
-    out = []
-    for _ in range(count):
-        while True:
-            state = (state + _GOLDEN) & _MASK64
-            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-            z ^= z >> 31
-            if z < limit:
-                break
-        out.append(z % bound)
+    out: list[int] = []
+    while len(out) < count:
+        need = count - len(out)
+        lanes = min(need * MAX_RANK // limit + 2, _LANES)
+        low = (1 << 128 * lanes) - 1
+        ones, words = _ONES & low, _WORDS & low
+        z = (state * ones + (_STEPS & low)) & words
+        z = (z ^ z >> 30) & words
+        z = z * _MIX1 & words
+        z = (z ^ z >> 27) & words
+        z = z * _MIX2 & words
+        z = (z ^ z >> 31) & words
+        # lane value 2^64 - 1 + limit - word, at least 2^64 exactly when
+        # word < limit
+        size = 16 * lanes
+        kept = (words + limit * ones - z).to_bytes(size, "little")[8::16]
+        if kept.count(1) >= need:
+            # end the pass at the need-th kept word: each step moves the
+            # end on by the draws still missing, so it never passes it
+            lanes = need
+            while kept.count(1, 0, lanes) < need:
+                lanes += need - kept.count(1, 0, lanes)
+            kept = kept[:lanes]
+        lane_words = _LANE.iter_unpack(z.to_bytes(size, "little"))
+        out += [u % bound for (u,) in compress(lane_words, kept)]
+        state = (state + lanes * _GOLDEN) & _MASK64
     rng.state = state
     return out
 
@@ -201,20 +255,21 @@ def _zero_bits(words: list[int], digits: int, base: int) -> str:
 def bernoulli_mask(rng: SplitMix64, n: int, base: int) -> int:
     """n-bit mask whose bits are independent Bernoulli(1/base).
 
-    Coordinates are drawn k at a time from one rng.below(base**r) call,
-    where k is the largest exponent with base**k <= 2^64 and r is k or the
-    number of coordinates left, whichever is smaller.  The j-th least
-    significant base-`base` digit of the draw decides bit j of the batch:
-    the bit is set exactly when its digit is 0.  The batches are spelled
-    out as one string of flags, so the mask is built once.
+    Coordinates are drawn k at a time from one rng.below(base**r) draw,
+    where k, cached per base, is the largest exponent with base**k <= 2^64
+    and r is k or the number of coordinates left, whichever is smaller.
+    The n // k whole draws come from one _below_many call, and a last,
+    partial draw from rng.below, so a column shorter than k coordinates
+    makes no kernel call and no pass over whole words.  The j-th least significant base-`base` digit of
+    a draw decides bit j of its batch: the bit is set exactly when its
+    digit is 0.  The batches are spelled out as one string of flags, so the
+    mask is built once.
     """
     if n < 0 or base < 2:
         raise ParameterError(f"need n >= 0 and base >= 2, got n={n}, base={base}")
-    k = 1
-    while base ** (k + 1) <= MAX_RANK:
-        k += 1
+    k, unit = _word_digits(base)
     full, r = divmod(n, k)
-    flags = _zero_bits(_below_many(rng, base**k, full), k, base)
+    flags = _zero_bits(_below_many(rng, unit, full), k, base) if full else ""
     if r:
-        flags += _zero_bits(_below_many(rng, base**r, 1), r, base)
+        flags += _zero_bits([rng.below(base**r)], r, base)
     return BitVector.from01(flags).mask

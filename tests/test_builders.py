@@ -3,7 +3,8 @@
 reference_builders keeps bernoulli_mask, _rs_concat, unrank_subset and
 list_design_width as they were before they read several digits per step
 or bounded their powers in fixed point, so each current builder is
-compared with its reference draw for draw; the digests below pin the
+compared with its reference draw for draw, and the bulk draw behind
+bernoulli_mask with successive rng.below calls; the digests below pin the
 designs and instances at the benchmark's sizes, which the golden runs
 (n <= 256) do not reach.
 """
@@ -29,7 +30,7 @@ from sparsemobius.grouptest import (
 )
 from sparsemobius.harness import generate_synthetic
 from sparsemobius.oracle import SparsePolynomial
-from sparsemobius.rng import SplitMix64, bernoulli_mask, unrank_subset
+from sparsemobius.rng import MAX_RANK, SplitMix64, _below_many, bernoulli_mask, unrank_subset
 
 # small bases, bases around the digit table's 1,024-entry cap, and bases
 # past 2^64, which one 64-bit word cannot hold
@@ -38,11 +39,41 @@ BASES = st.one_of(
 )
 
 
-@settings(max_examples=150)
-@given(st.integers(0, 5000), BASES, st.integers(0, 2**64 - 1))
+@settings(max_examples=250)
+@given(
+    st.one_of(st.integers(0, 300), st.integers(0, 5000)),
+    st.one_of(st.integers(2, 9), BASES),
+    st.integers(0, 2**64 - 1),
+)
 def test_bernoulli_mask_matches_the_per_digit_reference(n, base, seed):
     a, b = SplitMix64(seed), SplitMix64(seed)
-    assert bernoulli_mask(a, n, base) == ref.bernoulli_mask(b, n, base)
+    mask = bernoulli_mask(a, n, base)
+    assert mask == ref.bernoulli_mask(b, n, base)
+    assert a.state == b.state
+    assert mask < 1 << n
+
+
+SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
+# no rejection (powers of 2 up to 2^64), 34 % (3^40), just under 50 %
+# (2^63 + 1), bound 1, any one-word bound, and bounds past 2^64
+DRAW_BOUNDS = st.one_of(
+    st.integers(0, 64).map(lambda e: 2**e),
+    st.sampled_from([1, 3**40, 2**63 + 1]),
+    st.integers(2, MAX_RANK),
+    st.integers(MAX_RANK + 1, 2**200),
+)
+
+
+@settings(max_examples=300)
+@given(DRAW_BOUNDS, st.integers(0, 600), SEEDS)
+@example(3**40, 600, 2**64 - 1)  # the state wraps
+@example(2**63 + 1, 600, 0)
+@example(MAX_RANK, 600, 2**64 - 1)
+@example(1, 257, 0)
+@example(MAX_RANK + 1, 600, 2**64 - 1)
+def test_below_many_is_successive_below_draws(bound, count, seed):
+    a, b = SplitMix64(seed), SplitMix64(seed)
+    assert _below_many(a, bound, count) == [b.below(bound) for _ in range(count)]
     assert a.state == b.state
 
 
@@ -137,7 +168,9 @@ def instance_digest(poly: SparsePolynomial) -> str:
 
 # (n, d): (disjunct width, its digest, list-design width, its digest), the
 # list design seeded 40000 + 97n + d as the runners seed it; the disjunct
-# designs are the Reed-Solomon codes at the Kautz-Singleton point count
+# designs are the Reed-Solomon codes at the Kautz-Singleton point count.
+# The list designs draw base-(d + 1) words: base 2 rejects no word, base 3
+# rejects 34 % and base 5 19 %
 DESIGNS = {
     (1024, 4): (
         99, "5eeb0912038a69fbee510841ff480cbbdaa76784dc64eecc021afd9a91752cf1",
@@ -146,6 +179,14 @@ DESIGNS = {
     (2048, 4): (
         117, "a30976a194e117fac4b4cfdbe472a76b0c1fdb843c0533e3e1d354dc657df6f0",
         73, "4e39b2863d0ab45050fdb36e3cdfcd0529efa063793c30979e0a302ef700708c",
+    ),
+    (4096, 1): (
+        24, "437f2de50ea50d097fbbdaeb271d637e64b03d34906c2b5ccbae86776cc52bef",
+        29, "246c37e95f703d3df00706e0cf8327798c276c6bb321950eb5fea7e2eb2ebc2c",
+    ),
+    (4096, 2): (
+        77, "2fc4ce40c25deb5d3f8b366c17c9954fef361d04664cea25f6065c416077426e",
+        48, "183b0e117bd2e7cf27b954c8340fadc487a2e0774cfb5807a0f69684a6733cb5",
     ),
     (4096, 4): (
         153, "9848ee4ec27f8803485c418a1a015f1311915988b4eb93feb7ebc420f8098d9c",

@@ -360,6 +360,28 @@ def test_non_ascii_input_exits_1(tmp_path, capsys, byte, form):
     assert "invalid input: line 2: non-ASCII byte" in capsys.readouterr().err
 
 
+LONG = "1" * 5001  # past CPython's default 4,300-digit int-string limit
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [(f"4 1\n{LONG} 1000\n", 2), (f"{LONG} 1\n1.0 1000\n", 1), (f"4 1\n1 {LONG}\n", 2)],
+    ids=["coefficient", "header", "vertex-id"],
+)
+def test_a_numeral_past_the_digit_limit_exits_1(tmp_path, capsys, text, lineno):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    code = main([
+        "reconstruct", "--input", str(bad), "--out", str(tmp_path / "rec.txt"),
+        "--alg", "fasmt", "--d", "1", "--tau", "0",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"invalid input: line {lineno}: integer numeral of 5001 digits" in err
+    assert "-digit limit" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("line", ["pasmt 0 4 2 1", "pasmt 16 -2 2 1", "fasmt 16 4 0 1"])
 def test_bench_rejects_a_bad_grid_line_before_running(tmp_path, capsys, line):
     grid = tmp_path / "grid.txt"

@@ -153,27 +153,6 @@ def test_random_subset_is_uniform():
     assert all(850 <= k <= 1150 for k in counts.values()), counts
 
 
-def digitwise_bernoulli_mask(rng: SplitMix64, n: int, base: int) -> int:
-    """Reference for bernoulli_mask: one digit, one coordinate."""
-    k = max(j for j in range(1, 65) if base**j <= MAX_RANK)
-    mask = 0
-    for start in range(0, n, k):
-        r = min(k, n - start)
-        u = rng.below(base**r)
-        for j in range(r):
-            if (u // base**j) % base == 0:
-                mask |= 1 << (start + j)
-    return mask
-
-
-@given(st.integers(0, 300), st.integers(2, 9), st.integers(0, 2**64 - 1))
-def test_bernoulli_mask_matches_the_digitwise_reference(n, base, seed):
-    a, b = SplitMix64(seed), SplitMix64(seed)
-    assert bernoulli_mask(a, n, base) == digitwise_bernoulli_mask(b, n, base)
-    assert a.state == b.state
-    assert bernoulli_mask(a, n, base) < 1 << n
-
-
 def test_bernoulli_mask_determinism_and_guards():
     masks = [bernoulli_mask(SplitMix64(5), 1000, 3) for _ in range(2)]
     assert masks[0] == masks[1]
@@ -447,6 +426,12 @@ def test_read_grid():
         with pytest.raises(FormatError, match="plain ASCII integers") as info:
             read_grid(io.StringIO(f"# comment\npasmt {token} 1 1 0\n"))
         assert info.value.line == 2
+
+
+def test_read_grid_names_a_numeral_past_the_digit_limit():
+    with pytest.raises(FormatError, match="5001 digits is past the .*-digit limit") as info:
+        read_grid(io.StringIO(f"fasmt 8 2 1 1\nhybrid 8 2 1 {'9' * 5001}\n"))
+    assert info.value.line == 2
 
 
 def test_bench_record_none_bounds_round_trip():

@@ -396,6 +396,28 @@ def test_readers_take_only_plain_ascii_numerals(read, text, lineno):
     assert info.value.line == lineno
 
 
+@pytest.mark.parametrize(
+    "read, text, lineno",
+    [
+        (read_polynomial, "4 1\n1{0} 1000\n", 2),
+        (read_polynomial, "1{0} 1\n1 1000\n", 1),
+        (read_hypergraph, "4 1\n1 1{0}\n", 2),
+        (read_instance, "4 1\n-1{0} 1000\n", 2),
+    ],
+    ids=["coefficient", "header", "vertex-id", "instance"],
+)
+def test_a_numeral_past_the_digit_limit_is_a_format_error(read, text, lineno):
+    with pytest.raises(FormatError, match="5001 digits is past the .*-digit limit") as info:
+        read(io.StringIO(text.format("0" * 5000)))
+    assert info.value.line == lineno
+
+
+def test_writing_a_coefficient_past_the_digit_limit_names_its_support():
+    poly = SparsePolynomial(4, {bv("0110"): 10**5000, bv("1000"): 1})
+    with pytest.raises(ValidationError, match="support '0110' is past the .*-digit limit"):
+        write_polynomial(poly, io.StringIO())
+
+
 def test_readers_take_signs_points_and_exponents():
     text = "4 4\n+2 1000\n-.5 0100\n5. 0010\n1e3 0001\n"
     got = read_polynomial(io.StringIO(text)).entries
