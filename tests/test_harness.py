@@ -153,6 +153,27 @@ def test_random_subset_is_uniform():
     assert all(850 <= k <= 1150 for k in counts.values()), counts
 
 
+def digitwise_bernoulli_mask(rng: SplitMix64, n: int, base: int) -> int:
+    """Reference for bernoulli_mask: one digit, one coordinate."""
+    k = max(j for j in range(1, 65) if base**j <= MAX_RANK)
+    mask = 0
+    for start in range(0, n, k):
+        r = min(k, n - start)
+        u = rng.below(base**r)
+        for j in range(r):
+            if (u // base**j) % base == 0:
+                mask |= 1 << (start + j)
+    return mask
+
+
+@given(st.integers(0, 300), st.integers(2, 9), st.integers(0, 2**64 - 1))
+def test_bernoulli_mask_matches_the_digitwise_reference(n, base, seed):
+    a, b = SplitMix64(seed), SplitMix64(seed)
+    assert bernoulli_mask(a, n, base) == digitwise_bernoulli_mask(b, n, base)
+    assert a.state == b.state
+    assert bernoulli_mask(a, n, base) < 1 << n
+
+
 def test_bernoulli_mask_determinism_and_guards():
     masks = [bernoulli_mask(SplitMix64(5), 1000, 3) for _ in range(2)]
     assert masks[0] == masks[1]
