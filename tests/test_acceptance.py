@@ -9,6 +9,7 @@ checks (criteria 3, 4) and the cancellation guardrail sweep (criterion 11).
 from __future__ import annotations
 
 import io
+import json
 import math
 import time
 from fractions import Fraction
@@ -42,13 +43,10 @@ from sparsemobius.reference import (
 )
 from sparsemobius.rng import SplitMix64
 
+import paper_counts
 from disjunct import verify_disjunct
+from paper_counts import GRID_DS, GRID_NS, GRID_SS, INSTANCES_PER_CELL
 from weights import integer_weights
-
-GRID_NS = (16, 32, 64, 128, 256)
-GRID_SS = (1, 4, 16)
-GRID_DS = (1, 2, 4)
-INSTANCES_PER_CELL = 100
 
 
 def _run(algorithm: str, truth: SparsePolynomial, d: int, transcript=None):
@@ -91,19 +89,9 @@ def _small_suite() -> tuple:
 
 @pytest.fixture(scope="module")
 def scaled_grid():
-    """Criterion-2 grid, run once; records feed criteria 3, 4, and 11."""
-    instances = [
-        (n, s, d)
-        for n in GRID_NS
-        for d in GRID_DS
-        for s in GRID_SS
-        for _ in range(INSTANCES_PER_CELL)
-    ]
-    cells = [
-        GridCell(algorithm, n, s, d, 1_000_000 + idx)
-        for idx, (n, s, d) in enumerate(instances)
-        for algorithm in ("pasmt", "fasmt", "hybrid")
-    ]
+    """Criterion-2 grid, run once; records feed criteria 3, 4, and 11
+    and the committed paper counts."""
+    cells = paper_counts.grid_cells()
     start = time.perf_counter()
     records = run_benchmark(cells)
     elapsed = time.perf_counter() - start
@@ -240,6 +228,35 @@ def test_scaled_grid_totals_are_pinned(scaled_grid):
         "fasmt": (251_660, 251_660),
     }
     assert sum(r.exact for r in scaled_grid["records"]) == 13_500
+
+
+def test_paper_counts_match_the_committed_file(scaled_grid):
+    """BENCH_paper.json holds the grid's counts as the fixture measured
+    them, and the scaling sweep's rows as they are rerun at n <= 1024; the
+    larger n are checked by `paper_counts.py --diff`."""
+    committed = json.loads(paper_counts.COUNTS.read_text(encoding="ascii"))
+    grid = paper_counts.grid_counts(scaled_grid["records"])
+    assert grid == {k: committed[k] for k in grid}
+    small = tuple(n for n in paper_counts.SWEEP_NS if n <= 1024)
+    keep = {f"n{n}-d{d}" for n in small for d in paper_counts.SWEEP_DS}
+    want = {
+        runner: {cell: row for cell, row in rows.items() if cell in keep}
+        for runner, rows in committed["sweep"].items()
+    }
+    assert paper_counts.sweep_rows(small) == want
+
+
+def test_paper_counts_diff_names_the_entries_that_moved():
+    committed = json.loads(paper_counts.COUNTS.read_text(encoding="ascii"))
+    moved = json.loads(json.dumps(committed))
+    moved["grid_nd"]["hybrid"]["n16-d1"][1] += 1
+    del moved["sweep"]["fasmt"]["n64-d2"]
+    assert paper_counts.diff_lines(committed, committed) == []
+    assert [line.split("\t")[:3] for line in paper_counts.diff_lines(committed, moved)] == [
+        ["grid_nd", "hybrid", "n16-d1"],
+        ["sweep", "fasmt", "n64-d2"],
+    ]
+    assert json.loads(paper_counts.format_counts(committed)) == committed
 
 
 def test_criterion_05_binary_splitting_recovery():
