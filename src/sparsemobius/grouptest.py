@@ -369,8 +369,11 @@ def list_design_width(n: int, d: int) -> int:
     when n <= 2d.  The answer is exact, so every platform builds the same
     design: ((N - D)/N)^b is carried as a floor and a ceiling in fixed
     point, a few small-integer steps per test whatever d is, and only a b
-    whose bounds straddle d/(n - d) is decided by the exact powers.
+    whose bounds straddle d/(n - d) is decided by the exact powers.  It
+    needs n >= 1 and d >= 1, as construct_list_disjunct does.
     """
+    if n < 1 or d < 1:
+        raise ParameterError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     if n <= 2 * d:
         return 0
     big, small = (d + 1) ** (d + 1), d**d
@@ -394,13 +397,9 @@ def construct_list_disjunct(n: int, d: int, seed: int) -> ListDesign:
     one SplitMix64(seed) stream, and the design keeps the seed.  Where
     n <= 2d the design has no tests, so its one candidate set is all n
     coordinates."""
-    if n < 1 or d < 1:
-        raise ParameterError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    width = list_design_width(n, d)
     rng = SplitMix64(seed)
-    columns = [
-        BitVector(n, bernoulli_mask(rng, n, d + 1))
-        for _ in range(list_design_width(n, d))
-    ]
+    columns = [BitVector(n, bernoulli_mask(rng, n, d + 1)) for _ in range(width)]
     return ListDesign(n, columns, seed)
 
 

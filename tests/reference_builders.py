@@ -6,6 +6,8 @@ bernoulli_mask decodes one base-`base` digit per Python step, _rs_concat
 evaluates each item's codeword one digit at a time at every point,
 unrank_subset finds each coordinate by bisection over binomials, and
 list_design_width multiplies out the exact powers one test at a time.
+list_design_stream draws a list design's columns one at a time, to any
+width.
 """
 
 from __future__ import annotations
@@ -117,3 +119,10 @@ def list_design_width(n: int, d: int) -> int:
         miss *= big - small
         total *= big
     return b
+
+
+def list_design_stream(n: int, d: int, seed: int, width: int) -> list[int]:
+    """The first width column masks of the SplitMix64(seed) stream a list
+    design over n coordinates at degree d draws, one bernoulli_mask each."""
+    rng = SplitMix64(seed)
+    return [bernoulli_mask(rng, n, d + 1) for _ in range(width)]

@@ -149,6 +149,17 @@ def test_list_design_widths_are_pinned(n, d):
     assert list_design_width(n, d) == WIDTHS[n, d] == ref.list_design_width(n, d)
 
 
+@settings(max_examples=100)
+@given(st.integers(1, 400), st.integers(1, 12), st.integers(0, 2**64 - 1), st.integers(0, 20))
+def test_list_design_is_a_prefix_of_its_column_stream(n, d, seed, extra):
+    # a design is the first list_design_width(n, d) columns of its seed's
+    # stream, so a design of another width is a prefix of this one or
+    # extends it
+    design = construct_list_disjunct(n, d, seed)
+    stream = ref.list_design_stream(n, d, seed, design.b + extra)
+    assert [c.mask for c in design.columns] == stream[: design.b]
+
+
 def test_list_design_width_at_large_d_is_cheap():
     # the exact powers reach millions of bits here: about 20 s of CPU
     start = time.process_time()

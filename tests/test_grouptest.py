@@ -455,6 +455,12 @@ def test_list_design_width_is_the_smallest_that_caps_the_expected_list():
     assert list_design_width(16384, 4) == 98
 
 
+@pytest.mark.parametrize("n, d", [(5, 0), (0, 1), (-3, 2)])
+def test_list_design_width_rejects_inputs_outside_its_domain(n, d):
+    with pytest.raises(ParameterError):
+        list_design_width(n, d)
+
+
 @settings(max_examples=60)
 @given(st.integers(2, 64), st.integers(0, 2**32), st.data())
 def test_list_decode_is_sound(n, seed, data):
