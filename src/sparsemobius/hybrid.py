@@ -3,7 +3,10 @@
 Phase 1 runs the breadth-first level loop against a randomized
 list-disjunct design: Bernoulli(1/(d+1)) cells, and the fewest tests,
 O(d log(n/d)), that keep a weight-d support's expected list of false
-candidates at most d long (grouptest.list_design_width).  Its surviving
+candidates at most d * max(1, floor(log2(n / 2d))) long
+(grouptest.list_design_width): phase 2 finishes a list that long in
+fewer queries, and on the acceptance grid in fewer rounds, than more
+phase-1 tests would spend shortening it.  Its surviving
 leaf buckets are not exactly decodable, but each one comes with a small
 candidate coordinate set, outside every test its label records a 0 at,
 guaranteed to contain the support of every coefficient in the bucket.

@@ -108,13 +108,18 @@ def _rs_concat(n: int, q: int, m: int, points: int) -> TestMatrix:
 
 
 def list_design_width(n: int, d: int) -> int:
-    """The smallest b >= 0 with (n - d) * (N - D)^b <= d * N^b, where
-    N = (d+1)^(d+1) and D = d^d, by exact powers: the operands grow by
-    about (d+1) log2(d+1) bits per test."""
+    """The smallest b >= 0 with (n - d) * (N - D)^b <= L * N^b, where
+    N = (d+1)^(d+1), D = d^d and L = d * max(1, floor(log2(n / 2d))), by
+    exact powers: the operands grow by about (d+1) log2(d+1) bits per
+    test.  floor(log2(n / 2d)) is the largest k with 2d * 2^k <= n."""
+    k = 0
+    while 2 * d << (k + 1) <= n:
+        k += 1
+    cap = d * max(1, k)
     big, small = (d + 1) ** (d + 1), d**d
     b = 0
     miss = total = 1
-    while (n - d) * miss > d * total:
+    while (n - d) * miss > cap * total:
         b += 1
         miss *= big - small
         total *= big

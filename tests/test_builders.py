@@ -136,11 +136,11 @@ def test_list_design_width_decides_straddled_bounds_exactly(n, d, guard):
 # list-design widths at every (n, d) the benchmark, the golden runs and the
 # acceptance grid build a list design at
 WIDTHS = {
-    (1, 1): 0, (16, 1): 10, (16, 2): 13, (16, 4): 13, (20, 3): 16,
-    (32, 1): 12, (32, 2): 17, (32, 4): 23, (50, 4): 29, (64, 1): 15,
-    (64, 2): 22, (64, 4): 32, (100, 3): 32, (128, 1): 17, (128, 2): 26,
-    (128, 4): 41, (256, 1): 20, (256, 2): 31, (256, 4): 49, (1024, 4): 65,
-    (2048, 4): 73, (4096, 4): 82,
+    (1, 1): 0, (16, 1): 6, (16, 2): 8, (16, 4): 13, (20, 3): 16,
+    (32, 1): 8, (32, 2): 11, (32, 4): 15, (50, 4): 21, (64, 1): 9,
+    (64, 2): 13, (64, 4): 19, (100, 3): 19, (128, 1): 11, (128, 2): 16,
+    (128, 4): 24, (256, 1): 13, (256, 2): 20, (256, 4): 30, (1024, 4): 43,
+    (2048, 4): 49, (4096, 4): 56,
 }
 
 
@@ -161,9 +161,9 @@ def test_list_design_is_a_prefix_of_its_column_stream(n, d, seed, extra):
 
 
 def test_list_design_width_at_large_d_is_cheap():
-    # the exact powers reach millions of bits here: about 20 s of CPU
+    # the exact powers reach millions of bits here: about 5 s of CPU
     start = time.process_time()
-    assert list_design_width(4096, 256) == 1887
+    assert list_design_width(4096, 256) == 1122
     assert time.process_time() - start < 1.0
 
 
@@ -181,31 +181,33 @@ def instance_digest(poly: SparsePolynomial) -> str:
 # list design seeded 40000 + 97n + d as the runners seed it; the disjunct
 # designs are the Reed-Solomon codes at the Kautz-Singleton point count.
 # The list designs draw base-(d + 1) words: base 2 rejects no word, base 3
-# rejects 34 % and base 5 19 %
+# rejects 34 % and base 5 19 %.  Each list design is the first b columns of
+# the one its seed drew at the wider width of the cap-d rule, whose digest
+# was the one pinned before it
 DESIGNS = {
     (1024, 4): (
         99, "5eeb0912038a69fbee510841ff480cbbdaa76784dc64eecc021afd9a91752cf1",
-        65, "5bdd82c5b43bfa50326bdac103b37e41adfef0ec9f802bf8ed26329014547ab4",
+        43, "6ebdf90472c4c2f804cf75f3060d36603668d9a1c0e6c828e93b9ff6395bc8c6",
     ),
     (2048, 4): (
         117, "a30976a194e117fac4b4cfdbe472a76b0c1fdb843c0533e3e1d354dc657df6f0",
-        73, "4e39b2863d0ab45050fdb36e3cdfcd0529efa063793c30979e0a302ef700708c",
+        49, "8c253b59cf5c6088c77ceb7a39d4d794b784a63d863925c0f4e8bf9fcb934715",
     ),
     (4096, 1): (
         24, "437f2de50ea50d097fbbdaeb271d637e64b03d34906c2b5ccbae86776cc52bef",
-        29, "246c37e95f703d3df00706e0cf8327798c276c6bb321950eb5fea7e2eb2ebc2c",
+        21, "5451520dbccb5af84b6ea742aa89916d114bf3ae4c6f64ee750096ec7bc1a061",
     ),
     (4096, 2): (
         77, "2fc4ce40c25deb5d3f8b366c17c9954fef361d04664cea25f6065c416077426e",
-        48, "183b0e117bd2e7cf27b954c8340fadc487a2e0774cfb5807a0f69684a6733cb5",
+        34, "b172e673ac9dfbbb325514930b97d30399879eb7352c923f6cb633b14bd5ea70",
     ),
     (4096, 4): (
         153, "9848ee4ec27f8803485c418a1a015f1311915988b4eb93feb7ebc420f8098d9c",
-        82, "5308d5a5ff0513f999ca25813b2200878dcc8eaaf78660383c6f6d1ee27a6c9b",
+        56, "e65e5cf4658a4b10ea1585a3d2c108c3a7e630b85f93df7cd697363511808431",
     ),
     (4096, 16): (
         1139, "86b00e9fe50e5af9611ce4fc8588e559478eb21722155aeb6a48ce52d5b92c88",
-        246, "61dd1abff18bbbd70c1910cd04b490f18a33c25287e43142fb5d992832809d50",
+        160, "6600449250976336efb9041968e2edcf3a0b7ce3b31cc335a76b69a61aa769ce",
     ),
 }
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import pytest
@@ -431,8 +432,9 @@ def test_list_design_shape():
     assert design.seed == 11
     assert design == TestMatrix(32, design.columns)
     assert design.n == 32
-    # smallest b with (32 - 3) * (4^4 - 3^3)^b <= 3 * (4^4)^b
-    assert design.b == 21
+    # smallest b with (32 - 3) * (4^4 - 3^3)^b <= 6 * (4^4)^b, where
+    # 6 = 3 * floor(log2(32 / 6))
+    assert design.b == 15
     # n <= 2d: no tests, so the one candidate set is every coordinate
     for n, d in ((1, 1), (8, 8), (8, 4), (3, 9)):
         design = construct_list_disjunct(n, d, seed=0)
@@ -446,13 +448,14 @@ def test_list_design_width_is_the_smallest_that_caps_the_expected_list():
     for n in range(1, 601):
         for d in range(1, 9):
             big, small = (d + 1) ** (d + 1), d**d
+            cap = d * max(1, math.floor(math.log2(n / (2 * d))))
             b = list_design_width(n, d)
             assert (b == 0) == (n <= 2 * d), (n, d)
-            assert (n - d) * (big - small) ** b <= d * big**b, (n, d)
+            assert (n - d) * (big - small) ** b <= cap * big**b, (n, d)
             if b > 0:
-                assert (n - d) * (big - small) ** (b - 1) > d * big ** (b - 1), (n, d)
-    assert list_design_width(256, 2) == 31
-    assert list_design_width(16384, 4) == 98
+                assert (n - d) * (big - small) ** (b - 1) > cap * big ** (b - 1), (n, d)
+    assert list_design_width(256, 2) == 20
+    assert list_design_width(16384, 4) == 70
 
 
 @pytest.mark.parametrize("n, d", [(5, 0), (0, 1), (-3, 2)])
