@@ -91,19 +91,19 @@ def sweep_rows(ns: Sequence[int] = SWEEP_NS) -> dict:
     rows = {a: {} for a in ALGORITHMS}
     for (algorithm, n, d), recs in runs.items():
         log = math.log2(n / d)
-
-        def mean(values) -> float:
-            return round(math.fsum(values) / len(recs), DIGITS)
-
         rows[algorithm][f"n{n}-d{d}"] = {
             "queries": sum(r.queries for r in recs),
             "rounds": sum(r.rounds for r in recs),
             "exact": sum(r.exact for r in recs),
-            "queries_per_sd_log": mean(r.queries / (r.s_actual * d * log) for r in recs),
-            "rounds_per_d2_log": mean(r.rounds / (d * d * log) for r in recs),
-            "optimality_ratio": mean(r.optimality_ratio for r in recs),
+            "queries_per_sd_log": _mean([r.queries / (r.s_actual * d * log) for r in recs]),
+            "rounds_per_d2_log": _mean([r.rounds / (d * d * log) for r in recs]),
+            "optimality_ratio": _mean([r.optimality_ratio for r in recs]),
         }
     return rows
+
+
+def _mean(values: list[float]) -> float:
+    return round(math.fsum(values) / len(values), DIGITS)
 
 
 def record() -> dict:

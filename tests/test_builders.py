@@ -181,9 +181,7 @@ def instance_digest(poly: SparsePolynomial) -> str:
 # list design seeded 40000 + 97n + d as the runners seed it; the disjunct
 # designs are the Reed-Solomon codes at the Kautz-Singleton point count.
 # The list designs draw base-(d + 1) words: base 2 rejects no word, base 3
-# rejects 34 % and base 5 19 %.  Each list design is the first b columns of
-# the one its seed drew at the wider width of the cap-d rule, whose digest
-# was the one pinned before it
+# rejects 34 % and base 5 19 %
 DESIGNS = {
     (1024, 4): (
         99, "5eeb0912038a69fbee510841ff480cbbdaa76784dc64eecc021afd9a91752cf1",
