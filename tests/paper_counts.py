@@ -1,6 +1,6 @@
-"""The paper's counts: queries and rounds per runner on fixed instance sets.
+"""The paper's counts and the runners' golden runs, on fixed instance sets.
 
-Two sets are recorded, with no times, so the file changes only when a
+Three sets are recorded, with no times, so the file changes only when a
 runner's behaviour does:
 
 - the acceptance grid, 100 instances per (n, s, d) cell over
@@ -10,7 +10,10 @@ runner's behaviour does:
   and d in SWEEP_DS, as totals over the seeds, the number of exact runs,
   and the seed means of queries / (s*d*log2(n/d)), rounds /
   (d^2*log2(n/d)) and harness.optimality_ratio, with s the instance's
-  actual sparsity.
+  actual sparsity;
+- the golden runs, 36 seeded instances (instances()), as each runner's
+  recovered map, query and round counts, and the SHA-256 of its
+  transcript, so a refactor that changes no behaviour moves none of them.
 
 Regenerate the committed file only when a behaviour change is intended:
 
@@ -24,13 +27,29 @@ differs, 0 otherwise):
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import math
 import sys
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from sparsemobius.harness import ALGORITHMS, BenchRecord, GridCell, run_benchmark
+from sparsemobius.core import BitVector
+from sparsemobius.fasmt import fasmt_run
+from sparsemobius.harness import (
+    ALGORITHMS,
+    BenchRecord,
+    GridCell,
+    generate_synthetic,
+    run_benchmark,
+    runner_design,
+)
+from sparsemobius.hybrid import hybrid_run
+from sparsemobius.oracle import CountingOracle, SparsePolynomial, SparsePolyOracle
+from sparsemobius.pasmt import pasmt_run
+
+from weights import integer_weights
 
 COUNTS = Path(__file__).resolve().parent.parent / "BENCH_paper.json"
 
@@ -45,10 +64,12 @@ SWEEP_S = 16
 SWEEP_SEEDS = range(5)
 DIGITS = 4  # decimal places kept of each sweep ratio
 
+HYBRID_SEED = 2024
+
 
 def grid_cells() -> list[GridCell]:
     """The acceptance grid, each instance under every runner in turn."""
-    instances = [
+    shapes = [
         (n, s, d)
         for n in GRID_NS
         for d in GRID_DS
@@ -57,7 +78,7 @@ def grid_cells() -> list[GridCell]:
     ]
     return [
         GridCell(algorithm, n, s, d, 1_000_000 + idx)
-        for idx, (n, s, d) in enumerate(instances)
+        for idx, (n, s, d) in enumerate(shapes)
         for algorithm in ALGORITHMS
     ]
 
@@ -106,8 +127,77 @@ def _mean(values: list[float]) -> float:
     return round(math.fsum(values) / len(values), DIGITS)
 
 
+def instances() -> list[tuple[str, SparsePolynomial, int, float]]:
+    """(name, truth, d, tau) for every golden instance."""
+    cases = []
+    seed = 500
+    for n in (16, 64, 256):
+        for s in (1, 4, 16):
+            for d in (1, 2, 4):
+                seed += 1
+                truth = generate_synthetic(n, s, d, seed=seed)
+                cases.append((f"n{n}-s{s}-d{d}-seed{seed}", truth, d, 1e-9))
+    for n, s, d in ((20, 6, 3), (50, 16, 4), (100, 8, 3)):
+        # n not a multiple of d: the splitting tree's blocks differ in size
+        seed += 1
+        truth = generate_synthetic(n, s, d, seed=seed)
+        cases.append((f"n{n}-s{s}-d{d}-seed{seed}", truth, d, 1e-9))
+    # integer weights, recovered in exact arithmetic at tau = 0: signed ones,
+    # and positive ones drawn as the benchmark's integer workload draws them
+    drawn = generate_synthetic(64, 16, 2, seed=901, weight_lo=-8.0, weight_hi=8.0)
+    signed = {k: int(v) or 9 for k, v in drawn.entries.items()}
+    cases.append(("int-signed-n64-s16-d2-seed901", SparsePolynomial(64, signed), 2, 0.0))
+    positive = integer_weights(generate_synthetic(256, 16, 4, seed=902))
+    cases.append(("int-n256-s16-d4-seed902", positive, 4, 0.0))
+    truth = SparsePolynomial(1, {BitVector(1, 1): 1.5, BitVector(1, 0): -0.25})
+    cases.append(("n1-two-terms", truth, 1, 1e-9))
+    for n in (1024, 2048):
+        # the benchmark's wide_n regime: long rows, few live buckets
+        seed += 1
+        truth = generate_synthetic(n, 8, 4, seed=seed)
+        cases.append((f"n{n}-s8-d4-seed{seed}", truth, 4, 1e-9))
+    # the benchmark's dense_int shape: many live buckets per level
+    positive = integer_weights(generate_synthetic(256, 64, 2, seed=903))
+    cases.append(("int-n256-s64-d2-seed903", positive, 2, 0.0))
+    return cases
+
+
+def run_one(runner: str, truth: SparsePolynomial, d: int, tau: float) -> dict:
+    n = truth.n
+    f = CountingOracle(SparsePolyOracle(truth))
+    sink = io.StringIO()
+    if runner == "pasmt":
+        got = pasmt_run(f, runner_design("pasmt", n, d), d, tau, transcript=sink)
+    elif runner == "fasmt":
+        got = fasmt_run(f, n, d, tau, transcript=sink)
+    else:
+        got = hybrid_run(f, n, d, HYBRID_SEED, tau, transcript=sink)
+    return {
+        "map": sorted([k.mask, repr(v)] for k, v in got.entries.items()),
+        "queries": f.query_count,
+        "rounds": f.round_count,
+        "transcript_sha256": hashlib.sha256(sink.getvalue().encode("ascii")).hexdigest(),
+    }
+
+
 def record() -> dict:
-    return grid_counts(run_benchmark(grid_cells())) | {"sweep": sweep_rows()}
+    cases = instances()
+    golden = {
+        runner: {name: run_one(runner, truth, d, tau) for name, truth, d, tau in cases}
+        for runner in ALGORITHMS
+    }
+    return grid_counts(run_benchmark(grid_cells())) | {"sweep": sweep_rows(), "golden": golden}
+
+
+def _moved(want, got) -> str:
+    """old -> new, or for a dict entry each field that moved, old -> new if numeric."""
+    if want is None or got is None:
+        return "not recorded" if want is None else "no longer run"
+    if not isinstance(want, dict):
+        return f"{want} -> {got}"
+    fields = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+    numeric = {k for k in fields if isinstance(want.get(k), (int, float))}
+    return ", ".join(f"{k} {want.get(k)} -> {got.get(k)}" if k in numeric else k for k in fields)
 
 
 def diff_lines(committed: dict, current: dict) -> list[str]:
@@ -117,14 +207,22 @@ def diff_lines(committed: dict, current: dict) -> list[str]:
         for runner in ALGORITHMS:
             want = committed.get(section, {}).get(runner, {})
             got = current.get(section, {}).get(runner, {})
-            for cell in list(want) + [c for c in got if c not in want]:
+            for cell in want.keys() | got.keys():
                 if want.get(cell) != got.get(cell):
-                    lines.append(f"{section}\t{runner}\t{cell}\t{want.get(cell)} -> {got.get(cell)}")
+                    change = _moved(want.get(cell), got.get(cell))
+                    lines.append(f"{section}\t{runner}\t{cell}\t{change}")
     return sorted(lines)
 
 
 def entry_count(counts: dict) -> int:
     return sum(len(cells) for runners in counts.values() for cells in runners.values())
+
+
+def report_diff(committed: dict, current: dict) -> int:
+    """Print the entries that differ and their count; 1 if any differ, else 0."""
+    lines = diff_lines(committed, current)
+    print("\n".join(lines + [f"{len(lines)} of {entry_count(current)} entries differ from {COUNTS.name}"]))
+    return 1 if lines else 0
 
 
 def format_counts(counts: dict) -> str:
@@ -142,8 +240,6 @@ def format_counts(counts: dict) -> str:
 if __name__ == "__main__":
     current = record()
     if sys.argv[1:] == ["--diff"]:
-        lines = diff_lines(json.loads(COUNTS.read_text(encoding="ascii")), current)
-        print("\n".join(lines + [f"{len(lines)} of {entry_count(current)} entries differ from {COUNTS.name}"]))
-        sys.exit(1 if lines else 0)
+        sys.exit(report_diff(json.loads(COUNTS.read_text(encoding="ascii")), current))
     else:
         print(format_counts(current))

@@ -4,6 +4,8 @@ Each criterion is a single test function so that ``pytest -v`` prints one
 pass/fail line per criterion.  The scaled grid (criterion 2) is run once in
 a module fixture and its per-run records feed the budget and envelope
 checks (criteria 3, 4) and the cancellation guardrail sweep (criterion 11).
+The same records are checked against the committed BENCH_paper.json, whose
+golden runs each runner must reproduce (tests/paper_counts.py writes it).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from sparsemobius.grouptest import (
     gbsa_test_budget,
 )
 from sparsemobius.harness import (
+    ALGORITHMS,
     GridCell,
     generate_synthetic,
     lower_bound,
@@ -205,10 +208,8 @@ def test_criterion_04_breadth_first_envelope_and_rounds(scaled_grid):
 def test_hybrid_trades_between_the_other_runners(scaled_grid):
     """On the criterion-2 grid totals, hybrid makes fewer queries and needs
     fewer rounds than pasmt, and needs fewer rounds than fasmt."""
-    totals = {}
-    for r in scaled_grid["records"]:
-        queries, rounds = totals.get(r.algorithm, (0, 0))
-        totals[r.algorithm] = (queries + r.queries, rounds + r.rounds)
+    cells = paper_counts.grid_counts(scaled_grid["records"])["grid_nd"]
+    totals = {a: [sum(column) for column in zip(*cells[a].values())] for a in cells}
     assert totals["hybrid"][0] < totals["pasmt"][0], totals
     assert totals["hybrid"][1] < totals["pasmt"][1], totals
     assert totals["hybrid"][1] < totals["fasmt"][1], totals
@@ -224,41 +225,26 @@ HYBRID_LOSES_TO_PASMT = {
 def test_hybrid_loses_to_pasmt_only_in_known_cells(scaled_grid):
     """Per (n, d) cell, hybrid's totals exceed pasmt's in no cell outside
     HYBRID_LOSES_TO_PASMT."""
-    totals = {}
-    for r in scaled_grid["records"]:
-        key = (r.algorithm, r.n, r.d)
-        queries, rounds = totals.get(key, (0, 0))
-        totals[key] = (queries + r.queries, rounds + r.rounds)
+    cells = paper_counts.grid_counts(scaled_grid["records"])["grid_nd"]
     losing = {
         (n, d)
         for n in GRID_NS
         for d in GRID_DS
-        if any(h > p for h, p in zip(totals["hybrid", n, d], totals["pasmt", n, d]))
+        if any(h > p for h, p in zip(cells["hybrid"][f"n{n}-d{d}"], cells["pasmt"][f"n{n}-d{d}"]))
     }
     assert losing <= HYBRID_LOSES_TO_PASMT, sorted(losing - HYBRID_LOSES_TO_PASMT)
 
 
-def test_scaled_grid_totals_are_pinned(scaled_grid):
-    """The criterion-2 grid's query and round totals per runner, so a
-    refactor that moves a count fails here; a change that moves them on
-    purpose updates these numbers and says so."""
-    totals = {}
-    for r in scaled_grid["records"]:
-        queries, rounds = totals.get(r.algorithm, (0, 0))
-        totals[r.algorithm] = (queries + r.queries, rounds + r.rounds)
-    assert totals == {
-        "pasmt": (760_030, 137_700),
-        "hybrid": (496_491, 117_776),
-        "fasmt": (251_660, 251_660),
-    }
-    assert sum(r.exact for r in scaled_grid["records"]) == 13_500
+@pytest.fixture(scope="module")
+def committed() -> dict:
+    """BENCH_paper.json as committed."""
+    return json.loads(paper_counts.COUNTS.read_text(encoding="ascii"))
 
 
-def test_paper_counts_match_the_committed_file(scaled_grid):
+def test_paper_counts_match_the_committed_file(scaled_grid, committed):
     """BENCH_paper.json holds the grid's counts as the fixture measured
     them, and the scaling sweep's rows as they are rerun at n <= 1024; the
     larger n are checked by `paper_counts.py --diff`."""
-    committed = json.loads(paper_counts.COUNTS.read_text(encoding="ascii"))
     grid = paper_counts.grid_counts(scaled_grid["records"])
     assert grid == {k: committed[k] for k in grid}
     small = tuple(n for n in paper_counts.SWEEP_NS if n <= 1024)
@@ -270,17 +256,59 @@ def test_paper_counts_match_the_committed_file(scaled_grid):
     assert paper_counts.sweep_rows(small) == want
 
 
-def test_paper_counts_diff_names_the_entries_that_moved():
-    committed = json.loads(paper_counts.COUNTS.read_text(encoding="ascii"))
+def test_golden_instance_set_matches_recording(committed):
+    names = [name for name, *_ in paper_counts.instances()]
+    assert all(list(committed["golden"][runner]) == names for runner in ALGORITHMS)
+
+
+@pytest.mark.parametrize("runner", ALGORITHMS)
+def test_runner_reproduces_golden_runs(runner, committed):
+    for name, truth, d, tau in paper_counts.instances():
+        assert paper_counts.run_one(runner, truth, d, tau) == committed["golden"][runner][name], name
+
+
+def test_runners_agree_on_every_golden_map(committed):
+    # integer instances run at tau = 0 and must agree exactly
+    for name, _, _, tau in paper_counts.instances():
+        maps = [dict(committed["golden"][runner][name]["map"]) for runner in ALGORITHMS]
+        assert all(m.keys() == maps[0].keys() for m in maps), name
+        for mask, value in maps[0].items():
+            for other in maps[1:]:
+                if tau == 0.0:
+                    assert other[mask] == value, name
+                else:
+                    assert abs(float(other[mask]) - float(value)) <= 1e-9, name
+
+
+def test_paper_counts_diff_names_the_entries_that_moved(committed):
+    name = next(iter(committed["golden"]["hybrid"]))
+    queries = committed["golden"]["hybrid"][name]["queries"]
+    cell_queries, cell_rounds = committed["grid_nd"]["hybrid"]["n16-d1"]
     moved = json.loads(json.dumps(committed))
+    moved["golden"]["hybrid"][name]["queries"] += 1
+    moved["golden"]["hybrid"][name]["transcript_sha256"] = "0" * 64
+    del moved["golden"]["fasmt"][name]
     moved["grid_nd"]["hybrid"]["n16-d1"][1] += 1
     del moved["sweep"]["fasmt"]["n64-d2"]
     assert paper_counts.diff_lines(committed, committed) == []
-    assert [line.split("\t")[:3] for line in paper_counts.diff_lines(committed, moved)] == [
-        ["grid_nd", "hybrid", "n16-d1"],
-        ["sweep", "fasmt", "n64-d2"],
+    assert paper_counts.diff_lines(committed, moved) == [
+        f"golden\tfasmt\t{name}\tno longer run",
+        f"golden\thybrid\t{name}\tqueries {queries} -> {queries + 1}, transcript_sha256",
+        f"grid_nd\thybrid\tn16-d1\t[{cell_queries}, {cell_rounds}] -> [{cell_queries}, {cell_rounds + 1}]",
+        "sweep\tfasmt\tn64-d2\tno longer run",
     ]
     assert json.loads(paper_counts.format_counts(committed)) == committed
+
+
+def test_paper_counts_diff_exit_status(committed, capsys):
+    moved = json.loads(json.dumps(committed))
+    moved["golden"]["pasmt"][next(iter(committed["golden"]["pasmt"]))]["rounds"] += 1
+    moved["grid_nsd"]["fasmt"]["n16-s1-d1"][0] += 1
+    tail = f"of {paper_counts.entry_count(committed)} entries differ from {paper_counts.COUNTS.name}\n"
+    assert paper_counts.report_diff(committed, committed) == 0
+    assert capsys.readouterr().out == f"0 {tail}"
+    assert paper_counts.report_diff(committed, moved) == 1
+    assert capsys.readouterr().out.endswith(f"\n2 {tail}")
 
 
 def test_criterion_05_binary_splitting_recovery():

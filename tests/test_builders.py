@@ -5,8 +5,8 @@ list_design_width as they were before they read several digits per step
 or bounded their powers in fixed point, so each current builder is
 compared with its reference draw for draw, and the bulk draw behind
 bernoulli_mask with successive rng.below calls; the digests below pin the
-designs and instances at the benchmark's sizes, which the golden runs
-(n <= 256) do not reach.
+designs and instances at the benchmark's sizes, which BENCH_paper.json's
+golden runs reach only at (1024, 4) and (2048, 4), with other seeds.
 """
 
 from __future__ import annotations
@@ -133,8 +133,8 @@ def test_list_design_width_decides_straddled_bounds_exactly(n, d, guard):
         grouptest._WIDTH_GUARD_BITS = saved
 
 
-# list-design widths at every (n, d) the benchmark, the golden runs and the
-# acceptance grid build a list design at
+# list-design widths at every (n, d) the benchmark, and the golden runs and
+# acceptance grid recorded in BENCH_paper.json, build a list design at
 WIDTHS = {
     (1, 1): 0, (16, 1): 6, (16, 2): 8, (16, 4): 13, (20, 3): 16,
     (32, 1): 8, (32, 2): 11, (32, 4): 15, (50, 4): 21, (64, 1): 9,
