@@ -45,7 +45,11 @@ label lies below its own finishes, so running buckets are pairwise
 incomparable and none of their coefficients lies below another's query
 points.  A search running alone is driven with single evaluations: no
 other bucket can start before it finishes, and each evaluation is one query
-and one round, as a batch of one is, so the counts do not change.
+and one round, as a batch of one is, so the counts do not change.  A
+caller may have small leaves probed instead (hybrid does): such a leaf
+asks its candidate set minus each of its coordinates, all in the round
+it starts, and is done in that round when the residuals show a single
+coefficient (see depth_first_search).
 
 This runner feeds the engine the level loop run over no tests: the root
 query, then a single bucket over all n coordinates, so every query is its
@@ -190,12 +194,35 @@ def _search(
                 remaining = 0
 
 
+def _overflow(label: Label, free: int, present: int, d: int) -> ReconstructionError:
+    """The degree overflow of a probe whose outcomes imply more than d
+    defectives.  Its label is the leaf's, extended by one outcome per
+    probed coordinate in ascending order (1 where the coordinate is in the
+    support), up to the (d+1)-th defective, as a search names the child
+    its overflowing outcome led to."""
+    asked = free & ((1 << _lowest(present, d + 1).bit_length()) - 1)
+    length, mask = label.n, label.mask
+    while asked:
+        j = asked & -asked
+        asked ^= j
+        if j & present:
+            mask |= 1 << length
+        length += 1
+    label = Label(length, mask)
+    return ReconstructionError(
+        f"degree overflow at bucket {label.to01()!r}: "
+        f"outcomes imply more than d={d} defectives",
+        label=label,
+    )
+
+
 def depth_first_search(
     f: CountingOracle,
     buckets: Sequence[tuple[Label, float, int, Sequence[int]]],
     d: int,
     tau: float,
     transcript: TextIO | None = None,
+    probe: int = 0,
 ) -> dict[BitVector, float]:
     """Finish buckets by splitting searches, one batched round per step.
 
@@ -215,14 +242,34 @@ def depth_first_search(
     label of the bucket where the tree ran out.  A tau that is negative or
     not finite raises ParameterError, and a candidate set outside the n
     coordinates DimensionError, before any query.
+
+    probe > 0 finishes small leaves in one round, the second stage of the
+    two-stage group-testing scheme (De Bonis, Gasieniec and Vaccaro, SIAM
+    J. Comput. 2005; Indyk, Ngo and Rudra, SODA 2010).  A bucket whose
+    label has at least one outcome and whose candidate set C holds 1 to
+    probe coordinates asks C minus {j} for every j in C, in the round it
+    starts, and takes each residual through split_bin.  If every residual
+    is 0 (j is in the support) or the bucket's sum v (j is not), the
+    bucket holds one coefficient, and its support is recorded with value
+    v: |C| queries in one round, not |C| rounds.  Otherwise several
+    coefficients share the bucket: it drops from C the coordinates whose
+    residual was v and is searched over the rest, starting in the next
+    round.  Probe lines carry the bucket's label in the transcript.  A
+    probe whose outcomes imply more than d defectives raises the degree
+    overflow, labelled as _overflow says.  With probe 0, as fasmt runs
+    it, no bucket is probed.  hybrid probes at 8d, the cap a sweep over
+    the acceptance grid chose (its table is in the hybrid module: 6d
+    costs rounds, 10d queries).  The probe is handled here, beside the
+    running searches, so a search still yields one point per round.
     """
     check_tau(tau)
-    full = (1 << f.n) - 1
+    n = f.n
+    full = (1 << n) - 1
     waiting = []
     dependents: list[list[int]] = [[] for _ in buckets]
     for i, bucket in enumerate(buckets):
         if not 0 <= bucket[2] <= full:
-            raise DimensionError(f"bucket {i} has a candidate set outside n={f.n} coordinates")
+            raise DimensionError(f"bucket {i} has a candidate set outside n={n} coordinates")
         for j in bucket[3]:
             if not 0 <= j < i:
                 raise ParameterError(f"bucket {i} must list earlier buckets only")
@@ -239,11 +286,34 @@ def depth_first_search(
 
     searches: list[tuple[int, Generator[BitVector, float, None]]] = []
     xs: list[BitVector] = []
+    # this round's probes: bucket index, label, sum, candidate set,
+    # residual list and the points C minus {j}, j ascending
+    probes: list[tuple[int, Label, float, int, list[tuple[int, float]], list[BitVector]]] = []
+    # a failed probe's bucket over its narrowed candidate set, searched
+    # once the loop starts bucket i again
+    narrowed: dict[int, tuple[Label, float, int, Sequence[int]]] = {}
     while True:
         # the loop also starts the buckets that a bucket needing no query
         # releases
         for i in ready:
-            search = _search(f.n, d, tau, buckets[i], found, transcript)
+            bucket = buckets[i]
+            label, value, free, _ = bucket
+            if i in narrowed:
+                bucket = narrowed.pop(i)
+            elif probe and label.n and 0 < free.bit_count() <= probe and abs(value) > tau:
+                points = []
+                rest = free
+                while rest:
+                    j = rest & -rest
+                    rest ^= j
+                    x = _new(BitVector)
+                    x.n = n
+                    x.mask = free ^ j
+                    points.append(x)
+                residual = [pair for pair in found.items() if pair[0] & free == pair[0]]
+                probes.append((i, label, value, free, residual, points))
+                continue
+            search = _search(n, d, tau, bucket, found, transcript)
             try:
                 xs.append(next(search))
             except StopIteration:
@@ -251,7 +321,7 @@ def depth_first_search(
             else:
                 searches.append((i, search))
         ready.clear()
-        if len(searches) == 1:
+        if len(searches) == 1 and not probes:
             i, search = searches[0]
             send, evaluate, x = search.send, f.eval, xs[0]
             try:
@@ -261,9 +331,9 @@ def depth_first_search(
                 finish(i)
             searches, xs = [], []
             continue
-        if not searches:
+        if not searches and not probes:
             break
-        raws = f.batch_eval(xs)
+        raws = f.batch_eval(xs + [x for *_, points in probes for x in points])
         still, xs = [], []
         for (i, search), raw in zip(searches, raws):
             try:
@@ -272,8 +342,33 @@ def depth_first_search(
                 finish(i)
             else:
                 still.append((i, search))
+        at = len(searches)
         searches = still
-    return {BitVector(f.n, k): v for k, v in found.items()}
+        for i, label, value, free, residual, points in probes:
+            present = absent = 0
+            for x in points:
+                v0, v1, _ = split_bin(value, x, raws[at], residual)
+                at += 1
+                if transcript is not None:
+                    log_query(transcript, label, x, v0)
+                if abs(v1) <= tau:
+                    absent |= free ^ x.mask
+                elif abs(v0) <= tau:
+                    present |= free ^ x.mask
+            if present | absent != free:
+                narrowed[i] = (label, value, free ^ absent, ())
+                ready.append(i)
+                continue
+            if present.bit_count() > d:
+                raise _overflow(label, free, present, d)
+            if present in found:
+                raise ReconstructionError(
+                    f"support {BitVector(n, present).to01()!r} decoded twice", label=label
+                )
+            found[present] = value
+            finish(i)
+        probes.clear()
+    return {BitVector(n, k): v for k, v in found.items()}
 
 
 def fasmt_run(

@@ -359,26 +359,36 @@ class ListDesign(TestMatrix):
 
 
 def list_design_width(n: int, d: int) -> int:
-    """The smallest b >= 0 with (n - d) * (N - D)^b <= L * N^b, where
-    N = (d+1)^(d+1), D = d^d and L = d * max(1, floor(log2(n / 2d))).
+    """0 where n <= 2d, else the smallest b >= 1 with
+    2 (n - d) (N - D)^b <= 3 L N^b, where N = (d+1)^(d+1), D = d^d and
+    L = d * max(1, floor(log2(n / 2d))).
 
     With cells Bernoulli(p), p = 1/(d+1), a test drops a coordinate outside
     a weight-<= d support with probability at least p(1-p)^d = D/N, so b
     tests leave at most (n - d)(1 - D/N)^b false candidates in expectation,
-    and this width caps that at L: O(d log(n/d)) tests, and none exactly
-    when n <= 2d.  L is the list length that phase 2 of hybrid finishes
-    more cheaply than phase 1 would shorten it.  A sweep over the
-    acceptance grid (n 16-256, s 1-16, d 1-4, 100 instances per cell) set
-    it: capping at d left phase 1 splitting buckets of at most d
-    candidates; a constant 4d cut queries further but raised the rounds
-    where n/d is small ((16, 4) from 8,520 to 15,171), and 6d or 8d raised
-    the grid's total rounds above pasmt's.  The list length that minimises
-    rounds grows with n/d, and the log rule follows it.
+    and this width caps that at 3L/2: O(d log(n/d)) tests, none exactly
+    when n <= 2d, and at least one above it, so every leaf label has an
+    outcome and hybrid's phase 2 may probe the leaf.  L is the list length
+    that phase 2 of hybrid finishes more cheaply than phase 1 would shorten
+    it.  A sweep over the acceptance grid (n 16-256, s 1-16, d 1-4, 100
+    instances per cell) set it, with phase 2 searching every leaf: capping
+    at d left phase 1 splitting buckets of at most d candidates; a
+    constant 4d cut queries further but raised the rounds where n/d is
+    small ((16, 4) from 8,520 to 15,171), and 6d or 8d raised the grid's
+    total rounds above pasmt's.  The list length that minimises rounds
+    grows with n/d, and the log rule follows it.  Once phase 2 finishes a
+    leaf of at most 8d candidates in one round (depth_first_search's
+    probe), a longer list costs fewer queries in phase 1 and few rounds in
+    phase 2.  A sweep of the factor on the same grid (every run exact)
+    gave hybrid's queries / rounds: L 513,917 / 88,875, 5L/4 492,644 /
+    86,446, 3L/2 484,418 / 85,992 and 2L 468,608 / 91,455, so 3L/2 takes
+    the fewest rounds; the probe cap was swept with it (see
+    fasmt.depth_first_search).
 
     The answer is exact, so every platform builds the same design:
     ((N - D)/N)^b is carried as a floor and a ceiling in fixed point, a
     few small-integer steps per test whatever d is, and only a b whose
-    bounds straddle L/(n - d) is decided by the exact powers.  It needs
+    bounds straddle 3L/(2(n - d)) is decided by the exact powers.  It needs
     n >= 1 and d >= 1, as construct_list_disjunct does.
     """
     if n < 1 or d < 1:
@@ -394,18 +404,20 @@ def list_design_width(n: int, d: int) -> int:
     for b in count(1):
         lo = (lo * ratio) >> bits
         hi = -((-hi * (ratio + 1)) >> bits)
-        if (n - d) * hi <= cap * one:
+        if 2 * (n - d) * hi <= 3 * cap * one:
             return b
-        if (n - d) * lo <= cap * one and (n - d) * (big - small) ** b <= cap * big**b:
+        if 2 * (n - d) * lo <= 3 * cap * one and 2 * (n - d) * (big - small) ** b <= 3 * cap * big**b:
             return b
 
 
 def construct_list_disjunct(n: int, d: int, seed: int) -> ListDesign:
     """Random Bernoulli(1/(d+1)) design with list_design_width(n, d) tests,
-    the fewest that keep a weight-d support's expected list of false
-    candidates at most L = d * max(1, floor(log2(n / 2d))) long, the
-    length a sweep over the acceptance grid found to cut hybrid's queries
-    without raising its rounds (see list_design_width).  Each column is
+    the fewest (at least one where n > 2d) that keep a weight-d support's
+    expected list of false candidates at most 3L/2 long, with
+    L = d * max(1, floor(log2(n / 2d))): the length a sweep over the
+    acceptance grid found to take hybrid the fewest rounds once its phase
+    2 finishes each leaf of at most 8d candidates in one round, with
+    fewer queries than L (see list_design_width).  Each column is
     one bernoulli_mask draw from one SplitMix64(seed) stream, and the
     design keeps the seed, so a design is a prefix of any wider one drawn
     from the same seed.  Where n <= 2d the design has no tests, so its one

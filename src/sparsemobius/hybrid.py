@@ -3,7 +3,7 @@
 Phase 1 runs the breadth-first level loop against a randomized
 list-disjunct design: Bernoulli(1/(d+1)) cells, and the fewest tests,
 O(d log(n/d)), that keep a weight-d support's expected list of false
-candidates at most d * max(1, floor(log2(n / 2d))) long
+candidates at most 3L/2 long, L = d * max(1, floor(log2(n / 2d)))
 (grouptest.list_design_width): phase 2 finishes a list that long in
 fewer queries, and on the acceptance grid in fewer rounds, than more
 phase-1 tests would spend shortening it.  Its surviving
@@ -15,17 +15,40 @@ engine, whose splitting tree for each bucket ranges over that set only.
 Where n <= 2d the design has no tests: phase 1 is the root query and phase
 2 one search over all n, exactly as fasmt runs.
 
+Phase 2 probes every leaf of at most 8d candidates, the second stage of
+two-stage group testing (fasmt.depth_first_search): it asks the candidate
+set minus each candidate, all in one round, and a leaf whose residuals
+say it holds one coefficient is done in that round; any other leaf is
+searched over the candidates the probe did not rule out.  A sweep over
+the acceptance grid (4,500 instances, every run exact) set the cap and
+the list length together, as hybrid's grid queries / rounds:
+
+    list cap   probe cap   queries   rounds
+    L          none        496,491   117,776
+    L          8d          513,917    88,875
+    5L/4       8d          492,644    86,446
+    3L/2       8d          484,418    85,992
+    3L/2       6d          471,360    92,809
+    3L/2       10d         494,429    82,027
+    2L         8d          468,608    91,455
+
+3L/2 with 8d cut both queries and rounds against the search alone; a
+larger cap trades queries for rounds, and a smaller one the reverse.
+Searching a failed probe's leaf over all its candidates, not only those
+the probe left, cost 487,452 queries in 88,427 rounds.
+
 A bucket's coefficients can lie below another bucket's query points only
 when its label lies componentwise below the other's, so phase 1 hands each
 leaf the list of leaves below it.  The engine starts a bucket in the round
 after the last bucket on its list finishes and batches one query per
-running bucket into a shared adaptive round; phase 2 then takes as many
-rounds as the longest chain of per-bucket query counts along that order.
+running bucket, and a starting bucket's probe points, into a shared
+adaptive round; phase 2 then takes as many rounds as the longest chain of
+per-bucket rounds along that order.
 The width bounds only the expected size of a candidate set; a larger set
 is still sound, so its bucket is searched over the larger set, which only
-costs more queries.  A degree overflow in a bucket's search raises
-ReconstructionError with the bucket's label: the full-domain runner would
-overflow as well.
+costs more queries.  A degree overflow in a bucket's search or probe
+raises ReconstructionError with a label extending the bucket's: the
+full-domain runner would overflow as well.
 """
 
 from __future__ import annotations
@@ -70,5 +93,5 @@ def hybrid_run(
     if design is None:
         design = construct_list_disjunct(n, d, seed)
     leaves = refine_levels(f, design, tau, transcript)
-    discovered = depth_first_search(f, leaves, d, tau, transcript)
+    discovered = depth_first_search(f, leaves, d, tau, transcript, probe=8 * d)
     return SparsePolynomial(n, discovered, degree_bound=d)

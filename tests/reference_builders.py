@@ -108,18 +108,21 @@ def _rs_concat(n: int, q: int, m: int, points: int) -> TestMatrix:
 
 
 def list_design_width(n: int, d: int) -> int:
-    """The smallest b >= 0 with (n - d) * (N - D)^b <= L * N^b, where
-    N = (d+1)^(d+1), D = d^d and L = d * max(1, floor(log2(n / 2d))), by
-    exact powers: the operands grow by about (d+1) log2(d+1) bits per
-    test.  floor(log2(n / 2d)) is the largest k with 2d * 2^k <= n."""
+    """0 where n <= 2d, else the smallest b >= 1 with
+    2 * (n - d) * (N - D)^b <= 3 * L * N^b, where N = (d+1)^(d+1),
+    D = d^d and L = d * max(1, floor(log2(n / 2d))), by exact powers: the
+    operands grow by about (d+1) log2(d+1) bits per test.
+    floor(log2(n / 2d)) is the largest k with 2d * 2^k <= n."""
+    if n <= 2 * d:
+        return 0
     k = 0
     while 2 * d << (k + 1) <= n:
         k += 1
     cap = d * max(1, k)
     big, small = (d + 1) ** (d + 1), d**d
-    b = 0
-    miss = total = 1
-    while (n - d) * miss > cap * total:
+    b = 1
+    miss, total = big - small, big
+    while 2 * (n - d) * miss > 3 * cap * total:
         b += 1
         miss *= big - small
         total *= big

@@ -5,6 +5,9 @@ split_bin scans every discovered coefficient at every query, stack entries
 carry Label objects, a test inside the zero union is answered 0 without a
 query, and hybrid's phase 2 runs the leaf buckets in antichain layers: a
 layer starts only once every bucket of the layer before it has finished.
+A layer's leaves of 1 to 8d candidates are probed first, in a round of
+their own; the layer's searches, a failed probe's over its candidates
+minus those the probe found absent, run side by side after it.
 """
 
 from __future__ import annotations
@@ -145,9 +148,47 @@ def hybrid_run(f: CountingOracle, n: int, d: int, seed: int, tau: float, transcr
     ]
     discovered: dict[BitVector, float] = {}
     for layer in antichain_layers(bins):
-        buckets = [
+        buckets = []
+        probed = [b for b in layer if b.label.n and 0 < len(b.candidates) <= 8 * d]
+        for b, absent in zip(probed, probe(f, probed, d, tau, discovered, transcript)):
+            if absent is not None:
+                universe = full ^ b.zero_union ^ absent
+                buckets.append((b.label, b.value, full ^ universe, universe))
+        buckets += [
             (b.label, b.value, b.zero_union, BitVector.from_coords(n, b.candidates).mask)
             for b in layer
+            if b not in probed
         ]
         depth_first_search(f, buckets, d, tau, discovered, transcript)
     return SparsePolynomial(n, discovered, degree_bound=d)
+
+
+def probe(f, bins, d, tau, discovered, transcript):
+    """Ask every bin's candidate set minus each one of its candidates, all
+    in one round.  A bin whose residuals are all 0 or its sum records its
+    one coefficient and gets None in the returned list; any other bin gets
+    the mask of the candidates whose residual was its sum."""
+    n = f.n
+    points = [
+        [BitVector.from_coords(n, [c for c in b.candidates if c != j]) for j in b.candidates]
+        for b in bins
+    ]
+    raws = iter(f.batch_eval([x for xs in points for x in xs]))
+    out = []
+    for b, xs in zip(bins, points):
+        present = absent = 0
+        for j, x in zip(b.candidates, xs):
+            v0, v1 = split_bin(b.value, x, next(raws), discovered)
+            _log(transcript, b.label, x, v0)
+            if abs(v1) <= tau:
+                absent |= 1 << (j - 1)
+            elif abs(v0) <= tau:
+                present |= 1 << (j - 1)
+        if (present | absent).bit_count() < len(b.candidates):
+            out.append(absent)
+        elif present.bit_count() > d:
+            raise ReconstructionError("degree overflow in a probe", label=b.label)
+        else:
+            discovered[BitVector(n, present)] = b.value
+            out.append(None)
+    return out

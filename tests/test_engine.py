@@ -16,7 +16,7 @@ import io
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sparsemobius.core import BitVector, Label, TestMatrix
@@ -28,8 +28,10 @@ from sparsemobius.hybrid import hybrid_run
 from sparsemobius.oracle import CountingOracle, SparsePolynomial, SparsePolyOracle
 from sparsemobius.pasmt import pasmt_run, refine_levels
 from sparsemobius.reference import check_subset_sum_independence
+from sparsemobius.rng import SplitMix64, random_subset
 
 import reference_engine
+from weights import integer_weights
 
 
 def oracle_for(poly: SparsePolynomial) -> CountingOracle:
@@ -219,7 +221,9 @@ def test_the_engine_walks_the_tree_over_a_scattered_candidate_set(case):
 
 
 @pytest.mark.parametrize(
-    "n, s, d, seed", [(32, 12, 3, 61), (64, 16, 2, 62), (128, 16, 4, 63), (256, 40, 2, 64)]
+    "n, s, d, seed",
+    # at (32, 20, 3, 68) two probes fall back to a search
+    [(32, 12, 3, 61), (64, 16, 2, 62), (128, 16, 4, 63), (256, 40, 2, 64), (32, 20, 3, 68)],
 )
 def test_phase_two_starts_a_bucket_once_the_buckets_below_it_finish(n, s, d, seed):
     truth = generate_synthetic(n, s, d, seed=seed)
@@ -243,15 +247,137 @@ def test_phase_two_starts_a_bucket_once_the_buckets_below_it_finish(n, s, d, see
     assert sum(queries.values()) == f.query_count - phase1.query_count
     labels = [label.to01() for label, *_ in leaves]
     finish = []
-    for i, (*_, below) in enumerate(leaves):
+    for i, (_, _, free, below) in enumerate(leaves):
         for j in below:
             # a leaf whose tree needs no test makes no query
             if labels[i] in first and labels[j] in last:
                 assert last[labels[j]] < first[labels[i]]
-        finish.append(max((finish[j] for j in below), default=0) + queries[labels[i]])
-    # each bucket finishes the longest chain of query counts below it
+        rounds = queries[labels[i]]
+        if 0 < free.bit_count() <= 8 * d:
+            # a probe asks its |C| points in one round; one that falls
+            # back then searches, one query per round
+            rounds = 1 + rounds - free.bit_count()
+        finish.append(max((finish[j] for j in below), default=0) + rounds)
+    # each bucket finishes the longest chain of round counts below it
     assert f.round_count - phase1.round_count == max(finish)
     assert any(below for *_, below in leaves)
+
+
+def probed(truth, bucket, d, probe):
+    """One bucket through the engine at tau = 0: (map, queries, rounds,
+    transcript rows)."""
+    f = oracle_for(truth)
+    sink = io.StringIO()
+    got = depth_first_search(f, [bucket], d, 0.0, sink, probe=probe)
+    rows = [line.split("\t") for line in sink.getvalue().splitlines()]
+    return got, f.query_count, f.round_count, rows
+
+
+def test_a_probe_finishes_a_one_coefficient_leaf_in_one_round():
+    # C = {2, 3, 5, 6} holds the support {2, 5}: the removals of 2 and 5
+    # leave residual 0, those of 3 and 6 the leaf's sum
+    truth = SparsePolynomial(8, {BitVector.from01("01001000"): 4})
+    bucket = (Label.from01("1"), 4, BitVector.from01("01101100").mask, ())
+    got, queries, rounds, rows = probed(truth, bucket, 2, 8)
+    assert got == truth.entries
+    assert (queries, rounds) == (4, 1)
+    assert rows == [
+        ["1", "00101100", "0"],
+        ["1", "01001100", "4"],
+        ["1", "01100100", "0"],
+        ["1", "01101000", "4"],
+    ]
+    # the search takes a round per query
+    got, queries, rounds, _ = probed(truth, bucket, 2, 0)
+    assert got == truth.entries
+    assert queries == rounds == 6
+
+
+def test_a_leaf_is_probed_only_under_an_outcome_and_up_to_the_cap():
+    truth = SparsePolynomial(8, {BitVector.from01("01001000"): 4})
+    free = BitVector.from01("01101100").mask
+    searched = probed(truth, (Label.from01("1"), 4, free, ()), 2, 0)
+    # the root bucket, and a candidate set one past the cap, are searched
+    assert probed(truth, (Label(0), 4, free, ()), 2, 8)[1:3] == (6, 6)
+    assert probed(truth, (Label.from01("1"), 4, free, ()), 2, 3) == searched
+
+
+def test_a_failed_probe_searches_the_candidates_it_did_not_rule_out():
+    # two coefficients share the leaf: the removals of 1, 2 and 3 leave 3,
+    # 2 and 2, neither 0 nor the sum 5, and those of 4 and 5 leave 5, so
+    # the leaf is searched over {1, 2, 3} in the next round, as a leaf over
+    # that set is searched
+    truth = SparsePolynomial(
+        8, {BitVector.from01("10000000"): 2, BitVector.from01("01100000"): 3}
+    )
+    label = Label.from01("01")
+    got, queries, rounds, rows = probed(truth, (label, 5, BitVector.from01("11111000").mask, ()), 2, 8)
+    assert got == truth.entries
+    assert [row[2] for row in rows[:5]] == ["3", "2", "2", "5", "5"]
+    _, search_queries, search_rounds, search_rows = probed(
+        truth, (label, 5, BitVector.from01("11100000").mask, ()), 2, 0
+    )
+    assert rows[5:] == search_rows
+    assert (queries, rounds) == (5 + search_queries, 1 + search_rounds)
+
+
+def test_a_probe_past_d_defectives_raises_with_its_label_extended():
+    # the support {1, 3, 4} overflows d = 2 at its third coordinate: the
+    # label extends the leaf's "0" by the outcomes of coordinates 1 to 4,
+    # and coordinate 6, asked in the same round, is left out of it
+    truth = SparsePolynomial(8, {BitVector.from01("10110000"): 1})
+    f = oracle_for(truth)
+    bucket = (Label.from01("0"), 1, BitVector.from01("11110100").mask, ())
+    with pytest.raises(ReconstructionError) as info:
+        depth_first_search(f, [bucket], 2, 0.0, probe=8)
+    assert info.value.label == Label.from01("01011")
+    assert str(info.value) == (
+        "degree overflow at bucket '01011': outcomes imply more than d=2 defectives"
+    )
+    assert (f.query_count, f.round_count) == (5, 1)
+
+
+def planted_cancellation(seed: int) -> SparsePolynomial:
+    """generate_synthetic(64, 16, 3, seed) at integer weights, plus a, b
+    and -(a + b) (a and b each 1 + below(8)) on three fresh supports of
+    weight 1 to 3, drawn from SplitMix64(10**6 + seed)."""
+    n = 64
+    entries = dict(integer_weights(generate_synthetic(n, 16, 3, seed)).entries)
+    rng = SplitMix64(10**6 + seed)
+    a, b = 1 + rng.below(8), 1 + rng.below(8)
+    for weight in (a, b, -(a + b)):
+        support = BitVector.from_coords(n, random_subset(rng, n, 1 + rng.below(3)))
+        while support in entries:
+            support = BitVector.from_coords(n, random_subset(rng, n, 1 + rng.below(3)))
+        entries[support] = weight
+    return SparsePolynomial(n, entries)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32))
+@example(3808)  # the probe recovers the map that the search gets wrong
+@example(8915)  # both maps are wrong, the probe's by two supports fewer
+def test_a_probe_returns_no_map_the_search_would_not_under_cancellation(seed):
+    # a cancelling subset can give a several-coefficient leaf the residuals
+    # of one coefficient; the probe must then return no map where the
+    # search raises, and no wrong map where the search's is exact
+    truth, d = planted_cancellation(seed), 3
+    design = construct_list_disjunct(truth.n, d, seed)
+
+    def recovered(run):
+        f = oracle_for(truth)
+        try:
+            return run(f)
+        except ReconstructionError:
+            return None
+
+    got = recovered(lambda f: hybrid_run(f, truth.n, d, seed, 0.0, design=design).entries)
+    searched = recovered(
+        lambda f: depth_first_search(f, refine_levels(f, design, 0.0), d, 0.0, probe=0)
+    )
+    if got is not None:
+        assert searched is not None
+        assert got == truth.entries or searched != truth.entries
 
 
 @pytest.mark.parametrize(
