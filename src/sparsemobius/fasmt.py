@@ -46,10 +46,11 @@ incomparable and none of their coefficients lies below another's query
 points.  A search running alone is driven with single evaluations: no
 other bucket can start before it finishes, and each evaluation is one query
 and one round, as a batch of one is, so the counts do not change.  A
-caller may have small leaves probed instead (hybrid does): such a leaf
-asks its candidate set minus each of its coordinates, all in the round
-it starts, and is done in that round when the residuals show a single
-coefficient (see depth_first_search).
+leaf under at least one phase-1 outcome with at most PROBE_FACTOR * d
+candidates is probed instead: it asks its candidate set minus each of its
+coordinates, all in the round it starts, and is done in that round when
+the residuals show a single coefficient (see depth_first_search).  Only
+hybrid's leaves carry outcomes; this runner's one bucket has none.
 
 This runner feeds the engine the level loop run over no tests: the root
 query, then a single bucket over all n coordinates, so every query is its
@@ -69,6 +70,10 @@ from .oracle import DEFAULT_TAU, CountingOracle, SparsePolynomial, check_tau
 from .pasmt import refine_levels
 
 __all__ = ["split_bin", "depth_first_search", "fasmt_run"]
+
+# depth_first_search probes a labelled leaf of at most PROBE_FACTOR * d
+# candidates; a sweep over the acceptance grid chose 8 (see hybrid)
+PROBE_FACTOR = 8
 
 
 def split_bin(
@@ -222,7 +227,6 @@ def depth_first_search(
     d: int,
     tau: float,
     transcript: TextIO | None = None,
-    probe: int = 0,
 ) -> dict[BitVector, float]:
     """Finish buckets by splitting searches, one batched round per step.
 
@@ -243,28 +247,30 @@ def depth_first_search(
     not finite raises ParameterError, and a candidate set outside the n
     coordinates DimensionError, before any query.
 
-    probe > 0 finishes small leaves in one round, the second stage of the
+    Small leaves are finished in one round, the second stage of the
     two-stage group-testing scheme (De Bonis, Gasieniec and Vaccaro, SIAM
     J. Comput. 2005; Indyk, Ngo and Rudra, SODA 2010).  A bucket whose
     label has at least one outcome and whose candidate set C holds 1 to
-    probe coordinates asks C minus {j} for every j in C, in the round it
-    starts, and takes each residual through split_bin.  If every residual
-    is 0 (j is in the support) or the bucket's sum v (j is not), the
-    bucket holds one coefficient, and its support is recorded with value
-    v: |C| queries in one round, not |C| rounds.  Otherwise several
+    PROBE_FACTOR * d coordinates asks C minus {j} for every j in C, in the
+    round it starts, and takes each residual through split_bin.  If every
+    residual is 0 (j is in the support) or the bucket's sum v (j is not),
+    the bucket holds one coefficient, and its support is recorded with
+    value v: |C| queries in one round, not |C| rounds.  Otherwise several
     coefficients share the bucket: it drops from C the coordinates whose
     residual was v and is searched over the rest, starting in the next
     round.  Probe lines carry the bucket's label in the transcript.  A
     probe whose outcomes imply more than d defectives raises the degree
-    overflow, labelled as _overflow says.  With probe 0, as fasmt runs
-    it, no bucket is probed.  hybrid probes at 8d, the cap a sweep over
-    the acceptance grid chose (its table is in the hybrid module: 6d
-    costs rounds, 10d queries).  The probe is handled here, beside the
-    running searches, so a search still yields one point per round.
+    overflow, labelled as _overflow says.  fasmt's one bucket has an empty
+    label, and so has hybrid's where n <= 2d, so neither is probed.  The
+    factor 8 is the cap a sweep over the acceptance grid chose (its table
+    is in the hybrid module: 6d costs rounds, 10d queries).  The probe is
+    handled here, beside the running searches, so a search still yields
+    one point per round.
     """
     check_tau(tau)
     n = f.n
     full = (1 << n) - 1
+    cap = PROBE_FACTOR * d
     waiting = []
     dependents: list[list[int]] = [[] for _ in buckets]
     for i, bucket in enumerate(buckets):
@@ -300,7 +306,7 @@ def depth_first_search(
             label, value, free, _ = bucket
             if i in narrowed:
                 bucket = narrowed.pop(i)
-            elif probe and label.n and 0 < free.bit_count() <= probe and abs(value) > tau:
+            elif label.n and 0 < free.bit_count() <= cap and abs(value) > tau:
                 points = []
                 rest = free
                 while rest:

@@ -15,13 +15,14 @@ engine, whose splitting tree for each bucket ranges over that set only.
 Where n <= 2d the design has no tests: phase 1 is the root query and phase
 2 one search over all n, exactly as fasmt runs.
 
-Phase 2 probes every leaf of at most 8d candidates, the second stage of
-two-stage group testing (fasmt.depth_first_search): it asks the candidate
-set minus each candidate, all in one round, and a leaf whose residuals
-say it holds one coefficient is done in that round; any other leaf is
-searched over the candidates the probe did not rule out.  A sweep over
-the acceptance grid (4,500 instances, every run exact) set the cap and
-the list length together, as hybrid's grid queries / rounds:
+Phase 2 probes every leaf of at most 8d candidates (fasmt.PROBE_FACTOR),
+the second stage of two-stage group testing (fasmt.depth_first_search):
+it asks the candidate set minus each candidate, all in one round, and a
+leaf whose residuals say it holds one coefficient is done in that round;
+any other leaf is searched over the candidates the probe did not rule
+out.  A sweep over the acceptance grid (4,500 instances, every run exact)
+set the cap and the list length together, as hybrid's grid queries /
+rounds:
 
     list cap   probe cap   queries   rounds
     L          none        496,491   117,776
@@ -93,5 +94,5 @@ def hybrid_run(
     if design is None:
         design = construct_list_disjunct(n, d, seed)
     leaves = refine_levels(f, design, tau, transcript)
-    discovered = depth_first_search(f, leaves, d, tau, transcript, probe=8 * d)
+    discovered = depth_first_search(f, leaves, d, tau, transcript)
     return SparsePolynomial(n, discovered, degree_bound=d)

@@ -5,9 +5,10 @@ split_bin scans every discovered coefficient at every query, stack entries
 carry Label objects, a test inside the zero union is answered 0 without a
 query, and hybrid's phase 2 runs the leaf buckets in antichain layers: a
 layer starts only once every bucket of the layer before it has finished.
-A layer's leaves of 1 to 8d candidates are probed first, in a round of
-their own; the layer's searches, a failed probe's over its candidates
-minus those the probe found absent, run side by side after it.
+A layer's leaves of 1 to fasmt.PROBE_FACTOR * d candidates are probed
+first, in a round of their own; the layer's searches, a failed probe's
+over its candidates minus those the probe found absent, run side by side
+after it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TextIO
 
+from sparsemobius import fasmt
 from sparsemobius.core import BitVector, Label
 from sparsemobius.errors import InfeasiblePrefixError, ReconstructionError
 from sparsemobius.grouptest import GbsaTree, construct_list_disjunct, list_decode
@@ -149,7 +151,8 @@ def hybrid_run(f: CountingOracle, n: int, d: int, seed: int, tau: float, transcr
     discovered: dict[BitVector, float] = {}
     for layer in antichain_layers(bins):
         buckets = []
-        probed = [b for b in layer if b.label.n and 0 < len(b.candidates) <= 8 * d]
+        cap = fasmt.PROBE_FACTOR * d
+        probed = [b for b in layer if b.label.n and 0 < len(b.candidates) <= cap]
         for b, absent in zip(probed, probe(f, probed, d, tau, discovered, transcript)):
             if absent is not None:
                 universe = full ^ b.zero_union ^ absent

@@ -3,9 +3,10 @@
 Each criterion is a single test function so that ``pytest -v`` prints one
 pass/fail line per criterion.  The scaled grid (criterion 2) is run once in
 a module fixture and its per-run records feed the budget and envelope
-checks (criteria 3, 4) and the cancellation guardrail sweep (criterion 11).
-The same records are checked against the committed BENCH_paper.json, whose
-golden runs each runner must reproduce (tests/paper_counts.py writes it).
+checks (criteria 3, 4, and hybrid's envelope) and the cancellation
+guardrail sweep (criterion 11).  The same records are checked against the
+committed BENCH_paper.json, whose golden runs each runner must reproduce
+(tests/paper_counts.py writes it).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from sparsemobius.rng import SplitMix64
 
 import paper_counts
 from disjunct import verify_disjunct
+from envelope import hybrid_envelope
 from paper_counts import GRID_DS, GRID_NS, GRID_SS, INSTANCES_PER_CELL
 from weights import integer_weights
 
@@ -203,6 +205,22 @@ def test_criterion_04_breadth_first_envelope_and_rounds(scaled_grid):
         assert got.close_to(truth, 1e-9)
         rounds_seen.add(f.round_count)
     assert rounds_seen == {H.b + 1}
+
+
+def test_hybrid_envelope(scaled_grid):
+    """Every hybrid run of criterion 2 stays within the envelope that
+    prices its leaves one by one, a probed leaf at its probe plus, where
+    it holds several coefficients, their search (tests/envelope.py)."""
+    over = []
+    for r in scaled_grid["records"]:
+        if r.algorithm != "hybrid":
+            continue
+        truth = generate_synthetic(r.n, r.s_requested, r.d, r.seed)
+        design = runner_design("hybrid", r.n, r.d)
+        queries, rounds = hybrid_envelope(truth, design, r.d, DEFAULT_TAU)
+        if r.queries > queries or r.rounds > rounds:
+            over.append((r, queries, rounds))
+    assert not over, (len(over), over[:3])
 
 
 def test_hybrid_trades_between_the_other_runners(scaled_grid):

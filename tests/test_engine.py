@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import io
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from sparsemobius import fasmt
 from sparsemobius.core import BitVector, Label, TestMatrix
 from sparsemobius.errors import DimensionError, InfeasiblePrefixError, ReconstructionError
 from sparsemobius.fasmt import depth_first_search, fasmt_run
@@ -36,6 +38,12 @@ from weights import integer_weights
 
 def oracle_for(poly: SparsePolynomial) -> CountingOracle:
     return CountingOracle(SparsePolyOracle(poly))
+
+
+def probing(factor: int):
+    """The engine probing labelled leaves of at most factor * d
+    candidates; factor 0 sends every bucket through the plain search."""
+    return mock.patch.object(fasmt, "PROBE_FACTOR", factor)
 
 
 @st.composite
@@ -205,7 +213,8 @@ def test_the_engine_walks_the_tree_over_a_scattered_candidate_set(case):
     sink = io.StringIO()
     bucket = (label, sum(supports.values()), free, ())
     try:
-        got = depth_first_search(f, [bucket], d, 0.0, sink)
+        with probing(0):  # the plain search walks the tree
+            got = depth_first_search(f, [bucket], d, 0.0, sink)
     except ReconstructionError as err:
         assert overflow is not None and err.label == overflow
         assert str(err) == (
@@ -253,7 +262,7 @@ def test_phase_two_starts_a_bucket_once_the_buckets_below_it_finish(n, s, d, see
             if labels[i] in first and labels[j] in last:
                 assert last[labels[j]] < first[labels[i]]
         rounds = queries[labels[i]]
-        if 0 < free.bit_count() <= 8 * d:
+        if 0 < free.bit_count() <= fasmt.PROBE_FACTOR * d:
             # a probe asks its |C| points in one round; one that falls
             # back then searches, one query per round
             rounds = 1 + rounds - free.bit_count()
@@ -263,12 +272,13 @@ def test_phase_two_starts_a_bucket_once_the_buckets_below_it_finish(n, s, d, see
     assert any(below for *_, below in leaves)
 
 
-def probed(truth, bucket, d, probe):
-    """One bucket through the engine at tau = 0: (map, queries, rounds,
-    transcript rows)."""
+def probed(truth, bucket, d, factor=fasmt.PROBE_FACTOR):
+    """One bucket through the engine at tau = 0, probing leaves of at most
+    factor * d candidates: (map, queries, rounds, transcript rows)."""
     f = oracle_for(truth)
     sink = io.StringIO()
-    got = depth_first_search(f, [bucket], d, 0.0, sink, probe=probe)
+    with probing(factor):
+        got = depth_first_search(f, [bucket], d, 0.0, sink)
     rows = [line.split("\t") for line in sink.getvalue().splitlines()]
     return got, f.query_count, f.round_count, rows
 
@@ -278,7 +288,7 @@ def test_a_probe_finishes_a_one_coefficient_leaf_in_one_round():
     # leave residual 0, those of 3 and 6 the leaf's sum
     truth = SparsePolynomial(8, {BitVector.from01("01001000"): 4})
     bucket = (Label.from01("1"), 4, BitVector.from01("01101100").mask, ())
-    got, queries, rounds, rows = probed(truth, bucket, 2, 8)
+    got, queries, rounds, rows = probed(truth, bucket, 2)
     assert got == truth.entries
     assert (queries, rounds) == (4, 1)
     assert rows == [
@@ -296,10 +306,10 @@ def test_a_probe_finishes_a_one_coefficient_leaf_in_one_round():
 def test_a_leaf_is_probed_only_under_an_outcome_and_up_to_the_cap():
     truth = SparsePolynomial(8, {BitVector.from01("01001000"): 4})
     free = BitVector.from01("01101100").mask
-    searched = probed(truth, (Label.from01("1"), 4, free, ()), 2, 0)
     # the root bucket, and a candidate set one past the cap, are searched
-    assert probed(truth, (Label(0), 4, free, ()), 2, 8)[1:3] == (6, 6)
-    assert probed(truth, (Label.from01("1"), 4, free, ()), 2, 3) == searched
+    assert probed(truth, (Label(0), 4, free, ()), 2)[1:3] == (6, 6)
+    searched = probed(truth, (Label.from01("1"), 4, free, ()), 3, 0)
+    assert probed(truth, (Label.from01("1"), 4, free, ()), 3, 1) == searched
 
 
 def test_a_failed_probe_searches_the_candidates_it_did_not_rule_out():
@@ -311,7 +321,7 @@ def test_a_failed_probe_searches_the_candidates_it_did_not_rule_out():
         8, {BitVector.from01("10000000"): 2, BitVector.from01("01100000"): 3}
     )
     label = Label.from01("01")
-    got, queries, rounds, rows = probed(truth, (label, 5, BitVector.from01("11111000").mask, ()), 2, 8)
+    got, queries, rounds, rows = probed(truth, (label, 5, BitVector.from01("11111000").mask, ()), 2)
     assert got == truth.entries
     assert [row[2] for row in rows[:5]] == ["3", "2", "2", "5", "5"]
     _, search_queries, search_rounds, search_rows = probed(
@@ -329,7 +339,7 @@ def test_a_probe_past_d_defectives_raises_with_its_label_extended():
     f = oracle_for(truth)
     bucket = (Label.from01("0"), 1, BitVector.from01("11110100").mask, ())
     with pytest.raises(ReconstructionError) as info:
-        depth_first_search(f, [bucket], 2, 0.0, probe=8)
+        depth_first_search(f, [bucket], 2, 0.0)
     assert info.value.label == Label.from01("01011")
     assert str(info.value) == (
         "degree overflow at bucket '01011': outcomes imply more than d=2 defectives"
@@ -372,9 +382,10 @@ def test_a_probe_returns_no_map_the_search_would_not_under_cancellation(seed):
             return None
 
     got = recovered(lambda f: hybrid_run(f, truth.n, d, seed, 0.0, design=design).entries)
-    searched = recovered(
-        lambda f: depth_first_search(f, refine_levels(f, design, 0.0), d, 0.0, probe=0)
-    )
+    with probing(0):
+        searched = recovered(
+            lambda f: depth_first_search(f, refine_levels(f, design, 0.0), d, 0.0)
+        )
     if got is not None:
         assert searched is not None
         assert got == truth.entries or searched != truth.entries

@@ -46,9 +46,10 @@ def test_split_bin_examples():
     assert split_bin(5.0, x, f.eval(x), [(bv("0010").mask, 3.0)]) == (5.0, 0.0, [])
 
 
-def test_split_bin_respects_zero_union():
+def test_split_bin_respects_zero_union(monkeypatch):
     # the bucket labelled "0" holds only coefficient 0001: its zero union
     # excludes coordinate 1, so every query point the search makes does too
+    monkeypatch.setattr(fasmt, "PROBE_FACTOR", 0)  # searched, not probed
     f = oracle_for(P)
     sink = io.StringIO()
     full = bv("1111").mask
@@ -282,28 +283,32 @@ def test_every_search_query_calls_split_bin_through_the_module(monkeypatch, n, s
     assert calls[0] == f.query_count - phase1.query_count > 0
 
 
-def test_a_support_decoded_by_two_running_buckets():
+def test_a_support_decoded_by_two_running_buckets(monkeypatch):
     # both buckets' zero unions leave coordinate 1 alone, the one true
     # support, and neither label lies below the other, so both test it in
-    # one round; the second to record the support names its own label
-    f = oracle_for(SparsePolynomial(4, {bv("1000"): 2.0}))
+    # one round, searched or probed; the second to record the support
+    # names its own label
     full, union = bv("1111").mask, bv("0111").mask
     buckets = [
         (Label.from01("01"), 2.0, full ^ union, ()),
         (Label.from01("10"), 2.0, full ^ union, ()),
     ]
-    with pytest.raises(ReconstructionError, match="decoded twice") as info:
-        depth_first_search(f, buckets, 1, 1e-9)
-    assert info.value.label.to01().startswith("10")
-    assert f.round_count == 1
-    assert f.query_count == 2
+    for factor in (0, fasmt.PROBE_FACTOR):
+        monkeypatch.setattr(fasmt, "PROBE_FACTOR", factor)
+        f = oracle_for(SparsePolynomial(4, {bv("1000"): 2.0}))
+        with pytest.raises(ReconstructionError, match="decoded twice") as info:
+            depth_first_search(f, buckets, 1, 1e-9)
+        assert info.value.label.to01().startswith("10")
+        assert f.round_count == 1
+        assert f.query_count == 2
 
 
-def test_degree_overflow_in_a_shared_round_names_its_bucket():
+def test_degree_overflow_in_a_shared_round_names_its_bucket(monkeypatch):
     # bucket "10" holds the weight-2 support 1100 and overflows d = 1 in
     # its third query; bucket "01" holds 0001 and is still running then,
     # and its last test, the coordinate its second query ruled out, misses
     # its candidate set and is not asked
+    monkeypatch.setattr(fasmt, "PROBE_FACTOR", 0)  # searched, not probed
     truth = SparsePolynomial(4, {bv("1100"): 1.0, bv("0001"): 3.0})
     f = oracle_for(truth)
     full = bv("1111").mask

@@ -9,16 +9,12 @@ from hypothesis import strategies as st
 from sparsemobius.core import BitVector, Label
 from sparsemobius.errors import DimensionError, ParameterError, ReconstructionError
 from sparsemobius.fasmt import fasmt_run
-from sparsemobius.grouptest import (
-    construct_list_disjunct,
-    gbsa_test_budget,
-    list_decode,
-)
+from sparsemobius.grouptest import construct_list_disjunct
 from sparsemobius.harness import generate_synthetic
 from sparsemobius.hybrid import hybrid_run
 from sparsemobius.oracle import CountingOracle, SparsePolynomial, SparsePolyOracle
-from sparsemobius.pasmt import refine_levels
 
+from envelope import hybrid_envelope
 from reference_engine import LocalizedBin, antichain_layers
 
 
@@ -87,19 +83,16 @@ def test_exact_across_shapes(n, s, d, seed):
 
 
 def test_round_and_query_envelope():
+    # test_acceptance checks the same envelope on every grid run
     n, d, seed = 24, 2, 5
     truth = generate_synthetic(n, 6, d, seed=seed)
-    s = truth.sparsity
     design = construct_list_disjunct(n, d, seed)
-    # the largest candidate set a leaf of this design hands to phase 2
-    leaves = refine_levels(oracle_for(truth), design, 1e-9)
-    largest = max(free.bit_count() for _, _, free, _ in leaves)
-    per_bin = max(gbsa_test_budget(m, min(d, m)) for m in range(1, largest + 1))
+    queries, rounds = hybrid_envelope(truth, design, d)
     f = oracle_for(truth)
     got = hybrid_run(f, n, d, seed=seed, design=design)
     assert got.close_to(truth, 1e-9)
-    assert f.query_count <= 1 + s * design.b + s * per_bin
-    assert f.round_count <= 1 + design.b + s * per_bin
+    assert f.query_count <= queries
+    assert f.round_count <= rounds
 
 
 def test_reruns_are_transcript_identical():
@@ -163,16 +156,11 @@ def test_integer_mode_zero_tau():
 def test_oversized_candidate_set_is_searched():
     truth = generate_synthetic(12, 4, 3, seed=77)
     design = construct_list_disjunct(12, 3, seed=5)
-    # phase 1 alone, to price the search of every leaf's candidate set
-    phase1 = oracle_for(truth)
-    leaves = refine_levels(phase1, design, 1e-9)
-    budget = sum(
-        gbsa_test_budget(len(list_decode(design, label)), 3) for label, *_ in leaves
-    )
+    # every leaf is priced over its whole candidate set
     f = oracle_for(truth)
     got = hybrid_run(f, 12, 3, seed=999, design=design)
     assert got.close_to(truth, 1e-9)
-    assert f.query_count <= phase1.query_count + budget
+    assert f.query_count <= hybrid_envelope(truth, design, 3)[0]
 
 
 def test_degree_overflow_raises_with_label():
@@ -185,7 +173,7 @@ def test_degree_overflow_raises_with_label():
     # the label extends the bucket's full phase-1 syndrome
     assert isinstance(info.value.label, Label)
     assert info.value.label.n > design.b
-    assert f.query_count <= 1 + design.b + gbsa_test_budget(10, 2)
+    assert f.query_count <= hybrid_envelope(truth, design, 2)[0]
 
 
 def test_prebuilt_design_reused():
