@@ -11,9 +11,10 @@ GbsaTree and steps the same rule in its own loop, on the state's five
 integers; GbsaTree's start and advance are the reference walk that
 gbsa_step and the tests use.  The non-adaptive side builds d-disjunct
 test matrices (Reed-Solomon concatenation at the Kautz-Singleton point
-count d*(m-1) + 1, with an identity fallback) plus randomized
-list-disjunct designs, which are test matrices that keep the seed they
-were drawn from, together with the naive cover decoder for both.
+count d*(m-1) + 1, a Sperner antichain at d = 1, with an identity
+fallback) plus randomized list-disjunct designs, which are test matrices
+that keep the seed they were drawn from, together with the naive cover
+decoder for both.
 Both builders work a whole column, or a whole evaluation point, at a time:
 the Reed-Solomon symbols come from Horner's rule over base-q digits and
 their masks from one bytes translate each, and a list design's column is
@@ -23,6 +24,7 @@ one bernoulli_mask draw.
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import chain, count
 from typing import Iterable, NamedTuple
 
@@ -199,16 +201,35 @@ def identity_matrix(n: int) -> TestMatrix:
     return TestMatrix(n, [BitVector(n, 1 << i) for i in range(n)])
 
 
-def _bit_tests(n: int) -> TestMatrix:
-    """Per-bit set/clear tests over 0-based item indices; 1-disjunct."""
-    width = max(1, (n - 1).bit_length())
+def _sperner_tests(n: int) -> TestMatrix:
+    """w tests, w >= 2 the least with C(w, floor(w/2)) >= n, and item j
+    (0-based) in the tests of the j-th floor(w/2)-subset of the w in
+    lexicographic order, as itertools.combinations lists them.  No item's
+    tests contain another's (equal-size distinct sets), and each item is
+    in at least one, so the matrix is 1-disjunct (Sperner 1928).
+
+    In lexicographic order the k-subsets of a..w-1 are those holding a,
+    then those that do not, so each test's mask over them is its mask over
+    the (k-1)-subsets of a+1..w-1 with its mask over the k-subsets joined
+    above.  A table over (a, k) builds every mask once, in O(w 2^w) bits
+    of big-integer work; a loop over the items would OR each item into w/2
+    masks of n bits.
+    """
+    w = 2
+    while math.comb(w, w // 2) < n:
+        w += 1
+
+    @cache
+    def masks(a: int, k: int) -> tuple[int, ...]:
+        # the masks of tests a..w-1 over the k-subsets of a..w-1
+        if k == 0 or k == w - a:
+            return (1 if k else 0,) * (w - a)  # one subset: none of a..w-1, or all
+        split = math.comb(w - a - 1, k - 1)  # the subsets that hold a
+        held, rest = masks(a + 1, k - 1), masks(a + 1, k)
+        return ((1 << split) - 1, *(x | y << split for x, y in zip(held, rest)))
+
     full = (1 << n) - 1
-    cols = []
-    for p in range(width):
-        ones = BitVector.from_coords(n, [j + 1 for j in range(n) if (j >> p) & 1])
-        cols.append(ones)
-        cols.append(BitVector(n, full ^ ones.mask))
-    return TestMatrix(n, cols)
+    return TestMatrix(n, [BitVector(n, mask & full) for mask in masks(0, w // 2)])
 
 
 def _is_prime(q: int) -> bool:
@@ -274,24 +295,26 @@ def _rs_concat(n: int, q: int, m: int, points: int) -> TestMatrix:
 def construct_disjunct(n: int, d: int) -> TestMatrix:
     """Deterministic d-disjunct matrix with as few tests as the search finds.
 
-    Candidates are the identity, a per-bit design when d = 1, and one
-    Reed-Solomon concatenation per message length m >= 2: it evaluates at
-    L = d*(m-1) + 1 points over the smallest prime field q with q**m >= n
-    and q >= L, so it has at most L*q tests.  The search minimises the
-    test count, which is pasmt's round count less one: a Reed-Solomon
-    candidate is scored L*q without being built, and only the narrowest is
-    built.  Ties keep the earlier candidate (the per-bit design, then the
-    smaller m), so results are deterministic, and the identity wins
-    whenever no candidate is shorter, which includes every d >= n.  Since
-    q >= L, a candidate scores at least L*L, so the search over m stops
-    once L*L reaches the best width so far.
+    Candidates are the identity, a Sperner design when d = 1 (the least
+    w >= 2 tests with C(w, floor(w/2)) >= n, each item in its own
+    floor(w/2) of them), and one Reed-Solomon concatenation per message
+    length m >= 2: it evaluates at L = d*(m-1) + 1 points over the
+    smallest prime field q with q**m >= n and q >= L, so it has at most
+    L*q tests.  The search minimises the test count, which is pasmt's
+    round count: a Reed-Solomon candidate is scored L*q without being
+    built, and only the narrowest is built.  Ties keep the earlier
+    candidate (the Sperner design, then the smaller m), so results are
+    deterministic, and the identity wins whenever no candidate is shorter,
+    which includes every d >= n.  Since q >= L, a candidate scores at
+    least L*L, so the search over m stops once L*L reaches the best width
+    so far.
     """
     if n < 1 or d < 1:
         raise ParameterError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     best = None
     width = n
     if d == 1:
-        cand = _bit_tests(n)
+        cand = _sperner_tests(n)
         if cand.b < width:
             best, width = cand, cand.b
     field = None

@@ -27,8 +27,10 @@ queries.  solve_bin_system is that solve on its own, with the row checks;
 the row tests check the loop's rows with it, and the traced benchmark
 looks it up.
 
-The query count is at most s*b + 1 and the number of adaptive rounds is
-b + 1, independent of s (the all-ones root query is its own round).
+The query count is at most s*b + 1 (2 when f is 0 at all-ones) and the
+number of adaptive rounds is b, independent of s: the all-ones root query
+shares level 1's batch, since level 1's one point does not depend on its
+value.
 """
 
 from __future__ import annotations
@@ -84,22 +86,33 @@ def refine_levels(
     below its own).  The candidate set is the mask of the coordinates
     outside every column the label records a 0 at, the only ones the
     bucket's supports can use; a bucket carries it from the root down, so
-    its query point costs one AND.  The root evaluation and each level are
-    separate batches.  An all-zero root returns no buckets.  A run over
-    the first t columns of H returns the buckets of level t.  A tau that
-    is negative or not finite raises ParameterError before any query.
+    its query point costs one AND.  The root evaluation rides in level 1's
+    batch, and each later level is a batch of its own, so a run over b >= 1
+    columns takes at most b rounds; over no columns the root is one eval.
+    An all-zero root returns no buckets, having also asked level 1's
+    point.  A run over the first t columns of H returns the buckets of
+    level t.  A tau that is negative or not finite raises ParameterError
+    before any query.
     """
     check_tau(tau)
     n = f.n
     if H.n != n:
         raise DimensionError(f"oracle is over n={n}, expected {H.n}")
     ones = BitVector.ones(n)
-    root = f.eval(ones)  # a round of its own
+    full = ones.mask
+    if H.columns:
+        # level 1 asks one point, the complement of column 1, which does not
+        # depend on the root's value, so the two share a round
+        first = BitVector(n, full ^ H.columns[0].mask)
+        root, *level1 = f.batch_eval([ones, first])
+    else:
+        root = f.eval(ones)  # fasmt's root, or hybrid's where n <= 2d
     if transcript is not None:
         log_query(transcript, Label(0), ones, root)
     if abs(root) <= tau:
+        if H.columns and transcript is not None:
+            log_query(transcript, Label(0), first, level1[0])
         return []
-    full = ones.mask
     # a bucket: label bits, sum, candidate set (the coordinates outside the
     # columns its label records a 0 at), and the earlier buckets below it
     buckets: list[tuple[int, float, int, list[int]]] = [(0, root, full, [])]
@@ -114,7 +127,7 @@ def refine_levels(
             x.n = n
             x.mask = bucket[2] & keep
             queries.append(x)
-        measurements = f.batch_eval(queries)
+        measurements = f.batch_eval(queries) if t else level1
         if transcript is not None:
             for (m, *_), x, v in zip(buckets, queries, measurements):
                 log_query(transcript, Label(t, m), x, v)

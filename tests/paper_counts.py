@@ -19,8 +19,9 @@ Regenerate the committed file only when a behaviour change is intended:
 
     PYTHONPATH=src python3 tests/paper_counts.py > BENCH_paper.json
 
-To see which entries a change moves (the command exits 1 when any entry
-differs, 0 otherwise):
+To see which entries a change moves, and each runner's grid-total
+queries and rounds, committed -> current (the command exits 1 when any
+entry differs, 0 otherwise):
 
     PYTHONPATH=src python3 tests/paper_counts.py --diff
 """
@@ -225,6 +226,24 @@ def report_diff(committed: dict, current: dict) -> int:
     return 1 if lines else 0
 
 
+def grid_totals(counts: dict) -> dict[str, list[int]]:
+    """Each runner's [queries, rounds] summed over the grid's (n, d) cells."""
+    return {
+        runner: [sum(column) for column in zip(*cells.values())]
+        for runner, cells in counts["grid_nd"].items()
+    }
+
+
+def totals_lines(committed: dict, current: dict) -> list[str]:
+    """One line per runner: its grid-total queries and rounds, committed -> current."""
+    want, got = grid_totals(committed), grid_totals(current)
+    return [
+        f"grid total\t{runner}\tqueries {want[runner][0]} -> {got[runner][0]}, "
+        f"rounds {want[runner][1]} -> {got[runner][1]}"
+        for runner in ALGORITHMS
+    ]
+
+
 def format_counts(counts: dict) -> str:
     """The counts as JSON with one line per cell, so a change diffs readably."""
     sections = []
@@ -240,6 +259,9 @@ def format_counts(counts: dict) -> str:
 if __name__ == "__main__":
     current = record()
     if sys.argv[1:] == ["--diff"]:
-        sys.exit(report_diff(json.loads(COUNTS.read_text(encoding="ascii")), current))
+        committed = json.loads(COUNTS.read_text(encoding="ascii"))
+        status = report_diff(committed, current)
+        print("\n".join(totals_lines(committed, current)))
+        sys.exit(status)
     else:
         print(format_counts(current))

@@ -184,14 +184,14 @@ def test_criterion_03_depth_first_query_budget(scaled_grid):
 
 def test_criterion_04_breadth_first_envelope_and_rounds(scaled_grid):
     """Every breadth-first run of criterion 2 uses at most s_actual*b + 1
-    queries in at most b + 1 rounds; with the matrix held fixed at
-    (n=128, d=2), the round count does not depend on s."""
+    queries in at most b rounds, the root sharing level 1's; with the
+    matrix held fixed at (n=128, d=2), the round count is b whatever s."""
     for r in scaled_grid["records"]:
         if r.algorithm != "pasmt":
             continue
         b = runner_design("pasmt", r.n, r.d).b
         assert r.queries <= r.s_actual * b + 1, r
-        assert r.rounds <= b + 1, r
+        assert r.rounds <= b, r
 
     H = construct_disjunct(128, 2)
     rounds_seen = set()
@@ -204,7 +204,7 @@ def test_criterion_04_breadth_first_envelope_and_rounds(scaled_grid):
         got = pasmt_run(f, H, 2)
         assert got.close_to(truth, 1e-9)
         rounds_seen.add(f.round_count)
-    assert rounds_seen == {H.b + 1}
+    assert rounds_seen == {H.b}
 
 
 def test_hybrid_envelope(scaled_grid):
@@ -331,6 +331,15 @@ def test_paper_counts_diff_exit_status(committed, capsys):
     assert capsys.readouterr().out == f"0 {tail}"
     assert paper_counts.report_diff(committed, moved) == 1
     assert capsys.readouterr().out.endswith(f"\n2 {tail}")
+
+
+def test_paper_counts_diff_prints_grid_totals(committed):
+    queries, rounds = paper_counts.grid_totals(committed)["hybrid"]
+    moved = json.loads(json.dumps(committed))
+    moved["grid_nd"]["hybrid"]["n16-d1"][1] += 1
+    lines = paper_counts.totals_lines(committed, moved)
+    assert [line.split("\t")[1] for line in lines] == list(ALGORITHMS)
+    assert f"grid total\thybrid\tqueries {queries} -> {queries}, rounds {rounds} -> {rounds + 1}" in lines
 
 
 def test_criterion_05_binary_splitting_recovery():

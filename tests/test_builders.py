@@ -167,6 +167,14 @@ def test_list_design_width_at_large_d_is_cheap():
     assert time.process_time() - start < 1.0
 
 
+def test_sperner_design_at_large_n_is_cheap():
+    # the per-bit design it replaced took about 5 s of CPU here, and a loop
+    # that ORs each item into its tests about 4 s
+    start = time.process_time()
+    assert construct_disjunct(262144, 1).b == 21
+    assert time.process_time() - start < 0.5
+
+
 def columns_digest(H: TestMatrix) -> str:
     masks = " ".join(format(c.mask, "x") for c in H.columns)
     return hashlib.sha256(masks.encode()).hexdigest()
@@ -179,7 +187,8 @@ def instance_digest(poly: SparsePolynomial) -> str:
 
 # (n, d): (disjunct width, its digest, list-design width, its digest), the
 # list design seeded 40000 + 97n + d as the runners seed it; the disjunct
-# designs are the Reed-Solomon codes at the Kautz-Singleton point count.
+# designs are the Reed-Solomon codes at the Kautz-Singleton point count,
+# and at d = 1 the Sperner design.
 # The list designs draw base-(d + 1) words: base 2 rejects no word, base 3
 # rejects 34 % and base 5 19 %
 DESIGNS = {
@@ -192,7 +201,7 @@ DESIGNS = {
         44, "fbfccf8ec216949fc0c074c56a679f3c034d1287812c76f6d334f60325b8ebc5",
     ),
     (4096, 1): (
-        24, "437f2de50ea50d097fbbdaeb271d637e64b03d34906c2b5ccbae86776cc52bef",
+        15, "5e6624ac93a17206548d15526a688827d3cb28f00e72eb1d6b827de4cf972e09",
         20, "7a9eea8efbd6a976cf4c80b0e96eeccbe0b21a772f1d4ed327da01a732142001",
     ),
     (4096, 2): (

@@ -266,10 +266,29 @@ def test_construct_disjunct_degenerate_is_identity():
     assert construct_disjunct(3, 2) == identity_matrix(3)
 
 
-def test_construct_disjunct_bit_tests_for_d1():
+def test_construct_disjunct_sperner_tests_for_d1():
     H = construct_disjunct(64, 1)
-    assert H.b == 12  # set and clear tests per address bit
+    assert H.b == 8  # C(8, 4) = 70 >= 64 > C(7, 3)
     assert verify_disjunct(H, 1)
+
+
+def test_sperner_design_is_minimal_lexicographic_and_covers_every_item():
+    # test_construct_disjunct_verifies_at_every_small_n certifies these
+    # designs 1-disjunct for n = 1-40; where n <= 4 the identity ties or
+    # wins, and it meets the same width bounds
+    for n in range(1, 301):
+        H = construct_disjunct(n, 1)
+        w = H.b
+        assert math.comb(w, w // 2) >= n
+        if w > 1:
+            assert math.comb(w - 1, (w - 1) // 2) < n, n
+        assert all(column.mask for column in H.columns), n
+        if w < n:
+            # item j is in the tests of the j-th w//2-subset, lexicographically
+            codes = list(combinations(range(w), w // 2))[:n]
+            assert [c.mask for c in H.columns] == [
+                sum(1 << j for j, code in enumerate(codes) if t in code) for t in range(w)
+            ], n
 
 
 def test_construct_disjunct_rs_design():
@@ -315,7 +334,7 @@ def test_construct_disjunct_widths():
     # the widths the candidate search picks; a shorter design moves these
     widths = {
         (16, 2): 15, (64, 4): 55, (128, 4): 65, (256, 2): 35, (256, 4): 85,
-        (256, 1): 16, (1024, 4): 99, (2048, 4): 117, (4096, 2): 77,
+        (256, 1): 11, (1024, 4): 99, (2048, 4): 117, (4096, 2): 77,
         (4096, 4): 153, (16384, 8): 493,
     }
     assert {key: construct_disjunct(*key).b for key in widths} == widths

@@ -106,11 +106,12 @@ def test_reruns_are_transcript_identical():
     assert first[1] == "1" * 14
 
 
-def test_zero_function_costs_one_query():
+def test_zero_function_costs_one_round():
+    # the root and level 1's point share one batch (pasmt.refine_levels)
     f = oracle_for(SparsePolynomial(9, {}))
     got = hybrid_run(f, 9, 2, seed=1)
     assert got.sparsity == 0
-    assert f.query_count == 1
+    assert f.query_count == 2
     assert f.round_count == 1
 
 
