@@ -10,15 +10,17 @@ by side.  The depth-first engine (fasmt) takes only the blocks from
 GbsaTree and steps the same rule in its own loop, on the state's five
 integers; GbsaTree's start and advance are the reference walk that
 gbsa_step and the tests use.  The non-adaptive side builds d-disjunct
-test matrices (Reed-Solomon concatenation at the Kautz-Singleton point
-count d*(m-1) + 1, a Sperner antichain at d = 1, with an identity
-fallback) plus randomized list-disjunct designs, which are test matrices
-that keep the seed they were drawn from, together with the naive cover
-decoder for both.
+test matrices (Reed-Solomon concatenation over a prime-power field GF(q),
+plus the point at infinity, at the Kautz-Singleton point count
+d*(m-1) + 1; a Sperner antichain at d = 1; an identity fallback) plus
+randomized list-disjunct designs, which are test matrices that keep the
+seed they were drawn from, together with the naive cover decoder for
+both.
 Both builders work a whole column, or a whole evaluation point, at a time:
-the Reed-Solomon symbols come from Horner's rule over base-q digits and
-their masks from one bytes translate each, and a list design's column is
-one bernoulli_mask draw.
+the Reed-Solomon symbols come from Horner's rule over base-q digits, by
+lookups in GF(q)'s addition and multiplication tables (built once per q),
+and their masks from one bytes translate each, and a list design's column
+is one bernoulli_mask draw.
 """
 
 from __future__ import annotations
@@ -232,41 +234,120 @@ def _sperner_tests(n: int) -> TestMatrix:
     return TestMatrix(n, [BitVector(n, mask & full) for mask in masks(0, w // 2)])
 
 
-def _is_prime(q: int) -> bool:
-    i = 2
-    while i * i <= q:
-        if q % i == 0:
-            return False
-        i += 1
-    return True
+def _prime_power(q: int) -> tuple[int, int] | None:
+    """(p, k) with q = p**k, p prime and k >= 1, or None; needs q >= 2."""
+    p = next((i for i in range(2, math.isqrt(q) + 1) if q % i == 0), q)
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    return (p, k) if q == 1 else None
+
+
+@cache
+def _gf_modulus(p: int, k: int) -> int:
+    """The lexicographically first monic irreducible polynomial of degree k
+    over GF(p), coefficients compared from x^(k-1) down, as the integer
+    whose i-th base-p digit is its coefficient of x^i: the least such
+    integer in [p^k, 2 p^k).  At k = 1 it is x, the integer p.
+
+    A monic polynomial of degree k is reducible iff it is the product of
+    monic ones of degrees i and k - i for some 1 <= i <= k/2, so the sieve
+    multiplies out those pairs, about (k/2) p^k products.
+    """
+
+    def monic(i: int) -> list[list[int]]:
+        # the monic polynomials of degree i, as coefficient lists from x^0 up
+        return [[e // p**j % p for j in range(i)] + [1] for e in range(p**i)]
+
+    def product(a: list[int], b: list[int]) -> int:
+        c = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                c[i + j] = (c[i + j] + x * y) % p
+        return sum(v * p**i for i, v in enumerate(c))
+
+    reducible = {
+        product(a, b) for i in range(1, k // 2 + 1) for a in monic(i) for b in monic(k - i)
+    }
+    return next(f for f in count(p**k) if f not in reducible)
+
+
+@cache
+def _gf_tables(q: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The addition and multiplication tables of GF(q), q = p^k a prime
+    power, over the elements 0..q-1: element e is the polynomial over GF(p)
+    whose coefficient of x^i is e's i-th base-p digit, and products are
+    reduced modulo _gf_modulus(p, k).  At k = 1 they are arithmetic mod p.
+    They are cached per q, so they are tuples, which no caller can change.
+
+    Addition is digit-wise, so its table over p^(i+1) elements is the one
+    over p^i with a lowest digit joined.  With b = b0 + x*b' (b0 its
+    lowest digit), a*b = b0*a + x*(a*b'), and b' < b, so each row of the
+    product fills in increasing b by table lookups: O(q^2) steps in all.
+    """
+    p, k = _prime_power(q)
+    add = [[0]]
+    for _ in range(k):
+        add = [
+            [(a0 + b0) % p + p * row[b1] for b1 in range(len(row)) for b0 in range(p)]
+            for row in add
+            for a0 in range(p)
+        ]
+
+    def multiples(a: int) -> list[int]:
+        # c*a for c = 0..p-1
+        out = [0]
+        for _ in range(p - 1):
+            out.append(add[out[-1]][a])
+        return out
+
+    # x^k is minus the modulus's terms below x^k, and e*x shifts e's digits
+    # up one place, its x^(k-1) digit t leaving t*x^k
+    top = q // p
+    carry = multiples(add[_gf_modulus(p, k) - q].index(0))
+    times_x = [add[p * (e % top)][carry[e // top]] for e in range(q)]
+    mul = []
+    for a in range(q):
+        row = multiples(a)
+        for b in range(p, q):
+            row.append(add[row[b % p]][times_x[row[b // p]]])
+        mul.append(tuple(row))
+    return tuple(map(tuple, add)), tuple(mul)
 
 
 def _rs_concat(n: int, q: int, m: int, points: int) -> TestMatrix:
-    """Reed-Solomon code over GF(q) of message length m, evaluated at the
-    first points elements alpha = 0..points-1 of GF(q) and concatenated
-    with the identity: test (position, symbol) contains item j iff j's
-    codeword carries that symbol at that position.  Zero and duplicate
-    test columns carry no information and are dropped.
+    """Reed-Solomon code over GF(q), q a prime power, of message length m,
+    concatenated with the identity: test (position, symbol) contains item
+    j iff j's codeword carries that symbol at that position.  Up to q
+    points are the field elements alpha = 0..points-1, and points = q + 1
+    adds the point at infinity, whose symbol is the coefficient of
+    x^(m-1).  Zero and duplicate test columns carry no information and are
+    dropped.
 
-    Two items' codewords are polynomials of degree below m, so they agree
-    on at most m - 1 points; with points >= d*(m-1) + 1, any d other
+    Item j's codeword is the polynomial whose coefficient of x^i is j's
+    i-th base-q digit.  Two items' polynomials have degree below m, so
+    they agree on at most m - 1 field points; where their x^(m-1)
+    coefficients agree their difference has degree below m - 1, so
+    counting infinity they still agree on at most m - 1 of the points (the
+    doubly-extended code is MDS).  With points >= d*(m-1) + 1, any d other
     codewords miss one of an item's symbols, and the matrix is d-disjunct
     (Kautz-Singleton).
 
     Item j = j0 + q*j' (j0 its lowest base-q digit) carries the symbol
-    (j0 + alpha * symbol(j')) % q at point alpha, so each point's symbols
-    take one pass per digit, Horner's rule over the items below
-    ceil(n / q^i), and each pass joins one precomputed q-symbol run per
-    item of the pass before.  Where q < 256 each symbol's mask is read off
-    the symbol bytes by one translate.
+    j0 + alpha * symbol(j') at point alpha, so each point's symbols take
+    one pass per digit, Horner's rule over the items below ceil(n / q^i),
+    and each pass joins one precomputed q-symbol run per item of the pass
+    before.  Where q < 256 each symbol's mask is read off the symbol bytes
+    by one translate.  At infinity symbol s holds the contiguous items
+    s*q^(m-1) to (s+1)*q^(m-1) - 1 below n, one range mask each.
     """
-    # shifts[t] lists (t + j0) % q for j0 = 0..q-1
-    shifts = [[(t + j0) % q for j0 in range(q)] for t in range(q)]
+    add, mul = _gf_tables(q)
     cols = []
-    for alpha in range(points):
+    for alpha in range(min(points, q)):
         # after[s] lists the symbols of the items j0 + q*j', j0 = 0..q-1,
-        # whose j' carries symbol s
-        after = [shifts[alpha * s % q] for s in range(q)]
+        # whose j' carries symbol s; add[t] lists t + j0 for j0 = 0..q-1
+        after = [add[t] for t in mul[alpha]]
         syms = [0]  # the symbols of the items below ceil(n / q^(i+1))
         for i in range(m - 1, -1, -1):
             syms = list(chain.from_iterable(map(after.__getitem__, syms)))
@@ -283,6 +364,9 @@ def _rs_concat(n: int, q: int, m: int, points: int) -> TestMatrix:
             for j, sym in enumerate(syms):
                 masks[sym] |= 1 << j
             cols += masks
+    if points > q:
+        block = q ** (m - 1)
+        cols += [(1 << min(n, (s + 1) * block)) - (1 << min(n, s * block)) for s in range(q)]
     seen: set[int] = set()
     kept = []
     for mask in cols:
@@ -299,15 +383,16 @@ def construct_disjunct(n: int, d: int) -> TestMatrix:
     w >= 2 tests with C(w, floor(w/2)) >= n, each item in its own
     floor(w/2) of them), and one Reed-Solomon concatenation per message
     length m >= 2: it evaluates at L = d*(m-1) + 1 points over the
-    smallest prime field q with q**m >= n and q >= L, so it has at most
+    smallest prime-power field q with q**m >= n and q >= L - 1 (at
+    q = L - 1 the last point is the one at infinity), so it has at most
     L*q tests.  The search minimises the test count, which is pasmt's
     round count: a Reed-Solomon candidate is scored L*q without being
     built, and only the narrowest is built.  Ties keep the earlier
     candidate (the Sperner design, then the smaller m), so results are
     deterministic, and the identity wins whenever no candidate is shorter,
-    which includes every d >= n.  Since q >= L, a candidate scores at
-    least L*L, so the search over m stops once L*L reaches the best width
-    so far.
+    which includes every d >= n.  Since q >= L - 1, a candidate scores
+    more than (L-1)^2, so the search over m stops once (L-1)^2 reaches the
+    best width so far.
     """
     if n < 1 or d < 1:
         raise ParameterError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
@@ -320,10 +405,10 @@ def construct_disjunct(n: int, d: int) -> TestMatrix:
     field = None
     for m in count(2):
         points = d * (m - 1) + 1
-        if points * points >= width:
+        if (points - 1) ** 2 >= width:
             break
-        q = points
-        while q**m < n or not _is_prime(q):
+        q = max(points - 1, 2)
+        while q**m < n or _prime_power(q) is None:
             q += 1
         if points * q < width:
             field, width = (q, m, points), points * q

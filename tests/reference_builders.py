@@ -3,11 +3,13 @@ first guesses and fixed-point bounds, kept as the references the current
 builders are tested against.
 
 bernoulli_mask decodes one base-`base` digit per Python step, _rs_concat
-evaluates each item's codeword one digit at a time at every point,
-unrank_subset finds each coordinate by bisection over binomials, and
-list_design_width multiplies out the exact powers one test at a time.
-list_design_stream draws a list design's columns one at a time, to any
-width.
+evaluates each item's codeword one digit at a time at every point, in
+GF(p^k) arithmetic of its own (polynomials over GF(p) multiplied out and
+reduced one at a time, modulo the polynomial gf_modulus finds by trial
+division), unrank_subset finds each coordinate by bisection over
+binomials, and list_design_width multiplies out the exact powers one test
+at a time.  list_design_stream draws a list design's columns one at a
+time, to any width.
 """
 
 from __future__ import annotations
@@ -78,26 +80,100 @@ def bernoulli_mask(rng: SplitMix64, n: int, base: int) -> int:
     return mask
 
 
+def _digits(v: int, base: int, count: int) -> list[int]:
+    """v's count lowest base-`base` digits, least significant first."""
+    out = []
+    for _ in range(count):
+        out.append(v % base)
+        v //= base
+    return out
+
+
+def _poly_mod(a: list[int], f: list[int], p: int) -> list[int]:
+    """a modulo the monic f over GF(p), by long division; coefficient lists
+    from x^0 up, and the remainder padded to deg f coefficients."""
+    a = [c % p for c in a] + [0] * (len(f) - 1)
+    k = len(f) - 1
+    for top in range(len(a) - 1, k - 1, -1):
+        c = a[top]
+        if c:
+            for i in range(k + 1):
+                a[top - k + i] = (a[top - k + i] - c * f[i]) % p
+    return a[:k]
+
+
+def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    c = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            c[i + j] = (c[i + j] + x * y) % p
+    return c
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p**k, by trial division; q must be a prime power."""
+    p = 2
+    while q % p:
+        p += 1
+    k = 0
+    while q > 1:
+        if q % p:
+            raise ParameterError(f"{q * p**k} is not a prime power")
+        q //= p
+        k += 1
+    return p, k
+
+
+def gf_modulus(p: int, k: int) -> int:
+    """The monic irreducible polynomial of degree k over GF(p) that comes
+    first with coefficients compared from x^(k-1) down, as the integer whose
+    i-th base-p digit is its coefficient of x^i.  Candidates are tried in
+    that order, each by trial division by every monic polynomial of degree
+    1..k/2."""
+    for low in range(p**k):
+        f = _digits(low, p, k) + [1]
+        if not any(
+            not any(_poly_mod(f, _digits(g, p, i) + [1], p))
+            for i in range(1, k // 2 + 1)
+            for g in range(p**i)
+        ):
+            return p**k + low
+    raise AssertionError("every degree has an irreducible polynomial")
+
+
 def _rs_concat(n: int, q: int, m: int, points: int) -> TestMatrix:
-    """Reed-Solomon code over GF(q) of message length m at the points
-    alpha = 0..points-1, concatenated with the identity: test (position,
+    """Reed-Solomon code over GF(q), q = p^k, of message length m at the
+    points alpha = 0..min(points, q)-1, plus the point at infinity when
+    points = q + 1, concatenated with the identity: test (position,
     symbol) contains item j iff j's codeword carries that symbol at that
-    position.  Zero and duplicate test columns carry no information and
-    are dropped."""
+    position.  Item j's codeword is the polynomial whose coefficient of
+    x^i is j's i-th base-q digit; field elements are polynomials over
+    GF(p) in base-p digits, multiplied out and reduced modulo gf_modulus
+    one item and one digit at a time, and infinity carries the
+    coefficient of x^(m-1).  Zero and duplicate test columns carry no
+    information and are dropped."""
+    p, k = prime_power(q)
+    f = _digits(gf_modulus(p, k), p, k + 1)
+    # powers[alpha][i] is alpha^i, i = 0..m-1
+    powers = []
+    for alpha in range(min(points, q)):
+        row = [_digits(1, p, k)]
+        for _ in range(m - 1):
+            row.append(_poly_mod(_poly_mul(row[-1], _digits(alpha, p, k), p), f, p))
+        powers.append(row)
     cols = [0] * (q * points)
     for j in range(n):
-        digits = []
-        v = j
-        for _ in range(m):
-            digits.append(v % q)
-            v //= q
+        digits = _digits(j, q, m)
         for alpha in range(points):
-            acc = 0
-            power = 1
-            for digit in digits:
-                acc = (acc + digit * power) % q
-                power = (power * alpha) % q
-            cols[alpha * q + acc] |= 1 << j
+            if alpha == q:
+                sym = digits[-1]
+            else:
+                acc = [0] * k
+                for digit, power in zip(digits, powers[alpha]):
+                    term = _poly_mod(_poly_mul(_digits(digit, p, k), power, p), f, p)
+                    acc = [(x + y) % p for x, y in zip(acc, term)]
+                sym = sum(c * p**i for i, c in enumerate(acc))
+            cols[alpha * q + sym] |= 1 << j
     seen: set[int] = set()
     kept = []
     for mask in cols:

@@ -226,8 +226,7 @@ def test_hybrid_envelope(scaled_grid):
 def test_hybrid_trades_between_the_other_runners(scaled_grid):
     """On the criterion-2 grid totals, hybrid makes fewer queries and needs
     fewer rounds than pasmt, and needs fewer rounds than fasmt."""
-    cells = paper_counts.grid_counts(scaled_grid["records"])["grid_nd"]
-    totals = {a: [sum(column) for column in zip(*cells[a].values())] for a in cells}
+    totals = paper_counts.grid_totals(paper_counts.grid_counts(scaled_grid["records"]))
     assert totals["hybrid"][0] < totals["pasmt"][0], totals
     assert totals["hybrid"][1] < totals["pasmt"][1], totals
     assert totals["hybrid"][1] < totals["fasmt"][1], totals

@@ -2,8 +2,9 @@
 
 reference_builders keeps bernoulli_mask, _rs_concat, unrank_subset and
 list_design_width as they were before they read several digits per step
-or bounded their powers in fixed point, so each current builder is
-compared with its reference draw for draw, and the bulk draw behind
+or bounded their powers in fixed point (and _rs_concat with field
+arithmetic of its own, one item and one digit at a time), so each current
+builder is compared with its reference draw for draw, and the bulk draw behind
 bernoulli_mask with successive rng.below calls; the digests below pin the
 designs and instances at the benchmark's sizes, which BENCH_paper.json's
 golden runs reach only at (1024, 4) and (2048, 4), with other seeds.
@@ -94,21 +95,31 @@ def test_unrank_subset_matches_the_bisection_reference(case):
     assert unrank_subset(n, c, rank) == ref.unrank_subset(n, c, rank)
 
 
-PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 
 
 @settings(max_examples=100)
-@given(st.sampled_from(PRIMES), st.integers(1, 4), st.data())
+@given(st.sampled_from(PRIME_POWERS), st.integers(1, 4), st.data())
 def test_rs_concat_matches_the_per_item_reference(q, m, data):
-    # points q evaluates at all of GF(q), as the full-length code does
+    # points q evaluates at all of GF(q), as the full-length code does, and
+    # q + 1 adds the point at infinity
     n = data.draw(st.integers(1, min(q**m, 700)))
-    points = data.draw(st.integers(1, q))
+    points = data.draw(st.integers(1, q + 1))
     assert _rs_concat(n, q, m, points) == ref._rs_concat(n, q, m, points)
 
 
+def test_field_moduli_match_the_trial_division_reference():
+    # every (p, k) with p^k <= 1024
+    for q in range(2, 1025):
+        if grouptest._prime_power(q):
+            p, k = ref.prime_power(q)
+            assert grouptest._gf_modulus(p, k) == ref.gf_modulus(p, k), q
+
+
 def test_rs_concat_past_one_byte_symbols_matches_the_reference():
-    # q >= 256: the symbols no longer fit a byte each
-    assert _rs_concat(600, 257, 2, 257) == ref._rs_concat(600, 257, 2, 257)
+    # q >= 256: the symbols no longer fit a byte each; 258 points are all
+    # of GF(257) and infinity
+    assert _rs_concat(600, 257, 2, 258) == ref._rs_concat(600, 257, 2, 258)
     assert _rs_concat(600, 257, 2, 9) == ref._rs_concat(600, 257, 2, 9)
 
 
@@ -187,8 +198,10 @@ def instance_digest(poly: SparsePolynomial) -> str:
 
 # (n, d): (disjunct width, its digest, list-design width, its digest), the
 # list design seeded 40000 + 97n + d as the runners seed it; the disjunct
-# designs are the Reed-Solomon codes at the Kautz-Singleton point count,
-# and at d = 1 the Sperner design.
+# designs are the Reed-Solomon codes at the Kautz-Singleton point count
+# (GF(11) at (1024, 4), GF(13) at (2048, 4), GF(8) at (4096, 2), GF(16)
+# at (4096, 4), and GF(32) with the point at infinity at (4096, 16)), and
+# at d = 1 the Sperner design.
 # The list designs draw base-(d + 1) words: base 2 rejects no word, base 3
 # rejects 34 % and base 5 19 %
 DESIGNS = {
@@ -205,15 +218,15 @@ DESIGNS = {
         20, "7a9eea8efbd6a976cf4c80b0e96eeccbe0b21a772f1d4ed327da01a732142001",
     ),
     (4096, 2): (
-        77, "2fc4ce40c25deb5d3f8b366c17c9954fef361d04664cea25f6065c416077426e",
+        56, "bb29033ada87602352be3c5ee17450c080445ca48b7c9a41ee8f695b2f2d25ff",
         31, "5d31f60a64900753f673423433e9f2ca8f76be3e4fd2808352ef12695082f2a6",
     ),
     (4096, 4): (
-        153, "9848ee4ec27f8803485c418a1a015f1311915988b4eb93feb7ebc420f8098d9c",
+        144, "d6a702160754275ffc401358286166a8bdbd65c5b19ebe9be58456a9481786d3",
         51, "4b86db2bf946ff8b488781e9c12d0b23b4fbd0658111cd86f2c027c271984241",
     ),
     (4096, 16): (
-        1139, "86b00e9fe50e5af9611ce4fc8588e559478eb21722155aeb6a48ce52d5b92c88",
+        1028, "f5a30d5ceb234df7d83b9aa57f82768a3f01134d2bc03eda02ad81d65cb9eb1f",
         142, "092f81ac78f28ad822387f7398aea63c5fe067cfca5a5d037a2f8338fb0a6f16",
     ),
 }

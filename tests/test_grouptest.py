@@ -26,7 +26,10 @@ from sparsemobius.grouptest import (
     identity_matrix,
     list_decode,
     list_design_width,
+    _gf_modulus,
+    _gf_tables,
     _lowest,
+    _prime_power,
     _rs_concat,
 )
 
@@ -292,8 +295,10 @@ def test_sperner_design_is_minimal_lexicographic_and_covers_every_item():
 
 
 def test_construct_disjunct_rs_design():
+    # GF(4) at m = 3: its four points and infinity, whose symbol (the top
+    # base-4 digit) takes 4 values below 64
     H = construct_disjunct(64, 2)
-    assert H.b == 25
+    assert H.b == 20
     assert verify_disjunct(H, 2)
 
 
@@ -311,18 +316,65 @@ def test_construct_disjunct_verifies_at_every_small_n(d):
         assert verify_disjunct(construct_disjunct(n, d), d), (n, d)
 
 
-PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+PRIME_POWERS = [
+    2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43,
+    47, 49, 53, 59, 61, 64,
+]
+
+
+def test_prime_powers_below_65():
+    assert [q for q in range(2, 65) if _prime_power(q)] == PRIME_POWERS
+    assert [_prime_power(q) for q in (2, 16, 27, 49, 64, 61)] == [
+        (2, 1), (2, 4), (3, 3), (7, 2), (2, 6), (61, 1),
+    ]
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_gf_tables_are_a_field(q):
+    add, mul = _gf_tables(q)
+    elements = tuple(range(q))
+    assert add[0] == elements and mul[1] == elements and mul[0] == (0,) * q
+    # each row of the sum is a permutation, so each element has one negative
+    assert all(tuple(sorted(row)) == elements for row in add)
+    # each nonzero element has exactly one inverse
+    assert all(mul[a].count(1) == 1 for a in range(1, q))
+    for a in range(q):
+        for b in range(q):
+            # a*(b + c) = a*b + a*c, and (a*b)*c = a*(b*c), for every c
+            assert tuple(map(mul[a].__getitem__, add[b])) == tuple(
+                map(add[mul[a][b]].__getitem__, mul[a])
+            )
+            assert mul[mul[a][b]] == tuple(map(mul[a].__getitem__, mul[b]))
+
+
+# the moduli of the fields the acceptance grid, the scaling sweep and the
+# benchmark build designs over, as integers whose i-th base-p digit is the
+# coefficient of x^i
+MODULI = {
+    (2, 2): 0b111,  # x^2 + x + 1
+    (2, 3): 0b1011,  # x^3 + x + 1
+    (2, 4): 0b10011,  # x^4 + x + 1
+    (3, 3): 27 + 2 * 3 + 1,  # x^3 + 2x + 1
+    (7, 1): 7,  # x: GF(7) is arithmetic mod 7
+    (11, 1): 11,
+    (13, 1): 13,
+}
+
+
+def test_field_moduli_are_pinned():
+    assert {key: _gf_modulus(*key) for key in MODULI} == MODULI
 
 
 @settings(max_examples=150)
-@given(st.sampled_from(PRIMES), st.integers(2, 4), st.data())
+@given(st.sampled_from(PRIME_POWERS), st.integers(2, 4), st.data())
 def test_rs_codewords_agree_on_at_most_m_minus_1_points(q, m, data):
     # two items share a test iff their codewords carry the same symbol at
     # its point, so two rows meet in at most m - 1 tests however few
-    # points are kept; at the Kautz-Singleton count L = d*(m-1) + 1 that
-    # leaves each item a test outside any d others
+    # points are kept, the point at infinity (points = q + 1) included; at
+    # the Kautz-Singleton count L = d*(m-1) + 1 that leaves each item a
+    # test outside any d others
     n = data.draw(st.integers(2, min(q**m, 200)))
-    points = data.draw(st.integers(1, q))
+    points = data.draw(st.integers(1, q + 1))
     rows = _rs_concat(n, q, m, points).row_masks
     assert all(0 < row.bit_count() <= points for row in rows)
     assert max(
@@ -333,9 +385,9 @@ def test_rs_codewords_agree_on_at_most_m_minus_1_points(q, m, data):
 def test_construct_disjunct_widths():
     # the widths the candidate search picks; a shorter design moves these
     widths = {
-        (16, 2): 15, (64, 4): 55, (128, 4): 65, (256, 2): 35, (256, 4): 85,
-        (256, 1): 11, (1024, 4): 99, (2048, 4): 117, (4096, 2): 77,
-        (4096, 4): 153, (16384, 8): 493,
+        (16, 2): 12, (32, 2): 18, (64, 4): 40, (128, 4): 65, (256, 2): 35,
+        (256, 4): 68, (256, 1): 11, (1024, 4): 99, (2048, 4): 117,
+        (4096, 2): 56, (4096, 4): 144, (16384, 8): 459,
     }
     assert {key: construct_disjunct(*key).b for key in widths} == widths
 
