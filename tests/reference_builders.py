@@ -5,11 +5,11 @@ builders are tested against.
 bernoulli_mask decodes one base-`base` digit per Python step, _rs_concat
 evaluates each item's codeword one digit at a time at every point, in
 GF(p^k) arithmetic of its own (polynomials over GF(p) multiplied out and
-reduced one at a time, modulo the polynomial gf_modulus finds by trial
-division), unrank_subset finds each coordinate by bisection over
-binomials, and list_design_width multiplies out the exact powers one test
-at a time.  list_design_stream draws a list design's columns one at a
-time, to any width.
+reduced once per product and added digit by digit once per sum, modulo
+the polynomial gf_modulus finds by trial division), unrank_subset finds
+each coordinate by bisection over binomials, and list_design_width
+multiplies out the exact powers one test at a time.  list_design_stream
+draws a list design's columns one at a time, to any width.
 """
 
 from __future__ import annotations
@@ -89,6 +89,12 @@ def _digits(v: int, base: int, count: int) -> list[int]:
     return out
 
 
+def _undigits(digits: list[int], base: int) -> int:
+    """The integer whose base-`base` digits, least significant first, are
+    digits."""
+    return sum(c * base**i for i, c in enumerate(digits))
+
+
 def _poly_mod(a: list[int], f: list[int], p: int) -> list[int]:
     """a modulo the monic f over GF(p), by long division; coefficient lists
     from x^0 up, and the remainder padded to deg f coefficients."""
@@ -148,9 +154,11 @@ def _rs_concat(n: int, q: int, m: int, points: int) -> TestMatrix:
     symbol) contains item j iff j's codeword carries that symbol at that
     position.  Item j's codeword is the polynomial whose coefficient of
     x^i is j's i-th base-q digit; field elements are polynomials over
-    GF(p) in base-p digits, multiplied out and reduced modulo gf_modulus
-    one item and one digit at a time, and infinity carries the
-    coefficient of x^(m-1).  Zero and duplicate test columns carry no
+    GF(p) in base-p digits, each product digit * alpha^i multiplied out
+    and reduced modulo gf_modulus, and each sum taken digit by digit mod
+    p, the first time an item needs it, and the terms summed one item and
+    one digit at a time; infinity carries
+    the coefficient of x^(m-1).  Zero and duplicate test columns carry no
     information and are dropped."""
     p, k = prime_power(q)
     f = _digits(gf_modulus(p, k), p, k + 1)
@@ -161,6 +169,10 @@ def _rs_concat(n: int, q: int, m: int, points: int) -> TestMatrix:
         for _ in range(m - 1):
             row.append(_poly_mod(_poly_mul(row[-1], _digits(alpha, p, k), p), f, p))
         powers.append(row)
+    # terms[alpha][i][digit] is digit * alpha^i and sums[a * q + b] is
+    # a + b, field elements as integers in base p; None until first needed
+    terms = [[[None] * q for _ in range(m)] for _ in powers]
+    sums: list[int | None] = [None] * (q * q)
     cols = [0] * (q * points)
     for j in range(n):
         digits = _digits(j, q, m)
@@ -168,11 +180,20 @@ def _rs_concat(n: int, q: int, m: int, points: int) -> TestMatrix:
             if alpha == q:
                 sym = digits[-1]
             else:
-                acc = [0] * k
-                for digit, power in zip(digits, powers[alpha]):
-                    term = _poly_mod(_poly_mul(_digits(digit, p, k), power, p), f, p)
-                    acc = [(x + y) % p for x, y in zip(acc, term)]
-                sym = sum(c * p**i for i, c in enumerate(acc))
+                sym = 0
+                for i, digit in enumerate(digits):
+                    term = terms[alpha][i][digit]
+                    if term is None:
+                        power = powers[alpha][i]
+                        prod = _poly_mod(_poly_mul(_digits(digit, p, k), power, p), f, p)
+                        term = terms[alpha][i][digit] = _undigits(prod, p)
+                    total = sums[sym * q + term]
+                    if total is None:
+                        pairs = zip(_digits(sym, p, k), _digits(term, p, k))
+                        total = sums[sym * q + term] = _undigits(
+                            [(x + y) % p for x, y in pairs], p
+                        )
+                    sym = total
             cols[alpha * q + sym] |= 1 << j
     seen: set[int] = set()
     kept = []
