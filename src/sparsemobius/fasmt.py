@@ -49,8 +49,10 @@ and one round, as a batch of one is, so the counts do not change.  A
 leaf under at least one phase-1 outcome with at most PROBE_FACTOR * d
 candidates is probed instead: it asks its candidate set minus each of its
 coordinates, all in the round it starts, and is done in that round when
-the residuals show a single coefficient (see depth_first_search).  Only
-hybrid's leaves carry outcomes; this runner's one bucket has none.
+the residuals show a single coefficient (see depth_first_search).  One of
+a single candidate under a 1-outcome asks nothing: the candidate is its
+support.  Only hybrid's leaves carry outcomes; this runner's one bucket
+has none.
 
 This runner feeds the engine the level loop run over no tests: the root
 query, then a single bucket over all n coordinates, so every query is its
@@ -260,12 +262,26 @@ def depth_first_search(
     residual was v and is searched over the rest, starting in the next
     round.  Probe lines carry the bucket's label in the transcript.  A
     probe whose outcomes imply more than d defectives raises the degree
-    overflow, labelled as _overflow says.  fasmt's one bucket has an empty
-    label, and so has hybrid's where n <= 2d, so neither is probed.  The
-    factor 8 is the cap a sweep over the acceptance grid chose (its table
-    is in the hybrid module: 6d costs rounds, 10d queries).  The probe is
-    handled here, beside the running searches, so a search still yields
-    one point per round.
+    overflow, labelled as _overflow says.
+
+    A bucket of one candidate j whose label has a 1 asks nothing.  A
+    1-outcome means every support in the bucket meets that test, so the
+    empty support is not in it.  The probe's one point, the empty set,
+    would read f(0) minus the constant term, which is already found since
+    the all-0 label lies below every leaf, so its residual would be 0
+    ("j is present") whatever the values.  The bucket records x_j with its
+    sum, takes no round and releases its dependents in the same pass; a
+    support recorded twice raises as a probe's would.  Under no 1-outcome
+    the bucket is probed: its point tells the constant term apart from
+    x_j.  At d = 1 hybrid's design is the Sperner design, so every leaf is
+    such a bucket or the constant term's, and hybrid runs pasmt's level
+    loop with no query in phase 2.
+
+    fasmt's one bucket has an empty label, and so has hybrid's where
+    n <= 2d, so neither is probed.  The factor 8 is the cap a sweep over
+    the acceptance grid chose (its table is in the hybrid module: 6d
+    costs rounds, 10d queries).  The probe is handled here, beside the
+    running searches, so a search still yields one point per round.
     """
     check_tau(tau)
     n = f.n
@@ -290,6 +306,15 @@ def depth_first_search(
             if not waiting[j]:
                 ready.append(j)
 
+    def record(i: int, label: Label, support: int, value: float) -> None:
+        # a probed or one-candidate bucket's one coefficient
+        if support in found:
+            raise ReconstructionError(
+                f"support {BitVector(n, support).to01()!r} decoded twice", label=label
+            )
+        found[support] = value
+        finish(i)
+
     searches: list[tuple[int, Generator[BitVector, float, None]]] = []
     xs: list[BitVector] = []
     # this round's probes: bucket index, label, sum, candidate set,
@@ -307,6 +332,11 @@ def depth_first_search(
             if i in narrowed:
                 bucket = narrowed.pop(i)
             elif label.n and 0 < free.bit_count() <= cap and abs(value) > tau:
+                if label.mask and not free & (free - 1):
+                    # a 1-outcome keeps the empty support out of the
+                    # bucket, so its one candidate is its support
+                    record(i, label, free, value)
+                    continue
                 points = []
                 rest = free
                 while rest:
@@ -367,12 +397,7 @@ def depth_first_search(
                 continue
             if present.bit_count() > d:
                 raise _overflow(label, free, present, d)
-            if present in found:
-                raise ReconstructionError(
-                    f"support {BitVector(n, present).to01()!r} decoded twice", label=label
-                )
-            found[present] = value
-            finish(i)
+            record(i, label, present, value)
         probes.clear()
     return {BitVector(n, k): v for k, v in found.items()}
 

@@ -13,9 +13,9 @@ gbsa_step and the tests use.  The non-adaptive side builds d-disjunct
 test matrices (Reed-Solomon concatenation over a prime-power field GF(q),
 plus the point at infinity, at the Kautz-Singleton point count
 d*(m-1) + 1; a Sperner antichain at d = 1; an identity fallback) plus
-randomized list-disjunct designs, which are test matrices that keep the
-seed they were drawn from, together with the naive cover decoder for
-both.
+list-disjunct designs, which are test matrices that keep their seed
+(randomized at d >= 2, the Sperner antichain at d = 1), together with the
+naive cover decoder for both.
 Both builders work a whole column, or a whole evaluation point, at a time:
 the Reed-Solomon symbols come from Horner's rule over base-q digits, by
 lookups in GF(q)'s addition and multiplication tables (built once per q),
@@ -455,9 +455,11 @@ def decode_disjunct(
 
 
 class ListDesign(TestMatrix):
-    """Randomized list-disjunct design: a test matrix that keeps the seed
-    construct_list_disjunct drew its columns from.  Equality and hashing
-    are the matrix's, by columns."""
+    """List-disjunct design: a test matrix that keeps the seed
+    construct_list_disjunct was given, randomized at d >= 2 (its columns
+    are drawn from the seed) and the Sperner design at d = 1 (the seed is
+    kept but not read).  Equality and hashing are the matrix's, by
+    columns."""
 
     __slots__ = ("seed",)
 
@@ -498,6 +500,11 @@ def list_design_width(n: int, d: int) -> int:
     few small-integer steps per test whatever d is, and only a b whose
     bounds straddle 3L/(2(n - d)) is decided by the exact powers.  It needs
     n >= 1 and d >= 1, as construct_list_disjunct does.
+
+    At d = 1 the width only says whether the design has tests: wherever it
+    is at least 1, construct_list_disjunct builds the Sperner design
+    instead, which is no wider here (6-11 tests on the acceptance grid
+    against 5-12) and whose false-candidate lists are empty.
     """
     if n < 1 or d < 1:
         raise ParameterError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
@@ -527,10 +534,24 @@ def construct_list_disjunct(n: int, d: int, seed: int) -> ListDesign:
     2 finishes each leaf of at most 8d candidates in one round, with
     fewer queries than L (see list_design_width).  Each column is
     one bernoulli_mask draw from one SplitMix64(seed) stream, and the
-    design keeps the seed, so a design is a prefix of any wider one drawn
-    from the same seed.  Where n <= 2d the design has no tests, so its one
-    candidate set is all n coordinates."""
+    design keeps the seed, so at d >= 2 a design is a prefix of any wider
+    one drawn from the same seed.  Where n <= 2d the design has no tests,
+    so its one candidate set is all n coordinates.
+
+    At d = 1, where n > 2, the design is construct_disjunct(n, 1)'s
+    Sperner columns, with the seed kept: a 1-disjunct matrix is a list
+    design whose false-candidate lists are empty, and it is no wider than
+    the Bernoulli design here (6/5, 7/6, 8/8, 10/10 and 11/12 tests,
+    Sperner / Bernoulli, at n = 16-256, 15/20 at n = 4,096).  Each leaf is
+    then one coordinate under a 1-outcome, or the constant term's empty
+    set, and hybrid runs pasmt's level loop with no phase-2 query.  At
+    d >= 2 the Reed-Solomon matrix is 2-7 times wider (12/6 at (16, 2),
+    68/25 at (256, 4)), and switching to it wherever it fit within the
+    probe's expected length cost more grid queries, so d = 1 alone
+    switches."""
     width = list_design_width(n, d)
+    if d == 1 and width:
+        return ListDesign(n, construct_disjunct(n, 1).columns, seed)
     rng = SplitMix64(seed)
     columns = [BitVector(n, bernoulli_mask(rng, n, d + 1)) for _ in range(width)]
     return ListDesign(n, columns, seed)

@@ -144,9 +144,11 @@ def runner_design(algorithm: str, n: int, d: int) -> TestMatrix | None:
 
     pasmt's is construct_disjunct(n, d), and hybrid's is a list design (a
     matrix that keeps its seed) seeded by (n, d) alone, so every instance
-    of a cell shares it; both exist for every n >= 1, d >= 1.  fasmt needs
-    none.  Each algorithm builds only its own design, so a pasmt or fasmt
-    run never pays for hybrid's.
+    of a cell shares it; both exist for every n >= 1, d >= 1.  Hybrid's
+    has pasmt's Sperner columns at d = 1 (where n > 2), and only at d >= 2
+    is it a prefix of any wider design drawn from the same seed.  fasmt
+    needs none.  Each algorithm builds only its own design, so a pasmt or
+    fasmt run never pays for hybrid's.
     """
     if algorithm == "pasmt":
         return construct_disjunct(n, d)

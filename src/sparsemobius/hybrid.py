@@ -13,7 +13,12 @@ guaranteed to contain the support of every coefficient in the bucket.
 Phase 2 hands the leaves as they are to the depth-first runner's search
 engine, whose splitting tree for each bucket ranges over that set only.
 Where n <= 2d the design has no tests: phase 1 is the root query and phase
-2 one search over all n, exactly as fasmt runs.
+2 one search over all n, exactly as fasmt runs.  Elsewhere at d = 1 the
+design is pasmt's Sperner design (construct_list_disjunct), a list design
+whose false-candidate lists are empty: each leaf holds one coordinate
+under a 1-outcome, which phase 2 records with no query, or the constant
+term's empty candidate set.  So at d = 1 hybrid runs pasmt's level loop,
+with the same queries, rounds and map.
 
 Phase 2 probes every leaf of at most 8d candidates (fasmt.PROBE_FACTOR),
 the second stage of two-stage group testing (fasmt.depth_first_search):
@@ -36,7 +41,9 @@ rounds:
 3L/2 with 8d cut both queries and rounds against the search alone; a
 larger cap trades queries for rounds, and a smaller one the reverse.
 Searching a failed probe's leaf over all its candidates, not only those
-the probe left, cost 487,452 queries in 88,427 rounds.
+the probe left, cost 487,452 queries in 88,427 rounds.  The Sperner design
+at d = 1, with one-candidate leaves under a 1-outcome recorded with no
+query, then took the grid to 444,269 queries in 72,526 rounds.
 
 A bucket's coefficients can lie below another bucket's query points only
 when its label lies componentwise below the other's, so phase 1 hands each

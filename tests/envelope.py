@@ -4,11 +4,12 @@ Phase 1 asks the root and at most s points per test, one round per test.
 Phase 2 prices each leaf refine_levels hands it.  A leaf's coefficients
 are the supports whose syndrome is its label; say it holds t of them.  A
 leaf that is searched costs at most t * gbsa_test_budget(m, d) queries
-over its m candidates, one per round.  A probed leaf (a label with an
-outcome, 1 to fasmt.PROBE_FACTOR * d candidates) asks its m points in one
-round and is done if t is 1.  Otherwise it is searched over the
-candidates the probe did not find absent, which are the union u of its
-coefficients' supports: m + t * gbsa_test_budget(u, d) queries in
+over its m candidates, one per round.  A leaf of one candidate under a
+1-outcome costs nothing.  Any other probed leaf (a label with an outcome,
+1 to fasmt.PROBE_FACTOR * d candidates) asks its m points in one round
+and is done if t is 1.  Otherwise it is searched over the candidates the
+probe did not find absent, which are the union u of its coefficients'
+supports: m + t * gbsa_test_budget(u, d) queries in
 1 + t * gbsa_test_budget(u, d) rounds.  Phase 2's rounds are at most the
 sum of its leaves' rounds.
 """
@@ -33,6 +34,8 @@ def hybrid_envelope(
     queries, rounds = 1 + truth.sparsity * design.b, 1 + design.b
     for label, _, free, _ in leaves:
         m, t = free.bit_count(), len(supports[label])
+        if label.mask and m == 1:
+            continue
         if label.n and 0 < m <= fasmt.PROBE_FACTOR * d:
             union = 0
             for k in supports[label]:

@@ -19,9 +19,10 @@ Regenerate the committed file only when a behaviour change is intended:
 
     PYTHONPATH=src python3 tests/paper_counts.py > BENCH_paper.json
 
-To see which entries a change moves, and each runner's grid-total
-queries and rounds, committed -> current (the command exits 1 when any
-entry differs, 0 otherwise):
+To see which entries a change moves, each runner's grid-total queries
+and rounds, and the (n, d) cells where hybrid's totals exceed pasmt's,
+committed -> current (the command exits 1 when any entry differs, 0
+otherwise):
 
     PYTHONPATH=src python3 tests/paper_counts.py --diff
 """
@@ -244,6 +245,22 @@ def totals_lines(committed: dict, current: dict) -> list[str]:
     ]
 
 
+def losing_cells(counts: dict) -> list[tuple[int, int]]:
+    """The grid's (n, d) cells, ascending, where hybrid's query or round
+    total exceeds pasmt's."""
+    cells = counts["grid_nd"]
+    return sorted(
+        tuple(int(part[1:]) for part in cell.split("-"))
+        for cell, hybrid in cells["hybrid"].items()
+        if any(h > p for h, p in zip(hybrid, cells["pasmt"][cell]))
+    )
+
+
+def losing_line(committed: dict, current: dict) -> str:
+    """The cells hybrid loses to pasmt, committed -> current."""
+    return f"losing cells\thybrid\t{losing_cells(committed)} -> {losing_cells(current)}"
+
+
 def format_counts(counts: dict) -> str:
     """The counts as JSON with one line per cell, so a change diffs readably."""
     sections = []
@@ -262,6 +279,7 @@ if __name__ == "__main__":
         committed = json.loads(COUNTS.read_text(encoding="ascii"))
         status = report_diff(committed, current)
         print("\n".join(totals_lines(committed, current)))
+        print(losing_line(committed, current))
         sys.exit(status)
     else:
         print(format_counts(current))

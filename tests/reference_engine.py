@@ -6,9 +6,10 @@ carry Label objects, a test inside the zero union is answered 0 without a
 query, and hybrid's phase 2 runs the leaf buckets in antichain layers: a
 layer starts only once every bucket of the layer before it has finished.
 A layer's leaves of 1 to fasmt.PROBE_FACTOR * d candidates are probed
-first, in a round of their own; the layer's searches, a failed probe's
-over its candidates minus those the probe found absent, run side by side
-after it.
+first, in a round of their own (a one-candidate leaf under a 1-outcome
+records its candidate with no query); the layer's searches, a failed
+probe's over its candidates minus those the probe found absent, run side
+by side after it.
 """
 
 from __future__ import annotations
@@ -170,15 +171,23 @@ def probe(f, bins, d, tau, discovered, transcript):
     """Ask every bin's candidate set minus each one of its candidates, all
     in one round.  A bin whose residuals are all 0 or its sum records its
     one coefficient and gets None in the returned list; any other bin gets
-    the mask of the candidates whose residual was its sum."""
+    the mask of the candidates whose residual was its sum.  A bin of one
+    candidate whose label has a 1 asks nothing: a 1-outcome keeps the
+    empty support out of it, so the candidate is its support."""
     n = f.n
     points = [
-        [BitVector.from_coords(n, [c for c in b.candidates if c != j]) for j in b.candidates]
+        None
+        if b.label.mask and len(b.candidates) == 1
+        else [BitVector.from_coords(n, [c for c in b.candidates if c != j]) for j in b.candidates]
         for b in bins
     ]
-    raws = iter(f.batch_eval([x for xs in points for x in xs]))
+    raws = iter(f.batch_eval([x for xs in points if xs for x in xs]))
     out = []
     for b, xs in zip(bins, points):
+        if xs is None:
+            discovered[BitVector.from_coords(n, b.candidates)] = b.value
+            out.append(None)
+            continue
         present = absent = 0
         for j, x in zip(b.candidates, xs):
             v0, v1 = split_bin(b.value, x, next(raws), discovered)

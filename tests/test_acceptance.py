@@ -234,20 +234,25 @@ def test_hybrid_trades_between_the_other_runners(scaled_grid):
 
 # (n, d) cells of the criterion-2 grid where hybrid's query or round total
 # exceeds pasmt's; a change that wins a cell back removes it here
-HYBRID_LOSES_TO_PASMT = {(16, 1), (32, 1), (64, 1), (128, 1), (256, 1), (16, 4)}
+HYBRID_LOSES_TO_PASMT = {(16, 4)}
 
 
 def test_hybrid_loses_to_pasmt_only_in_known_cells(scaled_grid):
     """Per (n, d) cell, hybrid's totals exceed pasmt's in no cell outside
     HYBRID_LOSES_TO_PASMT."""
-    cells = paper_counts.grid_counts(scaled_grid["records"])["grid_nd"]
-    losing = {
-        (n, d)
-        for n in GRID_NS
-        for d in GRID_DS
-        if any(h > p for h, p in zip(cells["hybrid"][f"n{n}-d{d}"], cells["pasmt"][f"n{n}-d{d}"]))
-    }
+    losing = set(paper_counts.losing_cells(paper_counts.grid_counts(scaled_grid["records"])))
     assert losing <= HYBRID_LOSES_TO_PASMT, sorted(losing - HYBRID_LOSES_TO_PASMT)
+
+
+def test_hybrid_costs_what_pasmt_costs_at_d1(committed):
+    """At d = 1 hybrid's design is pasmt's Sperner design and its
+    one-candidate leaves ask nothing, so it runs pasmt's level loop: every
+    d = 1 cell of the recorded grid holds the same query and round totals
+    for both."""
+    cells = committed["grid_nd"]
+    rows = [cell for cell in cells["hybrid"] if cell.endswith("-d1")]
+    assert len(rows) == len(GRID_NS)
+    assert all(cells["hybrid"][cell] == cells["pasmt"][cell] for cell in rows)
 
 
 @pytest.fixture(scope="module")
@@ -339,6 +344,16 @@ def test_paper_counts_diff_prints_grid_totals(committed):
     lines = paper_counts.totals_lines(committed, moved)
     assert [line.split("\t")[1] for line in lines] == list(ALGORITHMS)
     assert f"grid total\thybrid\tqueries {queries} -> {queries}, rounds {rounds} -> {rounds + 1}" in lines
+
+
+def test_paper_counts_diff_prints_the_losing_cells(committed):
+    # hybrid's (32, 2) total one query past pasmt's makes it a losing cell
+    moved = json.loads(json.dumps(committed))
+    pasmt_queries = committed["grid_nd"]["pasmt"]["n32-d2"][0]
+    moved["grid_nd"]["hybrid"]["n32-d2"][0] = pasmt_queries + 1
+    before = paper_counts.losing_cells(committed)
+    after = sorted(before + [(32, 2)])
+    assert paper_counts.losing_line(committed, moved) == f"losing cells\thybrid\t{before} -> {after}"
 
 
 def test_criterion_05_binary_splitting_recovery():

@@ -161,14 +161,24 @@ def test_list_design_widths_are_pinned(n, d):
 
 
 @settings(max_examples=100)
-@given(st.integers(1, 400), st.integers(1, 12), st.integers(0, 2**64 - 1), st.integers(0, 20))
+@given(st.integers(1, 400), st.integers(2, 12), st.integers(0, 2**64 - 1), st.integers(0, 20))
 def test_list_design_is_a_prefix_of_its_column_stream(n, d, seed, extra):
-    # a design is the first list_design_width(n, d) columns of its seed's
-    # stream, so a design of another width is a prefix of this one or
-    # extends it
+    # a design at d >= 2 is the first list_design_width(n, d) columns of
+    # its seed's stream, so a design of another width is a prefix of this
+    # one or extends it
     design = construct_list_disjunct(n, d, seed)
     stream = ref.list_design_stream(n, d, seed, design.b + extra)
     assert [c.mask for c in design.columns] == stream[: design.b]
+
+
+@settings(max_examples=100)
+@given(st.integers(3, 400), st.integers(0, 2**64 - 1))
+def test_list_design_at_d1_is_the_sperner_design(n, seed):
+    # a 1-disjunct matrix is a list design whose false-candidate lists are
+    # empty, and at d = 1 it is narrower than the Bernoulli design
+    design = construct_list_disjunct(n, 1, seed)
+    assert design.columns == construct_disjunct(n, 1).columns
+    assert design.seed == seed
 
 
 def test_list_design_width_at_large_d_is_cheap():
@@ -201,7 +211,7 @@ def instance_digest(poly: SparsePolynomial) -> str:
 # designs are the Reed-Solomon codes at the Kautz-Singleton point count
 # (GF(11) at (1024, 4), GF(13) at (2048, 4), GF(8) at (4096, 2), GF(16)
 # at (4096, 4), and GF(32) with the point at infinity at (4096, 16)), and
-# at d = 1 the Sperner design.
+# at d = 1 the Sperner design, which is the list design there too.
 # The list designs draw base-(d + 1) words: base 2 rejects no word, base 3
 # rejects 34 % and base 5 19 %
 DESIGNS = {
@@ -215,7 +225,7 @@ DESIGNS = {
     ),
     (4096, 1): (
         15, "5e6624ac93a17206548d15526a688827d3cb28f00e72eb1d6b827de4cf972e09",
-        20, "7a9eea8efbd6a976cf4c80b0e96eeccbe0b21a772f1d4ed327da01a732142001",
+        15, "5e6624ac93a17206548d15526a688827d3cb28f00e72eb1d6b827de4cf972e09",
     ),
     (4096, 2): (
         56, "bb29033ada87602352be3c5ee17450c080445ca48b7c9a41ee8f695b2f2d25ff",

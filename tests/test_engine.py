@@ -303,6 +303,31 @@ def test_a_probe_finishes_a_one_coefficient_leaf_in_one_round():
     assert queries == rounds == 6
 
 
+def test_a_one_candidate_leaf_under_a_one_outcome_asks_nothing():
+    # the 1-outcome keeps the empty support out of the leaf, so its one
+    # candidate, coordinate 3, is its support: the probe's one point, the
+    # empty set, would read a residual 0 whatever the values
+    truth = SparsePolynomial(8, {BitVector.from01("00100000"): 4})
+    bucket = (Label.from01("1"), 4, BitVector.from01("00100000").mask, ())
+    assert probed(truth, bucket, 1) == (truth.entries, 0, 0, [])
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [{"00000000": 5, "00100000": 4}, {"00000000": 5}, {"00100000": 4}],
+    ids=["both", "constant", "monomial"],
+)
+def test_a_one_candidate_leaf_under_no_one_outcome_is_probed(entries):
+    # the leaf labelled 0 may hold the constant term as well as x3's
+    # coefficient, and its one point, the empty set, tells them apart
+    truth = SparsePolynomial(8, {BitVector.from01(k): v for k, v in entries.items()})
+    bucket = (Label.from01("0"), sum(entries.values()), BitVector.from01("00100000").mask, ())
+    got, queries, rounds, rows = probed(truth, bucket, 1)
+    assert got == truth.entries
+    assert rows[0][:2] == ["0", "00000000"]
+    assert (queries, rounds) == ((2, 2) if len(entries) == 2 else (1, 1))
+
+
 def test_a_leaf_is_probed_only_under_an_outcome_and_up_to_the_cap():
     truth = SparsePolynomial(8, {BitVector.from01("01001000"): 4})
     free = BitVector.from01("01101100").mask

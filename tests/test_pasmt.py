@@ -26,7 +26,8 @@ from sparsemobius.grouptest import (
     identity_matrix,
     list_decode,
 )
-from sparsemobius.harness import generate_synthetic
+from sparsemobius.harness import generate_synthetic, runner_design
+from sparsemobius.hybrid import hybrid_run
 from sparsemobius.oracle import CountingOracle, SparsePolynomial, SparsePolyOracle
 from sparsemobius.pasmt import pasmt_run, refine_levels, solve_bin_system
 from sparsemobius.rng import SplitMix64, random_subset
@@ -392,6 +393,21 @@ def planted_singletons(seed: int) -> SparsePolynomial:
     return SparsePolynomial(n, entries)
 
 
+def planted_singleton_outcomes(run) -> dict[str, int]:
+    """How run(oracle) ends on planted_singletons(seed), seeds 0-399, at
+    tau 0: exact map, wrong map or ReconstructionError."""
+    outcomes = {"exact": 0, "wrong": 0, "raised": 0}
+    for seed in range(400):
+        truth = planted_singletons(seed)
+        try:
+            got = run(oracle_for(truth))
+        except ReconstructionError:
+            outcomes["raised"] += 1
+        else:
+            outcomes["exact" if got.entries == truth.entries else "wrong"] += 1
+    return outcomes
+
+
 def test_planted_cancellation_outcomes_at_d1_are_recorded():
     # the planted triple breaks the subset-sum precondition, so pasmt may
     # return a wrong map or raise; the counts are recorded so that a change
@@ -399,16 +415,20 @@ def test_planted_cancellation_outcomes_at_d1_are_recorded():
     # The per-bit design gave 349 exact / 51 wrong / 0 raised: on the
     # Sperner design 33 of those wrong maps fail the leaf check instead
     H = construct_disjunct(64, 1)
-    outcomes = {"exact": 0, "wrong": 0, "raised": 0}
-    for seed in range(400):
-        truth = planted_singletons(seed)
-        try:
-            got = pasmt_run(oracle_for(truth), H, 1, tau=0.0)
-        except ReconstructionError:
-            outcomes["raised"] += 1
-        else:
-            outcomes["exact" if got.entries == truth.entries else "wrong"] += 1
+    outcomes = planted_singleton_outcomes(lambda f: pasmt_run(f, H, 1, tau=0.0))
     assert outcomes == {"exact": 347, "wrong": 18, "raised": 35}
+
+
+def test_hybrid_planted_cancellation_outcomes_at_d1_are_recorded():
+    # hybrid runs over the same Sperner design, as its list design at
+    # d = 1, but a leaf of several candidates, which pasmt's check refuses
+    # as a support of weight above d, is probed or searched instead.  Over
+    # its Bernoulli design it gave 380 exact / 15 wrong / 5 raised
+    design = runner_design("hybrid", 64, 1)
+    outcomes = planted_singleton_outcomes(
+        lambda f: hybrid_run(f, 64, 1, design.seed, 0.0, design=design)
+    )
+    assert outcomes == {"exact": 376, "wrong": 19, "raised": 5}
 
 
 def test_oracle_dimension_mismatch():
