@@ -40,19 +40,20 @@ in the bucket avoids it, so the 0-child is the whole bucket and the
 query and no transcript line.
 
 Searches of several buckets run side by side, one query per bucket per
-adaptive round.  A bucket starts in the round after the last bucket whose
-label lies below its own finishes, so running buckets are pairwise
-incomparable and none of their coefficients lies below another's query
-points.  A search running alone is driven with single evaluations: no
-other bucket can start before it finishes, and each evaluation is one query
-and one round, as a batch of one is, so the counts do not change.  A
-leaf under at least one phase-1 outcome with at most PROBE_FACTOR * d
-candidates is probed instead: it asks its candidate set minus each of its
-coordinates, all in the round it starts, and is done in that round when
-the residuals show a single coefficient (see depth_first_search).  One of
-a single candidate under a 1-outcome asks nothing: the candidate is its
-support.  Only hybrid's leaves carry outcomes; this runner's one bucket
-has none.
+adaptive round, and every bucket starts in the first round.  A raw value
+never goes stale, so a bucket's query is asked at once and its value
+waits only for the buckets below it whose coefficients it cannot yet
+account for: those not finished whose candidate sets the query point cuts
+(see depth_first_search).  A search asking alone, with no value held, is
+driven with single evaluations: every other bucket has finished, and each
+evaluation is one query and one round, as a batch of one is, so the
+counts do not change.  A leaf under at least one phase-1 outcome with at
+most PROBE_FACTOR * d candidates is probed instead: it asks its candidate
+set minus each of its coordinates, all in the first round, and is done
+when those values settle if the residuals show a single coefficient.  One
+of a single candidate under a 1-outcome asks nothing: the candidate is
+its support.  Only hybrid's leaves carry outcomes; this runner's one
+bucket has none.
 
 This runner feeds the engine the level loop run over no tests: the root
 query, then a single bucket over all n coordinates, so every query is its
@@ -62,6 +63,7 @@ test budget).
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import Generator, Sequence, TextIO
 
 from .core import BitVector, Label, TestMatrix, _new, log_query
@@ -103,12 +105,16 @@ def _search(
     d: int,
     tau: float,
     bucket: tuple[Label, float, int, Sequence[int]],
+    residual: list[tuple[int, float]],
     found: dict[int, float],
+    own: list[tuple[int, float]],
     transcript: TextIO | None,
 ) -> Generator[BitVector, float, None]:
     """One bucket's splitting search: yields each query point and is sent
-    the oracle's raw value there.  Records every coefficient it pins down
-    in found, in order, and returns once its stack is empty.
+    the oracle's value there, less what the engine settles (see
+    depth_first_search).  residual lists the found pairs its first query
+    subtracts.  Records every coefficient it pins down in found and in own,
+    in order, and returns once its stack is empty.
 
     The bucket is the stack's first entry, so one loop pops them all,
     and an unasked test and a nonzero 0-child share one outcome-0 step.
@@ -122,8 +128,6 @@ def _search(
         return
     blocks = GbsaTree(free, d).blocks
     nblocks = len(blocks)
-    residual = [pair for pair in found.items() if pair[0] & free == pair[0]]
-    own: list[tuple[int, float]] = []
     # pending 1-children: label length and mask, sum, candidate set,
     # residual list, the search's find count at push, and the parent's
     # block, remaining, support and test; first the bucket, at the
@@ -236,46 +240,56 @@ def depth_first_search(
     candidate set, below), with the mask of the coordinates outside the
     tests the label records a 0 at and the indices of the earlier buckets
     whose labels lie componentwise below its own.  A bucket's search ranges
-    over its candidate set.  A bucket starts in the round after the last
-    bucket on its list finishes, with the coefficients found so far that
-    lie inside its candidate set as its residual list.  Each running
-    search is a generator of query points; a round sends every running
-    search the oracle's value at its point.  While only one search runs,
-    no bucket can start before it finishes, so it is driven with eval
-    alone, which charges one query and one round per point as a batch of
-    one does.  Returns every recovered coefficient.  A support of weight
-    above d surfaces as ReconstructionError (degree overflow) carrying the
-    label of the bucket where the tree ran out.  A tau that is negative or
-    not finite raises ParameterError, and a candidate set outside the n
-    coordinates DimensionError, before any query.
+    over its candidate set.  Every bucket starts in the first round, with
+    the coefficients found so far that lie inside its candidate set as its
+    residual list; the buckets on its list that have not finished then are
+    its pending list.  Each running search is a generator of query points;
+    a round asks every running search's point.  A raw value f(x) never
+    goes stale, so it is asked at once and settled once it can be.  For
+    each bucket j on the pending list: if j has finished, its coefficients
+    that lie inside x are subtracted; else if j's candidate set lies inside
+    x, every coefficient of j lies below x, so j's sum is subtracted (the
+    pair test of split_bin applied to the pair (candidate set, sum));
+    otherwise the value is held, and its search paused, until j finishes.
+    The settled value is sent to the search, which subtracts its residual
+    list through split_bin.  A value is never asked twice, and the lowest
+    unfinished bucket is never held, so the schedule cannot stall.  While
+    one search asks and nothing is held, every other bucket has finished,
+    so it is driven with eval alone, which charges one query and one round
+    per point as a batch of one does.  Returns every recovered coefficient.
+    A support of weight above d surfaces as ReconstructionError (degree
+    overflow) carrying the label of the bucket where the tree ran out.  A
+    tau that is negative or not finite raises ParameterError, and a
+    candidate set outside the n coordinates DimensionError, before any
+    query.
 
-    Small leaves are finished in one round, the second stage of the
-    two-stage group-testing scheme (De Bonis, Gasieniec and Vaccaro, SIAM
-    J. Comput. 2005; Indyk, Ngo and Rudra, SODA 2010).  A bucket whose
-    label has at least one outcome and whose candidate set C holds 1 to
-    PROBE_FACTOR * d coordinates asks C minus {j} for every j in C, in the
-    round it starts, and takes each residual through split_bin.  If every
-    residual is 0 (j is in the support) or the bucket's sum v (j is not),
-    the bucket holds one coefficient, and its support is recorded with
-    value v: |C| queries in one round, not |C| rounds.  Otherwise several
-    coefficients share the bucket: it drops from C the coordinates whose
-    residual was v and is searched over the rest, starting in the next
-    round.  Probe lines carry the bucket's label in the transcript.  A
-    probe whose outcomes imply more than d defectives raises the degree
-    overflow, labelled as _overflow says.
+    Small leaves are finished in one stage, the second of the two-stage
+    group-testing scheme (De Bonis, Gasieniec and Vaccaro, SIAM J. Comput.
+    2005; Indyk, Ngo and Rudra, SODA 2010).  A bucket whose label has at
+    least one outcome and whose candidate set C holds 1 to PROBE_FACTOR * d
+    coordinates asks C minus {j} for every j in C, all in the first round,
+    and is decoded once every one of those values is settled, each then
+    taken through split_bin.  If every residual is 0 (j is in the support)
+    or the bucket's sum v (j is not), the bucket holds one coefficient, and
+    its support is recorded with value v: |C| queries that take no round
+    of their own.  Otherwise several coefficients share the bucket: it drops
+    from C the coordinates whose residual was v and is searched over the
+    rest, with the probe's residual and pending lists, from the next round
+    on.  Probe lines carry the bucket's label in the transcript and are
+    written when it is decoded.  A probe whose outcomes imply more than d
+    defectives raises the degree overflow, labelled as _overflow says.
 
     A bucket of one candidate j whose label has a 1 asks nothing.  A
     1-outcome means every support in the bucket meets that test, so the
     empty support is not in it.  The probe's one point, the empty set,
-    would read f(0) minus the constant term, which is already found since
-    the all-0 label lies below every leaf, so its residual would be 0
-    ("j is present") whatever the values.  The bucket records x_j with its
-    sum, takes no round and releases its dependents in the same pass; a
-    support recorded twice raises as a probe's would.  Under no 1-outcome
-    the bucket is probed: its point tells the constant term apart from
-    x_j.  At d = 1 hybrid's design is the Sperner design, so every leaf is
-    such a bucket or the constant term's, and hybrid runs pasmt's level
-    loop with no query in phase 2.
+    would read f(0), the constant term, and once settled against the all-0
+    leaf, which lies below every leaf and holds that term, its residual
+    would be 0 ("j is present") whatever the values.  The bucket records
+    x_j with its sum when it starts; a support recorded twice raises as a
+    probe's would.  Under no 1-outcome the bucket is probed: its point
+    tells the constant term apart from x_j.  At d = 1 hybrid's design is
+    the Sperner design, so every leaf is such a bucket or the constant
+    term's, and hybrid runs pasmt's level loop with no query in phase 2.
 
     fasmt's one bucket has an empty label, and so has hybrid's where
     n <= 2d, so neither is probed.  The factor 8 is the cap a sweep over
@@ -287,24 +301,35 @@ def depth_first_search(
     n = f.n
     full = (1 << n) - 1
     cap = PROBE_FACTOR * d
-    waiting = []
-    dependents: list[list[int]] = [[] for _ in buckets]
     for i, bucket in enumerate(buckets):
         if not 0 <= bucket[2] <= full:
             raise DimensionError(f"bucket {i} has a candidate set outside n={n} coordinates")
         for j in bucket[3]:
             if not 0 <= j < i:
                 raise ParameterError(f"bucket {i} must list earlier buckets only")
-            dependents[j].append(i)
-        waiting.append(len(bucket[3]))
     found: dict[int, float] = {}
-    ready = [i for i, count in enumerate(waiting) if not count]
+    # each bucket's coefficients in discovery order, all of them once done
+    owns: list[list[tuple[int, float]]] = [[] for _ in buckets]
+    done = [False] * len(buckets)
+    # the next round's points: (point, owner, slot).  An owner starts with
+    # its bucket's index and pending list.  A search's owner then holds its
+    # send, slot -1; a probe's holds its bucket, residual list, points,
+    # their settled values and a count of those still unsettled, slot the
+    # point's index
+    asking: list = []
+    # probes with nothing pending (62 % of the grid's): their values
+    # settle as they arrive in the first round, so each is decoded whole,
+    # with no entry per point: (index, pending list, bucket, residual
+    # list, points)
+    unblocked: list = []
+    # the values held until bucket j finishes, by j, and those released
+    # this round: ((point, owner, slot), raw)
+    held: dict[int, list] = {}
+    work: list = []
 
     def finish(i: int) -> None:
-        for j in dependents[i]:
-            waiting[j] -= 1
-            if not waiting[j]:
-                ready.append(j)
+        done[i] = True
+        work.extend(held.pop(i, ()))
 
     def record(i: int, label: Label, support: int, value: float) -> None:
         # a probed or one-candidate bucket's one coefficient
@@ -313,92 +338,138 @@ def depth_first_search(
                 f"support {BitVector(n, support).to01()!r} decoded twice", label=label
             )
         found[support] = value
+        owns[i].append((support, value))
         finish(i)
 
-    searches: list[tuple[int, Generator[BitVector, float, None]]] = []
-    xs: list[BitVector] = []
-    # this round's probes: bucket index, label, sum, candidate set,
-    # residual list and the points C minus {j}, j ascending
-    probes: list[tuple[int, Label, float, int, list[tuple[int, float]], list[BitVector]]] = []
-    # a failed probe's bucket over its narrowed candidate set, searched
-    # once the loop starts bucket i again
-    narrowed: dict[int, tuple[Label, float, int, Sequence[int]]] = {}
-    while True:
-        # the loop also starts the buckets that a bucket needing no query
-        # releases
-        for i in ready:
-            bucket = buckets[i]
-            label, value, free, _ = bucket
-            if i in narrowed:
-                bucket = narrowed.pop(i)
-            elif label.n and 0 < free.bit_count() <= cap and abs(value) > tau:
-                if label.mask and not free & (free - 1):
-                    # a 1-outcome keeps the empty support out of the
-                    # bucket, so its one candidate is its support
-                    record(i, label, free, value)
-                    continue
-                points = []
-                rest = free
-                while rest:
-                    j = rest & -rest
-                    rest ^= j
-                    x = _new(BitVector)
-                    x.n = n
-                    x.mask = free ^ j
-                    points.append(x)
-                residual = [pair for pair in found.items() if pair[0] & free == pair[0]]
-                probes.append((i, label, value, free, residual, points))
-                continue
-            search = _search(n, d, tau, bucket, found, transcript)
-            try:
-                xs.append(next(search))
-            except StopIteration:
-                finish(i)
-            else:
-                searches.append((i, search))
-        ready.clear()
-        if len(searches) == 1 and not probes:
-            i, search = searches[0]
-            send, evaluate, x = search.send, f.eval, xs[0]
+    def search(
+        i: int,
+        bucket: tuple[Label, float, int, Sequence[int]],
+        residual: list[tuple[int, float]],
+        pending: list[int],
+    ) -> None:
+        gen = _search(n, d, tau, bucket, residual, found, owns[i], transcript)
+        try:
+            asking.append((next(gen), (i, pending, gen.send), -1))
+        except StopIteration:
+            finish(i)
+
+    def decode(
+        i: int,
+        pending: list[int],
+        bucket: tuple[Label, float, int, Sequence[int]],
+        residual: list[tuple[int, float]],
+        points: list[BitVector],
+        raws: Sequence[float],
+    ) -> None:
+        # a probe whose values have all settled
+        label, value, free, _ = bucket
+        present = absent = 0
+        for x, raw in zip(points, raws):
+            v0, v1, _ = split_bin(value, x, raw, residual)
+            if transcript is not None:
+                log_query(transcript, label, x, v0)
+            if abs(v1) <= tau:
+                absent |= free ^ x.mask
+            elif abs(v0) <= tau:
+                present |= free ^ x.mask
+        if present | absent != free:
+            free ^= absent
+            residual = [pair for pair in residual if pair[0] & free == pair[0]]
+            search(i, (label, value, free, ()), residual, pending)
+        elif present.bit_count() > d:
+            raise _overflow(label, free, present, d)
+        else:
+            record(i, label, present, value)
+
+    for i, bucket in enumerate(buckets):
+        label, value, free, below = bucket
+        probed = label.n and 0 < free.bit_count() <= cap and abs(value) > tau
+        if probed and label.mask and not free & (free - 1):
+            # a 1-outcome keeps the empty support out of the bucket, so its
+            # one candidate is its support
+            record(i, label, free, value)
+            continue
+        # most buckets start with neither (a list comprehension costs a call)
+        pending = [j for j in below if not done[j]] if below else []
+        residual = [pair for pair in found.items() if pair[0] & free == pair[0]] if found else []
+        if not probed:
+            search(i, bucket, residual, pending)
+            continue
+        points = []
+        rest = free
+        while rest:
+            j = rest & -rest
+            rest ^= j
+            x = _new(BitVector)
+            x.n = n
+            x.mask = free ^ j
+            points.append(x)
+        if not pending:
+            unblocked.append((i, pending, bucket, residual, points))
+            continue
+        probe = (i, pending, bucket, residual, points, [0.0] * len(points), [len(points)])
+        asking.extend(zip(points, repeat(probe), range(len(points))))
+    while asking or unblocked:
+        if len(asking) == 1 and not held and not unblocked and asking[0][2] < 0:
+            # every other bucket has finished, so each value settles at once
+            x, (_, pending, send), _ = asking[0]
+            evaluate = f.eval
+            below = [pair for j in pending for pair in owns[j]]
+            if below:
+
+                def evaluate(x: BitVector, ask=f.eval) -> float:
+                    raw, xm = ask(x), x.mask
+                    for k, c in below:
+                        if k & xm == k:
+                            raw -= c
+                    return raw
+
             try:
                 while True:
                     x = send(evaluate(x))
             except StopIteration:
-                finish(i)
-            searches, xs = [], []
-            continue
-        if not searches and not probes:
-            break
-        raws = f.batch_eval(xs + [x for *_, points in probes for x in points])
-        still, xs = [], []
-        for (i, search), raw in zip(searches, raws):
-            try:
-                xs.append(search.send(raw))
-            except StopIteration:
-                finish(i)
+                break
+        batch = asking[:]
+        asking.clear()
+        work.clear()
+        xs = [point[0] for point in batch]
+        for probe in unblocked:
+            xs += probe[4]
+        raws = f.batch_eval(xs)
+        at = len(batch)
+        for probe in unblocked:
+            size = len(probe[4])
+            decode(*probe, raws[at : at + size])
+            at += size
+        unblocked.clear()
+        # finish appends the values it releases to work, and the loop
+        # reaches them after this round's
+        for entry in chain(zip(batch, raws), work):
+            (x, owner, slot), raw = entry
+            xm = x.mask
+            for j in owner[1]:
+                if done[j]:
+                    for k, c in owns[j]:
+                        if k & xm == k:
+                            raw -= c
+                    continue
+                free = buckets[j][2]
+                if free & xm != free:
+                    held.setdefault(j, []).append(entry)
+                    break
+                raw -= buckets[j][1]
             else:
-                still.append((i, search))
-        at = len(searches)
-        searches = still
-        for i, label, value, free, residual, points in probes:
-            present = absent = 0
-            for x in points:
-                v0, v1, _ = split_bin(value, x, raws[at], residual)
-                at += 1
-                if transcript is not None:
-                    log_query(transcript, label, x, v0)
-                if abs(v1) <= tau:
-                    absent |= free ^ x.mask
-                elif abs(v0) <= tau:
-                    present |= free ^ x.mask
-            if present | absent != free:
-                narrowed[i] = (label, value, free ^ absent, ())
-                ready.append(i)
-                continue
-            if present.bit_count() > d:
-                raise _overflow(label, free, present, d)
-            record(i, label, present, value)
-        probes.clear()
+                if slot < 0:
+                    try:
+                        asking.append((owner[2](raw), owner, -1))
+                    except StopIteration:
+                        finish(owner[0])
+                    continue
+                owner[5][slot] = raw
+                left = owner[6]
+                left[0] -= 1
+                if not left[0]:
+                    decode(*owner[:6])
     return {BitVector(n, k): v for k, v in found.items()}
 
 

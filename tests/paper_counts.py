@@ -20,9 +20,9 @@ Regenerate the committed file only when a behaviour change is intended:
     PYTHONPATH=src python3 tests/paper_counts.py > BENCH_paper.json
 
 To see which entries a change moves, each runner's grid-total queries
-and rounds, and the (n, d) cells where hybrid's totals exceed pasmt's,
-committed -> current (the command exits 1 when any entry differs, 0
-otherwise):
+and rounds, hybrid's grid totals as a percentage below pasmt's, and the
+(n, d) cells where hybrid's totals exceed pasmt's, committed -> current
+(the command exits 1 when any entry differs, 0 otherwise):
 
     PYTHONPATH=src python3 tests/paper_counts.py --diff
 """
@@ -245,6 +245,22 @@ def totals_lines(committed: dict, current: dict) -> list[str]:
     ]
 
 
+def below_pasmt(counts: dict) -> list[float]:
+    """Hybrid's grid-total queries and rounds, each as a percentage below
+    pasmt's, to one decimal."""
+    totals = grid_totals(counts)
+    return [round(100 * (1 - h / p), 1) for h, p in zip(totals["hybrid"], totals["pasmt"])]
+
+
+def below_pasmt_line(committed: dict, current: dict) -> str:
+    """Hybrid's grid totals below pasmt's, committed -> current."""
+    (want_q, want_r), (got_q, got_r) = below_pasmt(committed), below_pasmt(current)
+    return (
+        f"below pasmt\thybrid\tqueries {want_q} % -> {got_q} %, "
+        f"rounds {want_r} % -> {got_r} %"
+    )
+
+
 def losing_cells(counts: dict) -> list[tuple[int, int]]:
     """The grid's (n, d) cells, ascending, where hybrid's query or round
     total exceeds pasmt's."""
@@ -279,6 +295,7 @@ if __name__ == "__main__":
         committed = json.loads(COUNTS.read_text(encoding="ascii"))
         status = report_diff(committed, current)
         print("\n".join(totals_lines(committed, current)))
+        print(below_pasmt_line(committed, current))
         print(losing_line(committed, current))
         sys.exit(status)
     else:

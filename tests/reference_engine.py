@@ -10,6 +10,10 @@ first, in a round of their own (a one-candidate leaf under a 1-outcome
 records its candidate with no query); the layer's searches, a failed
 probe's over its candidates minus those the probe found absent, run side
 by side after it.
+
+phase_two_rounds counts the rounds of the current engine's schedule from
+a phase-2 transcript: every leaf starts in round 1, and a value waits
+only for the leaves below it whose candidate sets its point does not hold.
 """
 
 from __future__ import annotations
@@ -204,3 +208,40 @@ def probe(f, bins, d, tau, discovered, transcript):
             discovered[BitVector(n, present)] = b.value
             out.append(None)
     return out
+
+
+def phase_two_rounds(leaves, lines, d):
+    """The rounds phase 2 takes when every leaf starts in round 1.
+
+    leaves are refine_levels' (label, sum, candidate set, below); lines
+    are the phase-2 transcript's (label, point mask) pairs, so a leaf's
+    points in the order it asks them.  A probed leaf asks its first |C|
+    points in round 1 and is decoded once the last of them is settled; a
+    failed probe's search, like a searched leaf, asks each point in the
+    round after its previous one is settled.  A point is settled in the
+    round it is asked or in the round the last leaf below it whose
+    candidate set it does not hold finishes, whichever is later.  A leaf
+    finishes when its last point is settled, in round 0 if it asks none.
+    """
+    b = leaves[0][0].n if leaves else 0
+    points = {}
+    for label, x in lines:
+        points.setdefault(label[:b], []).append(x)
+    finish = []
+    for label, _, free, below in leaves:
+        # each point's wait: the finishing rounds of the leaves below whose
+        # candidate sets it does not hold
+        waits = [
+            [finish[j] for j in below if leaves[j][2] & ~x]
+            for x in points.get(label.to01(), [])
+        ]
+        size = free.bit_count()
+        at, asked = 0, 1
+        if label.n and 0 < size <= fasmt.PROBE_FACTOR * d and waits:
+            at = max(max([1] + wait) for wait in waits[:size])
+            asked, waits = at + 1, waits[size:]
+        for wait in waits:
+            at = max([asked] + wait)
+            asked = at + 1
+        finish.append(at)
+    return max(finish, default=0)

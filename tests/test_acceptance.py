@@ -346,6 +346,21 @@ def test_paper_counts_diff_prints_grid_totals(committed):
     assert f"grid total\thybrid\tqueries {queries} -> {queries}, rounds {rounds} -> {rounds + 1}" in lines
 
 
+def test_paper_counts_diff_prints_hybrid_below_pasmt(committed):
+    # hybrid's grid totals at 70 % and 60 % of pasmt's read 30.0 % and 40.0 %
+    # below them
+    moved = json.loads(json.dumps(committed))
+    cells = moved["grid_nd"]
+    pasmt = [[100, 1000], [900, 9000]]
+    cells["pasmt"] = {f"n{k}-d1": cell for k, cell in enumerate(pasmt)}
+    cells["hybrid"] = {"n0-d1": [70, 600], "n1-d1": [630, 5400]}
+    want = paper_counts.below_pasmt(committed)
+    assert paper_counts.below_pasmt(moved) == [30.0, 40.0]
+    assert paper_counts.below_pasmt_line(committed, moved) == (
+        f"below pasmt\thybrid\tqueries {want[0]} % -> 30.0 %, rounds {want[1]} % -> 40.0 %"
+    )
+
+
 def test_paper_counts_diff_prints_the_losing_cells(committed):
     # hybrid's (32, 2) total one query past pasmt's makes it a losing cell
     moved = json.loads(json.dumps(committed))

@@ -7,7 +7,8 @@ the same map to the last digit, or raise the same degree overflow at the
 same label and counts.  Within the runners' preconditions hybrid must
 make the same queries and recover the same map (to the last digit in
 integer mode), and its phase 2 may only take fewer rounds, since a bucket
-no longer waits for a whole antichain layer.
+no longer waits for a whole antichain layer.  Phase 2's rounds must equal
+those reference_engine.phase_two_rounds counts from its transcript.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ def test_the_engine_walks_the_tree_over_a_scattered_candidate_set(case):
     # at (32, 20, 3, 68) two probes fall back to a search
     [(32, 12, 3, 61), (64, 16, 2, 62), (128, 16, 4, 63), (256, 40, 2, 64), (32, 20, 3, 68)],
 )
-def test_phase_two_starts_a_bucket_once_the_buckets_below_it_finish(n, s, d, seed):
+def test_phase_two_waits_only_for_the_leaves_a_point_needs(n, s, d, seed):
     truth = generate_synthetic(n, s, d, seed=seed)
     design = construct_list_disjunct(n, d, seed)
     phase1 = oracle_for(truth)
@@ -243,33 +244,113 @@ def test_phase_two_starts_a_bucket_once_the_buckets_below_it_finish(n, s, d, see
     sink = io.StringIO()
     hybrid_run(f, n, d, seed, transcript=sink, design=design)
     # phase-2 lines extend a full-length leaf label; phase-1 lines are shorter
-    queries: Counter[str] = Counter()
-    first: dict[str, int] = {}
-    last: dict[str, int] = {}
-    for at, line in enumerate(sink.getvalue().splitlines()):
-        label = line.split("\t")[0]
-        if len(label) >= design.b:
-            leaf = label[: design.b]
-            queries[leaf] += 1
-            first.setdefault(leaf, at)
-            last[leaf] = at
-    assert sum(queries.values()) == f.query_count - phase1.query_count
-    labels = [label.to01() for label, *_ in leaves]
-    finish = []
-    for i, (_, _, free, below) in enumerate(leaves):
-        for j in below:
-            # a leaf whose tree needs no test makes no query
-            if labels[i] in first and labels[j] in last:
-                assert last[labels[j]] < first[labels[i]]
-        rounds = queries[labels[i]]
-        if 0 < free.bit_count() <= fasmt.PROBE_FACTOR * d:
-            # a probe asks its |C| points in one round; one that falls
-            # back then searches, one query per round
-            rounds = 1 + rounds - free.bit_count()
-        finish.append(max((finish[j] for j in below), default=0) + rounds)
-    # each bucket finishes the longest chain of round counts below it
-    assert f.round_count - phase1.round_count == max(finish)
+    lines = [
+        (label, BitVector.from01(x).mask)
+        for label, x, _ in (line.split("\t") for line in sink.getvalue().splitlines())
+        if len(label) >= design.b
+    ]
+    assert len(lines) == f.query_count - phase1.query_count
+    index = {label.to01(): i for i, (label, *_) in enumerate(leaves)}
+    last = {label[: design.b]: at for at, (label, _) in enumerate(lines)}
+    for at, (label, x) in enumerate(lines):
+        # a line whose point misses a below leaf's candidate set was
+        # settled once that leaf finished
+        for j in leaves[index[label[: design.b]]][3]:
+            below = leaves[j][0].to01()
+            if leaves[j][2] & ~x and below in last:
+                assert last[below] < at, (label, below)
+    assert f.round_count - phase1.round_count == reference_engine.phase_two_rounds(
+        leaves, lines, d
+    )
     assert any(below for *_, below in leaves)
+
+
+def shared_rounds(truth, buckets, d):
+    """buckets through the engine at tau = 0, searched, not probed: (map,
+    queries, rounds, transcript labels)."""
+    f = oracle_for(truth)
+    sink = io.StringIO()
+    with probing(0):
+        got = depth_first_search(f, buckets, d, 0.0, sink)
+    labels = [line.split("\t")[0] for line in sink.getvalue().splitlines()]
+    return got, f.query_count, f.round_count, labels
+
+
+@pytest.mark.parametrize(
+    "below, low_support",
+    [("00110000", "00010000"), ("01100000", "00100000")],
+    ids=["inside", "cut"],
+)
+def test_a_point_waits_only_for_a_leaf_below_whose_candidates_it_cuts(below, low_support):
+    # B2 holds x1*x4 over {1, 2, 3, 4}; its first point, {3, 4}, is the
+    # complement of its first block.  B1 lies below it and holds one
+    # coefficient over a candidate set that this point holds ({3, 4}: B1's
+    # sum is subtracted and the two run side by side) or cuts ({2, 3}:
+    # B2's value waits until B1 finishes)
+    n, d = 8, 2
+    low_support, high_support = BitVector.from01(low_support), BitVector.from01("10010000")
+    low = (Label.from01("0"), 2, BitVector.from01(below).mask, ())
+    high = (Label.from01("1"), 5, BitVector.from01("11110000").mask, [0])
+    _, low_queries, low_rounds, _ = shared_rounds(SparsePolynomial(n, {low_support: 2}), [low], d)
+    _, high_queries, high_rounds, _ = shared_rounds(
+        SparsePolynomial(n, {high_support: 5}), [high[:3] + ((),)], d
+    )
+    assert low_rounds > 1 and high_rounds > 1
+    truth = SparsePolynomial(n, {low_support: 2, high_support: 5})
+    got, queries, rounds, labels = shared_rounds(truth, [low, high], d)
+    assert got == truth.entries
+    assert queries == low_queries + high_queries
+    if below == "00110000":
+        assert rounds == max(low_rounds, high_rounds)
+    else:
+        # B2's first value settles in B1's last round
+        assert rounds == low_rounds + high_rounds - 1
+        first_high = min(at for at, label in enumerate(labels) if label.startswith("1"))
+        last_low = max(at for at, label in enumerate(labels) if label.startswith("0"))
+        assert last_low < first_high
+
+
+def test_a_probe_above_a_search_is_decoded_in_the_round_the_search_finishes():
+    # the searched leaf holds x2 over {1, 2}, in 2 queries; the probed leaf
+    # above it holds x3 over {1, 2, 3}.  Its points go in round 1: {1, 2}
+    # holds the searched leaf's candidates and settles at once, {2, 3} and
+    # {1, 3} wait for the search to finish, and the probe is decoded in
+    # that round
+    n, d = 8, 1
+    truth = SparsePolynomial(
+        n, {BitVector.from01("01000000"): 2, BitVector.from01("00100000"): 3}
+    )
+    buckets = [
+        (Label(0), 2, BitVector.from01("11000000").mask, ()),
+        (Label.from01("1"), 3, BitVector.from01("11100000").mask, [0]),
+    ]
+    f = oracle_for(truth)
+    sink = io.StringIO()
+    assert depth_first_search(f, buckets, d, 0.0, sink) == truth.entries
+    assert (f.query_count, f.round_count) == (2 + 3, 2)
+    rows = [line.split("\t") for line in sink.getvalue().splitlines()]
+    # the search's two lines, then the probe's, written when it is decoded
+    assert [row[1] for row in rows] == ["00000000", "01000000", "01100000", "10100000", "11000000"]
+    assert [row[2] for row in rows[2:]] == ["3", "3", "0"]
+
+
+def test_a_chain_of_probed_leaves_is_released_without_recursion():
+    # leaf 0, searched, holds x2 over {1, 2} in 2 queries; leaf k of the
+    # 1,999 probed ones holds x(k+2) over {k+1, k+2}, above leaf k-1, whose
+    # candidate set both its points cut.  Every probe point goes in round
+    # 1, and the whole chain is released when leaf 0 finishes, in round 2
+    n = 2001
+    weight = [1 + k % 7 for k in range(n - 1)]
+    truth = SparsePolynomial(
+        n, {BitVector.from_coords(n, [k + 2]): weight[k] for k in range(n - 1)}
+    )
+    buckets = [(Label(0), weight[0], BitVector.from_coords(n, [1, 2]).mask, ())]
+    for k in range(1, n - 1):
+        pair = BitVector.from_coords(n, [k + 1, k + 2]).mask
+        buckets.append((Label.from01("1"), weight[k], pair, [k - 1]))
+    f = oracle_for(truth)
+    assert depth_first_search(f, buckets, 1, 0.0) == truth.entries
+    assert (f.query_count, f.round_count) == (4000, 2)
 
 
 def probed(truth, bucket, d, factor=fasmt.PROBE_FACTOR):
