@@ -44,10 +44,10 @@ adaptive round, and every bucket starts in the first round.  A raw value
 never goes stale, so a bucket's query is asked at once and its value
 waits only for the buckets below it whose coefficients it cannot yet
 account for: those not finished whose candidate sets the query point cuts
-(see depth_first_search).  A search asking alone, with no value held, is
-driven with single evaluations: every other bucket has finished, and each
-evaluation is one query and one round, as a batch of one is, so the
-counts do not change.  A leaf under at least one phase-1 outcome with at
+(see depth_first_search).  A search asking alone is driven with single
+evaluations: every bucket below it has finished, and each evaluation is
+one query and one round, as a batch of one is, so the counts do not
+change.  A leaf under at least one phase-1 outcome with at
 most PROBE_FACTOR * d candidates is probed instead: it asks its candidate
 set minus each of its coordinates, all in the first round, and is done
 when those values settle if the residuals show a single coefficient.  One
@@ -254,9 +254,11 @@ def depth_first_search(
     The settled value is sent to the search, which subtracts its residual
     list through split_bin.  A value is never asked twice, and the lowest
     unfinished bucket is never held, so the schedule cannot stall.  While
-    one search asks and nothing is held, every other bucket has finished,
-    so it is driven with eval alone, which charges one query and one round
-    per point as a batch of one does.  Returns every recovered coefficient.
+    one search asks, every bucket below it has finished (any other
+    unfinished bucket waits on a lower one), so it is driven with eval
+    alone, which charges one query and one round per point as a batch of
+    one does, and what waits on it is released when it finishes.  Returns
+    every recovered coefficient.
     A support of weight above d surfaces as ReconstructionError (degree
     overflow) carrying the label of the bucket where the tree ran out.  A
     tau that is negative or not finite raises ParameterError, and a
@@ -353,19 +355,14 @@ def depth_first_search(
         except StopIteration:
             finish(i)
 
-    def decode(
-        i: int,
-        pending: list[int],
-        bucket: tuple[Label, float, int, Sequence[int]],
-        residual: list[tuple[int, float]],
-        points: list[BitVector],
-        raws: Sequence[float],
-    ) -> None:
-        # a probe whose values have all settled
+    def decode(probe: tuple, raws: Sequence[float], at: int) -> None:
+        # a probe whose values have all settled, from raws[at] on
+        i, pending, bucket, residual, points = probe[:5]
         label, value, free, _ = bucket
         present = absent = 0
-        for x, raw in zip(points, raws):
-            v0, v1, _ = split_bin(value, x, raw, residual)
+        for x in points:
+            v0, v1, _ = split_bin(value, x, raws[at], residual)
+            at += 1
             if transcript is not None:
                 log_query(transcript, label, x, v0)
             if abs(v1) <= tau:
@@ -410,9 +407,13 @@ def depth_first_search(
         probe = (i, pending, bucket, residual, points, [0.0] * len(points), [len(points)])
         asking.extend(zip(points, repeat(probe), range(len(points))))
     while asking or unblocked:
-        if len(asking) == 1 and not held and not unblocked and asking[0][2] < 0:
-            # every other bucket has finished, so each value settles at once
-            x, (_, pending, send), _ = asking[0]
+        work.clear()
+        if len(asking) == 1 and not unblocked and asking[0][2] < 0:
+            # one search asks and every other unfinished bucket waits on a
+            # lower one, so every bucket below the search has finished and
+            # each of its values settles at once; what waits on it is
+            # released when it finishes
+            x, (i, pending, send), _ = asking.pop()
             evaluate = f.eval
             below = [pair for j in pending for pair in owns[j]]
             if below:
@@ -428,20 +429,20 @@ def depth_first_search(
                 while True:
                     x = send(evaluate(x))
             except StopIteration:
-                break
-        batch = asking[:]
-        asking.clear()
-        work.clear()
-        xs = [point[0] for point in batch]
-        for probe in unblocked:
-            xs += probe[4]
-        raws = f.batch_eval(xs)
-        at = len(batch)
-        for probe in unblocked:
-            size = len(probe[4])
-            decode(*probe, raws[at : at + size])
-            at += size
-        unblocked.clear()
+                finish(i)
+            batch, raws = [], []
+        else:
+            batch = asking[:]
+            asking.clear()
+            xs = [point[0] for point in batch]
+            for probe in unblocked:
+                xs += probe[4]
+            raws = f.batch_eval(xs)
+            at = len(batch)
+            for probe in unblocked:
+                decode(probe, raws, at)
+                at += len(probe[4])
+            unblocked.clear()
         # finish appends the values it releases to work, and the loop
         # reaches them after this round's
         for entry in chain(zip(batch, raws), work):
@@ -469,7 +470,7 @@ def depth_first_search(
                 left = owner[6]
                 left[0] -= 1
                 if not left[0]:
-                    decode(*owner[:6])
+                    decode(owner, owner[5], 0)
     return {BitVector(n, k): v for k, v in found.items()}
 
 
