@@ -44,15 +44,14 @@ adaptive round, and every bucket starts in the first round.  A raw value
 never goes stale, so a bucket's query is asked at once and its value
 waits only for the buckets below it whose coefficients it cannot yet
 account for: those not finished whose candidate sets the query point cuts
-(see depth_first_search).  A search asking alone is driven with single
-evaluations: every bucket below it has finished, and each evaluation is
-one query and one round, as a batch of one is, so the counts do not
-change.  A leaf under at least one phase-1 outcome with at
-most PROBE_FACTOR * d candidates is probed instead: it asks its candidate
-set minus each of its coordinates, all in the first round, and is done
-when those values settle if the residuals show a single coefficient.  One
-of a single candidate under a 1-outcome asks nothing: the candidate is
-its support.  Only hybrid's leaves carry outcomes; this runner's one
+(see depth_first_search).  A search asking alone with nothing pending
+is driven with single evaluations: each is one query and one round, as
+a batch of one is, so the counts do not change.  A leaf under at least
+one phase-1 outcome with at most PROBE_FACTOR * d candidates is probed
+instead: it asks its candidate set minus each of its coordinates, all in
+the first round, and is done when those values settle if the residuals
+show a single coefficient.  One of a single candidate under a 1-outcome
+asks nothing: the candidate is its support.  Only hybrid's leaves carry outcomes; this runner's one
 bucket has none.
 
 This runner feeds the engine the level loop run over no tests: the root
@@ -253,9 +252,8 @@ def depth_first_search(
     otherwise the value is held, and its search paused, until j finishes.
     The settled value is sent to the search, which subtracts its residual
     list through split_bin.  A value is never asked twice, and the lowest
-    unfinished bucket is never held, so the schedule cannot stall.  While
-    one search asks, every bucket below it has finished (any other
-    unfinished bucket waits on a lower one), so it is driven with eval
+    unfinished bucket is never held, so the schedule cannot stall.  A
+    search that asks alone with an empty pending list is driven with eval
     alone, which charges one query and one round per point as a batch of
     one does, and what waits on it is released when it finishes.  Returns
     every recovered coefficient.
@@ -319,11 +317,6 @@ def depth_first_search(
     # their settled values and a count of those still unsettled, slot the
     # point's index
     asking: list = []
-    # probes with nothing pending (62 % of the grid's): their values
-    # settle as they arrive in the first round, so each is decoded whole,
-    # with no entry per point: (index, pending list, bucket, residual
-    # list, points)
-    unblocked: list = []
     # the values held until bucket j finishes, by j, and those released
     # this round: ((point, owner, slot), raw)
     held: dict[int, list] = {}
@@ -355,14 +348,19 @@ def depth_first_search(
         except StopIteration:
             finish(i)
 
-    def decode(probe: tuple, raws: Sequence[float], at: int) -> None:
-        # a probe whose values have all settled, from raws[at] on
-        i, pending, bucket, residual, points = probe[:5]
+    def decode(
+        i: int,
+        pending: list[int],
+        bucket: tuple[Label, float, int, Sequence[int]],
+        residual: list[tuple[int, float]],
+        points: list[BitVector],
+        raws: Sequence[float],
+    ) -> None:
+        # a probe whose values have all settled
         label, value, free, _ = bucket
         present = absent = 0
-        for x in points:
-            v0, v1, _ = split_bin(value, x, raws[at], residual)
-            at += 1
+        for x, raw in zip(points, raws):
+            v0, v1, _ = split_bin(value, x, raw, residual)
             if transcript is not None:
                 log_query(transcript, label, x, v0)
             if abs(v1) <= tau:
@@ -401,48 +399,26 @@ def depth_first_search(
             x.n = n
             x.mask = free ^ j
             points.append(x)
-        if not pending:
-            unblocked.append((i, pending, bucket, residual, points))
-            continue
         probe = (i, pending, bucket, residual, points, [0.0] * len(points), [len(points)])
         asking.extend(zip(points, repeat(probe), range(len(points))))
-    while asking or unblocked:
+    while asking:
         work.clear()
-        if len(asking) == 1 and not unblocked and asking[0][2] < 0:
-            # one search asks and every other unfinished bucket waits on a
-            # lower one, so every bucket below the search has finished and
-            # each of its values settles at once; what waits on it is
-            # released when it finishes
-            x, (i, pending, send), _ = asking.pop()
-            evaluate = f.eval
-            below = [pair for j in pending for pair in owns[j]]
-            if below:
-
-                def evaluate(x: BitVector, ask=f.eval) -> float:
-                    raw, xm = ask(x), x.mask
-                    for k, c in below:
-                        if k & xm == k:
-                            raw -= c
-                    return raw
-
+        x, owner, slot = asking[0]
+        if len(asking) == 1 and slot < 0 and not owner[1]:
+            # a search asking alone with nothing pending: each of its values
+            # settles at once; what waits on it is released when it finishes
+            asking.clear()
+            send = owner[2]
             try:
                 while True:
-                    x = send(evaluate(x))
+                    x = send(f.eval(x))
             except StopIteration:
-                finish(i)
+                finish(owner[0])
             batch, raws = [], []
         else:
             batch = asking[:]
             asking.clear()
-            xs = [point[0] for point in batch]
-            for probe in unblocked:
-                xs += probe[4]
-            raws = f.batch_eval(xs)
-            at = len(batch)
-            for probe in unblocked:
-                decode(probe, raws, at)
-                at += len(probe[4])
-            unblocked.clear()
+            raws = f.batch_eval([point[0] for point in batch])
         # finish appends the values it releases to work, and the loop
         # reaches them after this round's
         for entry in chain(zip(batch, raws), work):
@@ -470,7 +446,7 @@ def depth_first_search(
                 left = owner[6]
                 left[0] -= 1
                 if not left[0]:
-                    decode(owner, owner[5], 0)
+                    decode(*owner[:6])
     return {BitVector(n, k): v for k, v in found.items()}
 
 

@@ -14,7 +14,6 @@ those reference_engine.phase_two_rounds counts from its transcript.
 from __future__ import annotations
 
 import io
-from collections import Counter
 from unittest import mock
 
 import pytest
