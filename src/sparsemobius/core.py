@@ -124,7 +124,9 @@ def log_query(transcript: TextIO | None, label: Label, x: BitVector, value: floa
     level loop and hybrid's phase 1 log the oracle's raw value f(x).  The
     depth-first engine (fasmt and hybrid's phase 2) logs the bucket's
     residual 0-child sum: f(x) minus the coefficients already found below
-    x, as split_bin returns it.
+    x.  A search's line holds the 0-child sum split_bin returns; a probe's
+    holds the value the engine settled, f(x) minus the coefficients of the
+    buckets below its own.
     """
     if transcript is not None:
         transcript.write(f"{label.to01()}\t{x.to01()}\t{value!r}\n")

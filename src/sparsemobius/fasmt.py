@@ -10,8 +10,8 @@ the coefficient.
 
 One engine runs these searches for both this runner and the hybrid one.
 Each bucket's search is a generator: it yields each query point and is
-sent the oracle's raw value there, keeping its stack, its finds and its
-splitting tree in locals.  GbsaTree cuts the candidate set into blocks;
+sent the oracle's value there, settled against the other buckets below
+it, keeping its stack, its finds and its splitting tree in locals.  GbsaTree cuts the candidate set into blocks;
 the search steps the tree by GbsaTree's rule in five integers (block
 index, remaining, window, found and pending test), with no call per
 query.  The search is one loop over a stack whose first entry is the
@@ -25,34 +25,35 @@ the level loop hands it, the only coordinates its supports can use.  A
 child carries its label as (length, mask) integers, its candidate set,
 four of the five integers of its parent's tree node (a pending 1-child
 resumes with its parent's test as its window), and a residual list: the
-found coefficients whose supports lie inside the child's candidate set,
-in discovery order, the only ones that can lie below its query points.
-A query point is the candidate set minus the pending test, one
-big-integer operation besides the complement of the test; it is the
-0-child's candidate set, and the 1-child keeps its parent's.  The
-0-child keeps the pairs subtracted at its parent's query; the 1-child
-extends its parent's list by whatever its 0-sibling's subtree found.  A
-retested block can lie wholly outside the candidate set once 0-outcomes
-have taken its coordinates out.  Such a test is not asked: every support
-in the bucket avoids it, so the 0-child is the whole bucket and the
-1-child is empty.  It takes the same outcome-0 step as a nonzero
-0-child, advancing the tree and appending a 0 to the label, with no
-query and no transcript line.
+search's own finds whose supports lie inside the child's candidate set,
+in discovery order, the only ones of its own that can lie below its
+query points.  The coefficients of every other bucket are the engine's
+to subtract (see depth_first_search).  A query point is the candidate
+set minus the pending test, one big-integer operation besides the
+complement of the test; it is the 0-child's candidate set, and the
+1-child keeps its parent's.  The 0-child keeps the pairs subtracted at
+its parent's query; the 1-child extends its parent's list by whatever
+its 0-sibling's subtree found.  A retested block can lie wholly outside
+the candidate set once 0-outcomes have taken its coordinates out.  Such
+a test is not asked: every support in the bucket avoids it, so the
+0-child is the whole bucket and the 1-child is empty.  It takes the same
+outcome-0 step as a nonzero 0-child, advancing the tree and appending a
+0 to the label, with no query and no transcript line.
 
 Searches of several buckets run side by side, one query per bucket per
 adaptive round, and every bucket starts in the first round.  A raw value
 never goes stale, so a bucket's query is asked at once and its value
 waits only for the buckets below it whose coefficients it cannot yet
 account for: those not finished whose candidate sets the query point cuts
-(see depth_first_search).  A search asking alone with nothing pending
-is driven with single evaluations: each is one query and one round, as
-a batch of one is, so the counts do not change.  A leaf under at least
+(see depth_first_search).  A search asking alone with no bucket below
+it is driven with single evaluations: each is one query and one round,
+as a batch of one is, so the counts do not change.  A leaf under at least
 one phase-1 outcome with at most PROBE_FACTOR * d candidates is probed
 instead: it asks its candidate set minus each of its coordinates, all in
-the first round, and is done when those values settle if the residuals
-show a single coefficient.  One of a single candidate under a 1-outcome
-asks nothing: the candidate is its support.  Only hybrid's leaves carry outcomes; this runner's one
-bucket has none.
+the first round, and is done when those values settle if they show a
+single coefficient.  One of a single candidate under a 1-outcome asks
+nothing: the candidate is its support.  Only hybrid's leaves carry
+outcomes; this runner's one bucket has none.
 
 This runner feeds the engine the level loop run over no tests: the root
 query, then a single bucket over all n coordinates, so every query is its
@@ -63,7 +64,7 @@ test budget).
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Generator, Sequence, TextIO
+from typing import Callable, Generator, Sequence, TextIO
 
 from .core import BitVector, Label, TestMatrix, _new, log_query
 from .errors import DimensionError, ParameterError, ReconstructionError
@@ -82,13 +83,15 @@ PROBE_FACTOR = 8
 def split_bin(
     value: float, x: BitVector, raw: float, residual: list[tuple[int, float]]
 ) -> tuple[float, float, list[tuple[int, float]]]:
-    """Split a bucket of sum value by the oracle's raw value at its query point x.
+    """Split a bucket of sum value by the oracle's value raw at its query point x.
 
-    residual lists (support mask, coefficient) pairs in discovery order and
-    must hold every discovered coefficient whose support lies below x.  The
-    residual at x (raw minus those coefficients) is the 0-child sum.
-    Returns (0-child sum, 1-child sum, the pairs subtracted); the two sums
-    add up to the bucket value.
+    raw is f(x) already less the coefficients of every other bucket below
+    x; the engine settles those (see depth_first_search).  residual lists
+    the search's own finds as (support mask, coefficient) pairs in
+    discovery order and must hold every one of them whose support lies
+    below x.  raw minus those is the 0-child sum.  Returns (0-child sum,
+    1-child sum, the pairs subtracted); the two sums add up to the bucket
+    value.
     """
     if not residual:
         return raw, value - raw, residual
@@ -104,16 +107,15 @@ def _search(
     d: int,
     tau: float,
     bucket: tuple[Label, float, int, Sequence[int]],
-    residual: list[tuple[int, float]],
-    found: dict[int, float],
     own: list[tuple[int, float]],
+    record: Callable[[list[tuple[int, float]], Label, int, float], None],
     transcript: TextIO | None,
 ) -> Generator[BitVector, float, None]:
     """One bucket's splitting search: yields each query point and is sent
-    the oracle's value there, less what the engine settles (see
-    depth_first_search).  residual lists the found pairs its first query
-    subtracts.  Records every coefficient it pins down in found and in own,
-    in order, and returns once its stack is empty.
+    the oracle's value there, settled against every other bucket below it
+    (see depth_first_search).  It subtracts its own finds through
+    split_bin.  Records every coefficient it pins down through the engine's
+    record, which appends it to own, and returns once its stack is empty.
 
     The bucket is the stack's first entry, so one loop pops them all,
     and an unasked test and a nonzero 0-child share one outcome-0 step.
@@ -131,7 +133,7 @@ def _search(
     # residual list, the search's find count at push, and the parent's
     # block, remaining, support and test; first the bucket, at the
     # tree's root (before the first block, nothing found, test 0)
-    stack = [(label.n, label.mask, value, free, residual, 0, -1, 0, 0, 0)]
+    stack = [(label.n, label.mask, value, free, [], 0, -1, 0, 0, 0)]
     while stack:
         (length, mask, value, free, residual, mark,
          block, remaining, support, test) = stack.pop()
@@ -164,13 +166,7 @@ def _search(
                 if not remaining:
                     block += 1
                     if block == nblocks:
-                        if support in found:
-                            raise ReconstructionError(
-                                f"support {BitVector(n, support).to01()!r} decoded twice",
-                                label=Label(length, mask),
-                            )
-                        found[support] = value
-                        own.append((support, value))
+                        record(own, Label(length, mask), support, value)
                         break
                     remaining = blocks[block]
                 test = remaining
@@ -239,57 +235,58 @@ def depth_first_search(
     candidate set, below), with the mask of the coordinates outside the
     tests the label records a 0 at and the indices of the earlier buckets
     whose labels lie componentwise below its own.  A bucket's search ranges
-    over its candidate set.  Every bucket starts in the first round, with
-    the coefficients found so far that lie inside its candidate set as its
-    residual list; the buckets on its list that have not finished then are
-    its pending list.  Each running search is a generator of query points;
-    a round asks every running search's point.  A raw value f(x) never
-    goes stale, so it is asked at once and settled once it can be.  For
-    each bucket j on the pending list: if j has finished, its coefficients
-    that lie inside x are subtracted; else if j's candidate set lies inside
-    x, every coefficient of j lies below x, so j's sum is subtracted (the
-    pair test of split_bin applied to the pair (candidate set, sum));
-    otherwise the value is held, and its search paused, until j finishes.
-    The settled value is sent to the search, which subtracts its residual
-    list through split_bin.  A value is never asked twice, and the lowest
-    unfinished bucket is never held, so the schedule cannot stall.  A
-    search that asks alone with an empty pending list is driven with eval
-    alone, which charges one query and one round per point as a batch of
-    one does, and what waits on it is released when it finishes.  Returns
-    every recovered coefficient.
+    over its candidate set.  Every bucket starts in the first round.  Each
+    running search is a generator of query points; a round asks every
+    running search's point.  A raw value f(x) never goes stale, so it is
+    asked at once and settled once it can be.  Settling subtracts the
+    coefficients of every bucket below the asker, by one rule for search
+    and probe points alike.  It walks the asker's below list, the buckets
+    unfinished when the asker started first.  For each bucket j: if j has
+    finished, its coefficients that lie inside x are subtracted; else if
+    j's candidate set lies inside x, every coefficient of j lies below x,
+    so j's sum is subtracted (the pair test of split_bin applied to the
+    pair (candidate set, sum)); otherwise the value is held, and its
+    search paused, until j finishes.  The settled value is sent to the
+    search, which subtracts only its own finds, through split_bin.  A
+    value is never asked twice, and the lowest unfinished bucket is never
+    held, so the schedule cannot stall.  A search that asks alone with no
+    bucket below it is driven with eval alone, which charges one query and
+    one round per point as a batch of one does, and what waits on it is
+    released when it finishes.  Returns every recovered coefficient.
     A support of weight above d surfaces as ReconstructionError (degree
-    overflow) carrying the label of the bucket where the tree ran out.  A
-    tau that is negative or not finite raises ParameterError, and a
-    candidate set outside the n coordinates DimensionError, before any
-    query.
+    overflow) carrying the label of the bucket where the tree ran out, and
+    a support recorded twice as ReconstructionError naming the label of
+    the second bucket to record it.  A tau that is negative or not finite
+    raises ParameterError, and a candidate set outside the n coordinates
+    DimensionError, before any query.
 
     Small leaves are finished in one stage, the second of the two-stage
     group-testing scheme (De Bonis, Gasieniec and Vaccaro, SIAM J. Comput.
     2005; Indyk, Ngo and Rudra, SODA 2010).  A bucket whose label has at
     least one outcome and whose candidate set C holds 1 to PROBE_FACTOR * d
     coordinates asks C minus {j} for every j in C, all in the first round,
-    and is decoded once every one of those values is settled, each then
-    taken through split_bin.  If every residual is 0 (j is in the support)
-    or the bucket's sum v (j is not), the bucket holds one coefficient, and
-    its support is recorded with value v: |C| queries that take no round
-    of their own.  Otherwise several coefficients share the bucket: it drops
-    from C the coordinates whose residual was v and is searched over the
-    rest, with the probe's residual and pending lists, from the next round
-    on.  Probe lines carry the bucket's label in the transcript and are
-    written when it is decoded.  A probe whose outcomes imply more than d
-    defectives raises the degree overflow, labelled as _overflow says.
+    and is decoded once every one of those values is settled.  If every
+    settled value is 0 (j is in the support) or the bucket's sum v (j is
+    not), the bucket holds one coefficient, and its support is recorded
+    with value v: |C| queries that take no round of their own.  Otherwise
+    several coefficients share the bucket: it drops from C the coordinates
+    whose value was v and is searched over the rest, settled as the probe
+    was, from the next round on.  Probe lines carry the bucket's label and
+    settled value in the transcript and are written when it is decoded.
+    A probe whose outcomes imply more than d defectives raises the degree
+    overflow, labelled as _overflow says.
 
     A bucket of one candidate j whose label has a 1 asks nothing.  A
     1-outcome means every support in the bucket meets that test, so the
     empty support is not in it.  The probe's one point, the empty set,
     would read f(0), the constant term, and once settled against the all-0
-    leaf, which lies below every leaf and holds that term, its residual
+    leaf, which lies below every leaf and holds that term, its value
     would be 0 ("j is present") whatever the values.  The bucket records
-    x_j with its sum when it starts; a support recorded twice raises as a
-    probe's would.  Under no 1-outcome the bucket is probed: its point
-    tells the constant term apart from x_j.  At d = 1 hybrid's design is
-    the Sperner design, so every leaf is such a bucket or the constant
-    term's, and hybrid runs pasmt's level loop with no query in phase 2.
+    x_j with its sum when it starts.  Under no 1-outcome the bucket is
+    probed: its point tells the constant term apart from x_j.  At d = 1
+    hybrid's design is the Sperner design, so every leaf is such a bucket
+    or the constant term's, and hybrid runs pasmt's level loop with no
+    query in phase 2.
 
     fasmt's one bucket has an empty label, and so has hybrid's where
     n <= 2d, so neither is probed.  The factor 8 is the cap a sweep over
@@ -312,10 +309,10 @@ def depth_first_search(
     owns: list[list[tuple[int, float]]] = [[] for _ in buckets]
     done = [False] * len(buckets)
     # the next round's points: (point, owner, slot).  An owner starts with
-    # its bucket's index and pending list.  A search's owner then holds its
-    # send, slot -1; a probe's holds its bucket, residual list, points,
-    # their settled values and a count of those still unsettled, slot the
-    # point's index
+    # its bucket's index and its below list, unfinished buckets first.  A
+    # search's owner then holds its send, slot -1; a probe's holds its
+    # bucket, points, their settled values and a count of those still
+    # unsettled, slot the point's index
     asking: list = []
     # the values held until bucket j finishes, by j, and those released
     # this round: ((point, owner, slot), raw)
@@ -326,55 +323,46 @@ def depth_first_search(
         done[i] = True
         work.extend(held.pop(i, ()))
 
-    def record(i: int, label: Label, support: int, value: float) -> None:
-        # a probed or one-candidate bucket's one coefficient
+    def record(own: list[tuple[int, float]], label: Label, support: int, value: float) -> None:
+        # every coefficient, a search's or a probe's, is recorded here
         if support in found:
             raise ReconstructionError(
                 f"support {BitVector(n, support).to01()!r} decoded twice", label=label
             )
         found[support] = value
-        owns[i].append((support, value))
-        finish(i)
+        own.append((support, value))
 
-    def search(
-        i: int,
-        bucket: tuple[Label, float, int, Sequence[int]],
-        residual: list[tuple[int, float]],
-        pending: list[int],
-    ) -> None:
-        gen = _search(n, d, tau, bucket, residual, found, owns[i], transcript)
+    def search(i: int, bucket: tuple[Label, float, int, Sequence[int]], below: list[int]) -> None:
+        gen = _search(n, d, tau, bucket, owns[i], record, transcript)
         try:
-            asking.append((next(gen), (i, pending, gen.send), -1))
+            asking.append((next(gen), (i, below, gen.send), -1))
         except StopIteration:
             finish(i)
 
     def decode(
         i: int,
-        pending: list[int],
+        below: list[int],
         bucket: tuple[Label, float, int, Sequence[int]],
-        residual: list[tuple[int, float]],
         points: list[BitVector],
-        raws: Sequence[float],
+        values: Sequence[float],
     ) -> None:
         # a probe whose values have all settled
         label, value, free, _ = bucket
         present = absent = 0
-        for x, raw in zip(points, raws):
-            v0, v1, _ = split_bin(value, x, raw, residual)
+        for x, v0 in zip(points, values):
             if transcript is not None:
                 log_query(transcript, label, x, v0)
-            if abs(v1) <= tau:
+            if abs(value - v0) <= tau:
                 absent |= free ^ x.mask
             elif abs(v0) <= tau:
                 present |= free ^ x.mask
         if present | absent != free:
-            free ^= absent
-            residual = [pair for pair in residual if pair[0] & free == pair[0]]
-            search(i, (label, value, free, ()), residual, pending)
+            search(i, (label, value, free ^ absent, ()), below)
         elif present.bit_count() > d:
             raise _overflow(label, free, present, d)
         else:
-            record(i, label, present, value)
+            record(owns[i], label, present, value)
+            finish(i)
 
     for i, bucket in enumerate(buckets):
         label, value, free, below = bucket
@@ -382,13 +370,16 @@ def depth_first_search(
         if probed and label.mask and not free & (free - 1):
             # a 1-outcome keeps the empty support out of the bucket, so its
             # one candidate is its support
-            record(i, label, free, value)
+            record(owns[i], label, free, value)
+            finish(i)
             continue
-        # most buckets start with neither (a list comprehension costs a call)
-        pending = [j for j in below if not done[j]] if below else []
-        residual = [pair for pair in found.items() if pair[0] & free == pair[0]] if found else []
+        # the buckets below, those unfinished now first, each part in
+        # refine_levels' order (sorted is stable): the float subtraction
+        # order the recorded transcripts hold, which plain ascending order
+        # moves in the last digit
+        below = sorted(below, key=done.__getitem__)
         if not probed:
-            search(i, bucket, residual, pending)
+            search(i, bucket, below)
             continue
         points = []
         rest = free
@@ -399,13 +390,13 @@ def depth_first_search(
             x.n = n
             x.mask = free ^ j
             points.append(x)
-        probe = (i, pending, bucket, residual, points, [0.0] * len(points), [len(points)])
+        probe = (i, below, bucket, points, [0.0] * len(points), [len(points)])
         asking.extend(zip(points, repeat(probe), range(len(points))))
     while asking:
         work.clear()
         x, owner, slot = asking[0]
         if len(asking) == 1 and slot < 0 and not owner[1]:
-            # a search asking alone with nothing pending: each of its values
+            # a search asking alone with no bucket below: each of its values
             # settles at once; what waits on it is released when it finishes
             asking.clear()
             send = owner[2]
@@ -442,11 +433,11 @@ def depth_first_search(
                     except StopIteration:
                         finish(owner[0])
                     continue
-                owner[5][slot] = raw
-                left = owner[6]
+                owner[4][slot] = raw
+                left = owner[5]
                 left[0] -= 1
                 if not left[0]:
-                    decode(*owner[:6])
+                    decode(*owner[:5])
     return {BitVector(n, k): v for k, v in found.items()}
 
 

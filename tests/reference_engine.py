@@ -1,15 +1,20 @@
 """The depth-first engine as it was before residual lists and ready-driven
 starts, kept as the reference the current engine is tested against.
 
-split_bin scans every discovered coefficient at every query, stack entries
-carry Label objects, a test inside the zero union is answered 0 without a
-query, and hybrid's phase 2 runs the leaf buckets in antichain layers: a
-layer starts only once every bucket of the layer before it has finished.
-A layer's leaves of 1 to fasmt.PROBE_FACTOR * d candidates are probed
-first, in a round of their own (a one-candidate leaf under a 1-outcome
-records its candidate with no query); the layer's searches, a failed
-probe's over its candidates minus those the probe found absent, run side
-by side after it.
+Here one split_bin subtracts every discovered coefficient below a point,
+whichever leaf found it, scanning them all at every query.  The current
+engine splits that by the leaf a coefficient belongs to: its settle rule
+subtracts the other leaves' coefficients from every value, search and
+probe points alike, and a search subtracts only its own finds, through
+fasmt.split_bin.  Here, too, stack entries carry Label objects, a test
+inside the zero union is answered 0 without a query, and hybrid's phase
+2 runs the leaf buckets in antichain layers: a layer starts only once
+every bucket of the layer before it has finished.  A layer's leaves of
+1 to fasmt.PROBE_FACTOR * d candidates are probed first, in a round of
+their own (a one-candidate leaf under a 1-outcome records its candidate
+with no query); the layer's searches, a failed probe's over its
+candidates minus those the probe found absent, run side by side after
+it.
 
 phase_two_rounds counts the rounds of the current engine's schedule from
 a phase-2 transcript: every leaf starts in round 1, and a value waits

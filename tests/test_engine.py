@@ -309,6 +309,35 @@ def test_a_point_waits_only_for_a_leaf_below_whose_candidates_it_cuts(below, low
         assert last_low < first_high
 
 
+def test_a_point_over_a_partly_found_leaf_subtracts_its_sum_once():
+    # B1 holds x3 and x4 over {3, 4}: it finds x4 in round 2 and x3 in
+    # round 3.  B2 above it holds x2 over {1, 2, 3, 4}.  Its round-2 point
+    # {2, 3, 4} holds B1's candidates while B1 is unfinished, so f = 10
+    # there less B1's sum 5 settles it; the x4 already found is part of
+    # that sum and is not subtracted again
+    n, d = 6, 2
+    truth = SparsePolynomial(
+        n,
+        {
+            BitVector.from01("001000"): 2,
+            BitVector.from01("000100"): 3,
+            BitVector.from01("010000"): 5,
+        },
+    )
+    buckets = [
+        (Label.from01("0"), 5, BitVector.from01("001100").mask, ()),
+        (Label.from01("1"), 5, BitVector.from01("111100").mask, [0]),
+    ]
+    f = oracle_for(truth)
+    sink = io.StringIO()
+    with probing(0):
+        assert depth_first_search(f, buckets, d, 0.0, sink) == truth.entries
+    rows = [line.split("\t") for line in sink.getvalue().splitlines()]
+    # B1's round-2 line, where x4 is found, comes before B2's
+    assert rows[2:4] == [["00", "000000", "0"], ["11", "011100", "5"]]
+    assert (f.query_count, f.round_count) == (6, 3)
+
+
 def test_a_probe_above_a_search_is_decoded_in_the_round_the_search_finishes():
     # the searched leaf holds x2 over {1, 2}, in 2 queries; the probed leaf
     # above it holds x3 over {1, 2, 3}.  Its points go in round 1: {1, 2}
@@ -434,6 +463,32 @@ def test_a_failed_probe_searches_the_candidates_it_did_not_rule_out():
     )
     assert rows[5:] == search_rows
     assert (queries, rounds) == (5 + search_queries, 1 + search_rounds)
+
+
+def test_a_failed_probe_settles_its_search_against_the_leaf_below():
+    # leaf 0, searched, holds x2 over {1, 2} in 2 queries; the probed leaf
+    # above it holds x2*x3 and x4 over {1, 2, 3, 4}.  The probe points that
+    # cut {1, 2} wait for leaf 0, so the probe is decoded in round 2, after
+    # its round.  It rules out only coordinate 1, and its search over
+    # {2, 3, 4} starts in round 3 with each value settled against leaf 0:
+    # it asks what a leaf over {2, 3, 4} asks of f minus x2
+    n, d = 8, 2
+    x2, x23, x4 = (BitVector.from01(k) for k in ("01000000", "01100000", "00010000"))
+    buckets = [
+        (Label(0), 2, BitVector.from01("11000000").mask, ()),
+        (Label.from01("1"), 7, BitVector.from01("11110000").mask, [0]),
+    ]
+    truth = SparsePolynomial(n, {x2: 2, x23: 3, x4: 4})
+    f = oracle_for(truth)
+    sink = io.StringIO()
+    assert depth_first_search(f, buckets, d, 0.0, sink) == truth.entries
+    rows = [line.split("\t") for line in sink.getvalue().splitlines()]
+    assert [row[2] for row in rows[2:6]] == ["7", "4", "4", "3"]
+    rest = SparsePolynomial(n, {x23: 3, x4: 4})
+    bucket = (Label.from01("1"), 7, BitVector.from01("01110000").mask, ())
+    _, queries, rounds, search_rows = probed(rest, bucket, d, 0)
+    assert rows[6:] == search_rows
+    assert (f.query_count, f.round_count) == (2 + 4 + queries, 2 + rounds)
 
 
 def test_a_probe_past_d_defectives_raises_with_its_label_extended():

@@ -195,14 +195,17 @@ def test_transcript_of_a_hand_checked_search():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_transcript_values_are_raw_or_residual(monkeypatch, seed):
-    # pasmt and hybrid's phase 1 log f(x); the engine logs the 0-child sum
-    # split_bin returned, f(x) minus the coefficients found below x
-    zero_sums = []
+    # pasmt and hybrid's phase 1 log f(x).  A search logs the 0-child sum
+    # split_bin returned, and a probe the value the engine settled: f(x)
+    # minus the coefficients of the leaves below whose supports lie inside x
+    sink = io.StringIO()
+    zero_sums = {}  # transcript line index -> the 0-child sum logged there
     inner = fasmt.split_bin
 
     def recorded(*args):
         out = inner(*args)
-        zero_sums.append(out[0])
+        # the search writes its line right after split_bin returns
+        zero_sums[sink.getvalue().count("\n")] = out[0]
         return out
 
     monkeypatch.setattr(fasmt, "split_bin", recorded)
@@ -210,28 +213,54 @@ def test_transcript_values_are_raw_or_residual(monkeypatch, seed):
     truth = generate_synthetic(n, 8, d, seed)
     raw = SparsePolyOracle(truth).eval
 
-    def logged(run) -> list[tuple[BitVector, float]]:
-        sink = io.StringIO()
+    def logged(run) -> list[tuple[str, BitVector, float]]:
+        sink.seek(0)
+        sink.truncate()
+        zero_sums.clear()
         run(oracle_for(truth), sink)
         rows = [line.split("\t") for line in sink.getvalue().splitlines()]
-        return [(BitVector.from01(x), float(v)) for _, x, v in rows]
+        return [(label, BitVector.from01(x), float(v)) for label, x, v in rows]
 
     lines = logged(lambda f, sink: pasmt_run(f, construct_disjunct(n, d), d, transcript=sink))
-    assert all(v == raw(x) for x, v in lines)
-    assert zero_sums == []
+    assert all(v == raw(x) for _, x, v in lines)
+    assert zero_sums == {}
 
     lines = logged(lambda f, sink: fasmt_run(f, n, d, transcript=sink))
-    root, *searched = lines
-    assert root[1] == raw(root[0])
-    assert [v for _, v in searched] == zero_sums
-    assert any(v != raw(x) for x, v in searched)
+    assert lines[0][2] == raw(lines[0][1])
+    assert {at: v for at, (_, _, v) in enumerate(lines) if at} == zero_sums
+    assert any(v != raw(x) for _, x, v in lines)
 
-    zero_sums.clear()
-    lines = logged(lambda f, sink: hybrid_run(f, n, d, seed, transcript=sink))
-    phase1 = len(lines) - len(zero_sums)
-    assert 0 < phase1 < len(lines)
-    assert all(v == raw(x) for x, v in lines[:phase1])
-    assert [v for _, v in lines[phase1:]] == zero_sums
+    design = construct_list_disjunct(n, d, seed)
+    leaves = refine_levels(oracle_for(truth), design, 1e-9)
+    index = {label.mask: i for i, (label, *_) in enumerate(leaves)}
+
+    def leaf_of(support: BitVector) -> int:
+        # the leaf whose label is the support's outcome on every test
+        outcome = sum(1 << t for t, test in enumerate(design.columns) if support.mask & test.mask)
+        return index[outcome]
+
+    for factor in (fasmt.PROBE_FACTOR, 0):
+        monkeypatch.setattr(fasmt, "PROBE_FACTOR", factor)
+        lines = logged(lambda f, sink: hybrid_run(f, n, d, seed, transcript=sink, design=design))
+        probes = settled = 0
+        for at, (label, x, v) in enumerate(lines):
+            if len(label) < design.b:
+                assert v == raw(x) and at not in zero_sums
+            elif at in zero_sums:
+                assert v == zero_sums[at]
+            else:
+                below = leaves[index[Label.from01(label).mask]][3]
+                lower = [
+                    c for k, c in truth.entries.items()
+                    if k.mask & ~x.mask == 0 and leaf_of(k) in below
+                ]
+                assert v == pytest.approx(raw(x) - sum(lower), rel=0, abs=1e-9)
+                probes += 1
+                settled += bool(lower)
+        # at this size the default cap probes every leaf, so cap 0, which
+        # searches them all, gives hybrid's search lines
+        assert (settled > 0) == (probes > 0) == (factor > 0)
+        assert factor or zero_sums
 
 
 def test_degree_overflow_raises():
@@ -276,11 +305,21 @@ def test_every_search_query_calls_split_bin_through_the_module(monkeypatch, n, s
     assert calls[0] == f.query_count - 1
     design = construct_list_disjunct(n, d, seed)
     phase1 = oracle_for(truth)
-    refine_levels(phase1, design, 1e-9)
-    calls[0] = 0
-    f = oracle_for(truth)
-    hybrid_run(f, n, d, seed, design=design)
-    assert calls[0] == f.query_count - phase1.query_count > 0
+    leaves = refine_levels(phase1, design, 1e-9)
+    for factor in (fasmt.PROBE_FACTOR, 0):
+        monkeypatch.setattr(fasmt, "PROBE_FACTOR", factor)
+        # a probe's points, one per candidate, are settled by the engine alone
+        probe_points = sum(
+            free.bit_count()
+            for label, value, free, _ in leaves
+            if label.n and 0 < free.bit_count() <= factor * d and abs(value) > 1e-9
+            and not (label.mask and free.bit_count() == 1)
+        )
+        calls[0] = 0
+        f = oracle_for(truth)
+        hybrid_run(f, n, d, seed, design=design)
+        assert calls[0] == f.query_count - phase1.query_count - probe_points
+        assert (probe_points > 0) == (factor > 0) and calls[0] + probe_points > 0
 
 
 def test_a_support_decoded_by_two_running_buckets(monkeypatch):
