@@ -102,6 +102,17 @@ def split_bin(
     return raw, value - raw, below
 
 
+def _overflow(label: Label, d: int) -> ReconstructionError:
+    """The degree overflow at the bucket labelled label, whose outcomes
+    imply more than d defectives.  A search names the child where its
+    splitting tree ran out; a decoded leaf names itself."""
+    return ReconstructionError(
+        f"degree overflow at bucket {label.to01()!r}: "
+        f"outcomes imply more than d={d} defectives",
+        label=label,
+    )
+
+
 def _search(
     n: int,
     d: int,
@@ -155,12 +166,7 @@ def _search(
                     support |= window
                     if support.bit_count() > d:
                         # length and mask name the child the outcome led to
-                        label = Label(length, mask)
-                        raise ReconstructionError(
-                            f"degree overflow at bucket {label.to01()!r}: "
-                            f"outcomes imply more than d={d} defectives",
-                            label=label,
-                        )
+                        raise _overflow(Label(length, mask), d)
                     remaining ^= window
                     window = 0
                 if not remaining:
@@ -200,28 +206,6 @@ def _search(
                 remaining = 0
 
 
-def _overflow(label: Label, free: int, present: int, d: int) -> ReconstructionError:
-    """The degree overflow of a probe whose outcomes imply more than d
-    defectives.  Its label is the leaf's, extended by one outcome per
-    probed coordinate in ascending order (1 where the coordinate is in the
-    support), up to the (d+1)-th defective, as a search names the child
-    its overflowing outcome led to."""
-    asked = free & ((1 << _lowest(present, d + 1).bit_length()) - 1)
-    length, mask = label.n, label.mask
-    while asked:
-        j = asked & -asked
-        asked ^= j
-        if j & present:
-            mask |= 1 << length
-        length += 1
-    label = Label(length, mask)
-    return ReconstructionError(
-        f"degree overflow at bucket {label.to01()!r}: "
-        f"outcomes imply more than d={d} defectives",
-        label=label,
-    )
-
-
 def depth_first_search(
     f: CountingOracle,
     buckets: Sequence[tuple[Label, float, int, Sequence[int]]],
@@ -253,10 +237,9 @@ def depth_first_search(
     bucket below it is driven with eval alone, which charges one query and
     one round per point as a batch of one does, and what waits on it is
     released when it finishes.  Returns every recovered coefficient.
-    A support of weight above d surfaces as ReconstructionError (degree
-    overflow) carrying the label of the bucket where the tree ran out, and
-    a support recorded twice as ReconstructionError naming the label of
-    the second bucket to record it.  A tau that is negative or not finite
+    A support of weight above d surfaces as _overflow's degree overflow,
+    and a support recorded twice as ReconstructionError naming the label
+    of the second bucket to record it.  A tau that is negative or not finite
     raises ParameterError, and a candidate set outside the n coordinates
     DimensionError, before any query.
 
@@ -274,7 +257,7 @@ def depth_first_search(
     was, from the next round on.  Probe lines carry the bucket's label and
     settled value in the transcript and are written when it is decoded.
     A probe whose outcomes imply more than d defectives raises the degree
-    overflow, labelled as _overflow says.
+    overflow at its own label.
 
     A bucket of one candidate j whose label has a 1 asks nothing.  A
     1-outcome means every support in the bucket meets that test, so the
@@ -359,7 +342,7 @@ def depth_first_search(
         if present | absent != free:
             search(i, (label, value, free ^ absent, ()), below)
         elif present.bit_count() > d:
-            raise _overflow(label, free, present, d)
+            raise _overflow(label, d)
         else:
             record(owns[i], label, present, value)
             finish(i)

@@ -489,11 +489,8 @@ def list_design_width(n: int, d: int) -> int:
     grows with n/d, and the log rule follows it.  Once phase 2 finishes a
     leaf of at most 8d candidates in one round (depth_first_search's
     probe), a longer list costs fewer queries in phase 1 and few rounds in
-    phase 2.  A sweep of the factor on the same grid (every run exact)
-    gave hybrid's queries / rounds: L 513,917 / 88,875, 5L/4 492,644 /
-    86,446, 3L/2 484,418 / 85,992 and 2L 468,608 / 91,455, so 3L/2 takes
-    the fewest rounds; the probe cap was swept with it (see
-    fasmt.depth_first_search).
+    phase 2.  A sweep of the factor on the same grid, with the probe cap
+    swept beside it, chose 3L/2; its table is in the hybrid module.
 
     The answer is exact, so every platform builds the same design:
     ((N - D)/N)^b is carried as a floor and a ceiling in fixed point, a

@@ -25,9 +25,9 @@ the second stage of two-stage group testing (fasmt.depth_first_search):
 it asks the candidate set minus each candidate, all in the first round,
 and a leaf whose residuals say it holds one coefficient is done once
 those values settle; any other leaf is searched over the candidates the
-probe did not rule out.  A sweep over the acceptance grid (4,500 instances, every run exact)
-set the cap and the list length together, as hybrid's grid queries /
-rounds:
+probe did not rule out.  A sweep over the acceptance grid (4,500
+instances, every run exact) set the cap and the list length together, as
+hybrid's grid queries / rounds:
 
     list cap   probe cap   queries   rounds
     L          none        496,491   117,776
@@ -40,10 +40,6 @@ rounds:
 
 3L/2 with 8d cut both queries and rounds against the search alone; a
 larger cap trades queries for rounds, and a smaller one the reverse.
-Searching a failed probe's leaf over all its candidates, not only those
-the probe left, cost 487,452 queries in 88,427 rounds.  The Sperner design
-at d = 1, with one-candidate leaves under a 1-outcome recorded with no
-query, then took the grid to 444,269 queries in 72,526 rounds.
 
 A bucket's coefficients can lie below another bucket's query points only
 when its label lies componentwise below the other's, so phase 1 hands each
@@ -52,15 +48,13 @@ first round, asks every probe point there, and batches one query per
 running search into each adaptive round.  A value settles as soon as each
 leaf below has finished or has its whole candidate set inside the query
 point (its sum is then subtracted); otherwise it waits, with its search,
-for that leaf to finish.  Against starting a leaf only once every leaf
-below it had finished, this took the grid from 72,526 rounds to 70,221
-with the same queries, and dense_int (n = 256, s = 64, d = 2) from 7,452
-to 7,009 at seed 1.
+for that leaf to finish.
+
 The width bounds only the expected size of a candidate set; a larger set
 is still sound, so its bucket is searched over the larger set, which only
-costs more queries.  A degree overflow in a bucket's search or probe
-raises ReconstructionError with a label extending the bucket's: the
-full-domain runner would overflow as well.
+costs more queries.  A degree overflow raises ReconstructionError, as the
+full-domain runner would: a bucket's search names the child where its
+splitting tree ran out, and a probe names its own leaf.
 """
 
 from __future__ import annotations

@@ -88,7 +88,8 @@ def refine_levels(
     bucket's supports can use; a bucket carries it from the root down, so
     its query point costs one AND.  The root evaluation rides in level 1's
     batch, and each later level is a batch of its own, so a run over b >= 1
-    columns takes at most b rounds; over no columns the root is one eval.
+    columns takes at most b rounds; over no columns the root is a batch of
+    one.
     An all-zero root returns no buckets, having also asked level 1's
     point.  A run over the first t columns of H returns the buckets of
     level t.  A tau that is negative or not finite raises ParameterError
@@ -100,18 +101,16 @@ def refine_levels(
         raise DimensionError(f"oracle is over n={n}, expected {H.n}")
     ones = BitVector.ones(n)
     full = ones.mask
-    if H.columns:
-        # level 1 asks one point, the complement of column 1, which does not
-        # depend on the root's value, so the two share a round
-        first = BitVector(n, full ^ H.columns[0].mask)
-        root, *level1 = f.batch_eval([ones, first])
-    else:
-        root = f.eval(ones)  # fasmt's root, or hybrid's where n <= 2d
+    # level 1 asks one point, the complement of column 1, which does not
+    # depend on the root's value, so the two share a round; over no columns
+    # the root asks alone
+    first = [BitVector(n, full ^ column.mask) for column in H.columns[:1]]
+    root, *level1 = f.batch_eval([ones, *first])
     if transcript is not None:
         log_query(transcript, Label(0), ones, root)
     if abs(root) <= tau:
-        if H.columns and transcript is not None:
-            log_query(transcript, Label(0), first, level1[0])
+        if first and transcript is not None:
+            log_query(transcript, Label(0), first[0], level1[0])
         return []
     # a bucket: label bits, sum, candidate set (the coordinates outside the
     # columns its label records a 0 at), and the earlier buckets below it

@@ -208,7 +208,11 @@ def probe(f, bins, d, tau, discovered, transcript):
         if (present | absent).bit_count() < len(b.candidates):
             out.append(absent)
         elif present.bit_count() > d:
-            raise ReconstructionError("degree overflow in a probe", label=b.label)
+            raise ReconstructionError(
+                f"degree overflow at bucket {b.label.to01()!r}: "
+                f"outcomes imply more than d={d} defectives",
+                label=b.label,
+            )
         else:
             discovered[BitVector(n, present)] = b.value
             out.append(None)

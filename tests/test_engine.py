@@ -491,18 +491,17 @@ def test_a_failed_probe_settles_its_search_against_the_leaf_below():
     assert (f.query_count, f.round_count) == (2 + 4 + queries, 2 + rounds)
 
 
-def test_a_probe_past_d_defectives_raises_with_its_label_extended():
-    # the support {1, 3, 4} overflows d = 2 at its third coordinate: the
-    # label extends the leaf's "0" by the outcomes of coordinates 1 to 4,
-    # and coordinate 6, asked in the same round, is left out of it
+def test_a_probe_past_d_defectives_names_its_leaf():
+    # the support {1, 3, 4} is past d = 2: the probe's five points, asked
+    # in one round, show three defectives, and the error names the leaf
     truth = SparsePolynomial(8, {BitVector.from01("10110000"): 1})
     f = oracle_for(truth)
     bucket = (Label.from01("0"), 1, BitVector.from01("11110100").mask, ())
     with pytest.raises(ReconstructionError) as info:
         depth_first_search(f, [bucket], 2, 0.0)
-    assert info.value.label == Label.from01("01011")
+    assert info.value.label == Label.from01("0")
     assert str(info.value) == (
-        "degree overflow at bucket '01011': outcomes imply more than d=2 defectives"
+        "degree overflow at bucket '0': outcomes imply more than d=2 defectives"
     )
     assert (f.query_count, f.round_count) == (5, 1)
 

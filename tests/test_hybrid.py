@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsemobius.core import BitVector, Label
+from sparsemobius.core import BitVector, Label, syndrome
 from sparsemobius.errors import DimensionError, ParameterError, ReconstructionError
 from sparsemobius.fasmt import fasmt_run
 from sparsemobius.grouptest import construct_list_disjunct
@@ -171,9 +171,10 @@ def test_degree_overflow_raises_with_label():
     with pytest.raises(ReconstructionError) as info:
         hybrid_run(f, 10, 2, seed=8, design=design)
     assert "degree overflow" in str(info.value)
-    # the label extends the bucket's full phase-1 syndrome
+    # the bucket is probed, and the probe names its leaf: the support's
+    # phase-1 syndrome
     assert isinstance(info.value.label, Label)
-    assert info.value.label.n > design.b
+    assert info.value.label == syndrome(design, bv("1110000000"))
     assert f.query_count <= hybrid_envelope(truth, design, 2)[0]
 
 
