@@ -49,11 +49,10 @@ account for: those not finished whose candidate sets the query point cuts
 it is driven with single evaluations: each is one query and one round,
 as a batch of one is, so the counts do not change.  A leaf under at least
 one phase-1 outcome with at most PROBE_FACTOR * d candidates is probed
-instead: it asks its candidate set minus each of its coordinates, all in
-the first round, and is done when those values settle if they show a
-single coefficient.  One of a single candidate under a 1-outcome asks
-nothing: the candidate is its support.  Only hybrid's leaves carry
-outcomes; this runner's one bucket has none.
+first, as its walk's first step, all in the first round (see _search).
+One of a single candidate under a 1-outcome asks nothing: the candidate
+is its support.  Only hybrid's leaves carry outcomes; this runner's one
+bucket has none.
 
 This runner feeds the engine the level loop run over no tests: the root
 query, then a single bucket over all n coordinates, so every query is its
@@ -121,23 +120,68 @@ def _search(
     own: list[tuple[int, float]],
     record: Callable[[list[tuple[int, float]], Label, int, float], None],
     transcript: TextIO | None,
-) -> Generator[BitVector, float, None]:
-    """One bucket's splitting search: yields each query point and is sent
-    the oracle's value there, settled against every other bucket below it
-    (see depth_first_search).  It subtracts its own finds through
-    split_bin.  Records every coefficient it pins down through the engine's
-    record, which appends it to own, and returns once its stack is empty.
+) -> Generator[BitVector | list[BitVector], float | list[float], None]:
+    """One bucket's walk: yields each query point and is sent the oracle's
+    value there, settled against every other bucket below it (see
+    depth_first_search).  It subtracts its own finds through split_bin.
+    Records every coefficient it pins down through the engine's record,
+    which appends it to own, and returns once the bucket is finished.
 
-    The bucket is the stack's first entry, so one loop pops them all,
-    and an unasked test and a nonzero 0-child share one outcome-0 step.
-    The splitting tree is stepped here by GbsaTree's rule, in five
-    locals (block index, remaining, window, support found and pending
-    test), not by GbsaTree.advance, whose call and state object cost
-    more than the step once per query; a pending 1-child stores four of
-    them, and resumes with its parent's test as its window."""
+    A bucket whose sum is 0 asks nothing.  Small leaves are finished in
+    one stage, the second of the two-stage group-testing scheme (De
+    Bonis, Gasieniec and Vaccaro, SIAM J. Comput. 2005; Indyk, Ngo and
+    Rudra, SODA 2010): a bucket whose label has at least one outcome and
+    whose candidate set C holds 1 to PROBE_FACTOR * d coordinates is
+    probed.  Its first yield is one list, C minus {j} for every j in C in
+    ascending j, all asked in the first round, and it is sent their
+    settled values as one list.  Each point's transcript line carries the
+    label and the settled value.  If every value is 0 (j is in the
+    support) or the bucket's sum v (j is not), the bucket holds one
+    coefficient, with |C| queries that take no round of their own: its
+    support is recorded with value v, or, past d defectives, the degree
+    overflow is raised at the bucket's own label.  Otherwise several
+    coefficients share the bucket, and it is searched over C minus the
+    coordinates whose value was v, from the next round on.  fasmt's one
+    bucket has an empty label, and so has hybrid's where n <= 2d, so
+    neither is probed; the factor 8 is the cap a sweep over the
+    acceptance grid chose (its table is in the hybrid module: 6d costs
+    rounds, 10d queries).
+
+    The search is a splitting search whose first stack entry is the
+    bucket, so one loop pops them all, and an unasked test and a nonzero
+    0-child share one outcome-0 step.  The splitting tree is stepped here
+    by GbsaTree's rule, in five locals (block index, remaining, window,
+    support found and pending test), not by GbsaTree.advance, whose call
+    and state object cost more than the step once per query; a pending
+    1-child stores four of them, and resumes with its parent's test as
+    its window."""
     label, value, free, _ = bucket
     if abs(value) <= tau:
         return
+    if label.n and 0 < free.bit_count() <= PROBE_FACTOR * d:
+        points = []
+        rest = free
+        while rest:
+            j = rest & -rest
+            rest ^= j
+            x = _new(BitVector)
+            x.n = n
+            x.mask = free ^ j
+            points.append(x)
+        present = absent = 0
+        for x, v0 in zip(points, (yield points)):
+            if transcript is not None:
+                log_query(transcript, label, x, v0)
+            if abs(value - v0) <= tau:
+                absent |= free ^ x.mask
+            elif abs(v0) <= tau:
+                present |= free ^ x.mask
+        if present | absent == free:
+            if present.bit_count() > d:
+                raise _overflow(label, d)
+            record(own, label, present, value)
+            return
+        free ^= absent
     blocks = GbsaTree(free, d).blocks
     nblocks = len(blocks)
     # pending 1-children: label length and mask, sum, candidate set,
@@ -218,46 +262,34 @@ def depth_first_search(
     The buckets are refine_levels' leaves as it returns them: (label, sum,
     candidate set, below), with the mask of the coordinates outside the
     tests the label records a 0 at and the indices of the earlier buckets
-    whose labels lie componentwise below its own.  A bucket's search ranges
-    over its candidate set.  Every bucket starts in the first round.  Each
-    running search is a generator of query points; a round asks every
-    running search's point.  A raw value f(x) never goes stale, so it is
-    asked at once and settled once it can be.  Settling subtracts the
-    coefficients of every bucket below the asker, by one rule for search
-    and probe points alike.  It walks the asker's below list, the buckets
-    unfinished when the asker started first.  For each bucket j: if j has
-    finished, its coefficients that lie inside x are subtracted; else if
-    j's candidate set lies inside x, every coefficient of j lies below x,
-    so j's sum is subtracted (the pair test of split_bin applied to the
-    pair (candidate set, sum)); otherwise the value is held, and its
-    search paused, until j finishes.  The settled value is sent to the
-    search, which subtracts only its own finds, through split_bin.  A
-    value is never asked twice, and the lowest unfinished bucket is never
-    held, so the schedule cannot stall.  A search that asks alone with no
-    bucket below it is driven with eval alone, which charges one query and
-    one round per point as a batch of one does, and what waits on it is
-    released when it finishes.  Returns every recovered coefficient.
-    A support of weight above d surfaces as _overflow's degree overflow,
-    and a support recorded twice as ReconstructionError naming the label
-    of the second bucket to record it.  A tau that is negative or not finite
-    raises ParameterError, and a candidate set outside the n coordinates
+    whose labels lie componentwise below its own.  Each bucket is walked
+    by _search, a generator that probes it or searches it over its
+    candidate set.  Every bucket starts in the first round: a walk's first
+    yield is one search point, or a probe's list of points, all asked in
+    that round.  A round asks every running search's point.  A raw value
+    f(x) never goes stale, so it is asked at once and settled once it can
+    be.  Settling subtracts the coefficients of every bucket below the
+    asker, by one rule for search and probe points alike.  It walks the
+    asker's below list, the buckets unfinished when the asker started
+    first.  For each bucket j: if j has finished, its coefficients that
+    lie inside x are subtracted; else if j's candidate set lies inside x,
+    every coefficient of j lies below x, so j's sum is subtracted (the
+    pair test of split_bin applied to the pair (candidate set, sum));
+    otherwise the value is held, and its walk paused, until j finishes.
+    A settled search value is sent to the walk, which subtracts only its
+    own finds, through split_bin; a probe's values are sent as one list
+    once every one has settled, and a probe that does not finish its
+    bucket goes on searching from the next round.  A value is never asked
+    twice, and the lowest unfinished bucket is never held, so the
+    schedule cannot stall.  A search that asks alone with no bucket below
+    it is driven with eval alone, which charges one query and one round
+    per point as a batch of one does, and what waits on it is released
+    when it finishes.  Returns every recovered coefficient.  A support of
+    weight above d surfaces as _overflow's degree overflow, and a support
+    recorded twice as ReconstructionError naming the label of the second
+    bucket to record it.  A tau that is negative or not finite raises
+    ParameterError, and a candidate set outside the n coordinates
     DimensionError, before any query.
-
-    Small leaves are finished in one stage, the second of the two-stage
-    group-testing scheme (De Bonis, Gasieniec and Vaccaro, SIAM J. Comput.
-    2005; Indyk, Ngo and Rudra, SODA 2010).  A bucket whose label has at
-    least one outcome and whose candidate set C holds 1 to PROBE_FACTOR * d
-    coordinates asks C minus {j} for every j in C, all in the first round,
-    and is decoded once every one of those values is settled.  If every
-    settled value is 0 (j is in the support) or the bucket's sum v (j is
-    not), the bucket holds one coefficient, and its support is recorded
-    with value v: |C| queries that take no round of their own.  Otherwise
-    several coefficients share the bucket: it drops from C the coordinates
-    whose value was v and is searched over the rest, settled as the probe
-    was, from the next round on.  Probe lines carry the bucket's label and
-    settled value in the transcript and are written when it is decoded.
-    A probe whose outcomes imply more than d defectives raises the degree
-    overflow at its own label.
 
     A bucket of one candidate j whose label has a 1 asks nothing.  A
     1-outcome means every support in the bucket meets that test, so the
@@ -265,22 +297,16 @@ def depth_first_search(
     would read f(0), the constant term, and once settled against the all-0
     leaf, which lies below every leaf and holds that term, its value
     would be 0 ("j is present") whatever the values.  The bucket records
-    x_j with its sum when it starts.  Under no 1-outcome the bucket is
-    probed: its point tells the constant term apart from x_j.  At d = 1
-    hybrid's design is the Sperner design, so every leaf is such a bucket
-    or the constant term's, and hybrid runs pasmt's level loop with no
-    query in phase 2.
-
-    fasmt's one bucket has an empty label, and so has hybrid's where
-    n <= 2d, so neither is probed.  The factor 8 is the cap a sweep over
-    the acceptance grid chose (its table is in the hybrid module: 6d
-    costs rounds, 10d queries).  The probe is handled here, beside the
-    running searches, so a search still yields one point per round.
+    x_j with its sum when it starts, with no walk.  Under no 1-outcome
+    the bucket is probed: its point tells the constant term apart from
+    x_j.  At d = 1 hybrid's design is the Sperner design, so every leaf is
+    such a bucket or the constant term's, and hybrid runs pasmt's level
+    loop with no query in phase 2.  PROBE_FACTOR = 0 turns off both this
+    rule and the probe.
     """
     check_tau(tau)
     n = f.n
     full = (1 << n) - 1
-    cap = PROBE_FACTOR * d
     for i, bucket in enumerate(buckets):
         if not 0 <= bucket[2] <= full:
             raise DimensionError(f"bucket {i} has a candidate set outside n={n} coordinates")
@@ -291,11 +317,11 @@ def depth_first_search(
     # each bucket's coefficients in discovery order, all of them once done
     owns: list[list[tuple[int, float]]] = [[] for _ in buckets]
     done = [False] * len(buckets)
-    # the next round's points: (point, owner, slot).  An owner starts with
-    # its bucket's index and its below list, unfinished buckets first.  A
-    # search's owner then holds its send, slot -1; a probe's holds its
-    # bucket, points, their settled values and a count of those still
-    # unsettled, slot the point's index
+    # the next round's points: (point, owner, slot).  An owner holds its
+    # bucket's index, its below list, unfinished buckets first, and its
+    # walk's send.  A search point's slot is -1; a probe point's is its
+    # index, and its owner also holds the probe's settled values and a
+    # count of those still unsettled
     asking: list = []
     # the values held until bucket j finishes, by j, and those released
     # this round: ((point, owner, slot), raw)
@@ -315,42 +341,9 @@ def depth_first_search(
         found[support] = value
         own.append((support, value))
 
-    def search(i: int, bucket: tuple[Label, float, int, Sequence[int]], below: list[int]) -> None:
-        gen = _search(n, d, tau, bucket, owns[i], record, transcript)
-        try:
-            asking.append((next(gen), (i, below, gen.send), -1))
-        except StopIteration:
-            finish(i)
-
-    def decode(
-        i: int,
-        below: list[int],
-        bucket: tuple[Label, float, int, Sequence[int]],
-        points: list[BitVector],
-        values: Sequence[float],
-    ) -> None:
-        # a probe whose values have all settled
-        label, value, free, _ = bucket
-        present = absent = 0
-        for x, v0 in zip(points, values):
-            if transcript is not None:
-                log_query(transcript, label, x, v0)
-            if abs(value - v0) <= tau:
-                absent |= free ^ x.mask
-            elif abs(v0) <= tau:
-                present |= free ^ x.mask
-        if present | absent != free:
-            search(i, (label, value, free ^ absent, ()), below)
-        elif present.bit_count() > d:
-            raise _overflow(label, d)
-        else:
-            record(owns[i], label, present, value)
-            finish(i)
-
     for i, bucket in enumerate(buckets):
         label, value, free, below = bucket
-        probed = label.n and 0 < free.bit_count() <= cap and abs(value) > tau
-        if probed and label.mask and not free & (free - 1):
+        if label.mask and free.bit_count() == 1 <= PROBE_FACTOR * d and abs(value) > tau:
             # a 1-outcome keeps the empty support out of the bucket, so its
             # one candidate is its support
             record(owns[i], label, free, value)
@@ -361,20 +354,17 @@ def depth_first_search(
         # order the recorded transcripts hold, which plain ascending order
         # moves in the last digit
         below = sorted(below, key=done.__getitem__)
-        if not probed:
-            search(i, bucket, below)
+        send = _search(n, d, tau, bucket, owns[i], record, transcript).send
+        try:
+            x = send(None)
+        except StopIteration:
+            finish(i)
             continue
-        points = []
-        rest = free
-        while rest:
-            j = rest & -rest
-            rest ^= j
-            x = _new(BitVector)
-            x.n = n
-            x.mask = free ^ j
-            points.append(x)
-        probe = (i, below, bucket, points, [0.0] * len(points), [len(points)])
-        asking.extend(zip(points, repeat(probe), range(len(points))))
+        if type(x) is list:
+            owner = (i, below, send, [0.0] * len(x), [len(x)])
+            asking.extend(zip(x, repeat(owner), range(len(x))))
+        else:
+            asking.append((x, (i, below, send), -1))
     while asking:
         work.clear()
         x, owner, slot = asking[0]
@@ -410,17 +400,18 @@ def depth_first_search(
                     break
                 raw -= buckets[j][1]
             else:
-                if slot < 0:
-                    try:
-                        asking.append((owner[2](raw), owner, -1))
-                    except StopIteration:
-                        finish(owner[0])
-                    continue
-                owner[4][slot] = raw
-                left = owner[5]
-                left[0] -= 1
-                if not left[0]:
-                    decode(*owner[:5])
+                if slot >= 0:
+                    # a probe's values go to its walk once all have settled
+                    owner[3][slot] = raw
+                    left = owner[4]
+                    left[0] -= 1
+                    if left[0]:
+                        continue
+                    raw = owner[3]
+                try:
+                    asking.append((owner[2](raw), owner, -1))
+                except StopIteration:
+                    finish(owner[0])
     return {BitVector(n, k): v for k, v in found.items()}
 
 

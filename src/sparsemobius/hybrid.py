@@ -21,11 +21,11 @@ term's empty candidate set.  So at d = 1 hybrid runs pasmt's level loop,
 with the same queries, rounds and map.
 
 Phase 2 probes every leaf of at most 8d candidates (fasmt.PROBE_FACTOR),
-the second stage of two-stage group testing (fasmt.depth_first_search):
-it asks the candidate set minus each candidate, all in the first round,
-and a leaf whose residuals say it holds one coefficient is done once
-those values settle; any other leaf is searched over the candidates the
-probe did not rule out.  A sweep over the acceptance grid (4,500
+the second stage of two-stage group testing, as the first step of the
+leaf's walk (fasmt._search): it asks the candidate set minus each
+candidate, all in the first round, and a leaf whose residuals say it
+holds one coefficient is done once those values settle; any other leaf
+goes on to search the candidates the probe did not rule out.  A sweep over the acceptance grid (4,500
 instances, every run exact) set the cap and the list length together, as
 hybrid's grid queries / rounds:
 

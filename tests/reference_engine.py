@@ -6,7 +6,9 @@ whichever leaf found it, scanning them all at every query.  The current
 engine splits that by the leaf a coefficient belongs to: its settle rule
 subtracts the other leaves' coefficients from every value, search and
 probe points alike, and a search subtracts only its own finds, through
-fasmt.split_bin.  Here, too, stack entries carry Label objects, a test
+fasmt.split_bin.  There one generator walks each leaf, probing it first
+when it is small and going on to search it when the probe does not
+finish it.  Here, too, stack entries carry Label objects, a test
 inside the zero union is answered 0 without a query, and hybrid's phase
 2 runs the leaf buckets in antichain layers: a layer starts only once
 every bucket of the layer before it has finished.  A layer's leaves of

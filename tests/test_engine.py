@@ -506,6 +506,28 @@ def test_a_probe_past_d_defectives_names_its_leaf():
     assert (f.query_count, f.round_count) == (5, 1)
 
 
+def test_a_failed_probes_search_names_the_child_where_its_tree_ran_out():
+    # 2*x1*x2 + 3*x3 over {1, 2, 3, 4} at d = 1: the probe reads 3, 3, 2
+    # and 5 in round 1, rules out only coordinate 4 and searches {1, 2, 3}
+    # in the same walk, whose splitting tree finds x1*x2 past d = 1 at the
+    # child labelled 111111, not at the leaf
+    truth = SparsePolynomial(
+        8, {BitVector.from01("11000000"): 2, BitVector.from01("00100000"): 3}
+    )
+    f = oracle_for(truth)
+    sink = io.StringIO()
+    bucket = (Label.from01("1"), 5, BitVector.from01("11110000").mask, ())
+    with pytest.raises(ReconstructionError) as info:
+        depth_first_search(f, [bucket], 1, 0.0, sink)
+    assert info.value.label == Label.from01("111111")
+    assert str(info.value) == (
+        "degree overflow at bucket '111111': outcomes imply more than d=1 defectives"
+    )
+    rows = [line.split("\t") for line in sink.getvalue().splitlines()]
+    assert [row[2] for row in rows[:4]] == ["3", "3", "2", "5"]
+    assert (f.query_count, f.round_count) == (9, 6)
+
+
 def planted_cancellation(seed: int) -> SparsePolynomial:
     """generate_synthetic(64, 16, 3, seed) at integer weights, plus a, b
     and -(a + b) (a and b each 1 + below(8)) on three fresh supports of

@@ -97,6 +97,12 @@ def test_zero_sum_bucket_costs_no_query():
     full = 0b11
     assert depth_first_search(f, [(Label(0), 0.0, full ^ 0b11, ())], 1, 1e-9) == {}
     assert f.query_count == 0
+    # a labelled leaf inside the probe cap: the sum is tested before the
+    # probe, whose three points would otherwise be asked
+    f = oracle_for(SparsePolynomial(8, {}))
+    bucket = (Label.from01("1"), 0.0, bv("11100000").mask, ())
+    assert depth_first_search(f, [bucket], 2, 1e-9) == {}
+    assert f.query_count == 0
 
 
 def test_constant_function_query_count():
