@@ -62,7 +62,7 @@ test budget).
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Callable, Generator, Sequence, TextIO
 
 from .core import BitVector, Label, TestMatrix, _new, log_query
@@ -90,7 +90,10 @@ def split_bin(
     discovery order and must hold every one of them whose support lies
     below x.  raw minus those is the 0-child sum.  Returns (0-child sum,
     1-child sum, the pairs subtracted); the two sums add up to the bucket
-    value.
+    value.  An empty list, a search's before its first find, returns at
+    once and is handed on; without that return grid fasmt was 1-4 %
+    slower in the median of 30-40 in-process passes (four runs, see
+    depth_first_search).
     """
     if not residual:
         return raw, value - raw, residual
@@ -284,12 +287,19 @@ def depth_first_search(
     schedule cannot stall.  A search that asks alone with no bucket below
     it is driven with eval alone, which charges one query and one round
     per point as a batch of one does, and what waits on it is released
-    when it finishes.  Returns every recovered coefficient.  A support of
+    when it finishes.  That is all of fasmt's search, and the fork is
+    kept for speed: sending such a point through the round loop, even
+    with eval, made fasmt 11-13 % slower on grid instances, 3-7 % on
+    wide_n and 2-3 % on dense_int (in process, the minimum of 30 passes
+    interleaved with the kept code, 2-core host), and with batch_eval
+    17-40 %.  Returns every recovered coefficient.  A support of
     weight above d surfaces as _overflow's degree overflow, and a support
     recorded twice as ReconstructionError naming the label of the second
     bucket to record it.  A tau that is negative or not finite raises
+    ParameterError, a below list naming the bucket itself or a later one
     ParameterError, and a candidate set outside the n coordinates
-    DimensionError, before any query.
+    DimensionError, before any query: each bucket is checked in the pass
+    that starts the walks, which asks nothing.
 
     A bucket of one candidate j whose label has a 1 asks nothing.  A
     1-outcome means every support in the bucket meets that test, so the
@@ -297,7 +307,10 @@ def depth_first_search(
     would read f(0), the constant term, and once settled against the all-0
     leaf, which lies below every leaf and holds that term, its value
     would be 0 ("j is present") whatever the values.  The bucket records
-    x_j with its sum when it starts, with no walk.  Under no 1-outcome
+    x_j with its sum when it starts, with no walk.  The rule sits in the
+    start pass, not in _search, so such a bucket starts no generator: in
+    _search it made hybrid 6-7 % slower on 300 grid instances at d = 1
+    (measured as above).  Under no 1-outcome
     the bucket is probed: its point tells the constant term apart from
     x_j.  At d = 1 hybrid's design is the Sperner design, so every leaf is
     such a bucket or the constant term's, and hybrid runs pasmt's level
@@ -307,12 +320,6 @@ def depth_first_search(
     check_tau(tau)
     n = f.n
     full = (1 << n) - 1
-    for i, bucket in enumerate(buckets):
-        if not 0 <= bucket[2] <= full:
-            raise DimensionError(f"bucket {i} has a candidate set outside n={n} coordinates")
-        for j in bucket[3]:
-            if not 0 <= j < i:
-                raise ParameterError(f"bucket {i} must list earlier buckets only")
     found: dict[int, float] = {}
     # each bucket's coefficients in discovery order, all of them once done
     owns: list[list[tuple[int, float]]] = [[] for _ in buckets]
@@ -320,17 +327,16 @@ def depth_first_search(
     # the next round's points: (point, owner, slot).  An owner holds its
     # bucket's index, its below list, unfinished buckets first, and its
     # walk's send.  A search point's slot is -1; a probe point's is its
-    # index, and its owner also holds the probe's settled values and a
+    # index, and its owner also holds the probe's settled values and the
     # count of those still unsettled
     asking: list = []
-    # the values held until bucket j finishes, by j, and those released
-    # this round: ((point, owner, slot), raw)
+    # the values held until bucket j finishes, by j: ((point, owner, slot), raw)
     held: dict[int, list] = {}
-    work: list = []
 
     def finish(i: int) -> None:
+        # the values it releases join the round's list, after this round's
         done[i] = True
-        work.extend(held.pop(i, ()))
+        batch.extend(held.pop(i, ()))
 
     def record(own: list[tuple[int, float]], label: Label, support: int, value: float) -> None:
         # every coefficient, a search's or a probe's, is recorded here
@@ -341,13 +347,21 @@ def depth_first_search(
         found[support] = value
         own.append((support, value))
 
+    # each bucket is checked in the pass that starts it: starting a walk
+    # runs it to its first yield, which asks nothing, so no value is held
+    # yet and a bucket that finishes here is only marked done
     for i, bucket in enumerate(buckets):
         label, value, free, below = bucket
+        if not 0 <= free <= full:
+            raise DimensionError(f"bucket {i} has a candidate set outside n={n} coordinates")
+        for j in below:
+            if not 0 <= j < i:
+                raise ParameterError(f"bucket {i} must list earlier buckets only")
         if label.mask and free.bit_count() == 1 <= PROBE_FACTOR * d and abs(value) > tau:
             # a 1-outcome keeps the empty support out of the bucket, so its
             # one candidate is its support
             record(owns[i], label, free, value)
-            finish(i)
+            done[i] = True
             continue
         # the buckets below, those unfinished now first, each part in
         # refine_levels' order (sorted is stable): the float subtraction
@@ -358,34 +372,30 @@ def depth_first_search(
         try:
             x = send(None)
         except StopIteration:
-            finish(i)
+            done[i] = True
             continue
         if type(x) is list:
-            owner = (i, below, send, [0.0] * len(x), [len(x)])
+            owner = [i, below, send, [0.0] * len(x), len(x)]
             asking.extend(zip(x, repeat(owner), range(len(x))))
         else:
             asking.append((x, (i, below, send), -1))
     while asking:
-        work.clear()
-        x, owner, slot = asking[0]
-        if len(asking) == 1 and slot < 0 and not owner[1]:
+        # the round's list: its values, then those finish releases
+        batch, asking = asking, []
+        x, owner, slot = batch[0]
+        if len(batch) == 1 and slot < 0 and not owner[1]:
             # a search asking alone with no bucket below: each of its values
             # settles at once; what waits on it is released when it finishes
-            asking.clear()
+            batch = []
             send = owner[2]
             try:
                 while True:
                     x = send(f.eval(x))
             except StopIteration:
                 finish(owner[0])
-            batch, raws = [], []
         else:
-            batch = asking[:]
-            asking.clear()
-            raws = f.batch_eval([point[0] for point in batch])
-        # finish appends the values it releases to work, and the loop
-        # reaches them after this round's
-        for entry in chain(zip(batch, raws), work):
+            batch = list(zip(batch, f.batch_eval([point[0] for point in batch])))
+        for entry in batch:
             (x, owner, slot), raw = entry
             xm = x.mask
             for j in owner[1]:
@@ -403,9 +413,8 @@ def depth_first_search(
                 if slot >= 0:
                     # a probe's values go to its walk once all have settled
                     owner[3][slot] = raw
-                    left = owner[4]
-                    left[0] -= 1
-                    if left[0]:
+                    owner[4] -= 1
+                    if owner[4]:
                         continue
                     raw = owner[3]
                 try:

@@ -367,13 +367,8 @@ def _rs_concat(n: int, q: int, m: int, points: int) -> TestMatrix:
     if points > q:
         block = q ** (m - 1)
         cols += [(1 << min(n, (s + 1) * block)) - (1 << min(n, s * block)) for s in range(q)]
-    seen: set[int] = set()
-    kept = []
-    for mask in cols:
-        if mask and mask not in seen:
-            seen.add(mask)
-            kept.append(BitVector(n, mask))
-    return TestMatrix(n, kept)
+    # dict.fromkeys keeps each column's first copy, in order
+    return TestMatrix(n, [BitVector(n, mask) for mask in dict.fromkeys(cols) if mask])
 
 
 def construct_disjunct(n: int, d: int) -> TestMatrix:

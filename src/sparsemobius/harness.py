@@ -79,14 +79,12 @@ def generate_synthetic(
         raise ParameterError(f"empty weight range [{weight_lo}, {weight_hi})")
     rng = SplitMix64(seed)
     supports: list[BitVector] = []
-    seen: set[BitVector] = set()
     for _ in range(s):
         c = 1 + rng.below(min(d, n))
-        support = BitVector.from_coords(n, random_subset(rng, n, c))
-        if support not in seen:
-            seen.add(support)
-            supports.append(support)
-    entries = {k: rng.uniform(weight_lo, weight_hi) for k in supports}
+        supports.append(BitVector.from_coords(n, random_subset(rng, n, c)))
+    # a repeated support draws no second weight: dict.fromkeys keeps each
+    # support's first copy, in order
+    entries = {k: rng.uniform(weight_lo, weight_hi) for k in dict.fromkeys(supports)}
     return SparsePolynomial(n, entries, degree_bound=d)
 
 

@@ -91,9 +91,10 @@ def refine_levels(
     columns takes at most b rounds; over no columns the root is a batch of
     one.
     An all-zero root returns no buckets, having also asked level 1's
-    point.  A run over the first t columns of H returns the buckets of
-    level t.  A tau that is negative or not finite raises ParameterError
-    before any query.
+    point.  Once every bucket has vanished, each later level asks an empty
+    batch, which the oracle neither charges nor counts as a round.  A run
+    over the first t columns of H returns the buckets of level t.  A tau
+    that is negative or not finite raises ParameterError before any query.
     """
     check_tau(tau)
     n = f.n
@@ -160,8 +161,6 @@ def refine_levels(
                 children.append((m | bit, v1, free, below1))
             settled.append((v0, z0, z1))
         buckets = children
-        if not buckets:
-            break
     return [(Label(H.b, m), v, free, row) for m, v, free, row in buckets]
 
 

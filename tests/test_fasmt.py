@@ -128,9 +128,15 @@ def test_depth_first_search_rejects_a_union_outside_the_coordinates(union):
     # coordinates, whose complement is outside them too, must not get that far
     f = oracle_for(SparsePolynomial(2, {bv("11"): 1.0}))
     full = 0b11
-    with pytest.raises(DimensionError, match="bucket 0"):
-        depth_first_search(f, [(Label(0), 1.0, full ^ union, ())], 1, 1e-9)
-    assert f.query_count == 0
+    # also after leaves the engine starts first: a one-candidate leaf under
+    # a 1-outcome, which records its support at once, and a probed leaf,
+    # whose walk yields its points; neither may be asked before the bad
+    # bucket is checked
+    started = [(Label.from01("1"), 1.0, 0b01, ()), (Label.from01("0"), 1.0, full, ())]
+    for before in ([], started):
+        with pytest.raises(DimensionError, match=f"bucket {len(before)}"):
+            depth_first_search(f, [*before, (Label(0), 1.0, full ^ union, ())], 1, 1e-9)
+    assert (f.query_count, f.round_count) == (0, 0)
 
 
 def test_depth_first_search_rejects_a_bad_tau_before_any_query():
@@ -284,13 +290,17 @@ def test_validation():
         fasmt_run(f, 5, 1)
     with pytest.raises(ParameterError):
         fasmt_run(f, 4, 0)
-    # a bucket waiting on itself or a later bucket would never start
+    # a bucket waiting on itself or a later bucket would never start, also
+    # after a one-candidate leaf and a probed leaf the engine starts first
     full = bv("1111").mask
-    for below in ([0], [1]):
-        buckets = [(Label(0), 5.0, full ^ 0, below), (Label(0), 5.0, full ^ 0, ())]
-        with pytest.raises(ParameterError):
-            depth_first_search(f, buckets, 2, 1e-9)
-    assert f.query_count == 0
+    started = [(Label.from01("1"), 2.0, bv("1000").mask, ()), (Label.from01("0"), 3.0, full, ())]
+    for started in ([], started):
+        i = len(started)
+        for below in ([i], [i + 1]):
+            buckets = [*started, (Label(0), 5.0, full ^ 0, below), (Label(0), 5.0, full ^ 0, ())]
+            with pytest.raises(ParameterError, match=f"bucket {i} "):
+                depth_first_search(f, buckets, 2, 1e-9)
+    assert (f.query_count, f.round_count) == (0, 0)
 
 
 @pytest.mark.parametrize("n, s, d, seed", [(16, 4, 2, 71), (64, 12, 3, 72)])

@@ -259,10 +259,14 @@ def test_zero_function_costs_one_round():
 
 def test_level_loop_ends_when_every_bucket_vanishes():
     # each coefficient alone is within tau, so the first level keeps no bucket
+    # although the root, 1.2, does not vanish; the second level asks an empty
+    # batch, which costs no query, no round and no transcript line
     truth = SparsePolynomial(2, {bv("10"): 0.6, bv("01"): 0.6})
     f = oracle_for(truth)
-    assert refine_levels(f, identity_matrix(2), 1.0) == []
+    sink = io.StringIO()
+    assert refine_levels(f, identity_matrix(2), 1.0, sink) == []
     assert (f.query_count, f.round_count) == (2, 1)
+    assert len(sink.getvalue().splitlines()) == 2
     assert pasmt_run(oracle_for(truth), identity_matrix(2), d=1, tau=1.0).entries == {}
 
 
