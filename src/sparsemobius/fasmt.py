@@ -380,7 +380,8 @@ def depth_first_search(
         else:
             asking.append((x, (i, below, send), -1))
     while asking:
-        # the round's list: its values, then those finish releases
+        # the round asks every waiting point; its list pairs each point with
+        # its value, and then holds the values finish releases
         batch, asking = asking, []
         x, owner, slot = batch[0]
         if len(batch) == 1 and slot < 0 and not owner[1]:
