@@ -11,7 +11,6 @@ both).  See the harness module for synthetic instances and benchmarks.
 from .core import BitVector, Label, TestMatrix, build_query_vector, syndrome
 from .errors import (
     CapacityError,
-    DecodeError,
     DimensionError,
     FormatError,
     InfeasiblePrefixError,

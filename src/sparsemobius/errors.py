@@ -37,10 +37,6 @@ class InfeasiblePrefixError(SparseMobiusError):
     """An outcome string is not consistent with any vector of weight <= d."""
 
 
-class DecodeError(SparseMobiusError):
-    """A syndrome could not be decoded to a consistent support."""
-
-
 class ReconstructionError(SparseMobiusError):
     """A reconstruction run failed; carries the offending bin label if known."""
 

@@ -50,9 +50,9 @@ it is driven with single evaluations: each is one query and one round,
 as a batch of one is, so the counts do not change.  A leaf under at least
 one phase-1 outcome with at most PROBE_FACTOR * d candidates is probed
 first, as its walk's first step, all in the first round (see _search).
-One of a single candidate under a 1-outcome asks nothing: the candidate
-is its support.  Only hybrid's leaves carry outcomes; this runner's one
-bucket has none.
+A bucket that needs no query finishes in the engine's start pass and
+starts no walk (see depth_first_search).  Only hybrid's leaves carry
+outcomes; this runner's one bucket has none.
 
 This runner feeds the engine the level loop run over no tests: the root
 query, then a single bucket over all n coordinates, so every query is its
@@ -67,7 +67,7 @@ from typing import Callable, Generator, Sequence, TextIO
 
 from .core import BitVector, Label, TestMatrix, _new, log_query
 from .errors import DimensionError, ParameterError, ReconstructionError
-from .grouptest import GbsaTree, _lowest
+from .grouptest import GbsaTree, _lowest, _overflow
 from .grouptest import gbsa_step  # unused here; the benchmark's traced run looks it up
 from .oracle import DEFAULT_TAU, CountingOracle, SparsePolynomial, check_tau
 from .pasmt import refine_levels
@@ -104,17 +104,6 @@ def split_bin(
     return raw, value - raw, below
 
 
-def _overflow(label: Label, d: int) -> ReconstructionError:
-    """The degree overflow at the bucket labelled label, whose outcomes
-    imply more than d defectives.  A search names the child where its
-    splitting tree ran out; a decoded leaf names itself."""
-    return ReconstructionError(
-        f"degree overflow at bucket {label.to01()!r}: "
-        f"outcomes imply more than d={d} defectives",
-        label=label,
-    )
-
-
 def _search(
     n: int,
     d: int,
@@ -129,26 +118,26 @@ def _search(
     depth_first_search).  It subtracts its own finds through split_bin.
     Records every coefficient it pins down through the engine's record,
     which appends it to own, and returns once the bucket is finished.
+    The engine starts a walk only for a bucket that needs a query, so its
+    first step asks.
 
-    A bucket whose sum is 0 asks nothing.  Small leaves are finished in
-    one stage, the second of the two-stage group-testing scheme (De
-    Bonis, Gasieniec and Vaccaro, SIAM J. Comput. 2005; Indyk, Ngo and
-    Rudra, SODA 2010): a bucket whose label has at least one outcome and
-    whose candidate set C holds 1 to PROBE_FACTOR * d coordinates is
-    probed.  Its first yield is one list, C minus {j} for every j in C in
-    ascending j, all asked in the first round, and it is sent their
-    settled values as one list.  Each point's transcript line carries the
-    label and the settled value.  If every value is 0 (j is in the
-    support) or the bucket's sum v (j is not), the bucket holds one
+    Small leaves are finished in one stage, the second of the two-stage
+    group-testing scheme (De Bonis, Gasieniec and Vaccaro, SIAM J. Comput.
+    2005; Indyk, Ngo and Rudra, SODA 2010): a bucket whose label has at
+    least one outcome and whose candidate set C holds 1 to PROBE_FACTOR * d
+    coordinates is probed.  Its first yield is one list, C minus {j} for
+    every j in C in ascending j, all asked in the first round, and it is
+    sent their settled values as one list.  Each point's transcript line
+    carries the label and the settled value.  If every value is 0 (j is in
+    the support) or the bucket's sum v (j is not), the bucket holds one
     coefficient, with |C| queries that take no round of their own: its
     support is recorded with value v, or, past d defectives, the degree
     overflow is raised at the bucket's own label.  Otherwise several
     coefficients share the bucket, and it is searched over C minus the
     coordinates whose value was v, from the next round on.  fasmt's one
-    bucket has an empty label, and so has hybrid's where n <= 2d, so
-    neither is probed; the factor 8 is the cap a sweep over the
-    acceptance grid chose (its table is in the hybrid module: 6d costs
-    rounds, 10d queries).
+    bucket has an empty label, and so has hybrid's where n <= 2d, so neither
+    is probed; the factor 8 is the cap a sweep over the acceptance grid
+    chose (its table is in the hybrid module: 6d costs rounds, 10d queries).
 
     The search is a splitting search whose first stack entry is the
     bucket, so one loop pops them all, and an unasked test and a nonzero
@@ -159,9 +148,7 @@ def _search(
     1-child stores four of them, and resumes with its parent's test as
     its window."""
     label, value, free, _ = bucket
-    if abs(value) <= tau:
-        return
-    if label.n and 0 < free.bit_count() <= PROBE_FACTOR * d:
+    if label.n and free.bit_count() <= PROBE_FACTOR * d:
         points = []
         rest = free
         while rest:
@@ -292,30 +279,35 @@ def depth_first_search(
     with eval, made fasmt 11-13 % slower on grid instances, 3-7 % on
     wide_n and 2-3 % on dense_int (in process, the minimum of 30 passes
     interleaved with the kept code, 2-core host), and with batch_eval
-    17-40 %.  Returns every recovered coefficient.  A support of
-    weight above d surfaces as _overflow's degree overflow, and a support
-    recorded twice as ReconstructionError naming the label of the second
-    bucket to record it.  A tau that is negative or not finite raises
+    17-40 %.  Returns every recovered coefficient.  A support of weight
+    above d surfaces as grouptest._overflow's degree overflow, and a
+    support recorded twice as ReconstructionError naming the label of the
+    second bucket to record it.  A tau that is negative or not finite raises
     ParameterError, a below list naming the bucket itself or a later one
     ParameterError, and a candidate set outside the n coordinates
     DimensionError, before any query: each bucket is checked in the pass
     that starts the walks, which asks nothing.
 
-    A bucket of one candidate j whose label has a 1 asks nothing.  A
+    The start pass is the one place a bucket finishes without a query,
+    and such a bucket starts no walk, so every walk asks on its first
+    step.  There are three rules.  A bucket whose sum is within tau is
+    done, with nothing recorded.  A bucket whose candidate set is empty
+    holds only the constant term, and records it with its sum.  A bucket
+    of one candidate j whose label has a 1 records x_j with its sum: a
     1-outcome means every support in the bucket meets that test, so the
     empty support is not in it.  The probe's one point, the empty set,
     would read f(0), the constant term, and once settled against the all-0
     leaf, which lies below every leaf and holds that term, its value
-    would be 0 ("j is present") whatever the values.  The bucket records
-    x_j with its sum when it starts, with no walk.  The rule sits in the
-    start pass, not in _search, so such a bucket starts no generator: in
-    _search it made hybrid 6-7 % slower on 300 grid instances at d = 1
-    (measured as above).  Under no 1-outcome
-    the bucket is probed: its point tells the constant term apart from
-    x_j.  At d = 1 hybrid's design is the Sperner design, so every leaf is
-    such a bucket or the constant term's, and hybrid runs pasmt's level
-    loop with no query in phase 2.  PROBE_FACTOR = 0 turns off both this
-    rule and the probe.
+    would be 0 ("j is present") whatever the values.  The rules sit in the
+    start pass, not in _search, so such a bucket starts no generator: the
+    one-candidate rule in _search made hybrid 6-7 % slower on 300 grid
+    instances at d = 1 (measured as above).  Under no 1-outcome a
+    one-candidate bucket is probed: its point tells the constant term
+    apart from x_j.  At d = 1 hybrid's design is the Sperner design, so
+    every leaf is a one-candidate bucket under a 1-outcome or the
+    constant term's, with no candidate, and hybrid runs pasmt's level
+    loop with no query in phase 2.  PROBE_FACTOR = 0 turns off both the
+    one-candidate rule and the probe.
     """
     check_tau(tau)
     n = f.n
@@ -347,9 +339,9 @@ def depth_first_search(
         found[support] = value
         own.append((support, value))
 
-    # each bucket is checked in the pass that starts it: starting a walk
-    # runs it to its first yield, which asks nothing, so no value is held
-    # yet and a bucket that finishes here is only marked done
+    # each bucket is checked in the pass that starts it: a walk's first
+    # yield is asked only in the round loop, so no value is held yet and a
+    # bucket that needs no query is only marked done
     for i, bucket in enumerate(buckets):
         label, value, free, below = bucket
         if not 0 <= free <= full:
@@ -357,9 +349,13 @@ def depth_first_search(
         for j in below:
             if not 0 <= j < i:
                 raise ParameterError(f"bucket {i} must list earlier buckets only")
-        if label.mask and free.bit_count() == 1 <= PROBE_FACTOR * d and abs(value) > tau:
-            # a 1-outcome keeps the empty support out of the bucket, so its
-            # one candidate is its support
+        if abs(value) <= tau:
+            done[i] = True
+            continue
+        if not free or label.mask and free.bit_count() == 1 <= PROBE_FACTOR * d:
+            # an empty candidate set leaves only the constant term, and a
+            # 1-outcome keeps the empty support out of the bucket, so its one
+            # candidate is its support
             record(owns[i], label, free, value)
             done[i] = True
             continue
@@ -369,11 +365,7 @@ def depth_first_search(
         # moves in the last digit
         below = sorted(below, key=done.__getitem__)
         send = _search(n, d, tau, bucket, owns[i], record, transcript).send
-        try:
-            x = send(None)
-        except StopIteration:
-            done[i] = True
-            continue
+        x = send(None)
         if type(x) is list:
             owner = [i, below, send, [0.0] * len(x), len(x)]
             asking.extend(zip(x, repeat(owner), range(len(x))))

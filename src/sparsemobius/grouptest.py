@@ -32,10 +32,10 @@ from typing import Iterable, NamedTuple
 
 from .core import BitVector, Label, TestMatrix, build_query_vector
 from .errors import (
-    DecodeError,
     DimensionError,
     InfeasiblePrefixError,
     ParameterError,
+    ReconstructionError,
 )
 from .rng import SplitMix64, bernoulli_mask
 
@@ -412,6 +412,18 @@ def construct_disjunct(n: int, d: int) -> TestMatrix:
     return identity_matrix(n) if best is None else best
 
 
+def _overflow(label: Label, d: int) -> ReconstructionError:
+    """The degree overflow at the bucket labelled label, whose outcomes
+    imply more than d defectives: every runner's one error for it.  A
+    splitting search names the child where its tree ran out; a probed or
+    decoded leaf names itself."""
+    return ReconstructionError(
+        f"degree overflow at bucket {label.to01()!r}: "
+        f"outcomes imply more than d={d} defectives",
+        label=label,
+    )
+
+
 def decode_disjunct(
     H: TestMatrix, label: Label, d: int, support: int | None = None
 ) -> BitVector:
@@ -427,8 +439,9 @@ def decode_disjunct(
     raises DimensionError.  The support re-encodes to the label exactly
     when every column at a label 1 meets it, since the columns at its 0s
     avoid it by construction; a column that misses it (the signature of
-    degree overflow or a non-disjunct matrix) raises DecodeError, and so
-    does a support of weight above d.
+    degree overflow or a non-disjunct matrix) raises ReconstructionError
+    carrying the label, and a support of weight above d raises _overflow's
+    degree overflow at the label.
     """
     columns = H.columns
     if label.n != len(columns):
@@ -439,13 +452,12 @@ def decode_disjunct(
     while ones:
         low = ones & -ones
         if not columns[low.bit_length() - 1].mask & support:
-            raise DecodeError(
-                f"decoded support is inconsistent with syndrome {label.to01()!r}"
+            raise ReconstructionError(
+                f"decoded support is inconsistent with syndrome {label.to01()!r}", label=label
             )
         ones ^= low
-    weight = support.bit_count()
-    if weight > d:
-        raise DecodeError(f"decoded support has weight {weight} above d={d}")
+    if support.bit_count() > d:
+        raise _overflow(label, d)
     return BitVector(H.n, support)
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import Sequence, TextIO
 
 from .core import BitVector, Label, TestMatrix, _new, log_query
-from .errors import DecodeError, DimensionError, ParameterError, ReconstructionError
+from .errors import DimensionError, ParameterError
 from .grouptest import decode_disjunct
 from .oracle import DEFAULT_TAU, CountingOracle, SparsePolynomial, check_tau
 
@@ -176,19 +176,14 @@ def pasmt_run(
     Exact when H is d-disjunct, the true degree is at most d, no nonempty
     subset of true coefficients sums to within tau of zero, and every
     coefficient magnitude exceeds tau.  A bucket whose decoded support is
-    inconsistent with its label or has weight above d raises
-    ReconstructionError carrying the bucket's label.  The transcript gets
+    inconsistent with its label raises ReconstructionError carrying the
+    bucket's label, and one whose support has weight above d the degree
+    overflow every runner raises (see decode_disjunct).  The transcript gets
     one line per query holding the oracle's raw value f(x).
     """
     if d < 1:
         raise ParameterError(f"need d >= 1, got {d}")
     entries: dict[BitVector, float] = {}
     for label, value, free, _ in refine_levels(f, H, tau, transcript):
-        try:
-            support = decode_disjunct(H, label, d, free)
-        except DecodeError as err:
-            raise ReconstructionError(
-                f"bucket {label.to01()!r} failed to decode: {err}", label=label
-            ) from err
-        entries[support] = value
+        entries[decode_disjunct(H, label, d, free)] = value
     return SparsePolynomial(f.n, entries, degree_bound=d)

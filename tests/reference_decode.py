@@ -3,13 +3,14 @@ columns, kept as the reference the current decoder is tested against.
 
 build_query_vector visits every column and tests the label's bit there,
 and decode_disjunct re-encodes the decoded support against every column
-before it checks the weight.
+before it checks the weight.  Its errors carry the current decoder's
+labels and messages.
 """
 
 from __future__ import annotations
 
 from sparsemobius.core import BitVector, Label, TestMatrix
-from sparsemobius.errors import DecodeError, DimensionError
+from sparsemobius.errors import DimensionError, ReconstructionError
 
 
 def build_query_vector(H: TestMatrix, label: Label) -> BitVector:
@@ -36,10 +37,13 @@ def decode_disjunct(H: TestMatrix, label: Label, d: int) -> BitVector:
     """Cover-decode the label, re-encode the support, then check its weight."""
     support = build_query_vector(H, label)
     if syndrome(H, support) != label:
-        raise DecodeError(
-            f"decoded support is inconsistent with syndrome {label.to01()!r}"
+        raise ReconstructionError(
+            f"decoded support is inconsistent with syndrome {label.to01()!r}", label=label
         )
-    weight = support.weight()
-    if weight > d:
-        raise DecodeError(f"decoded support has weight {weight} above d={d}")
+    if support.weight() > d:
+        raise ReconstructionError(
+            f"degree overflow at bucket {label.to01()!r}: "
+            f"outcomes imply more than d={d} defectives",
+            label=label,
+        )
     return support

@@ -446,6 +446,89 @@ def test_a_leaf_is_probed_only_under_an_outcome_and_up_to_the_cap():
     assert probed(truth, (Label.from01("1"), 4, free, ()), 3, 1) == searched
 
 
+def first_steps(monkeypatch) -> list:
+    """Wraps the engine's walker, which it looks up as a module global, and
+    returns the list that gathers each walk's first step, None for a walk
+    that stops without a step."""
+    steps = []
+    search = fasmt._search
+
+    def walk(*args):
+        inner = search(*args)
+        step = next(inner, None)
+        steps.append(step)
+        while step is not None:
+            try:
+                step = inner.send((yield step))
+            except StopIteration:
+                return
+
+    monkeypatch.setattr(fasmt, "_search", walk)
+    return steps
+
+
+def is_a_query(step) -> bool:
+    """A search's one point, or a probe's nonempty list of points."""
+    if type(step) is list:
+        return bool(step) and all(type(x) is BitVector for x in step)
+    return type(step) is BitVector
+
+
+# 5 + 4*x3 + 3*x1*x2 over n = 8, bucketed by two tests: the constant term
+# in a leaf with no candidate, a leaf whose sum is 0, x3 alone under a
+# 1-outcome, and x1*x2 in a leaf of four candidates
+QUERY_FREE = [
+    (Label.from01("00"), 5, 0, ()),
+    (Label.from01("01"), 0, BitVector.from01("00010000").mask, (0,)),
+    (Label.from01("10"), 4, BitVector.from01("00100000").mask, (0,)),
+]
+SEARCHED = (Label.from01("11"), 3, BitVector.from01("11001100").mask, (0, 1, 2))
+FIVE_FOUR_THREE = SparsePolynomial(
+    8,
+    {
+        BitVector.from01("00000000"): 5,
+        BitVector.from01("00100000"): 4,
+        BitVector.from01("11000000"): 3,
+    },
+)
+
+
+def test_the_start_pass_finishes_the_buckets_that_need_no_query(monkeypatch):
+    steps = first_steps(monkeypatch)
+    f = oracle_for(FIVE_FOUR_THREE)
+    got = depth_first_search(f, QUERY_FREE, 2, 0.0)
+    assert got == {BitVector.from01("00000000"): 5, BitVector.from01("00100000"): 4}
+    assert (f.query_count, f.round_count) == (0, 0)
+    assert steps == []
+
+
+@pytest.mark.parametrize("factor, queries, rounds", [(fasmt.PROBE_FACTOR, 4, 1), (0, 5, 4)])
+def test_every_walk_asks_on_its_first_step(monkeypatch, factor, queries, rounds):
+    # the probe's four points, or with no probe the search's first point
+    # and x3's one point, which the one-candidate rule no longer covers
+    steps = first_steps(monkeypatch)
+    f = oracle_for(FIVE_FOUR_THREE)
+    with probing(factor):
+        got = depth_first_search(f, [*QUERY_FREE, SEARCHED], 2, 0.0)
+    assert got == FIVE_FOUR_THREE.entries
+    assert (f.query_count, f.round_count) == (queries, rounds)
+    assert len(steps) == (1 if factor else 2)
+    assert all(is_a_query(step) for step in steps)
+
+
+@pytest.mark.parametrize("n, s, d, seed", [(64, 12, 1, 71), (32, 20, 3, 68), (128, 16, 2, 72)])
+def test_every_walk_of_a_hybrid_run_asks_on_its_first_step(monkeypatch, n, s, d, seed):
+    # the constant term's leaf has no candidate and starts no walk; at d = 1
+    # every leaf is that one or one candidate under a 1-outcome
+    entries = dict(integer_weights(generate_synthetic(n, s, d, seed)).entries)
+    entries[BitVector(n, 0)] = 3
+    truth = SparsePolynomial(n, entries)
+    steps = first_steps(monkeypatch)
+    assert hybrid_run(oracle_for(truth), n, d, seed, 0.0) == truth
+    assert all(is_a_query(step) for step in steps)
+    assert (d == 1) == (not steps)
+
+
 def test_a_failed_probe_searches_the_candidates_it_did_not_rule_out():
     # two coefficients share the leaf: the removals of 1, 2 and 3 leave 3,
     # 2 and 2, neither 0 nor the sum 5, and those of 4 and 5 leave 5, so

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from sparsemobius.core import BitVector, Label, TestMatrix, syndrome
 from sparsemobius.errors import (
     CapacityError,
-    DecodeError,
     DimensionError,
     InfeasiblePrefixError,
     ParameterError,
+    ReconstructionError,
 )
 from sparsemobius.grouptest import (
     GbsaTree,
@@ -398,11 +398,17 @@ def test_construct_disjunct_deterministic():
 
 def test_decode_disjunct_examples():
     assert decode_disjunct(H_FIG, lab("110"), 2) == bv("0011")
-    # the same support is above degree 1
-    with pytest.raises(DecodeError, match="weight 2 above d=1"):
+    # the same support is above degree 1: the degree overflow every runner
+    # raises, at the label
+    with pytest.raises(ReconstructionError) as info:
         decode_disjunct(H_FIG, lab("110"), 1)
-    with pytest.raises(DecodeError):
+    assert str(info.value) == (
+        "degree overflow at bucket '110': outcomes imply more than d=1 defectives"
+    )
+    assert info.value.label == lab("110")
+    with pytest.raises(ReconstructionError, match="inconsistent with syndrome '010'") as info:
         decode_disjunct(H_FIG, lab("010"), 1)
+    assert info.value.label == lab("010")
     with pytest.raises(DimensionError):
         decode_disjunct(H_FIG, lab("11"), 1)
 
@@ -437,8 +443,9 @@ def test_decoders_match_the_row_scan(n, data):
     if syndrome(H, BitVector(n, want)) == label:
         assert decode_disjunct(H, label, n) == BitVector(n, want)
     else:
-        with pytest.raises(DecodeError):
+        with pytest.raises(ReconstructionError, match="inconsistent with syndrome") as info:
             decode_disjunct(H, label, n)
+        assert info.value.label == label
 
 
 # (matrix, d): the figure's matrix, explicit d-disjunct designs, and list
@@ -453,8 +460,8 @@ DECODE_CASES = [
 def decode_outcome(decode, H: TestMatrix, label: Label, d: int):
     try:
         return decode(H, label, d)
-    except (DecodeError, DimensionError) as err:
-        return type(err), str(err)
+    except (ReconstructionError, DimensionError) as err:
+        return type(err), str(err), getattr(err, "label", None)
 
 
 @settings(max_examples=300)

@@ -14,7 +14,6 @@ from sparsemobius.core import (
     syndrome,
 )
 from sparsemobius.errors import (
-    DecodeError,
     DimensionError,
     ParameterError,
     ReconstructionError,
@@ -233,8 +232,8 @@ def test_leaf_supports_decode_as_decode_disjunct_decodes_the_labels(case):
 def decode_outcome(*args):
     try:
         return decode_disjunct(*args)
-    except (DecodeError, DimensionError) as err:
-        return type(err), str(err)
+    except (ReconstructionError, DimensionError) as err:
+        return type(err), str(err), getattr(err, "label", None)
 
 
 def test_recovers_small_instance_identity_matrix():
@@ -371,14 +370,19 @@ def test_non_disjunct_matrix_can_mislearn():
 
 def test_degree_overflow_raises_with_label():
     # the degree-3 coefficient's bucket decodes to a superset of its
-    # support, so to a weight above d = 2, and pasmt names that bucket
+    # support, so to a weight above d = 2, and pasmt names that bucket in
+    # the degree overflow every runner raises
     deep = BitVector.from_coords(32, (4, 17, 30))
     truth = SparsePolynomial(32, {deep: 1.0, BitVector.from_coords(32, (9,)): 2.0})
     H = construct_disjunct(32, 2)
-    with pytest.raises(ReconstructionError, match="above d=2") as info:
+    with pytest.raises(ReconstructionError) as info:
         pasmt_run(oracle_for(truth), H, 2)
     assert isinstance(info.value.label, Label)
     assert info.value.label == syndrome(H, deep)
+    assert str(info.value) == (
+        f"degree overflow at bucket {syndrome(H, deep).to01()!r}: "
+        "outcomes imply more than d=2 defectives"
+    )
 
 
 def planted_singletons(seed: int) -> SparsePolynomial:
