@@ -48,8 +48,8 @@ account for: those not finished whose candidate sets the query point cuts
 (see depth_first_search).  A search asking alone with no bucket below
 it is driven with single evaluations: each is one query and one round,
 as a batch of one is, so the counts do not change.  A leaf under at least
-one phase-1 outcome with at most PROBE_FACTOR * d candidates is probed
-first, as its walk's first step, all in the first round (see _search).
+one phase-1 outcome is probed first, as its walk's first step, all in
+the first round (see _search).
 A bucket that needs no query finishes in the engine's start pass and
 starts no walk (see depth_first_search).  Only hybrid's leaves carry
 outcomes; this runner's one bucket has none.
@@ -62,21 +62,40 @@ test budget).
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import repeat
 from typing import Callable, Generator, Sequence, TextIO
 
 from .core import BitVector, Label, TestMatrix, _new, log_query
 from .errors import DimensionError, ParameterError, ReconstructionError
-from .grouptest import GbsaTree, _lowest, _overflow
+from .grouptest import GbsaTree, _lowest, _overflow, construct_disjunct
 from .grouptest import gbsa_step  # unused here; the benchmark's traced run looks it up
 from .oracle import DEFAULT_TAU, CountingOracle, SparsePolynomial, check_tau
 from .pasmt import refine_levels
 
 __all__ = ["split_bin", "depth_first_search", "fasmt_run"]
 
-# depth_first_search probes a labelled leaf of at most PROBE_FACTOR * d
-# candidates; a sweep over the acceptance grid chose 8 (see hybrid)
-PROBE_FACTOR = 8
+
+@cache
+def _disjunct_items(m: int, d: int) -> tuple[tuple[int, ...], ...] | None:
+    """The tests of construct_disjunct(m, d) as their 0-based item lists,
+    or None where it is the identity; built once per (m, d)."""
+    items = tuple(tuple(c - 1 for c in test.coords()) for test in construct_disjunct(m, d).columns)
+    return None if items == tuple((i,) for i in range(m)) else items
+
+
+def _probe_tests(free: int, d: int) -> list[int]:
+    """The tests of construct_disjunct(|free|, d) as masks, item i mapped
+    onto free's i-th coordinate in ascending order."""
+    coords = []
+    while free:
+        low = free & -free
+        coords.append(low)
+        free ^= low
+    design = _disjunct_items(len(coords), d)
+    if design is None:
+        return coords  # the identity's tests are the coordinates themselves
+    return [sum([coords[i] for i in items]) for items in design]
 
 
 def split_bin(
@@ -121,23 +140,30 @@ def _search(
     The engine starts a walk only for a bucket that needs a query, so its
     first step asks.
 
-    Small leaves are finished in one stage, the second of the two-stage
-    group-testing scheme (De Bonis, Gasieniec and Vaccaro, SIAM J. Comput.
-    2005; Indyk, Ngo and Rudra, SODA 2010): a bucket whose label has at
-    least one outcome and whose candidate set C holds 1 to PROBE_FACTOR * d
-    coordinates is probed.  Its first yield is one list, C minus {j} for
-    every j in C in ascending j, all asked in the first round, and it is
-    sent their settled values as one list.  Each point's transcript line
-    carries the label and the settled value.  If every value is 0 (j is in
-    the support) or the bucket's sum v (j is not), the bucket holds one
-    coefficient, with |C| queries that take no round of their own: its
-    support is recorded with value v, or, past d defectives, the degree
-    overflow is raised at the bucket's own label.  Otherwise several
-    coefficients share the bucket, and it is searched over C minus the
-    coordinates whose value was v, from the next round on.  fasmt's one
-    bucket has an empty label, and so has hybrid's where n <= 2d, so neither
-    is probed; the factor 8 is the cap a sweep over the acceptance grid
-    chose (its table is in the hybrid module: 6d costs rounds, 10d queries).
+    A leaf that holds one coefficient is finished in one stage, the second
+    of the two-stage group-testing scheme (De Bonis, Gasieniec and
+    Vaccaro, SIAM J. Comput. 2005; Indyk, Ngo and Rudra, SODA 2010): a
+    bucket whose label has at least one outcome, with candidate set C, is
+    probed with the tests of construct_disjunct(|C|, d), item i mapped
+    onto the i-th coordinate of C in ascending order (_probe_tests; the
+    design is built once per (|C|, d)).  Its first yield is one list, C
+    minus each test in the design's order, all asked in the first round,
+    and it is sent their settled values as one list.  Each point's
+    transcript line carries the label and the settled value.  The decode
+    is decode_disjunct's check: a test whose value is the bucket's sum v
+    holds no defective, and the support is C minus those absent tests.  If
+    every value is 0 or v and every test that read 0 meets that support,
+    the bucket holds one coefficient, with queries that take no round of
+    their own: its support is recorded with value v, or, past d
+    defectives, the degree overflow is raised at the bucket's own label.
+    A d-disjunct design tells any two supports of weight at most d apart,
+    so a bucket of several coefficients reads some value neither 0 nor v
+    (or a 0-test that misses the decoded support), and it is searched over
+    C minus the absent tests' coordinates, from the next round on.  Where
+    the identity is narrowest (|C| <= 12 at d = 2, 20 at d = 3, 35 at
+    d = 4) the tests are {j} for each j in C, so the points are C minus
+    {j} in ascending j.  fasmt's one bucket has an empty label, and so has
+    hybrid's where n <= 2d, so neither is probed.
 
     The search is a splitting search whose first stack entry is the
     bucket, so one loop pops them all, and an unasked test and a nonzero
@@ -148,30 +174,30 @@ def _search(
     1-child stores four of them, and resumes with its parent's test as
     its window."""
     label, value, free, _ = bucket
-    if label.n and free.bit_count() <= PROBE_FACTOR * d:
+    tests = _probe_tests(free, d) if label.n else ()
+    if tests:
         points = []
-        rest = free
-        while rest:
-            j = rest & -rest
-            rest ^= j
+        for test in tests:
             x = _new(BitVector)
             x.n = n
-            x.mask = free ^ j
+            x.mask = free ^ test
             points.append(x)
-        present = absent = 0
-        for x, v0 in zip(points, (yield points)):
+        absent = 0
+        hits = []
+        for x, test, v0 in zip(points, tests, (yield points)):
             if transcript is not None:
                 log_query(transcript, label, x, v0)
             if abs(value - v0) <= tau:
-                absent |= free ^ x.mask
-            elif abs(v0) <= tau:
-                present |= free ^ x.mask
-        if present | absent == free:
-            if present.bit_count() > d:
-                raise _overflow(label, d)
-            record(own, label, present, value)
-            return
+                absent |= test
+            else:
+                # a residual neither 0 nor the sum fails the check below
+                hits.append(test if abs(v0) <= tau else 0)
         free ^= absent
+        if all(test & free for test in hits):
+            if free.bit_count() > d:
+                raise _overflow(label, d)
+            record(own, label, free, value)
+            return
     blocks = GbsaTree(free, d).blocks
     nblocks = len(blocks)
     # pending 1-children: label length and mask, sum, candidate set,
@@ -306,8 +332,7 @@ def depth_first_search(
     apart from x_j.  At d = 1 hybrid's design is the Sperner design, so
     every leaf is a one-candidate bucket under a 1-outcome or the
     constant term's, with no candidate, and hybrid runs pasmt's level
-    loop with no query in phase 2.  PROBE_FACTOR = 0 turns off both the
-    one-candidate rule and the probe.
+    loop with no query in phase 2.
     """
     check_tau(tau)
     n = f.n
@@ -352,7 +377,7 @@ def depth_first_search(
         if abs(value) <= tau:
             done[i] = True
             continue
-        if not free or label.mask and free.bit_count() == 1 <= PROBE_FACTOR * d:
+        if not free or label.mask and free.bit_count() == 1:
             # an empty candidate set leaves only the constant term, and a
             # 1-outcome keeps the empty support out of the bucket, so its one
             # candidate is its support

@@ -494,10 +494,10 @@ def list_design_width(n: int, d: int) -> int:
     small ((16, 4) from 8,520 to 15,171), and 6d or 8d raised the grid's
     total rounds above pasmt's.  The list length that minimises rounds
     grows with n/d, and the log rule follows it.  Once phase 2 finishes a
-    leaf of at most 8d candidates in one round (depth_first_search's
-    probe), a longer list costs fewer queries in phase 1 and few rounds in
-    phase 2.  A sweep of the factor on the same grid, with the probe cap
-    swept beside it, chose 3L/2; its table is in the hybrid module.
+    one-coefficient leaf in one round (the engine's probe), a longer list
+    costs fewer queries in phase 1 and few rounds in phase 2.  A sweep of
+    the factor on the same grid chose 3L/2; its table is in the hybrid
+    module.
 
     The answer is exact, so every platform builds the same design:
     ((N - D)/N)^b is carried as a floor and a ceiling in fixed point, a
@@ -534,9 +534,9 @@ def construct_list_disjunct(n: int, d: int, seed: int) -> ListDesign:
     the fewest (at least one where n > 2d) that keep a weight-d support's
     expected list of false candidates at most 3L/2 long, with
     L = d * max(1, floor(log2(n / 2d))): the length a sweep over the
-    acceptance grid found to take hybrid the fewest rounds once its phase
-    2 finishes each leaf of at most 8d candidates in one round, with
-    fewer queries than L (see list_design_width).  Each column is
+    acceptance grid found to cost hybrid the fewest queries once its
+    phase 2 finishes each one-coefficient leaf in one round, in fewer
+    rounds than L (see list_design_width).  Each column is
     one bernoulli_mask draw from one SplitMix64(seed) stream, and the
     design keeps the seed, so at d >= 2 a design is a prefix of any wider
     one drawn from the same seed.  Where n <= 2d the design has no tests,

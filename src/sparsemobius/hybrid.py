@@ -20,26 +20,25 @@ under a 1-outcome, which phase 2 records with no query, or the constant
 term's empty candidate set.  So at d = 1 hybrid runs pasmt's level loop,
 with the same queries, rounds and map.
 
-Phase 2 probes every leaf of at most 8d candidates (fasmt.PROBE_FACTOR),
-the second stage of two-stage group testing, as the first step of the
-leaf's walk (fasmt._search): it asks the candidate set minus each
-candidate, all in the first round, and a leaf whose residuals say it
-holds one coefficient is done once those values settle; any other leaf
-goes on to search the candidates the probe did not rule out.  A sweep over the acceptance grid (4,500
-instances, every run exact) set the cap and the list length together, as
-hybrid's grid queries / rounds:
+Phase 2 probes every leaf whose label has an outcome, the second stage of
+two-stage group testing, as the first step of the leaf's walk
+(fasmt._search): it asks the candidate set minus each test of
+construct_disjunct(|C|, d) over the leaf's candidates C, all in the first
+round, and a leaf whose residuals decode to one coefficient by
+decode_disjunct's check is done once those values settle, whatever its
+size; any other leaf goes on to search the candidates that no absent test
+holds.  A sweep of the list cap over the acceptance grid (4,500
+instances, every run exact) under that probe gave hybrid's grid queries /
+rounds:
 
-    list cap   probe cap   queries   rounds
-    L          none        496,491   117,776
-    L          8d          513,917    88,875
-    5L/4       8d          492,644    86,446
-    3L/2       8d          484,418    85,992
-    3L/2       6d          471,360    92,809
-    3L/2       10d         494,429    82,027
-    2L         8d          468,608    91,455
+    list cap   queries   rounds
+    L          471,875   67,161
+    5L/4       458,641   62,358
+    3L/2       457,324   58,276
+    2L         459,020   56,329
 
-3L/2 with 8d cut both queries and rounds against the search alone; a
-larger cap trades queries for rounds, and a smaller one the reverse.
+3L/2 takes the fewest queries; 2L trades 0.4 % more queries for 3.3 %
+fewer rounds, and a shorter cap costs both.
 
 A bucket's coefficients can lie below another bucket's query points only
 when its label lies componentwise below the other's, so phase 1 hands each

@@ -205,8 +205,12 @@ class SparsePolyOracle:
             slots: dict[int, int] = {}
             coefs = []
             for mask, v in self._items:
-                coords = BitVector(n, mask).coords()
-                coefs.append((tuple(slots.setdefault(c - 1, len(slots)) for c in coords), v))
+                coef_slots = []
+                while mask:
+                    low = mask & -mask
+                    coef_slots.append(slots.setdefault(low.bit_length() - 1, len(slots)))
+                    mask ^= low
+                coefs.append((tuple(coef_slots), v))
             rows: dict[int, int] = {}
             places = [(rows.setdefault(i >> 3, len(rows)), i & 7) for i in slots]
             self._tables = (list(rows), places, coefs)

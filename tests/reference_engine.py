@@ -11,11 +11,12 @@ when it is small and going on to search it when the probe does not
 finish it.  Here, too, stack entries carry Label objects, a test
 inside the zero union is answered 0 without a query, and hybrid's phase
 2 runs the leaf buckets in antichain layers: a layer starts only once
-every bucket of the layer before it has finished.  A layer's leaves of
-1 to fasmt.PROBE_FACTOR * d candidates are probed first, in a round of
-their own (a one-candidate leaf under a 1-outcome records its candidate
-with no query); the layer's searches, a failed probe's over its
-candidates minus those the probe found absent, run side by side after
+every bucket of the layer before it has finished.  A layer's labelled
+leaves with candidates are probed first, in a round of their own, by the
+tests of construct_disjunct over their candidates (a one-candidate leaf
+under a 1-outcome records its candidate with no query), and decoded by
+decode_disjunct itself; the layer's searches, a failed probe's over its
+candidates minus those its absent tests hold, run side by side after
 it.
 
 phase_two_rounds counts the rounds of the current engine's schedule from
@@ -28,10 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TextIO
 
-from sparsemobius import fasmt
 from sparsemobius.core import BitVector, Label
 from sparsemobius.errors import InfeasiblePrefixError, ReconstructionError
-from sparsemobius.grouptest import GbsaTree, construct_list_disjunct, list_decode
+from sparsemobius.grouptest import (
+    GbsaTree,
+    construct_disjunct,
+    construct_list_disjunct,
+    decode_disjunct,
+    list_decode,
+)
 from sparsemobius.oracle import CountingOracle, SparsePolynomial
 from sparsemobius.pasmt import refine_levels
 
@@ -163,8 +169,7 @@ def hybrid_run(f: CountingOracle, n: int, d: int, seed: int, tau: float, transcr
     discovered: dict[BitVector, float] = {}
     for layer in antichain_layers(bins):
         buckets = []
-        cap = fasmt.PROBE_FACTOR * d
-        probed = [b for b in layer if b.label.n and 0 < len(b.candidates) <= cap]
+        probed = [b for b in layer if b.label.n and b.candidates]
         for b, absent in zip(probed, probe(f, probed, d, tau, discovered, transcript)):
             if absent is not None:
                 universe = full ^ b.zero_union ^ absent
@@ -179,44 +184,61 @@ def hybrid_run(f: CountingOracle, n: int, d: int, seed: int, tau: float, transcr
 
 
 def probe(f, bins, d, tau, discovered, transcript):
-    """Ask every bin's candidate set minus each one of its candidates, all
-    in one round.  A bin whose residuals are all 0 or its sum records its
-    one coefficient and gets None in the returned list; any other bin gets
-    the mask of the candidates whose residual was its sum.  A bin of one
-    candidate whose label has a 1 asks nothing: a 1-outcome keeps the
-    empty support out of it, so the candidate is its support."""
+    """Ask every bin's candidate set minus each test of
+    construct_disjunct(m, d), m its candidate count and item i its i-th
+    candidate, all in one round.  The tests whose residual is the bin's sum
+    are its syndrome's 0s.  A bin whose residuals are all 0 or its sum, and
+    whose syndrome decode_disjunct decodes, records its one coefficient
+    and gets None in the returned list; any other bin gets the mask of the
+    candidates its 0-tests hold.  A bin of one candidate whose label has a
+    1 asks nothing: a 1-outcome keeps the empty support out of it, so the
+    candidate is its support."""
     n = f.n
+    designs = [construct_disjunct(len(b.candidates), d) for b in bins]
     points = [
         None
         if b.label.mask and len(b.candidates) == 1
-        else [BitVector.from_coords(n, [c for c in b.candidates if c != j]) for j in b.candidates]
-        for b in bins
+        else [
+            BitVector.from_coords(
+                n, [c for i, c in enumerate(b.candidates) if not test.mask >> i & 1]
+            )
+            for test in H.columns
+        ]
+        for b, H in zip(bins, designs)
     ]
     raws = iter(f.batch_eval([x for xs in points if xs for x in xs]))
     out = []
-    for b, xs in zip(bins, points):
+    for b, H, xs in zip(bins, designs, points):
         if xs is None:
             discovered[BitVector.from_coords(n, b.candidates)] = b.value
             out.append(None)
             continue
-        present = absent = 0
-        for j, x in zip(b.candidates, xs):
+        ones = absent = 0
+        mixed = False
+        for t, (test, x) in enumerate(zip(H.columns, xs)):
             v0, v1 = split_bin(b.value, x, next(raws), discovered)
             _log(transcript, b.label, x, v0)
             if abs(v1) <= tau:
-                absent |= 1 << (j - 1)
-            elif abs(v0) <= tau:
-                present |= 1 << (j - 1)
-        if (present | absent).bit_count() < len(b.candidates):
+                absent |= BitVector.from_coords(n, [b.candidates[i - 1] for i in test.coords()]).mask
+            else:
+                ones |= 1 << t
+                mixed = mixed or abs(v0) > tau
+        try:
+            # the weight check is the leaf's own, at its label
+            items = None if mixed else decode_disjunct(H, Label(H.b, ones), len(b.candidates))
+        except ReconstructionError:
+            items = None
+        if items is None:
             out.append(absent)
-        elif present.bit_count() > d:
+        elif items.weight() > d:
             raise ReconstructionError(
                 f"degree overflow at bucket {b.label.to01()!r}: "
                 f"outcomes imply more than d={d} defectives",
                 label=b.label,
             )
         else:
-            discovered[BitVector(n, present)] = b.value
+            support = BitVector.from_coords(n, [b.candidates[i - 1] for i in items.coords()])
+            discovered[support] = b.value
             out.append(None)
     return out
 
@@ -226,8 +248,8 @@ def phase_two_rounds(leaves, lines, d):
 
     leaves are refine_levels' (label, sum, candidate set, below); lines
     are the phase-2 transcript's (label, point mask) pairs, so a leaf's
-    points in the order it asks them.  A probed leaf asks its first |C|
-    points in round 1 and is decoded once the last of them is settled; a
+    points in the order it asks them.  A probed leaf asks its first
+    construct_disjunct(|C|, d).b points in round 1 and is decoded once the last of them is settled; a
     failed probe's search, like a searched leaf, asks each point in the
     round after its previous one is settled.  A point is settled in the
     round it is asked or in the round the last leaf below it whose
@@ -246,11 +268,11 @@ def phase_two_rounds(leaves, lines, d):
             [finish[j] for j in below if leaves[j][2] & ~x]
             for x in points.get(label.to01(), [])
         ]
-        size = free.bit_count()
         at, asked = 0, 1
-        if label.n and 0 < size <= fasmt.PROBE_FACTOR * d and waits:
-            at = max(max([1] + wait) for wait in waits[:size])
-            asked, waits = at + 1, waits[size:]
+        if label.n and waits:
+            width = construct_disjunct(free.bit_count(), d).b
+            at = max(max([1] + wait) for wait in waits[:width])
+            asked, waits = at + 1, waits[width:]
         for wait in waits:
             at = max([asked] + wait)
             asked = at + 1

@@ -244,6 +244,30 @@ def test_hybrid_loses_to_pasmt_only_in_known_cells(scaled_grid):
     assert losing <= HYBRID_LOSES_TO_PASMT, sorted(losing - HYBRID_LOSES_TO_PASMT)
 
 
+@pytest.mark.parametrize(
+    "n, s, d, integer", [(1024, 8, 4, False), (256, 64, 2, True)], ids=["wide_n", "dense_int"]
+)
+def test_hybrid_takes_fewer_rounds_than_pasmt_on_the_benchmark_shapes(n, s, d, integer):
+    """On ten instances of each of two benchmark workloads' shapes, every
+    pasmt and hybrid run is exact, and hybrid's total rounds are below
+    pasmt's: the probe finishes a one-coefficient leaf of any size in one
+    round, so phase 2 no longer outlasts pasmt's level loop on the dense
+    integer shape."""
+    rounds = {"pasmt": 0, "hybrid": 0}
+    for seed in range(10):
+        truth = generate_synthetic(n, s, d, seed)
+        if integer:
+            truth = integer_weights(truth)
+        for algorithm in rounds:
+            got, f = _run(algorithm, truth, d)
+            if integer:
+                assert got.entries == truth.entries, (algorithm, seed)
+            else:
+                assert got.close_to(truth, 1e-9), (algorithm, seed)
+            rounds[algorithm] += f.round_count
+    assert rounds["hybrid"] < rounds["pasmt"], rounds
+
+
 def test_hybrid_costs_what_pasmt_costs_at_d1(committed):
     """At d = 1 hybrid's design is pasmt's Sperner design and its
     one-candidate leaves ask nothing, so it runs pasmt's level loop: every

@@ -40,10 +40,10 @@ def oracle_for(poly: SparsePolynomial) -> CountingOracle:
     return CountingOracle(SparsePolyOracle(poly))
 
 
-def probing(factor: int):
-    """The engine probing labelled leaves of at most factor * d
-    candidates; factor 0 sends every bucket through the plain search."""
-    return mock.patch.object(fasmt, "PROBE_FACTOR", factor)
+def searching():
+    """The engine with its probe lookup patched out: every bucket that the
+    start pass does not finish goes through the plain search."""
+    return mock.patch.object(fasmt, "_probe_tests", lambda free, d: ())
 
 
 @st.composite
@@ -213,7 +213,7 @@ def test_the_engine_walks_the_tree_over_a_scattered_candidate_set(case):
     sink = io.StringIO()
     bucket = (label, sum(supports.values()), free, ())
     try:
-        with probing(0):  # the plain search walks the tree
+        with searching():  # the plain search walks the tree
             got = depth_first_search(f, [bucket], d, 0.0, sink)
     except ReconstructionError as err:
         assert overflow is not None and err.label == overflow
@@ -269,7 +269,7 @@ def shared_rounds(truth, buckets, d):
     queries, rounds, transcript labels)."""
     f = oracle_for(truth)
     sink = io.StringIO()
-    with probing(0):
+    with searching():
         got = depth_first_search(f, buckets, d, 0.0, sink)
     labels = [line.split("\t")[0] for line in sink.getvalue().splitlines()]
     return got, f.query_count, f.round_count, labels
@@ -330,7 +330,7 @@ def test_a_point_over_a_partly_found_leaf_subtracts_its_sum_once():
     ]
     f = oracle_for(truth)
     sink = io.StringIO()
-    with probing(0):
+    with searching():
         assert depth_first_search(f, buckets, d, 0.0, sink) == truth.entries
     rows = [line.split("\t") for line in sink.getvalue().splitlines()]
     # B1's round-2 line, where x4 is found, comes before B2's
@@ -381,12 +381,12 @@ def test_a_chain_of_probed_leaves_is_released_without_recursion():
     assert (f.query_count, f.round_count) == (4000, 2)
 
 
-def probed(truth, bucket, d, factor=fasmt.PROBE_FACTOR):
-    """One bucket through the engine at tau = 0, probing leaves of at most
-    factor * d candidates: (map, queries, rounds, transcript rows)."""
+def probed(truth, bucket, d, probe=True):
+    """One bucket through the engine at tau = 0, probed first or, with
+    probe False, searched: (map, queries, rounds, transcript rows)."""
     f = oracle_for(truth)
     sink = io.StringIO()
-    with probing(factor):
+    with mock.patch.object(fasmt, "_probe_tests", fasmt._probe_tests if probe else lambda *_: ()):
         got = depth_first_search(f, [bucket], d, 0.0, sink)
     rows = [line.split("\t") for line in sink.getvalue().splitlines()]
     return got, f.query_count, f.round_count, rows
@@ -407,7 +407,7 @@ def test_a_probe_finishes_a_one_coefficient_leaf_in_one_round():
         ["1", "01101000", "4"],
     ]
     # the search takes a round per query
-    got, queries, rounds, _ = probed(truth, bucket, 2, 0)
+    got, queries, rounds, _ = probed(truth, bucket, 2, probe=False)
     assert got == truth.entries
     assert queries == rounds == 6
 
@@ -437,13 +437,13 @@ def test_a_one_candidate_leaf_under_no_one_outcome_is_probed(entries):
     assert (queries, rounds) == ((2, 2) if len(entries) == 2 else (1, 1))
 
 
-def test_a_leaf_is_probed_only_under_an_outcome_and_up_to_the_cap():
+def test_a_leaf_is_probed_only_under_an_outcome():
     truth = SparsePolynomial(8, {BitVector.from01("01001000"): 4})
     free = BitVector.from01("01101100").mask
-    # the root bucket, and a candidate set one past the cap, are searched
-    assert probed(truth, (Label(0), 4, free, ()), 2)[1:3] == (6, 6)
-    searched = probed(truth, (Label.from01("1"), 4, free, ()), 3, 0)
-    assert probed(truth, (Label.from01("1"), 4, free, ()), 3, 1) == searched
+    # the root bucket is searched, as a leaf is with the probe patched out
+    searched = probed(truth, (Label(0), 4, free, ()), 2, probe=False)
+    assert probed(truth, (Label(0), 4, free, ()), 2) == searched
+    assert searched[1:3] == (6, 6)
 
 
 def first_steps(monkeypatch) -> list:
@@ -502,17 +502,20 @@ def test_the_start_pass_finishes_the_buckets_that_need_no_query(monkeypatch):
     assert steps == []
 
 
-@pytest.mark.parametrize("factor, queries, rounds", [(fasmt.PROBE_FACTOR, 4, 1), (0, 5, 4)])
-def test_every_walk_asks_on_its_first_step(monkeypatch, factor, queries, rounds):
-    # the probe's four points, or with no probe the search's first point
-    # and x3's one point, which the one-candidate rule no longer covers
+@pytest.mark.parametrize(
+    "probe, queries, rounds", [(True, 4, 1), (False, 4, 4)], ids=["probed", "searched"]
+)
+def test_every_walk_asks_on_its_first_step(monkeypatch, probe, queries, rounds):
+    # the one walk, x1*x2's, asks the probe's four points or the search's
+    # first point; x3's leaf, one candidate under a 1-outcome, starts none
     steps = first_steps(monkeypatch)
     f = oracle_for(FIVE_FOUR_THREE)
-    with probing(factor):
-        got = depth_first_search(f, [*QUERY_FREE, SEARCHED], 2, 0.0)
+    if not probe:
+        monkeypatch.setattr(fasmt, "_probe_tests", lambda free, d: ())
+    got = depth_first_search(f, [*QUERY_FREE, SEARCHED], 2, 0.0)
     assert got == FIVE_FOUR_THREE.entries
     assert (f.query_count, f.round_count) == (queries, rounds)
-    assert len(steps) == (1 if factor else 2)
+    assert len(steps) == 1
     assert all(is_a_query(step) for step in steps)
 
 
@@ -542,7 +545,7 @@ def test_a_failed_probe_searches_the_candidates_it_did_not_rule_out():
     assert got == truth.entries
     assert [row[2] for row in rows[:5]] == ["3", "2", "2", "5", "5"]
     _, search_queries, search_rounds, search_rows = probed(
-        truth, (label, 5, BitVector.from01("11100000").mask, ()), 2, 0
+        truth, (label, 5, BitVector.from01("11100000").mask, ()), 2, probe=False
     )
     assert rows[5:] == search_rows
     assert (queries, rounds) == (5 + search_queries, 1 + search_rounds)
@@ -569,7 +572,7 @@ def test_a_failed_probe_settles_its_search_against_the_leaf_below():
     assert [row[2] for row in rows[2:6]] == ["7", "4", "4", "3"]
     rest = SparsePolynomial(n, {x23: 3, x4: 4})
     bucket = (Label.from01("1"), 7, BitVector.from01("01110000").mask, ())
-    _, queries, rounds, search_rows = probed(rest, bucket, d, 0)
+    _, queries, rounds, search_rows = probed(rest, bucket, d, probe=False)
     assert rows[6:] == search_rows
     assert (f.query_count, f.round_count) == (2 + 4 + queries, 2 + rounds)
 
@@ -587,6 +590,71 @@ def test_a_probe_past_d_defectives_names_its_leaf():
         "degree overflow at bucket '0': outcomes imply more than d=2 defectives"
     )
     assert (f.query_count, f.round_count) == (5, 1)
+
+
+# 20 candidates over n = 24, not one run of coordinates: at d = 2 the
+# probe asks construct_disjunct(20, 2)'s 15 tests, not the 20 of the identity
+WIDE = BitVector.from_coords(24, [1, 2, 4, 5, 6, 8, 9, 10, 11, 13, 14, 15, 16, 18, 19, 20, 21, 22, 23, 24])
+
+
+def design_points(free: int, d: int) -> list[int]:
+    """The probe's points over free: free minus each test of
+    construct_disjunct(|free|, d), its items mapped onto free's coordinates
+    in ascending order."""
+    coords = [c - 1 for c in BitVector(WIDE.n, free).coords()]
+    return [
+        free & ~sum(1 << coords[i - 1] for i in test.coords())
+        for test in construct_disjunct(len(coords), d).columns
+    ]
+
+
+def test_a_probe_finishes_a_wide_one_coefficient_leaf_in_one_round():
+    support = BitVector.from_coords(24, [5, 19])
+    truth = SparsePolynomial(24, {support: 6})
+    assert construct_disjunct(20, 2).b == 15
+    got, queries, rounds, rows = probed(truth, (Label.from01("10"), 6, WIDE.mask, ()), 2)
+    assert got == truth.entries
+    assert (queries, rounds) == (15, 1)
+    points = design_points(WIDE.mask, 2)
+    assert [BitVector.from01(x).mask for _, x, _ in rows] == points
+    assert [v for *_, v in rows] == ["0" if support.mask & ~x else "6" for x in points]
+    assert {label for label, *_ in rows} == {"10"}
+
+
+def test_a_wide_failed_probe_searches_the_coordinates_its_absent_tests_left():
+    # x5*x19 and x9: the probe reads a residual that is neither 0 nor the
+    # sum, and the search goes over the coordinates outside every test
+    # that misses both supports, from round 2 on
+    supports = {BitVector.from_coords(24, [5, 19]): 6, BitVector.from_coords(24, [9]): 2}
+    truth = SparsePolynomial(24, supports)
+    label = Label.from01("10")
+    got, queries, rounds, rows = probed(truth, (label, 8, WIDE.mask, ()), 2)
+    assert got == truth.entries
+    points = design_points(WIDE.mask, 2)
+    absent = 0
+    for x in points:
+        if all(k.mask & x == k.mask for k in supports):
+            absent |= WIDE.mask ^ x
+    assert absent and "2" in [v for *_, v in rows[:15]]
+    _, search_queries, search_rounds, search_rows = probed(
+        truth, (label, 8, WIDE.mask ^ absent, ()), 2, probe=False
+    )
+    assert rows[15:] == search_rows
+    assert (queries, rounds) == (15 + search_queries, 1 + search_rounds)
+
+
+def test_a_wide_probe_past_d_defectives_names_its_leaf():
+    # the weight-3 support leaves every residual 0 or the sum, and the
+    # design's decode gives a support past d = 2
+    truth = SparsePolynomial(24, {BitVector.from_coords(24, [2, 13, 22]): 1})
+    f = oracle_for(truth)
+    with pytest.raises(ReconstructionError) as info:
+        depth_first_search(f, [(Label.from01("01"), 1, WIDE.mask, ())], 2, 0.0)
+    assert info.value.label == Label.from01("01")
+    assert str(info.value) == (
+        "degree overflow at bucket '01': outcomes imply more than d=2 defectives"
+    )
+    assert (f.query_count, f.round_count) == (15, 1)
 
 
 def test_a_failed_probes_search_names_the_child_where_its_tree_ran_out():
@@ -646,7 +714,7 @@ def test_a_probe_returns_no_map_the_search_would_not_under_cancellation(seed):
             return None
 
     got = recovered(lambda f: hybrid_run(f, truth.n, d, seed, 0.0, design=design).entries)
-    with probing(0):
+    with searching():
         searched = recovered(
             lambda f: depth_first_search(f, refine_levels(f, design, 0.0), d, 0.0)
         )

@@ -49,7 +49,7 @@ def test_split_bin_examples():
 def test_split_bin_respects_zero_union(monkeypatch):
     # the bucket labelled "0" holds only coefficient 0001: its zero union
     # excludes coordinate 1, so every query point the search makes does too
-    monkeypatch.setattr(fasmt, "PROBE_FACTOR", 0)  # searched, not probed
+    monkeypatch.setattr(fasmt, "_probe_tests", lambda free, d: ())  # searched, not probed
     f = oracle_for(P)
     sink = io.StringIO()
     full = bv("1111").mask
@@ -97,8 +97,8 @@ def test_zero_sum_bucket_costs_no_query():
     full = 0b11
     assert depth_first_search(f, [(Label(0), 0.0, full ^ 0b11, ())], 1, 1e-9) == {}
     assert f.query_count == 0
-    # a labelled leaf inside the probe cap: the sum is tested before the
-    # probe, whose three points would otherwise be asked
+    # a labelled leaf: the sum is tested before the probe, whose three
+    # points would otherwise be asked
     f = oracle_for(SparsePolynomial(8, {}))
     bucket = (Label.from01("1"), 0.0, bv("11100000").mask, ())
     assert depth_first_search(f, [bucket], 2, 1e-9) == {}
@@ -251,8 +251,9 @@ def test_transcript_values_are_raw_or_residual(monkeypatch, seed):
         outcome = sum(1 << t for t, test in enumerate(design.columns) if support.mask & test.mask)
         return index[outcome]
 
-    for factor in (fasmt.PROBE_FACTOR, 0):
-        monkeypatch.setattr(fasmt, "PROBE_FACTOR", factor)
+    probe_tests = fasmt._probe_tests
+    for probe in (True, False):
+        monkeypatch.setattr(fasmt, "_probe_tests", probe_tests if probe else lambda *_: ())
         lines = logged(lambda f, sink: hybrid_run(f, n, d, seed, transcript=sink, design=design))
         probes = settled = 0
         for at, (label, x, v) in enumerate(lines):
@@ -269,10 +270,10 @@ def test_transcript_values_are_raw_or_residual(monkeypatch, seed):
                 assert v == pytest.approx(raw(x) - sum(lower), rel=0, abs=1e-9)
                 probes += 1
                 settled += bool(lower)
-        # at this size the default cap probes every leaf, so cap 0, which
-        # searches them all, gives hybrid's search lines
-        assert (settled > 0) == (probes > 0) == (factor > 0)
-        assert factor or zero_sums
+        # the probe covers every labelled leaf, so with it patched out every
+        # leaf is searched and gives hybrid's search lines
+        assert (settled > 0) == (probes > 0) == probe
+        assert probe or zero_sums
 
 
 def test_degree_overflow_raises():
@@ -322,35 +323,42 @@ def test_every_search_query_calls_split_bin_through_the_module(monkeypatch, n, s
     design = construct_list_disjunct(n, d, seed)
     phase1 = oracle_for(truth)
     leaves = refine_levels(phase1, design, 1e-9)
-    for factor in (fasmt.PROBE_FACTOR, 0):
-        monkeypatch.setattr(fasmt, "PROBE_FACTOR", factor)
-        # a probe's points, one per candidate, are settled by the engine alone
+    probe_tests = fasmt._probe_tests
+    for probe in (True, False):
+        monkeypatch.setattr(fasmt, "_probe_tests", probe_tests if probe else lambda *_: ())
+        # a probe's points, one per test of its design, are settled by the
+        # engine alone
         probe_points = sum(
-            free.bit_count()
+            construct_disjunct(free.bit_count(), d).b
             for label, value, free, _ in leaves
-            if label.n and 0 < free.bit_count() <= factor * d and abs(value) > 1e-9
+            if probe and label.n and free and abs(value) > 1e-9
             and not (label.mask and free.bit_count() == 1)
         )
         calls[0] = 0
         f = oracle_for(truth)
         hybrid_run(f, n, d, seed, design=design)
         assert calls[0] == f.query_count - phase1.query_count - probe_points
-        assert (probe_points > 0) == (factor > 0) and calls[0] + probe_points > 0
+        assert (probe_points > 0) == probe and calls[0] + probe_points > 0
 
 
 def test_a_support_decoded_by_two_running_buckets(monkeypatch):
-    # both buckets' zero unions leave coordinate 1 alone, the one true
-    # support, and neither label lies below the other; searched, both test
-    # it in one round, and probed, both record it with no query, since
-    # each label has a 1; the second to record the support names its own
-    # label
-    full, union = bv("1111").mask, bv("0111").mask
-    buckets = [
-        (Label.from01("01"), 2.0, full ^ union, ()),
-        (Label.from01("10"), 2.0, full ^ union, ()),
-    ]
-    for factor, counts in ((0, (2, 1)), (fasmt.PROBE_FACTOR, (0, 0))):
-        monkeypatch.setattr(fasmt, "PROBE_FACTOR", factor)
+    # neither label lies below the other, and each has a 1.  Where both
+    # buckets' zero unions leave coordinate 1 alone, the one true support,
+    # the start pass records it with no query; where they leave 1 and 2,
+    # both probes find it in one round, and searched, both take three;
+    # the second to record the support names its own label
+    full = bv("1111").mask
+    probe_tests = fasmt._probe_tests
+    for union, probe, counts in (
+        (bv("0111"), True, (0, 0)),
+        (bv("0011"), True, (4, 1)),
+        (bv("0011"), False, (6, 3)),
+    ):
+        buckets = [
+            (Label.from01("01"), 2.0, full ^ union.mask, ()),
+            (Label.from01("10"), 2.0, full ^ union.mask, ()),
+        ]
+        monkeypatch.setattr(fasmt, "_probe_tests", probe_tests if probe else lambda *_: ())
         f = oracle_for(SparsePolynomial(4, {bv("1000"): 2.0}))
         with pytest.raises(ReconstructionError, match="decoded twice") as info:
             depth_first_search(f, buckets, 1, 1e-9)
@@ -363,7 +371,7 @@ def test_degree_overflow_in_a_shared_round_names_its_bucket(monkeypatch):
     # its third query; bucket "01" holds 0001 and is still running then,
     # and its last test, the coordinate its second query ruled out, misses
     # its candidate set and is not asked
-    monkeypatch.setattr(fasmt, "PROBE_FACTOR", 0)  # searched, not probed
+    monkeypatch.setattr(fasmt, "_probe_tests", lambda free, d: ())  # searched, not probed
     truth = SparsePolynomial(4, {bv("1100"): 1.0, bv("0001"): 3.0})
     f = oracle_for(truth)
     full = bv("1111").mask

@@ -277,6 +277,28 @@ def test_batch_eval_rejects_a_bad_point_anywhere(size):
         assert (f.query_count, f.round_count) == (0, 0)
 
 
+def test_a_sliced_batch_covers_the_constant_term_and_coordinate_n():
+    # the tables give each coordinate a slot by walking the support's bits:
+    # the empty support has none, and coordinate n is the top bit
+    n = 13
+    poly, xs = _wide(n, 40, 80)
+    entries = dict(poly.entries)
+    entries.update(
+        {
+            BitVector(n, 0): 7,
+            BitVector.from_coords(n, [n]): -2.5,
+            BitVector.from_coords(n, [1, n]): 4,
+            BitVector.from_coords(n, [5, 9, n]): 0.25,
+        }
+    )
+    oracle = SparsePolyOracle(SparsePolynomial(n, entries))
+    xs += [BitVector(n, 0), BitVector.from_coords(n, [n]), BitVector.from_coords(n, [1, 5, 9, n])]
+    assert len(xs) >= oracle._min_batch
+    want = [oracle.eval(x) for x in xs]
+    assert list(map(repr, oracle.batch_eval(xs))) == list(map(repr, want))
+    assert oracle._tables is not None
+
+
 def test_slicing_tables_are_built_by_the_first_sliced_batch():
     poly, xs = _wide(13, 40, 80)
     oracle = SparsePolyOracle(poly)
