@@ -93,11 +93,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("base", help="the commit to compare the working tree against")
     parser.add_argument("--pairs", type=int, default=5, help="seeds 1..N, one pair each")
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
-    parser.add_argument("--workload", action="append", choices=[w["name"] for w in spec["workloads"]])
-    parser.add_argument("--counts-move", action="store_true", help="counts may differ within a pair")
+    names = [w["name"] for w in spec["workloads"]]
+    parser.add_argument("--workload", action="append", choices=names)
+    parser.add_argument(
+        "--counts-move", action="store_true", help="counts may differ within a pair"
+    )
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_pairs.json")
     args = parser.parse_args(argv)
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    workloads = args.workload or names
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     commit, head = git("rev-parse", args.base), git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
@@ -115,7 +118,9 @@ def main(argv: list[str] | None = None) -> int:
                 pairs[workload].append((seed, sides["base"], sides["head"]))
                 print(f"{workload} seed {seed} done", file=sys.stderr)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(base)], cwd=ROOT, capture_output=True)
+        subprocess.run(
+            ["git", "worktree", "remove", "--force", str(base)], cwd=ROOT, capture_output=True
+        )
         subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
         shutil.rmtree(scratch, ignore_errors=True)
     summary, mismatches = summarize(pairs, better)

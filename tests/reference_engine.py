@@ -219,7 +219,8 @@ def probe(f, bins, d, tau, discovered, transcript):
             v0, v1 = split_bin(b.value, x, next(raws), discovered)
             _log(transcript, b.label, x, v0)
             if abs(v1) <= tau:
-                absent |= BitVector.from_coords(n, [b.candidates[i - 1] for i in test.coords()]).mask
+                coords = [b.candidates[i - 1] for i in test.coords()]
+                absent |= BitVector.from_coords(n, coords).mask
             else:
                 ones |= 1 << t
                 mixed = mixed or abs(v0) > tau
@@ -249,9 +250,9 @@ def phase_two_rounds(leaves, lines, d):
     leaves are refine_levels' (label, sum, candidate set, below); lines
     are the phase-2 transcript's (label, point mask) pairs, so a leaf's
     points in the order it asks them.  A probed leaf asks its first
-    construct_disjunct(|C|, d).b points in round 1 and is decoded once the last of them is settled; a
-    failed probe's search, like a searched leaf, asks each point in the
-    round after its previous one is settled.  A point is settled in the
+    construct_disjunct(|C|, d).b points in round 1 and is decoded once
+    the last of them is settled; a failed probe's search, like a searched
+    leaf, asks each point in the round after its previous one is settled.  A point is settled in the
     round it is asked or in the round the last leaf below it whose
     candidate set it does not hold finishes, whichever is later.  A leaf
     finishes when its last point is settled, in round 0 if it asks none.

@@ -37,7 +37,12 @@ def test_medians_iqr_change_and_the_pairs_the_change_lost():
 
 
 def test_a_count_or_exact_frac_that_moves_within_a_pair_is_listed():
-    pairs = {"dense_int": [(1, side(4.0, 10), side(4.0, 7)), (2, side(4.0, 10, 1.0), side(4.0, 10, 0.5))]}
+    pairs = {
+        "dense_int": [
+            (1, side(4.0, 10), side(4.0, 7)),
+            (2, side(4.0, 10, 1.0), side(4.0, 10, 0.5)),
+        ]
+    }
     summary, mismatches = bench_pairs.summarize(pairs, BETTER)
     assert mismatches == [
         {"workload": "dense_int", "seed": 1, "metric": "hybrid.rounds", "base": 10, "head": 7},

@@ -33,6 +33,7 @@ from sparsemobius.reference import check_subset_sum_independence
 from sparsemobius.rng import SplitMix64, random_subset
 
 import reference_engine
+from envelope import probe_tests
 from weights import integer_weights
 
 
@@ -594,18 +595,15 @@ def test_a_probe_past_d_defectives_names_its_leaf():
 
 # 20 candidates over n = 24, not one run of coordinates: at d = 2 the
 # probe asks construct_disjunct(20, 2)'s 15 tests, not the 20 of the identity
-WIDE = BitVector.from_coords(24, [1, 2, 4, 5, 6, 8, 9, 10, 11, 13, 14, 15, 16, 18, 19, 20, 21, 22, 23, 24])
+WIDE = BitVector.from_coords(
+    24, [1, 2, 4, 5, 6, 8, 9, 10, 11, 13, 14, 15, 16, 18, 19, 20, 21, 22, 23, 24]
+)
 
 
 def design_points(free: int, d: int) -> list[int]:
     """The probe's points over free: free minus each test of
-    construct_disjunct(|free|, d), its items mapped onto free's coordinates
-    in ascending order."""
-    coords = [c - 1 for c in BitVector(WIDE.n, free).coords()]
-    return [
-        free & ~sum(1 << coords[i - 1] for i in test.coords())
-        for test in construct_disjunct(len(coords), d).columns
-    ]
+    construct_disjunct(|free|, d), as the envelope maps it."""
+    return [free & ~test for test in probe_tests(free, d)]
 
 
 def test_a_probe_finishes_a_wide_one_coefficient_leaf_in_one_round():
