@@ -77,11 +77,10 @@ __all__ = ["split_bin", "depth_first_search", "fasmt_run"]
 
 
 @cache
-def _disjunct_items(m: int, d: int) -> tuple[tuple[int, ...], ...] | None:
+def _disjunct_items(m: int, d: int) -> tuple[tuple[int, ...], ...]:
     """The tests of construct_disjunct(m, d) as their 0-based item lists,
-    or None where it is the identity; built once per (m, d)."""
-    items = tuple(tuple(c - 1 for c in test.coords()) for test in construct_disjunct(m, d).columns)
-    return None if items == tuple((i,) for i in range(m)) else items
+    built once per (m, d)."""
+    return tuple(tuple(c - 1 for c in test.coords()) for test in construct_disjunct(m, d).columns)
 
 
 def _probe_tests(free: int, d: int) -> list[int]:
@@ -92,10 +91,7 @@ def _probe_tests(free: int, d: int) -> list[int]:
         low = free & -free
         coords.append(low)
         free ^= low
-    design = _disjunct_items(len(coords), d)
-    if design is None:
-        return coords  # the identity's tests are the coordinates themselves
-    return [sum([coords[i] for i in items]) for items in design]
+    return [sum([coords[i] for i in items]) for items in _disjunct_items(len(coords), d)]
 
 
 def split_bin(
@@ -158,11 +154,13 @@ def _search(
     defectives, the degree overflow is raised at the bucket's own label.
     A d-disjunct design tells any two supports of weight at most d apart,
     so a bucket of several coefficients reads some value neither 0 nor v
-    (or a 0-test that misses the decoded support), and it is searched over
-    C minus the absent tests' coordinates, from the next round on.  Where
-    the identity is narrowest (|C| <= 12 at d = 2, 20 at d = 3, 35 at
-    d = 4) the tests are {j} for each j in C, so the points are C minus
-    {j} in ascending j.  fasmt's one bucket has an empty label, and so has
+    (or a 0-test that misses the decoded support), and it is searched from
+    the next round on over C minus the coordinates of its absent tests of
+    one coordinate.  A wider test reads v also where coefficients that
+    cancel meet it, so its coordinates stay in the search.  Where the
+    identity is narrowest (|C| <= 12 at d = 2, 20 at d = 3, 35 at d = 4)
+    every test is one coordinate {j} of C, so the points are C minus {j}
+    in ascending j.  fasmt's one bucket has an empty label, and so has
     hybrid's where n <= 2d, so neither is probed.
 
     The search is a splitting search whose first stack entry is the
@@ -182,22 +180,25 @@ def _search(
             x.n = n
             x.mask = free ^ test
             points.append(x)
-        absent = 0
+        absent = lone = 0
         hits = []
         for x, test, v0 in zip(points, tests, (yield points)):
             if transcript is not None:
                 log_query(transcript, label, x, v0)
             if abs(value - v0) <= tau:
                 absent |= test
+                if not test & (test - 1):
+                    lone |= test
             else:
                 # a residual neither 0 nor the sum fails the check below
                 hits.append(test if abs(v0) <= tau else 0)
-        free ^= absent
-        if all(test & free for test in hits):
-            if free.bit_count() > d:
+        support = free ^ absent
+        if all(test & support for test in hits):
+            if support.bit_count() > d:
                 raise _overflow(label, d)
-            record(own, label, free, value)
+            record(own, label, support, value)
             return
+        free ^= lone
     blocks = GbsaTree(free, d).blocks
     nblocks = len(blocks)
     # pending 1-children: label length and mask, sum, candidate set,

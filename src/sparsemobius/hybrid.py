@@ -26,18 +26,18 @@ two-stage group testing, as the first step of the leaf's walk
 construct_disjunct(|C|, d) over the leaf's candidates C, all in the first
 round, and a leaf whose residuals decode to one coefficient by
 decode_disjunct's check is done once those values settle, whatever its
-size; any other leaf goes on to search the candidates that no absent test
-holds.  A sweep of the list cap over the acceptance grid (4,500
+size; any other leaf goes on to search its candidates minus those of its
+absent tests of one candidate.  A sweep of the list cap over the acceptance grid (4,500
 instances, every run exact) under that probe gave hybrid's grid queries /
 rounds:
 
     list cap   queries   rounds
-    L          471,875   67,161
-    5L/4       458,641   62,358
-    3L/2       457,324   58,276
-    2L         459,020   56,329
+    L          471,905   67,191
+    5L/4       458,683   62,400
+    3L/2       457,446   58,398
+    2L         459,771   57,051
 
-3L/2 takes the fewest queries; 2L trades 0.4 % more queries for 3.3 %
+3L/2 takes the fewest queries; 2L trades 0.5 % more queries for 2.3 %
 fewer rounds, and a shorter cap costs both.
 
 A bucket's coefficients can lie below another bucket's query points only

@@ -1,10 +1,13 @@
 """Time the benchmark at a base commit and at the working tree, in pairs.
 
     python3 tests/bench_pairs.py BASE [--pairs N] [--seconds S]
-        [--workload NAME ...] [--counts-move] [--out FILE]
+        [--workload NAME ...] [--counts-move] [--base-checkout DIR]
+        [--out FILE]
 
 Standard library only.  It adds a detached git worktree of BASE under a
-temporary directory and removes it on exit, error included.  For each
+temporary directory and removes it on exit, error included; with
+--base-checkout it runs BASE from that existing checkout instead, which
+must be at BASE, and leaves it in place.  For each
 seed 1..N and each workload (all of BENCHMARK.json's by default) it runs
 perfbench/run.py once from BASE and once from the working tree, BASE
 first at odd seeds and second at even ones, so that drift in the host's
@@ -14,8 +17,10 @@ interquartile range, the change of the medians in percent, and the seeds
 of the pairs in which the working tree was worse.
 
 A count (a metric in unit "count") or exact_frac that differs within a
-pair is listed under "count_mismatches", and the command then exits 1,
-unless --counts-move says that the change moves counts on purpose.
+pair is listed under "count_mismatches", and the command then exits 1.
+--counts-move says that the change moves counts on purpose, and lets
+counts differ; exact_frac must still match, since a change in it is a
+change in which runs are correct.
 """
 
 from __future__ import annotations
@@ -87,6 +92,12 @@ def summarize(pairs: dict, better: dict) -> tuple[dict, list]:
     return summary, mismatches
 
 
+def failing(mismatches: list, counts_move: bool) -> list:
+    """The mismatches that fail the run: all of them, or where counts may
+    move, exact_frac's alone."""
+    return [m for m in mismatches if not counts_move or m["metric"] == "exact_frac"]
+
+
 def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -98,17 +109,25 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--counts-move", action="store_true", help="counts may differ within a pair"
     )
+    parser.add_argument(
+        "--base-checkout", type=Path, help="an existing checkout of BASE to run from"
+    )
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_pairs.json")
     args = parser.parse_args(argv)
     workloads = args.workload or names
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     commit, head = git("rev-parse", args.base), git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    if args.base_checkout:
+        at = git("-C", str(args.base_checkout.resolve()), "rev-parse", "HEAD")
+        if at != commit:
+            parser.error(f"{args.base_checkout} is at {at}, not at {commit}")
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    base = scratch / "base"
+    base = args.base_checkout or scratch / "base"
     pairs: dict = {w: [] for w in workloads}
     try:
-        git("worktree", "add", "--detach", str(base), commit)
+        if not args.base_checkout:
+            git("worktree", "add", "--detach", str(base), commit)
         for seed in range(1, args.pairs + 1):
             for workload in workloads:
                 sides = {}
@@ -118,10 +137,11 @@ def main(argv: list[str] | None = None) -> int:
                 pairs[workload].append((seed, sides["base"], sides["head"]))
                 print(f"{workload} seed {seed} done", file=sys.stderr)
     finally:
-        subprocess.run(
-            ["git", "worktree", "remove", "--force", str(base)], cwd=ROOT, capture_output=True
-        )
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+        if not args.base_checkout:
+            subprocess.run(
+                ["git", "worktree", "remove", "--force", str(base)], cwd=ROOT, capture_output=True
+            )
+            subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
         shutil.rmtree(scratch, ignore_errors=True)
     summary, mismatches = summarize(pairs, better)
     record = {
@@ -134,8 +154,9 @@ def main(argv: list[str] | None = None) -> int:
         "count_mismatches": mismatches,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="ascii")
-    if mismatches and not args.counts_move:
-        print(f"{len(mismatches)} counts differ within a pair; see {args.out}", file=sys.stderr)
+    failed = failing(mismatches, args.counts_move)
+    if failed:
+        print(f"{len(failed)} counts differ within a pair; see {args.out}", file=sys.stderr)
         return 1
     return 0
 

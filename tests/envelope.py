@@ -7,8 +7,8 @@ leaf of one candidate under a 1-outcome costs nothing.  Any other leaf
 with a label and m candidates is probed: it asks the b tests of
 construct_disjunct(m, d), mapped onto its candidates in ascending order,
 in one round, and is done if t is 1.  Otherwise it is searched over its
-candidates minus those of the tests that miss every support in it, u of
-them: b + t * gbsa_test_budget(u, d) queries in 1 + t *
+candidates minus those of the one-candidate tests that miss every
+support in it, u of them: b + t * gbsa_test_budget(u, d) queries in 1 + t *
 gbsa_test_budget(u, d) rounds.  A leaf with no label, the one leaf of a
 design with no tests, is searched over its m candidates: at most
 t * gbsa_test_budget(m, d) queries, one per round.  Phase 2's rounds are
@@ -52,7 +52,7 @@ def hybrid_envelope(
                 union |= k
             tests = probe_tests(free, d)
             for test in tests:
-                if not test & union:
+                if not test & union and not test & (test - 1):
                     free &= ~test
             fallback = t * gbsa_test_budget(free.bit_count(), d) if t > 1 else 0
             queries += len(tests) + fallback

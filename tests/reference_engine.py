@@ -16,8 +16,8 @@ leaves with candidates are probed first, in a round of their own, by the
 tests of construct_disjunct over their candidates (a one-candidate leaf
 under a 1-outcome records its candidate with no query), and decoded by
 decode_disjunct itself; the layer's searches, a failed probe's over its
-candidates minus those its absent tests hold, run side by side after
-it.
+candidates minus those its absent tests of one candidate hold, run side
+by side after it.
 
 phase_two_rounds counts the rounds of the current engine's schedule from
 a phase-2 transcript: every leaf starts in round 1, and a value waits
@@ -190,7 +190,7 @@ def probe(f, bins, d, tau, discovered, transcript):
     are its syndrome's 0s.  A bin whose residuals are all 0 or its sum, and
     whose syndrome decode_disjunct decodes, records its one coefficient
     and gets None in the returned list; any other bin gets the mask of the
-    candidates its 0-tests hold.  A bin of one candidate whose label has a
+    candidates its 0-tests of one candidate hold.  A bin of one candidate whose label has a
     1 asks nothing: a 1-outcome keeps the empty support out of it, so the
     candidate is its support."""
     n = f.n
@@ -219,8 +219,9 @@ def probe(f, bins, d, tau, discovered, transcript):
             v0, v1 = split_bin(b.value, x, next(raws), discovered)
             _log(transcript, b.label, x, v0)
             if abs(v1) <= tau:
-                coords = [b.candidates[i - 1] for i in test.coords()]
-                absent |= BitVector.from_coords(n, coords).mask
+                if test.weight() == 1:
+                    coords = [b.candidates[i - 1] for i in test.coords()]
+                    absent |= BitVector.from_coords(n, coords).mask
             else:
                 ones |= 1 << t
                 mixed = mixed or abs(v0) > tau

@@ -51,6 +51,9 @@ def test_a_count_or_exact_frac_that_moves_within_a_pair_is_listed():
     # a higher exact_frac is better, so only the pair where it fell is worse
     assert summary["dense_int"]["exact_frac"]["worse_in_pairs"] == [2]
     assert summary["dense_int"]["hybrid.rounds"]["change_pct"] == -15.0
+    # where counts may move, the run still fails on exact_frac
+    assert bench_pairs.failing(mismatches, counts_move=False) == mismatches
+    assert bench_pairs.failing(mismatches, counts_move=True) == mismatches[1:]
 
 
 def test_one_pair_has_no_spread():

@@ -619,23 +619,21 @@ def test_a_probe_finishes_a_wide_one_coefficient_leaf_in_one_round():
     assert {label for label, *_ in rows} == {"10"}
 
 
-def test_a_wide_failed_probe_searches_the_coordinates_its_absent_tests_left():
+def test_a_wide_failed_probe_searches_every_candidate():
     # x5*x19 and x9: the probe reads a residual that is neither 0 nor the
-    # sum, and the search goes over the coordinates outside every test
-    # that misses both supports, from round 2 on
+    # sum, and some test of four coordinates reads the sum; a wide test
+    # rules nothing out, since cancelling coefficients can meet it, so the
+    # search goes over all 20 candidates, from round 2 on
     supports = {BitVector.from_coords(24, [5, 19]): 6, BitVector.from_coords(24, [9]): 2}
     truth = SparsePolynomial(24, supports)
     label = Label.from01("10")
     got, queries, rounds, rows = probed(truth, (label, 8, WIDE.mask, ()), 2)
     assert got == truth.entries
-    points = design_points(WIDE.mask, 2)
-    absent = 0
-    for x in points:
-        if all(k.mask & x == k.mask for k in supports):
-            absent |= WIDE.mask ^ x
-    assert absent and "2" in [v for *_, v in rows[:15]]
+    values = [v for *_, v in rows[:15]]
+    assert "2" in values and "8" in values
+    assert all(test.bit_count() == 4 for test in probe_tests(WIDE.mask, 2))
     _, search_queries, search_rounds, search_rows = probed(
-        truth, (label, 8, WIDE.mask ^ absent, ()), 2, probe=False
+        truth, (label, 8, WIDE.mask, ()), 2, probe=False
     )
     assert rows[15:] == search_rows
     assert (queries, rounds) == (15 + search_queries, 1 + search_rounds)
@@ -697,6 +695,8 @@ def planted_cancellation(seed: int) -> SparsePolynomial:
 @given(st.integers(0, 2**32))
 @example(3808)  # the probe recovers the map that the search gets wrong
 @example(8915)  # both maps are wrong, the probe's by two supports fewer
+@example(22536)  # a wide absent test meets both cancelling supports
+@example(50285)  # a leaf that sums to 0 vanishes; the search raises
 def test_a_probe_returns_no_map_the_search_would_not_under_cancellation(seed):
     # a cancelling subset can give a several-coefficient leaf the residuals
     # of one coefficient; the probe must then return no map where the
