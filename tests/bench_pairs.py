@@ -5,7 +5,7 @@
         [--out FILE]
 
 Standard library only.  It adds a detached git worktree of BASE under a
-temporary directory and removes it on exit, error included; with
+temporary directory and removes it on exit, error or SIGTERM included; with
 --base-checkout it runs BASE from that existing checkout instead, which
 must be at BASE, and leaves it in place.  For each
 seed 1..N and each workload (all of BENCHMARK.json's by default) it runs
@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -125,6 +126,8 @@ def main(argv: list[str] | None = None) -> int:
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     base = args.base_checkout or scratch / "base"
     pairs: dict = {w: [] for w in workloads}
+    # a kill unwinds through the finally below, which removes the worktree
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
     try:
         if not args.base_checkout:
             git("worktree", "add", "--detach", str(base), commit)
