@@ -5,10 +5,10 @@
         [--out FILE]
 
 Standard library only.  It adds a detached git worktree of BASE under a
-temporary directory and removes it on exit, error or SIGTERM included; with
---base-checkout it runs BASE from that existing checkout instead, which
-must be at BASE, and leaves it in place.  For each
-seed 1..N and each workload (all of BENCHMARK.json's by default) it runs
+temporary directory and removes it on exit, error or SIGTERM included;
+with --base-checkout it runs BASE from that existing checkout instead,
+which must be at BASE, and leaves it in place.  For each seed 1..N and
+each workload (all of BENCHMARK.json's by default) it runs
 perfbench/run.py once from BASE and once from the working tree, BASE
 first at odd seeds and second at even ones, so that drift in the host's
 speed falls on both sides alike.  It writes one JSON file (BENCH_pairs.json
